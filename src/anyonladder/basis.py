@@ -10,6 +10,7 @@ entries below ``DROP_TOLERANCE``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -49,14 +50,15 @@ class FusionTreeBasis:
         if (lo, hi) != (0, n_modes - 1):
             raise ValueError(f"shape covers {(lo, hi)}, expected (0, {n_modes - 1})")
         self.sector = None if sector is None else model.index(sector)
-        self.spans, states = trees.enumerate_labelings(model, self.shape)
+        self.spans, states = _labelings(model, self.shape)
         self._span_pos = {s: i for i, s in enumerate(self.spans)}
         self.root_span = (0, n_modes - 1)
         if self.sector is not None:
             root = self._span_pos[self.root_span]
-            states = [st for st in states if st[root] == self.sector]
-        self.states: tuple[tuple[int, ...], ...] = tuple(states)
+            states = tuple(st for st in states if st[root] == self.sector)
+        self.states: tuple[tuple[int, ...], ...] = states
         self.index: dict[tuple[int, ...], int] = {st: i for i, st in enumerate(states)}
+        self._totals: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -72,12 +74,16 @@ class FusionTreeBasis:
         return tuple(state[self._span_pos[(i, i)]] for i in range(self.n_modes))
 
     def totals(self) -> np.ndarray:
-        """Total charge per state, as an int array."""
-        root = self._span_pos[self.root_span]
-        return np.array([st[root] for st in self.states], dtype=int)
+        """Total charge per state, as a read-only int array built once per basis."""
+        if self._totals is None:
+            root = self._span_pos[self.root_span]
+            totals = np.fromiter((st[root] for st in self.states), dtype=int, count=self.dim)
+            totals.flags.writeable = False
+            self._totals = totals
+        return self._totals
 
     def sector_indices(self, g: int) -> np.ndarray:
-        return np.nonzero(self.totals() == g)[0]
+        return np.flatnonzero(self.totals() == g)
 
     def state_label(self, i: int) -> str:
         """Human-readable ``(a_1 .. a_n; d_1 .. d_{n-1})`` string."""
@@ -193,15 +199,20 @@ class SparseOperator:
         diff = self.matrix - other.matrix
         return float(np.abs(diff.data).max()) <= tol if diff.nnz else True
 
+    def _entry_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column total charge of every stored entry."""
+        mat = self.matrix.tocoo()
+        return self.row_basis.totals()[mat.row], self.col_basis.totals()[mat.col]
+
     def sector_pairs(self) -> set[tuple[int, int]]:
         """Distinct (row total charge, column total charge) pairs with support."""
-        row_tot = self.row_basis.totals()
-        col_tot = self.col_basis.totals()
-        mat = self.matrix.tocoo()
-        return {(int(row_tot[i]), int(col_tot[j])) for i, j in zip(mat.row, mat.col)}
+        rows, cols = self._entry_totals()
+        pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
+        return {(int(r), int(c)) for r, c in pairs}
 
     def is_charge_diagonal(self) -> bool:
-        return all(r == c for r, c in self.sector_pairs())
+        rows, cols = self._entry_totals()
+        return bool(np.array_equal(rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -217,39 +228,52 @@ def _cache(model: AnyonModel) -> dict:
     return cache
 
 
+def _labelings(model: AnyonModel, shape):
+    """``trees.enumerate_labelings(model, shape)`` as immutable tuples.
+
+    Enumerated once per (model, shape) and kept in the model's operator
+    cache; every basis and recoupling move of that shape shares the table.
+    """
+    cache = _cache(model)
+    key = ("labelings", shape)
+    if key not in cache:
+        spans, states = trees.enumerate_labelings(model, shape)
+        cache[key] = (tuple(spans), tuple(states))
+    return cache[key]
+
+
 def _move_matrix(model: AnyonModel, shape, node_span):
     """One right-to-left rotation as a sparse overlap matrix.
 
     Returns ``(new_shape, M)`` with ``M[i_new, j_old] = <new_i|old_j>``.
     """
     new_shape, a_span, b_span, c_span = trees.rotate_right_to_left(shape, node_span)
-    old_spans, old_states = trees.enumerate_labelings(model, shape)
-    new_spans, new_states = trees.enumerate_labelings(model, new_shape)
+    old_spans, old_states = _labelings(model, shape)
+    new_spans, new_states = _labelings(model, new_shape)
     new_index = {st: i for i, st in enumerate(new_states)}
     old_pos = {s: i for i, s in enumerate(old_spans)}
-    new_pos = {s: i for i, s in enumerate(new_spans)}
 
     removed = (b_span[0], c_span[1])
     created = (a_span[0], b_span[1])
+    # A new state is the old one with the removed charge dropped and the
+    # created charge x inserted at ``slot``; every other span keeps its charge.
+    slot = new_spans.index(created)
+    kept = itemgetter(*(old_pos[s] for s in new_spans if s != created))
+    pa, pb, pc, pd, py = (old_pos[s] for s in (a_span, b_span, c_span, node_span, removed))
 
     rows, cols, vals = [], [], []
     for j, st in enumerate(old_states):
-        a = st[old_pos[a_span]]
-        b = st[old_pos[b_span]]
-        c = st[old_pos[c_span]]
-        d = st[old_pos[node_span]]
-        y = st[old_pos[removed]]
-        block = model.f_block(a, b, c, d)
-        if block is None:
+        block = model.f_block(st[pa], st[pb], st[pc], st[pd])
+        if block is None or st[py] not in block.cols:
             continue
-        base = {s: st[old_pos[s]] for s in old_spans if s != removed}
+        y = block.cols.index(st[py])
+        rest = kept(st)
+        head, tail = rest[:slot], rest[slot:]
         for idx, x in enumerate(block.rows):
-            amp = block.mat[idx, block.cols.index(y)] if y in block.cols else 0.0
+            amp = block.mat[idx, y]
             if abs(amp) <= DROP_TOLERANCE:
                 continue
-            base[created] = x
-            new_state = tuple(base[s] for s in new_spans)
-            rows.append(new_index[new_state])
+            rows.append(new_index[head + (x,) + tail])
             cols.append(j)
             vals.append(complex(amp))
     mat = sp.csr_matrix(

@@ -246,10 +246,17 @@ def diagonalize(
 ) -> Spectrum:
     """Eigenvalues of one total-charge block of a Hermitian operator.
 
-    ``method`` defaults to a dense solve for block dimension up to
-    ``DENSE_CUTOFF`` and an iterative extremal solve (lowest ``k_extremal``
-    eigenvalues) above it.
+    The sector block is sliced straight from the CSR matrix and symmetrised
+    there; the full operator is never densified, and the Hermiticity check
+    runs on the sparse difference ``h - h^dagger``.  ``method`` defaults to a
+    dense ``eigh`` of that block for block dimension up to ``DENSE_CUTOFF``
+    and an iterative extremal solve (lowest ``k_extremal`` eigenvalues, sparse
+    ``eigsh``) above it.  Blocks of dimension at most ``k_extremal + 1`` are
+    too small for ``eigsh`` and are always solved densely; the returned
+    ``method`` says which solver ran.
     """
+    if method not in (None, "dense", "iterative"):
+        raise ValueError(f"unknown method {method!r}; expected dense or iterative")
     basis = h.row_basis
     model = basis.model
     g = sector if isinstance(sector, (int, np.integer)) else model.index(sector)
@@ -262,22 +269,21 @@ def diagonalize(
         raise ValueError(
             f"sector {model.labels[g]} is empty for {basis.n_modes} modes"
         )
-    block = h.to_dense()[np.ix_(idx, idx)]
+    block = h.matrix[idx][:, idx]
     block = (block + block.conj().T) / 2.0
 
     if method is None:
         method = "dense" if len(idx) <= DENSE_CUTOFF else "iterative"
+    if len(idx) <= k_extremal + 1:
+        method = "dense"
     if method == "dense":
-        vals, vecs = np.linalg.eigh(block)
+        vals, vecs = np.linalg.eigh(block.toarray())
         ground = vecs[:, 0]
-    elif method == "iterative":
-        k = min(k_extremal, len(idx) - 1)
-        vals, vecs = eigsh(block, k=k, which="SA")
+    else:
+        vals, vecs = eigsh(block, k=k_extremal, which="SA")
         order = np.argsort(vals)
         vals = vals[order]
         ground = vecs[:, order[0]]
-    else:
-        raise ValueError(f"unknown method {method!r}; expected dense or iterative")
 
     vector = None
     if want_vector:

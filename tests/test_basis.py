@@ -4,14 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
+from anyonladder import trees
 from anyonladder.basis import (
+    DROP_TOLERANCE,
     FusionTreeBasis,
     SparseOperator,
+    _labelings,
+    _move_matrix,
     braid_adjacent,
     braid_word,
     recouple,
     total_charge_projector,
 )
+from anyonladder.ladder import annihilating_element
 from anyonladder.trees import left_comb, right_comb
 
 FOUR_LEAF_SHAPES = [
@@ -189,3 +194,109 @@ def test_braid_preserves_total_charge(k, sense):
     model = builtin("fibonacci")
     b = braid_adjacent(model, 4, k, sense)
     assert b.is_charge_diagonal()
+
+
+def _all_shapes(lo, hi):
+    """Every full binary shape over the leaves ``lo .. hi``."""
+    if lo == hi:
+        yield lo
+        return
+    for mid in range(lo, hi):
+        for left in _all_shapes(lo, mid):
+            for right in _all_shapes(mid + 1, hi):
+                yield (left, right)
+
+
+def _reference_move_matrix(model, fresh, shape, node_span):
+    """The per-state rebuild of one rotation, on fresh enumerations."""
+    new_shape, a_span, b_span, c_span = trees.rotate_right_to_left(shape, node_span)
+    old_spans, old_states = fresh(shape)
+    new_spans, new_states = fresh(new_shape)
+    new_index = {st: i for i, st in enumerate(new_states)}
+    old_pos = {s: i for i, s in enumerate(old_spans)}
+    removed = (b_span[0], c_span[1])
+    created = (a_span[0], b_span[1])
+    out = np.zeros((len(new_states), len(old_states)), dtype=complex)
+    for j, st in enumerate(old_states):
+        a, b, c, d = (st[old_pos[s]] for s in (a_span, b_span, c_span, node_span))
+        y = st[old_pos[removed]]
+        block = model.f_block(a, b, c, d)
+        if block is None:
+            continue
+        base = {s: st[old_pos[s]] for s in old_spans if s != removed}
+        for idx, x in enumerate(block.rows):
+            amp = block.mat[idx, block.cols.index(y)] if y in block.cols else 0.0
+            if abs(amp) <= DROP_TOLERANCE:
+                continue
+            base[created] = x
+            out[new_index[tuple(base[s] for s in new_spans)], j] = amp
+    return out
+
+
+def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
+    for model in (fib, fermion, ising):
+        tables = {}
+
+        def fresh(shape):
+            if shape not in tables:
+                tables[shape] = trees.enumerate_labelings(model, shape)
+            return tables[shape]
+
+        for n in range(1, 7):
+            canonical = FusionTreeBasis(model, n)
+            for g in model.labels:
+                sectored = FusionTreeBasis(model, n, sector=g)
+                assert set(sectored.states) <= set(canonical.states)
+            # Every rotation recouple makes, from every shape to the left comb.
+            moves = set()
+            for shape in _all_shapes(0, n - 1):
+                recouple(canonical, shape)
+                for node_span in trees.moves_to_left_comb(shape):
+                    moves.add((shape, node_span))
+                    shape = trees.rotate_right_to_left(shape, node_span)[0]
+            for shape, node_span in moves:
+                _, mat = _move_matrix(model, shape, node_span)
+                reference = _reference_move_matrix(model, fresh, shape, node_span)
+                assert np.array_equal(mat.toarray(), reference)
+            visited = {canonical.shape} | {shape for shape, _ in moves}
+            for shape in visited:
+                spans, states = fresh(shape)
+                cached = _labelings(model, shape)
+                assert isinstance(cached[0], tuple) and isinstance(cached[1], tuple)
+                assert cached == (tuple(spans), tuple(states))
+            assert canonical.states is _labelings(model, canonical.shape)[1]
+            assert FusionTreeBasis(model, n).dim == orc.total_dimension(model, n)
+
+
+def _loop_totals(basis):
+    return np.array([basis.total(st) for st in basis.states], dtype=int)
+
+
+def _loop_sector_pairs(op):
+    rows, cols = _loop_totals(op.row_basis), _loop_totals(op.col_basis)
+    mat = op.matrix.tocoo()
+    return {(int(rows[i]), int(cols[j])) for i, j in zip(mat.row, mat.col)}
+
+
+def test_vectorised_charge_helpers_match_loops(fib, ising):
+    for model in (fib, ising):
+        basis = FusionTreeBasis(model, 4)
+        assert np.array_equal(basis.totals(), _loop_totals(basis))
+        for g in range(model.n_labels):
+            want = np.array([i for i, t in enumerate(_loop_totals(basis)) if t == g])
+            assert np.array_equal(basis.sector_indices(g), want.astype(int))
+        sectored = FusionTreeBasis(model, 4, sector=model.labels[1])
+        assert np.array_equal(sectored.totals(), _loop_totals(sectored))
+        ops = [braid_adjacent(model, 4, 2), SparseOperator.zero(basis)]
+        a = model.labels[1]
+        for b0 in model.labels:
+            for c0 in model.labels:
+                if model.index(c0) in model.fuse(model.index(a), model.index(b0)):
+                    ops.append(annihilating_element(model, 4, a, b0, c0, mode=2))
+        for op in ops:
+            pairs = _loop_sector_pairs(op)
+            assert op.sector_pairs() == pairs
+            assert op.is_charge_diagonal() == all(r == c for r, c in pairs)
+        assert any(not op.is_charge_diagonal() for op in ops)
+    with pytest.raises(ValueError):
+        basis.totals()[0] = 1

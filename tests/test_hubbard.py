@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from anyonladder.basis import FusionTreeBasis, total_charge_projector
+from anyonladder.basis import FusionTreeBasis, SparseOperator, total_charge_projector
 from anyonladder.hubbard import (
     HubbardParams,
     build_hamiltonian,
@@ -13,6 +13,7 @@ from anyonladder.hubbard import (
     occupation_profile,
 )
 from anyonladder.ladder import fibonacci_pair
+from anyonladder.model import builtin
 
 
 def test_lattice_edges_geometric():
@@ -237,3 +238,61 @@ def test_construction_is_deterministic():
     _, h1 = hubbard_hamiltonian(2, HubbardParams(t=0.5, mu=0.25))
     _, h2 = hubbard_hamiltonian(2, HubbardParams(t=0.5, mu=0.25))
     assert (h1 - h2).norm_max() == 0.0
+
+
+def test_iterative_request_on_tiny_blocks_solves_densely():
+    one = diagonalize(
+        SparseOperator.identity(FusionTreeBasis(builtin("fibonacci"), 1)), "e",
+        method="iterative",
+    )
+    assert one.method == "dense" and np.array_equal(one.eigenvalues, [1.0])
+    _, h = hubbard_hamiltonian(2, HubbardParams(t=1.0, mu=0.3))  # blocks 13 and 21
+    for k_extremal, method in ((12, "dense"), (11, "iterative")):
+        sp = diagonalize(h, "e", method="iterative", k_extremal=k_extremal)
+        assert sp.method == method
+        full = diagonalize(h, "e", method="dense").eigenvalues
+        assert np.allclose(sp.eigenvalues[:k_extremal], full[:k_extremal], atol=1e-10)
+    with pytest.raises(ValueError, match="unknown method"):
+        diagonalize(h, "e", method="lanczos")
+
+
+def test_every_small_sector_matches_dense_eigh():
+    for indexing in ("geometric", "paper"):
+        for n_rungs in (1, 2, 3):
+            _, h = hubbard_hamiltonian(n_rungs, HubbardParams(0.9, 0.35, indexing))
+            dense = h.to_dense()
+            for g in range(h.row_basis.model.n_labels):
+                idx = h.row_basis.sector_indices(g)
+                block = dense[np.ix_(idx, idx)]
+                want = np.linalg.eigh((block + block.conj().T) / 2.0)[0]
+                got = diagonalize(h, g, want_vector=False).eigenvalues
+                assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_rungs4_iterative_and_dense_ground_energy_agree():
+    _, h = hubbard_hamiltonian(4, HubbardParams(t=1.0, mu=0.5))
+    dense = diagonalize(h, "tau", method="dense", want_vector=False)
+    iterative = diagonalize(h, "tau", method="iterative", want_vector=False)
+    assert dense.block_dim == iterative.block_dim == 987
+    assert iterative.method == "iterative"
+    assert abs(dense.ground_energy - iterative.ground_energy) < 1e-10
+
+
+def test_diagonalize_never_densifies_the_full_operator(monkeypatch):
+    _, h = hubbard_hamiltonian(3, HubbardParams(t=1.0, mu=0.5))
+    full_shape = h.matrix.shape
+    toarray = type(h.matrix).toarray
+
+    def guarded(self, *args, **kwargs):
+        assert self.shape != full_shape, "dense copy of the full operator"
+        return toarray(self, *args, **kwargs)
+
+    def refuse(self):
+        raise AssertionError("diagonalize called to_dense")
+
+    monkeypatch.setattr(SparseOperator, "to_dense", refuse)
+    monkeypatch.setattr(type(h.matrix), "toarray", guarded)
+    for g in ("e", "tau"):
+        for method in ("dense", "iterative"):
+            sp = diagonalize(h, g, method=method)
+            assert sp.method == method and sp.block_dim in (89, 144)
