@@ -24,10 +24,13 @@ import numpy as np
 from . import trees
 from .basis import FusionTreeBasis, SparseOperator, braid_word, recouple, _cache
 from .ladder import (
+    _element_family,
     coefficient_tables,
     fibonacci_pair,
     ladder_set,
+    resolver,
     rest_charges,
+    transport_to_mode,
 )
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol, LadderPolynomial
@@ -48,8 +51,6 @@ __all__ = [
     "abelian_sum_polynomial",
     "Decomposition",
     "decompose_observable",
-    "std_resolver",
-    "combined_resolver",
     "RelationReport",
     "verify_relations",
     "fock_words",
@@ -122,19 +123,6 @@ def _rest_part(fact: FusionTreeBasis, state, rest_spans, n_modes: int, m: int):
     return tuple(state[fact._span_pos[s]] for s in rest_spans) + root
 
 
-def _region_state_key(model: AnyonModel, x: RegionState) -> tuple[int, ...]:
-    """The region-span charge tuple of ``x`` in span order of the M-mode comb."""
-    m = len(x.leaves)
-    sub = FusionTreeBasis(model, m)
-    charges = {}
-    for i, a in enumerate(x.leaves):
-        charges[(i, i)] = a
-    inner_spans = [s for s in sub.spans if s[0] != s[1]]
-    for s, d in zip(inner_spans, x.internals):
-        charges[s] = d
-    return tuple(charges[s] for s in sub.spans)
-
-
 def observable_basis(model: AnyonModel, n_modes: int, m: int):
     """The operators ``E_{x,x'} = |x><x'| (x) id`` spanning region observables.
 
@@ -150,6 +138,8 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
         return cache[key]
     w, fact, region_spans, rest_spans = _factored(model, n_modes, m)
     states = region_states(model, m)
+    # the region part of a factored state is the M-mode canonical labeling
+    region_keys = FusionTreeBasis(model, m).states
     by_key: dict[tuple[int, ...], list[int]] = {}
     for col, st in enumerate(fact.states):
         by_key.setdefault(_region_part(fact, st, region_spans), []).append(col)
@@ -161,17 +151,12 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
     pairs = []
     ops = []
     for x in states:
+        rows_by_rest = {rest_key[r]: r for r in by_key.get(region_keys[x.index], [])}
         for xp in states:
             if x.charge != xp.charge:
                 continue
-            kx = _region_state_key(model, x)
-            kxp = _region_state_key(model, xp)
-            cols = by_key.get(kxp, [])
-            rows_by_rest = {
-                rest_key[r]: r for r in by_key.get(kx, [])
-            }
             entries = {}
-            for col in cols:
+            for col in by_key.get(region_keys[xp.index], []):
                 row = rows_by_rest.get(rest_key[col])
                 if row is not None:
                     entries[(row, col)] = 1.0
@@ -185,57 +170,28 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
 def candidate_local_basis(model: AnyonModel, n_modes: int, mode: int = 1):
     """Basis of the candidate local algebra of a single mode.
 
-    Elements ``A^{a,a',b0}_{d,d'} = sum_y |a,y;d><a',y;d'|`` in the
-    factored shape, with ``y`` running over rest labelings of charge ``b0``,
-    ``d`` a channel of ``a x b0`` and ``d'`` of ``a' x b0``.  These include
-    total-charge changing elements (d != d'); for a Fibonacci mode with rest
-    charges {e, tau} there are 13 of them.  ``mode > 1`` braids the basis
-    into place.
+    The single-mode case of :func:`local_candidate_span`: elements
+    ``A^{a,a',b0}_{d,d'} = sum_y |a,y;d><a',y;d'|`` in the factored shape,
+    with ``y`` running over rest labelings of charge ``b0``, ``d`` a channel
+    of ``a x b0`` and ``d'`` of ``a' x b0``.  These include total-charge
+    changing elements (d != d'); for a Fibonacci mode with rest charges
+    {e, tau} there are 13 of them.  ``mode > 1`` braids the basis into place.
     """
-    from .ladder import transport_to_mode
-
-    w, fact, region_spans, rest_spans = _factored(model, n_modes, 1)
-    leaf_pos = fact._span_pos[(0, 0)]
-    root_pos = fact._span_pos[fact.root_span]
-    rest_span = (1, n_modes - 1) if n_modes > 1 else None
-
-    by_rest: dict[tuple, list[int]] = {}
-    for col, st in enumerate(fact.states):
-        rest = tuple(st[fact._span_pos[s]] for s in rest_spans)
-        by_rest.setdefault(rest, []).append(col)
-
-    available = rest_charges(model, n_modes)
-    elements = []
-    for b0 in available:
-        for a in range(model.n_labels):
-            for d in model.fuse(a, b0):
-                for ap in range(model.n_labels):
-                    for dp in model.fuse(ap, b0):
-                        entries = {}
-                        for rest, cols in by_rest.items():
-                            if n_modes > 1:
-                                rest_charge = rest[rest_spans.index(rest_span)]
-                                if rest_charge != b0:
-                                    continue
-                            row = col = None
-                            for i in cols:
-                                st = fact.states[i]
-                                if st[leaf_pos] == a and st[root_pos] == d:
-                                    row = i
-                                if st[leaf_pos] == ap and st[root_pos] == dp:
-                                    col = i
-                            if row is not None and col is not None:
-                                entries[(row, col)] = 1.0
-                        op = (w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop()
-                        meta = {
-                            "a": model.labels[a],
-                            "a_prime": model.labels[ap],
-                            "b0": model.labels[b0],
-                            "d": model.labels[d],
-                            "d_prime": model.labels[dp],
-                        }
-                        elements.append((meta, transport_to_mode(op, mode)))
-    return elements
+    labels = model.labels
+    metas, ops = local_candidate_span(model, n_modes, 1)
+    return [
+        (
+            {
+                "a": labels[meta["x"][0]],
+                "a_prime": labels[meta["xp"][0]],
+                "b0": meta["b0"],
+                "d": labels[meta["G"]],
+                "d_prime": labels[meta["Gp"]],
+            },
+            transport_to_mode(op, mode),
+        )
+        for meta, op in zip(metas, ops)
+    ]
 
 
 def complement_observable_basis(model: AnyonModel, n_modes: int, m: int):
@@ -390,13 +346,6 @@ def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
-def _element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int, mode: int):
-    from .ladder import annihilating_element
-
-    labels = model.labels
-    return annihilating_element(model, n_modes, labels[a], labels[b0], labels[c0], mode)
-
-
 def system_totals(model: AnyonModel, n_modes: int, x: RegionState) -> tuple[int, ...]:
     """Total charges ``g`` the region content ``x`` can coexist with."""
     out = set()
@@ -431,6 +380,28 @@ def _as_region_state(model: AnyonModel, leaves, internals) -> RegionState:
     return RegionState(-1, a, d, charge)
 
 
+def _factor_terms(model: AnyonModel, n_modes: int, x: RegionState, g: int, p: int):
+    """``(b, c, weight)`` terms of the mode-``p`` factor of ``O_{x,g}``.
+
+    Mode 1 takes ``(b, g, 1)`` for every reachable rest charge ``b`` with
+    ``g`` in ``a_1 x b``; mode ``p > 1`` takes
+    ``[F^{d_{p-2} a_p b}_g]^*_{d_{p-1} c}`` for every reachable ``b`` and
+    channel ``c`` of ``a_p x b``, leaving out weights below 1e-14.
+    """
+    a_p = x.leaves[p - 1]
+    available = rest_charges(model, n_modes)
+    if p == 1:
+        return [(b, g, 1.0) for b in available if g in model.fuse(a_p, b)]
+    ds = (x.leaves[0],) + x.internals  # d_0 = a_1, d_1 .. d_{M-1}
+    terms = []
+    for b in available:
+        for c in model.fuse(a_p, b):
+            weight = np.conj(model.f_entry(ds[p - 2], a_p, b, g, ds[p - 1], c))
+            if abs(weight) > 1e-14:
+                terms.append((b, c, weight))
+    return terms
+
+
 def o_operator(model: AnyonModel, n_modes: int, leaves, internals, g) -> SparseOperator:
     """The operator ``O_{a,d,g}`` of the constructive decomposition, as a matrix.
 
@@ -442,29 +413,10 @@ def o_operator(model: AnyonModel, n_modes: int, leaves, internals, g) -> SparseO
     """
     x = _as_region_state(model, leaves, internals)
     gi = _charge_index(model, g)
-    m = len(x.leaves)
-    ds = (x.leaves[0],) + x.internals  # d_0 = a_1, d_1 .. d_{M-1}
-    basis = FusionTreeBasis(model, n_modes)
-    available = set(rest_charges(model, n_modes))
-
-    mode1 = SparseOperator.zero(basis)
-    for b in range(model.n_labels):
-        if b in available and gi in model.fuse(x.leaves[0], b):
-            mode1 = mode1 + _element(model, n_modes, x.leaves[0], b, gi, 1)
-    result = mode1
-    for p in range(2, m + 1):
-        a_p = x.leaves[p - 1]
-        d_prev = ds[p - 2]
-        d_cur = ds[p - 1]
-        factor = SparseOperator.zero(basis)
-        for b in range(model.n_labels):
-            if b not in available:
-                continue
-            for c in model.fuse(a_p, b):
-                weight = np.conj(model.f_entry(d_prev, a_p, b, gi, d_cur, c))
-                if abs(weight) <= 1e-14:
-                    continue
-                factor = factor + weight * _element(model, n_modes, a_p, b, c, p)
+    result = SparseOperator.identity(FusionTreeBasis(model, n_modes))
+    for p, a_p in enumerate(x.leaves, start=1):
+        terms = _factor_terms(model, n_modes, x, gi, p)
+        factor = _element_family(model, n_modes, a_p, terms, p)[p]
         result = (factor @ result).drop()
     return result
 
@@ -597,32 +549,12 @@ def o_polynomial(model: AnyonModel, n_modes: int, leaves, internals, g) -> Ladde
     """
     x = _as_region_state(model, leaves, internals)
     gi = _charge_index(model, g)
-    m = len(x.leaves)
-    ds = (x.leaves[0],) + x.internals
-    available = set(rest_charges(model, n_modes))
 
     def factor_polynomial(p: int) -> LadderPolynomial:
+        a_p = x.leaves[p - 1]
         poly = LadderPolynomial()
-        if p == 1:
-            a_p = x.leaves[0]
-            contributions = [
-                (b, gi, 1.0)
-                for b in range(model.n_labels)
-                if b in available and gi in model.fuse(a_p, b)
-            ]
-        else:
-            a_p = x.leaves[p - 1]
-            d_prev, d_cur = ds[p - 2], ds[p - 1]
-            contributions = []
-            for b in range(model.n_labels):
-                if b not in available:
-                    continue
-                for c in model.fuse(a_p, b):
-                    weight = np.conj(model.f_entry(d_prev, a_p, b, gi, d_cur, c))
-                    if abs(weight) > 1e-14:
-                        contributions.append((b, c, weight))
         abelian_weights = []
-        for b, c, weight in contributions:
+        for b, c, weight in _factor_terms(model, n_modes, x, gi, p):
             if model.abelian[b]:
                 abelian_weights.append(weight)
             else:
@@ -638,49 +570,9 @@ def o_polynomial(model: AnyonModel, n_modes: int, leaves, internals, g) -> Ladde
         return poly
 
     result = factor_polynomial(1)
-    for p in range(2, m + 1):
+    for p in range(2, len(x.leaves) + 1):
         result = factor_polynomial(p) @ result
     return result
-
-
-# ---------------------------------------------------------------------------
-# Resolvers
-# ---------------------------------------------------------------------------
-
-
-def std_resolver(model: AnyonModel, n_modes: int):
-    """Resolver mapping std generator symbols to matrices (cached per model)."""
-    cache = _cache(model)
-
-    def resolve(symbol: GeneratorSymbol) -> SparseOperator:
-        if symbol.dagger:
-            raise ValueError("resolver expects undaggered symbols")
-        if symbol.kind != "std":
-            raise KeyError(f"not a std symbol: {symbol}")
-        key = ("ladder-set", n_modes, symbol.particle)
-        if key not in cache:
-            cache[key] = ladder_set(model, n_modes, symbol.particle)
-        return cache[key].op(symbol.mode, symbol.j)
-
-    return resolve
-
-
-def combined_resolver(model: AnyonModel, n_modes: int):
-    """Resolver for both std and Fibonacci pair symbols."""
-    std = std_resolver(model, n_modes)
-    cache = _cache(model)
-
-    def resolve(symbol: GeneratorSymbol) -> SparseOperator:
-        if symbol.kind == "std":
-            return std(symbol)
-        key = ("pair", n_modes)
-        if key not in cache:
-            cache[key] = fibonacci_pair(model, n_modes)
-        pair = cache[key]
-        family = pair.alpha if symbol.particle == "alpha" else pair.beta
-        return family[symbol.mode]
-
-    return resolve
 
 
 def _word_cache(model: AnyonModel, n_modes: int) -> dict:
@@ -755,7 +647,7 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
         return cache[key]
     pairs, _ops = observable_basis(model, n_modes, m)
     states = region_states(model, m)
-    resolver = std_resolver(model, n_modes)
+    resolve = resolver(model, n_modes)
     identity = SparseOperator.identity(FusionTreeBasis(model, n_modes))
     word_cache = _word_cache(model, n_modes)
 
@@ -794,7 +686,7 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
         if duplicates:
             variants.append(("distinct", distinct))
         for variant, poly in variants:
-            evaluated = poly.evaluate_with_identity(resolver, identity, cache=word_cache)
+            evaluated = poly.evaluate_with_identity(resolve, identity, cache=word_cache)
             entries.append((x, xp, variant))
             polys.append(poly)
             columns.append(evaluated.to_dense().ravel())
@@ -864,10 +756,8 @@ def decompose_observable(
         coefficients[(x.label(model), xp.label(model), variant)] = complex(c)
     polynomial = polynomial.relabel_modes(mode_map)
 
-    resolver = std_resolver(model, n)
-    word_cache = _word_cache(model, n)
     evaluated = polynomial.evaluate_with_identity(
-        resolver, SparseOperator.identity(basis), cache=word_cache
+        resolver(model, n), SparseOperator.identity(basis), cache=_word_cache(model, n)
     )
     eval_residual = float((evaluated - op).norm_max())
     return Decomposition(s, polynomial, coefficients, span_residual, eval_residual)
@@ -1068,11 +958,11 @@ def fock_word(model: AnyonModel, n_modes: int, state) -> tuple[complex, tuple]:
 def apply_word(model: AnyonModel, n_modes: int, scalar: complex, word) -> np.ndarray:
     """Apply ``scalar * word`` to the vacuum; returns the dense state vector."""
     basis = FusionTreeBasis(model, n_modes)
-    resolver = combined_resolver(model, n_modes)
+    resolve = resolver(model, n_modes)
     vec = np.zeros(basis.dim, dtype=complex)
     vec[vacuum_index(basis)] = scalar
     for sym in reversed(tuple(word)):
-        base = resolver(sym.adjoint() if sym.dagger else sym)
+        base = resolve(sym.adjoint() if sym.dagger else sym)
         mat = base.dagger() if sym.dagger else base
         vec = mat.apply(vec)
     return vec

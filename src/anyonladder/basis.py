@@ -374,8 +374,5 @@ def braid_word(model: AnyonModel, n_modes: int, word) -> SparseOperator:
 def total_charge_projector(model: AnyonModel, n_modes: int, g: str) -> SparseOperator:
     """Diagonal projector onto total charge ``g`` on the canonical basis."""
     basis = FusionTreeBasis(model, n_modes)
-    gi = model.index(g)
-    entries = {
-        (i, i): 1.0 for i in range(basis.dim) if basis.total(basis.states[i]) == gi
-    }
+    entries = {(i, i): 1.0 for i in basis.sector_indices(model.index(g))}
     return SparseOperator.from_entries(basis, basis, entries)

@@ -27,7 +27,7 @@ from .basis import (
     total_charge_projector,
 )
 from .fixtures import fixture, fixture_descriptions, fixture_names
-from .ladder import fibonacci_pair, j_count, ladder_set
+from .ladder import fermion_type, fibonacci_pair, j_count, ladder_set
 from .model import (
     BUILTIN_MODELS,
     ModelDataError,
@@ -112,8 +112,9 @@ def cmd_ladder(args) -> int:
 
 def _verify_relations(model, n: int, tol: float) -> tuple[list[str], bool]:
     lines: list[str] = []
-    if model.name == "fermion":
-        ls = ladder_set(model, n, model.labels[1])
+    psi = fermion_type(model)
+    if psi is not None:
+        ls = ladder_set(model, n, model.labels[psi])
         ops = [ls.op(k, 0) for k in range(1, n + 1)]
         ident = SparseOperator.identity(FusionTreeBasis(model, n))
         worst = 0.0

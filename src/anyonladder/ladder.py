@@ -12,6 +12,9 @@ Annihilation operators are 0/1-weighted sums of annihilating elements,
 one term per rest charge ``b0``; the coefficient tables picking the fusion
 channels are constructed in :func:`coefficient_tables`.  A non-abelian
 particle gets ``J = n_a - n + 1`` operators, an abelian one exactly 1.
+Ladder sets, the identity ladder and the Fibonacci pair are all weighted
+element sums built by :func:`_element_family`; :func:`resolver` maps
+generator symbols to ladder-set and pair operators.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ __all__ = [
     "fibonacci_pair",
     "fermion_annihilator",
     "identity_ladder",
+    "fermion_type",
     "rest_charges",
+    "resolver",
 ]
 
 
@@ -102,17 +107,39 @@ def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) ->
     return result
 
 
-def transport_to_mode(op: SparseOperator, k: int) -> SparseOperator:
-    """Braid-transport a mode-1 operator to mode ``k`` (behind modes 2..k)."""
+def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]:
+    """A mode-1 operator on modes ``1..last_mode``, each transported from the one before."""
     model = op.row_basis.model
     n = op.row_basis.n_modes
-    if not 1 <= k <= n:
-        raise ValueError(f"mode {k} out of range for {n} modes")
-    result = op
-    for m in range(1, k):
-        b = braid_adjacent(model, n, m)
-        result = (b @ result @ b.dagger()).drop()
-    return result
+    if not 1 <= last_mode <= n:
+        raise ValueError(f"mode {last_mode} out of range for {n} modes")
+    family = {1: op}
+    for k in range(2, last_mode + 1):
+        b = braid_adjacent(model, n, k - 1)
+        family[k] = (b @ family[k - 1] @ b.dagger()).drop()
+    return family
+
+
+def _element_family(
+    model: AnyonModel, n_modes: int, a: int, terms, last_mode: int
+) -> dict[int, SparseOperator]:
+    """``sum weight * a^{b0,c0}`` over ``terms = [(b0, c0, weight), ...]``.
+
+    Terms are added in the given order at mode 1, skipping those whose rest
+    charge ``b0`` is unreachable on ``n_modes`` modes; the sum is then
+    braid-transported to modes ``1..last_mode``.
+    """
+    available = rest_charges(model, n_modes)
+    op = SparseOperator.zero(FusionTreeBasis(model, n_modes))
+    for b0, c0, weight in terms:
+        if b0 in available:
+            op = op + weight * _mode1_element(model, n_modes, a, b0, c0)
+    return _transports(op.drop(), last_mode)
+
+
+def transport_to_mode(op: SparseOperator, k: int) -> SparseOperator:
+    """Braid-transport a mode-1 operator to mode ``k`` (behind modes 2..k)."""
+    return _transports(op, k)[k]
 
 
 def annihilating_element(
@@ -219,45 +246,20 @@ class LadderSet:
     def op(self, k: int, j: int = 0) -> SparseOperator:
         return self.ops[(k, j)]
 
-    def resolver(self):
-        """Symbol resolver for :meth:`LadderPolynomial.evaluate` (std symbols)."""
-
-        def resolve(symbol: GeneratorSymbol) -> SparseOperator:
-            if symbol.dagger:
-                raise ValueError("resolver expects undaggered symbols")
-            if symbol.kind != "std" or symbol.particle != self.particle:
-                raise KeyError(f"symbol {symbol} not provided by this ladder set")
-            return self.ops[(symbol.mode, symbol.j)]
-
-        return resolve
-
 
 def ladder_set(model: AnyonModel, n_modes: int, particle: str) -> LadderSet:
     """Construct the ``J`` annihilation operators of ``particle`` on all modes."""
     tables = coefficient_tables(model, particle)
     ai = model.index(particle)
-    available = set(rest_charges(model, n_modes))
-    basis = FusionTreeBasis(model, n_modes)
-
-    mode1 = []
-    for table in tables:
-        op = SparseOperator.zero(basis)
-        for b0 in range(model.n_labels):
-            if b0 not in available:
-                continue
-            for c0 in model.fuse(ai, b0):
-                coeff = table.coefficient(model.labels[b0], model.labels[c0])
-                if abs(coeff) == 0.0:
-                    continue
-                op = op + coeff * _mode1_element(model, n_modes, ai, b0, c0)
-        mode1.append(op.drop())
-
     ops: dict[tuple[int, int], SparseOperator] = {}
-    for j, op in enumerate(mode1):
-        ops[(1, j)] = op
-        for k in range(2, n_modes + 1):
-            b = braid_adjacent(model, n_modes, k - 1)
-            ops[(k, j)] = (b @ ops[(k - 1, j)] @ b.dagger()).drop()
+    for table in tables:
+        terms = [
+            (model.index(b0), model.index(c0), coeff)
+            for (b0, c0), coeff in table.entries.items()
+            if coeff != 0.0
+        ]
+        for k, op in _element_family(model, n_modes, ai, terms, n_modes).items():
+            ops[(k, table.j)] = op
     return LadderSet(model, n_modes, particle, tables, ops)
 
 
@@ -267,11 +269,8 @@ def identity_ladder(model: AnyonModel, n_modes: int, mode: int = 1) -> SparseOpe
     Equals ``alpha^(j)_k alpha^(j)_k^dagger`` for any annihilation operator of
     any particle type, which is how it is expressed in ladder polynomials.
     """
-    basis = FusionTreeBasis(model, n_modes)
-    op = SparseOperator.zero(basis)
-    for b0 in rest_charges(model, n_modes):
-        op = op + _mode1_element(model, n_modes, model.vacuum, b0, b0)
-    return transport_to_mode(op.drop(), mode)
+    terms = [(b0, b0, 1.0) for b0 in rest_charges(model, n_modes)]
+    return _element_family(model, n_modes, model.vacuum, terms, mode)[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +294,6 @@ class FibonacciPair:
     alpha: dict[int, SparseOperator]
     beta: dict[int, SparseOperator]
 
-    def resolver(self):
-        """Symbol resolver for pair-kind generator symbols."""
-
-        def resolve(symbol: GeneratorSymbol) -> SparseOperator:
-            if symbol.dagger:
-                raise ValueError("resolver expects undaggered symbols")
-            if symbol.kind != "pair":
-                raise KeyError(f"symbol {symbol} is not an alpha/beta generator")
-            family = self.alpha if symbol.particle == "alpha" else self.beta
-            return family[symbol.mode]
-
-        return resolve
-
 
 def _fibonacci_tau(model: AnyonModel) -> int:
     non_abelian = [i for i, flag in enumerate(model.abelian) if not flag]
@@ -326,27 +312,19 @@ def fibonacci_pair(model: AnyonModel, n_modes: int) -> FibonacciPair:
     """Build the unnormalised ``alpha_k``/``beta_k`` pair on every mode."""
     tau = _fibonacci_tau(model)
     e = model.vacuum
-    available = set(rest_charges(model, n_modes))
-
-    def combine(weighted: list[tuple[float, int, int]]) -> SparseOperator:
-        basis = FusionTreeBasis(model, n_modes)
-        op = SparseOperator.zero(basis)
-        for weight, b0, c0 in weighted:
-            if b0 not in available:
-                continue
-            op = op + weight * _mode1_element(model, n_modes, tau, b0, c0)
-        return op.drop()
-
-    alpha1 = combine([(_SQRT_HALF, e, tau), (1.0, tau, e)])
-    beta1 = combine([(_SQRT_HALF, e, tau), (1.0, tau, tau)])
-
-    alpha = {1: alpha1}
-    beta = {1: beta1}
-    for k in range(2, n_modes + 1):
-        b = braid_adjacent(model, n_modes, k - 1)
-        alpha[k] = (b @ alpha[k - 1] @ b.dagger()).drop()
-        beta[k] = (b @ beta[k - 1] @ b.dagger()).drop()
+    alpha_terms = [(e, tau, _SQRT_HALF), (tau, e, 1.0)]
+    beta_terms = [(e, tau, _SQRT_HALF), (tau, tau, 1.0)]
+    alpha = _element_family(model, n_modes, tau, alpha_terms, n_modes)
+    beta = _element_family(model, n_modes, tau, beta_terms, n_modes)
     return FibonacciPair(model, n_modes, alpha, beta)
+
+
+def fermion_type(model: AnyonModel) -> int | None:
+    """The non-vacuum type of a two-type model whose square is the vacuum, else None."""
+    if model.n_labels != 2:
+        return None
+    psi = 1 - model.vacuum
+    return psi if model.fuse(psi, psi) == (model.vacuum,) else None
 
 
 def fermion_annihilator(model: AnyonModel, n_modes: int, k: int = 1) -> SparseOperator:
@@ -356,19 +334,45 @@ def fermion_annihilator(model: AnyonModel, n_modes: int, k: int = 1) -> SparseOp
     ``psi x psi = e``; the resulting family satisfies the anticommutation
     relations ``{f_i, f_j} = 0`` and ``{f_i, f_j^dagger} = delta_ij``.
     """
-    candidates = [
-        a
-        for a in range(model.n_labels)
-        if a != model.vacuum and model.fuse(a, a) == (model.vacuum,)
-    ]
-    if model.n_labels != 2 or not candidates:
+    psi_index = fermion_type(model)
+    if psi_index is None:
         raise ModelDataError(
             "the fermionic annihilator needs a two-type model whose non-vacuum "
             "type squares to the vacuum"
         )
-    psi = model.labels[candidates[0]]
+    psi = model.labels[psi_index]
     e = model.labels[model.vacuum]
     return (
         annihilating_element(model, n_modes, psi, e, psi, k)
         + (-1.0) * annihilating_element(model, n_modes, psi, psi, e, k)
     ).drop()
+
+
+# ---------------------------------------------------------------------------
+# Generator symbols
+# ---------------------------------------------------------------------------
+
+
+def resolver(model: AnyonModel, n_modes: int):
+    """Map undaggered ``std`` and ``pair`` generator symbols to their matrices.
+
+    Ladder sets and the Fibonacci pair are built on first use and kept in the
+    model's operator cache, so every resolver of one (model, n_modes) shares them.
+    """
+    cache = _cache(model)
+
+    def resolve(symbol: GeneratorSymbol) -> SparseOperator:
+        if symbol.dagger:
+            raise ValueError("resolver expects undaggered symbols")
+        if symbol.kind == "std":
+            key = ("ladder-set", n_modes, symbol.particle)
+            if key not in cache:
+                cache[key] = ladder_set(model, n_modes, symbol.particle)
+            return cache[key].op(symbol.mode, symbol.j)
+        key = ("pair", n_modes)
+        if key not in cache:
+            cache[key] = fibonacci_pair(model, n_modes)
+        pair = cache[key]
+        return {"alpha": pair.alpha, "beta": pair.beta}[symbol.particle][symbol.mode]
+
+    return resolve

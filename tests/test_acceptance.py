@@ -19,7 +19,6 @@ from anyonladder.algebra import (
     kernel_dimension,
     mode_relabel_unitary,
     observable_basis,
-    std_resolver,
     vacuum_index,
     verify_relations,
 )
@@ -37,6 +36,7 @@ from anyonladder.ladder import (
     fermion_annihilator,
     j_count,
     ladder_set,
+    resolver,
 )
 from anyonladder.model import builtin, dump_model, load_model, validate_model
 
@@ -150,7 +150,7 @@ def test_criterion_5_decomposition_round_trip():
         rng = np.random.default_rng(2026)
         pairs, ops = observable_basis(fib, n, 2)
         u = mode_relabel_unitary(fib, n, (1, 3))
-        resolver = std_resolver(fib, n)
+        resolve = resolver(fib, n)
         ident = SparseOperator.identity(FusionTreeBasis(fib, n))
 
         def random_observable():
@@ -177,7 +177,7 @@ def test_criterion_5_decomposition_round_trip():
         worst_corpus = 0.0
         for name in fixture_names():
             dec = decompose_observable(fixture(name), (1, 2))
-            evaluated = dec.polynomial.evaluate_with_identity(resolver, ident)
+            evaluated = dec.polynomial.evaluate_with_identity(resolve, ident)
             worst_corpus = max(worst_corpus, (evaluated - fixture(name)).norm_max())
         assert worst_corpus < 1e-10, f"corpus residual {worst_corpus:.3e}"
 

@@ -20,14 +20,13 @@ from anyonladder.algebra import (
     o_polynomial,
     observable_basis,
     region_states,
-    std_resolver,
     system_totals,
     vacuum_index,
     verify_relations,
 )
 from anyonladder.basis import FusionTreeBasis, SparseOperator
-from anyonladder.ladder import annihilating_element, fibonacci_pair, ladder_set
-from anyonladder.model import ModelDataError
+from anyonladder.ladder import annihilating_element, fibonacci_pair, ladder_set, resolver
+from anyonladder.model import ModelDataError, builtin
 
 
 def _rank(ops, tol=1e-10):
@@ -45,14 +44,16 @@ def _identity(model, n):
 # ---------------------------------------------------------------------------
 
 
-def test_candidate_basis_thirteen_independent_elements(fib):
-    elems = candidate_local_basis(fib, 3)
-    assert len(elems) == 13
-    assert _rank([op for _m, op in elems]) == 13
+@pytest.mark.parametrize("name, count", [("fibonacci", 13), ("ising", 34), ("fermion", 8)])
+def test_candidate_basis_thirteen_independent_elements(name, count):
+    model = builtin(name)
+    elems = candidate_local_basis(model, 3)
+    assert len(elems) == count
+    assert _rank([op for _m, op in elems]) == count
     # metadata labels are model labels
     for meta, _op in elems:
         assert set(meta) == {"a", "a_prime", "b0", "d", "d_prime"}
-        assert all(v in fib.labels for v in meta.values())
+        assert all(v in model.labels for v in meta.values())
 
 
 def test_candidate_span_dimensions(fib):
@@ -147,7 +148,7 @@ def test_o_operator_products_sum_to_observables(fib, fermion, ising):
 
 def test_o_polynomial_realizes_o_operator(fib):
     n = 3
-    res = std_resolver(fib, n)
+    res = resolver(fib, n)
     ident = _identity(fib, n)
     for m in (1, 2):
         for x in region_states(fib, m):
@@ -175,7 +176,7 @@ def test_ising_mixed_weight_factor_has_no_realization(ising):
 
 
 def test_element_polynomial_matches_element(fib):
-    res = std_resolver(fib, 3)
+    res = resolver(fib, 3)
     ident = _identity(fib, 3)
     for b0, c0 in ((1, 0), (1, 1)):
         poly = element_polynomial(fib, 1, 1, b0, c0)
@@ -187,7 +188,7 @@ def test_element_polynomial_matches_element(fib):
 
 
 def test_abelian_sum_polynomial(fib):
-    res = std_resolver(fib, 3)
+    res = resolver(fib, 3)
     ident = _identity(fib, 3)
     ev = abelian_sum_polynomial(fib, 1, 1).evaluate_with_identity(res, ident)
     want = annihilating_element(fib, 3, "tau", "e", "tau", 1)
@@ -216,7 +217,7 @@ def test_decompose_round_trip_contiguous(fib):
         assert dec.span_residual < 1e-10
         assert dec.eval_residual < 1e-9
         ev = dec.polynomial.evaluate_with_identity(
-            std_resolver(fib, 3), _identity(fib, 3)
+            resolver(fib, 3), _identity(fib, 3)
         )
         assert (ev - op).norm_max() < 1e-9
         assert dec.polynomial.adjoint().signature() == dec.polynomial.signature()
@@ -233,7 +234,7 @@ def test_decompose_round_trip_split_region(fib):
         modes_used = {s.mode for _, word in dec.polynomial.terms for s in word}
         assert modes_used <= {1, 3}
         ev = dec.polynomial.evaluate_with_identity(
-            std_resolver(fib, 3), _identity(fib, 3)
+            resolver(fib, 3), _identity(fib, 3)
         )
         assert (ev - op).norm_max() < 1e-9
 

@@ -91,6 +91,17 @@ def test_verify_fermion_relations(capsys):
     assert "result: pass" in out
 
 
+def test_verify_relations_dispatches_on_structure_not_name(tmp_path, capsys):
+    doc = copy.deepcopy(dump_model(builtin("fermion")))
+    doc["name"] = "renamed-fermion"
+    path = _write_model(tmp_path, doc)
+    code = main(["verify", "--model", path, "--modes", "2", "--suite", "relations"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "canonical anticommutation relations: residual=0.000e+00" in captured.out
+    assert "result: pass" in captured.out
+
+
 def test_decompose_list_fixtures(capsys):
     code = main(["decompose", "--list-fixtures"])
     out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from anyonladder.hubbard import (
     hubbard_hamiltonian,
     occupation_profile,
 )
-from anyonladder.ladder import fibonacci_pair
+from anyonladder.ladder import fibonacci_pair, resolver
 from anyonladder.model import builtin
 
 
@@ -87,7 +87,7 @@ def test_polynomial_route_matches_direct():
     direct = build_hamiltonian(spec, params, model=model, pair=pair)
     poly = hamiltonian_polynomial(spec, params)
     resolved = poly.evaluate_with_identity(
-        pair.resolver(), SparseOperator.identity(FusionTreeBasis(model, spec.n_modes))
+        resolver(model, spec.n_modes), SparseOperator.identity(FusionTreeBasis(model, spec.n_modes))
     )
     assert (direct - resolved).norm_max() < 1e-12
 

@@ -13,6 +13,7 @@ from anyonladder.ladder import (
     j_count,
     j_lower_bound,
     ladder_set,
+    resolver,
     transport_to_mode,
 )
 
@@ -201,9 +202,31 @@ def test_ladder_resolver_round_trip(fib):
     from anyonladder.polynomial import GeneratorSymbol
 
     ls = ladder_set(fib, 2, "tau")
-    resolve = ls.resolver()
+    resolve = resolver(fib, 2)
     sym = GeneratorSymbol(1, "std", "tau", 0, False)
     assert resolve(sym).allclose(ls.op(1, 0))
+
+    # one resolver serves std and pair symbols on the same (model, n)
+    n = 3
+    resolve = resolver(fib, n)
+    ls = ladder_set(fib, n, "tau")
+    pair = fibonacci_pair(fib, n)
+    for k in range(1, n + 1):
+        for j in range(ls.j_count):
+            got = resolve(GeneratorSymbol(k, "std", "tau", j, False))
+            assert (got - ls.op(k, j)).norm_max() == 0.0
+        for family, ops in (("alpha", pair.alpha), ("beta", pair.beta)):
+            got = resolve(GeneratorSymbol(k, "pair", family, 0, False))
+            assert (got - ops[k]).norm_max() == 0.0
+    for kind, particle in (("std", "tau"), ("pair", "alpha")):
+        with pytest.raises(ValueError, match="undaggered"):
+            resolve(GeneratorSymbol(1, kind, particle, 0, True))
+    with pytest.raises(KeyError):
+        resolve(GeneratorSymbol(1, "pair", "gamma", 0, False))
+    # each ladder set is built once per (model, n) and then served from the cache
+    sym = GeneratorSymbol(2, "std", "tau", 1, False)
+    assert resolve(sym) is resolve(sym)
+    assert resolver(fib, n)(sym) is resolve(sym)
 
 
 @settings(max_examples=15, deadline=None)

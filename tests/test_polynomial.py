@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonladder.basis import FusionTreeBasis, SparseOperator
-from anyonladder.ladder import ladder_set
+from anyonladder.ladder import ladder_set, resolver
 from anyonladder.polynomial import GeneratorSymbol, LadderPolynomial
 
 symbols = st.builds(
@@ -86,7 +86,7 @@ def test_payload_round_trip():
 
 def test_evaluate_matches_manual_product(fib):
     ls = ladder_set(fib, 2, "tau")
-    resolve = ls.resolver()
+    resolve = resolver(fib, 2)
     p = _gen(1) @ _gen(2, dagger=True) + 0.5 * _gen(1, j=1)
     got = p.evaluate(resolve).to_dense()
     want = (
@@ -99,7 +99,7 @@ def test_evaluate_matches_manual_product(fib):
 def test_evaluate_daggered_symbols_via_resolver(fib):
     ls = ladder_set(fib, 2, "tau")
     p = _gen(1, dagger=True) @ _gen(1)
-    got = p.evaluate(ls.resolver()).to_dense()
+    got = p.evaluate(resolver(fib, 2)).to_dense()
     want = ls.op(1, 0).dagger().to_dense() @ ls.op(1, 0).to_dense()
     assert np.allclose(got, want, atol=1e-12)
 
@@ -108,10 +108,10 @@ def test_evaluate_constant_requires_identity(fib):
     ls = ladder_set(fib, 2, "tau")
     p = LadderPolynomial.constant(2.0)
     with pytest.raises(ValueError):
-        p.evaluate(ls.resolver())
+        p.evaluate(resolver(fib, 2))
     basis = FusionTreeBasis(fib, 2)
     ident = SparseOperator.identity(basis)
-    got = p.evaluate_with_identity(ls.resolver(), ident).to_dense()
+    got = p.evaluate_with_identity(resolver(fib, 2), ident).to_dense()
     assert np.allclose(got, 2.0 * np.eye(basis.dim))
 
 
@@ -120,7 +120,7 @@ def test_evaluate_empty_polynomial(fib):
     zero = _gen(1) + (-1.0) * _gen(1)
     assert zero.is_zero()
     with pytest.raises(ValueError):
-        zero.evaluate(ls.resolver())
+        zero.evaluate(resolver(fib, 2))
 
 
 def test_terms_are_sorted_deterministically():
