@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import trees
-from .basis import FusionTreeBasis, SparseOperator, braid_word, recouple, _cache
+from .basis import (
+    FusionTreeBasis, SparseOperator, braid_word, _cache, _factored_states, _from_factored
+)
 from .ladder import (
     _element_family,
     coefficient_tables,
@@ -68,14 +69,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _region_shape(n_modes: int, m: int):
-    """Shape ``(left-comb 0..m-1, left-comb m..n-1)``; canonical comb if m == n."""
-    region = trees.left_comb(0, m - 1)
-    if m == n_modes:
-        return region
-    return (region, trees.left_comb(m, n_modes - 1))
-
-
 @dataclass(frozen=True)
 class RegionState:
     """One fusion state of the region modes ``1..M`` (canonical M-mode basis)."""
@@ -104,25 +97,6 @@ def region_states(model: AnyonModel, m: int) -> list[RegionState]:
     return out
 
 
-def _factored(model: AnyonModel, n_modes: int, m: int):
-    """Recoupling to the region-factored shape plus span bookkeeping."""
-    basis = FusionTreeBasis(model, n_modes)
-    w = recouple(basis, _region_shape(n_modes, m))
-    fact = w.row_basis
-    region_spans = [s for s in fact.spans if s[1] <= m - 1]
-    rest_spans = [s for s in fact.spans if s[0] >= m]
-    return w, fact, region_spans, rest_spans
-
-
-def _region_part(fact: FusionTreeBasis, state, region_spans) -> tuple[int, ...]:
-    return tuple(state[fact._span_pos[s]] for s in region_spans)
-
-
-def _rest_part(fact: FusionTreeBasis, state, rest_spans, n_modes: int, m: int):
-    root = () if m == n_modes else (state[fact._span_pos[(0, n_modes - 1)]],)
-    return tuple(state[fact._span_pos[s]] for s in rest_spans) + root
-
-
 def observable_basis(model: AnyonModel, n_modes: int, m: int):
     """The operators ``E_{x,x'} = |x><x'| (x) id`` spanning region observables.
 
@@ -130,39 +104,25 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
     pairs of equal charge and ``ops`` the corresponding canonical-basis
     operators.
     """
-    if not 1 <= m <= n_modes:
-        raise ValueError(f"region size {m} out of range")
     cache = _cache(model)
     key = ("observable-basis", n_modes, m)
     if key in cache:
         return cache[key]
-    w, fact, region_spans, rest_spans = _factored(model, n_modes, m)
+    w, groups = _factored_states(model, n_modes, m)
+    # E_{x,x'} pairs the factored states of equal rest labeling and total charge
+    blocks: dict[tuple, dict] = {}
+    for group in groups.values():
+        for (x, g), row in group.items():
+            for (xp, gp), col in group.items():
+                if g == gp:
+                    blocks.setdefault((x, xp), {})[(row, col)] = 1.0
     states = region_states(model, m)
-    # the region part of a factored state is the M-mode canonical labeling
     region_keys = FusionTreeBasis(model, m).states
-    by_key: dict[tuple[int, ...], list[int]] = {}
-    for col, st in enumerate(fact.states):
-        by_key.setdefault(_region_part(fact, st, region_spans), []).append(col)
-
-    rest_key = {}
-    for col, st in enumerate(fact.states):
-        rest_key[col] = _rest_part(fact, st, rest_spans, n_modes, m)
-
-    pairs = []
-    ops = []
-    for x in states:
-        rows_by_rest = {rest_key[r]: r for r in by_key.get(region_keys[x.index], [])}
-        for xp in states:
-            if x.charge != xp.charge:
-                continue
-            entries = {}
-            for col in by_key.get(region_keys[xp.index], []):
-                row = rows_by_rest.get(rest_key[col])
-                if row is not None:
-                    entries[(row, col)] = 1.0
-            mid = SparseOperator.from_entries(fact, fact, entries)
-            pairs.append((x, xp))
-            ops.append((w.dagger() @ mid @ w).drop())
+    pairs = [(x, xp) for x in states for xp in states if x.charge == xp.charge]
+    ops = [
+        _from_factored(w, blocks.get((region_keys[x.index], region_keys[xp.index]), {}))
+        for x, xp in pairs
+    ]
     cache[key] = (pairs, ops)
     return pairs, ops
 
@@ -202,32 +162,21 @@ def complement_observable_basis(model: AnyonModel, n_modes: int, m: int):
     region factor and on the overall fusion channel.  Every operator in the
     candidate-local span of ``{1..M}`` commutes with every element here.
     """
-    w, fact, region_spans, rest_spans = _factored(model, n_modes, m)
     if m == n_modes:
         return []
-    root_pos = fact._span_pos[fact.root_span]
-    b0_pos = fact._span_pos[(m, n_modes - 1)]
-
-    by_y: dict[tuple, dict] = {}
-    b0_of_y: dict[tuple, int] = {}
-    for i, st in enumerate(fact.states):
-        y = tuple(st[fact._span_pos[s]] for s in rest_spans)
-        x = _region_part(fact, st, region_spans)
-        by_y.setdefault(y, {})[(x, st[root_pos])] = i
-        b0_of_y[y] = st[b0_pos]
-
+    w, groups = _factored_states(model, n_modes, m)
     ops = []
-    keys = sorted(by_y)
-    for y1 in keys:
-        for y2 in keys:
-            if b0_of_y[y1] != b0_of_y[y2]:
+    keys = sorted(groups, key=lambda k: k[1])  # by rest labeling
+    for b1, y1 in keys:
+        for b2, y2 in keys:
+            if b1 != b2:
                 continue
-            left, right = by_y[y1], by_y[y2]
+            left, right = groups[(b1, y1)], groups[(b2, y2)]
             entries = {
                 (row, right[xg]): 1.0 for xg, row in left.items() if xg in right
             }
             if entries:
-                ops.append((w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop())
+                ops.append(_from_factored(w, entries))
     return ops
 
 
@@ -243,57 +192,41 @@ def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
     key = ("candidate-span", n_modes, m)
     if key in cache:
         return cache[key]
-    w, fact, region_spans, rest_spans = _factored(model, n_modes, m)
-    root_pos = fact._span_pos[fact.root_span]
-
-    # group factored states by (region part, rest labeling, root)
-    groups: dict[tuple, dict] = {}
-    for i, st in enumerate(fact.states):
-        x = _region_part(fact, st, region_spans)
-        y = tuple(st[fact._span_pos[s]] for s in rest_spans)
-        G = st[root_pos]
-        b0 = (
-            st[fact._span_pos[(m, n_modes - 1)]]
-            if m < n_modes
-            else model.vacuum
-        )
-        groups.setdefault((b0, y), {})[(x, G)] = i
-
-    pairs_by_b0: dict[int, set] = {}
-    for (b0, _y), members in groups.items():
-        pairs_by_b0.setdefault(b0, set()).update(members.keys())
-
-    metas = []
-    ops = []
-    for b0 in sorted(pairs_by_b0):
-        pairs = sorted(pairs_by_b0[b0])
-        for (x, G) in pairs:
-            for (xp, Gp) in pairs:
-                entries = {}
-                for (b0g, _y), grp in groups.items():
-                    if b0g != b0:
-                        continue
-                    row = grp.get((x, G))
-                    col = grp.get((xp, Gp))
-                    if row is not None and col is not None:
-                        entries[(row, col)] = 1.0
-                if not entries:
-                    continue
-                metas.append({"b0": model.labels[b0], "x": x, "G": G, "xp": xp, "Gp": Gp})
-                ops.append((w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop())
+    w, groups = _factored_states(model, n_modes, m)
+    # sum_{y: b0} |x,y;G><x',y;G'| for every (b0, x, G, x', G') with support
+    blocks: dict[tuple, dict] = {}
+    for (b0, _y), group in groups.items():
+        for (x, G), row in group.items():
+            for (xp, Gp), col in group.items():
+                blocks.setdefault((b0, x, G, xp, Gp), {})[(row, col)] = 1.0
+    keys = sorted(blocks)
+    metas = [
+        {"b0": model.labels[b0], "x": x, "G": G, "xp": xp, "Gp": Gp}
+        for b0, x, G, xp, Gp in keys
+    ]
+    ops = [_from_factored(w, blocks[k]) for k in keys]
     cache[key] = (metas, ops)
     return metas, ops
 
 
-def _candidate_frame(model: AnyonModel, n_modes: int, m: int) -> np.ndarray:
+def _frame(model: AnyonModel, n_modes: int, m: int, span) -> np.ndarray:
+    """The operators of ``span(model, n_modes, m)`` as flattened dense columns, cached."""
     cache = _cache(model)
-    key = ("candidate-frame", n_modes, m)
-    if key in cache:
-        return cache[key]
-    _, ops = local_candidate_span(model, n_modes, m)
-    stack = np.stack([op.to_dense().ravel() for op in ops], axis=1)
-    cache[key] = stack
-    return stack
+    key = ("frame", span.__name__, n_modes, m)
+    if key not in cache:
+        _, ops = span(model, n_modes, m)
+        cache[key] = np.stack([op.to_dense().ravel() for op in ops], axis=1)
+    return cache[key]
+
+
+def _fit(stack: np.ndarray, op: SparseOperator, modes):
+    """Least-squares coefficients of ``op``, its region ``modes`` braided to the
+    front, over the columns of ``stack``, and the largest entry left unfitted."""
+    model, n = op.row_basis.model, op.row_basis.n_modes
+    u = mode_relabel_unitary(model, n, modes)
+    target = (u @ op @ u.dagger()).drop().to_dense().ravel()
+    coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
+    return coeffs, float(np.abs(stack @ coeffs - target).max())
 
 
 def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperator:
@@ -332,12 +265,7 @@ def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     model = basis.model
     n = basis.n_modes
     s = sorted(modes)
-    u = mode_relabel_unitary(model, n, s)
-    moved = (u @ op @ u.dagger()).drop()
-    stack = _candidate_frame(model, n, len(s))
-    target = moved.to_dense().ravel()
-    coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
-    residual = float(np.abs(stack @ coeffs - target).max())
+    _, residual = _fit(_frame(model, n, len(s), local_candidate_span), op, s)
     return residual <= tol, residual
 
 
@@ -614,18 +542,6 @@ class Decomposition:
         return "\n".join(lines)
 
 
-def _observable_frame(model: AnyonModel, n_modes: int, m: int):
-    """Cached (pairs, stacked dense E-matrices) for least-squares fitting."""
-    cache = _cache(model)
-    key = ("observable-frame", n_modes, m)
-    if key in cache:
-        return cache[key]
-    pairs, ops = observable_basis(model, n_modes, m)
-    stack = np.stack([op.to_dense().ravel() for op in ops], axis=1)
-    cache[key] = (pairs, ops, stack)
-    return cache[key]
-
-
 def _product_frame(model: AnyonModel, n_modes: int, m: int):
     """Evaluated products ``sum_g P_{x,g}^dagger P_{x',g}`` per observable pair.
 
@@ -711,7 +627,7 @@ def decompose_observable(
     n = basis.n_modes
     s = tuple(sorted(modes))
     m = len(s)
-    if m < 1 or s[0] < 1 or s[-1] > n:
+    if m < 1 or s[0] < 1 or s[-1] > n or len(set(s)) != m:
         raise ValueError(f"invalid region {s} for {n} modes")
 
     if not op.is_charge_diagonal():
@@ -733,14 +649,15 @@ def decompose_observable(
     if np.abs(dense - lam * np.eye(basis.dim)).max() <= tolerance:
         return Decomposition(s, LadderPolynomial.constant(lam), {}, 0.0, 0.0)
 
-    u = mode_relabel_unitary(model, n, s)
-    moved = (u @ op @ u.dagger()).drop()
-
     entries, polys, stack = _product_frame(model, n, m)
-    target = moved.to_dense().ravel()
-    coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
-    span_residual = float(np.abs(stack @ coeffs - target).max())
+    coeffs, span_residual = _fit(stack, op, s)
     if span_residual > tolerance:
+        _, local_residual = _fit(_frame(model, n, m, observable_basis), op, s)
+        if local_residual <= tolerance:
+            raise ValueError(
+                f"operator is local on modes {list(s)} but outside the span "
+                f"realised by ladder polynomials (span residual {span_residual:.3e})"
+            )
         raise ValueError(
             f"operator is not local on modes {list(s)} "
             f"(span residual {span_residual:.3e})"

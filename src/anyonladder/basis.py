@@ -313,6 +313,47 @@ def recouple(basis: FusionTreeBasis, target_shape) -> SparseOperator:
     return result
 
 
+def _from_factored(w: SparseOperator, entries: Mapping[tuple[int, int], complex]) -> SparseOperator:
+    """``W^dagger M W`` on the canonical basis, for ``M`` given by its entries
+    in the shape of ``w.row_basis``."""
+    fact = w.row_basis
+    return (w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop()
+
+
+def _factored_states(model: AnyonModel, n_modes: int, m: int):
+    """The canonical states of ``n_modes`` modes factored as (modes 1..m) x (the rest).
+
+    Returns ``(w, groups)``.  ``w`` recouples the canonical basis to the
+    shape (left comb of modes 1..m, left comb of modes m+1..n); it is the
+    identity when ``m == n_modes``.  ``groups[(b0, y)] = {(x, G): i}`` lists
+    each factored state ``i`` under its rest charge ``b0`` (the vacuum when
+    ``m == n_modes``) and rest labeling ``y``, keyed by its region labeling
+    ``x`` (an ``m``-mode canonical state) and total charge ``G``.  Built once
+    per (model, n_modes, m).
+    """
+    if not 1 <= m <= n_modes:
+        raise ValueError(f"region size {m} out of range")
+    cache = _cache(model)
+    key = ("factored-states", n_modes, m)
+    if key in cache:
+        return cache[key]
+    region = trees.left_comb(0, m - 1)
+    shape = region if m == n_modes else (region, trees.left_comb(m, n_modes - 1))
+    w = recouple(FusionTreeBasis(model, n_modes), shape)
+    fact = w.row_basis
+    region_pos = [p for p, s in enumerate(fact.spans) if s[1] < m]
+    rest_pos = [p for p, s in enumerate(fact.spans) if s[0] >= m]
+    root = fact._span_pos[fact.root_span]
+    b0_pos = fact._span_pos.get((m, n_modes - 1))
+    groups: dict = {}
+    for i, st in enumerate(fact.states):
+        b0 = model.vacuum if b0_pos is None else st[b0_pos]
+        group = groups.setdefault((b0, tuple(st[p] for p in rest_pos)), {})
+        group[(tuple(st[p] for p in region_pos), st[root])] = i
+    cache[key] = (w, groups)
+    return w, groups
+
+
 def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over") -> SparseOperator:
     """Unitary braid exchanging modes ``k`` and ``k+1`` (1-based) on the canonical basis.
 
@@ -352,8 +393,7 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
         swapped[pos[(j, j)]] = a
         row = target_basis.index[tuple(swapped)]
         entries[(row, col)] = model.r(a, b, c)
-    swap = SparseOperator.from_entries(target_basis, target_basis, entries)
-    result = (w.dagger() @ swap @ w).drop()
+    result = _from_factored(w, entries)
     cache[key] = result
     return result
 

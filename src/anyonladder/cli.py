@@ -267,18 +267,20 @@ def cmd_decompose(args) -> int:
         return EXIT_OK
     if (args.op is None) == (args.fixture is None):
         raise ValueError("exactly one of --op or --fixture is required")
+    sites = None if args.sites is None else tuple(int(s) for s in args.sites.split(","))
     if args.fixture is not None:
         try:
             op = fixture(args.fixture)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
+        if sites not in (None, (1, 2)):
+            raise ValueError("fixtures act on modes 1,2; --sites must be 1,2 or left out")
         sites = (1, 2)
     else:
         model = _resolve_model(args.model)
         op = sz.load_operator(Path(args.op).read_text(), model)
-        if args.sites is None:
+        if sites is None:
             raise ValueError("--sites is required with --op")
-        sites = tuple(int(s) for s in args.sites.split(","))
 
     dec = alg.decompose_observable(op, sites, tolerance=args.tolerance)
     print(dec.summary())

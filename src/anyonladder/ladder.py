@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import trees
-from .basis import FusionTreeBasis, SparseOperator, braid_adjacent, recouple, _cache
+from .basis import (
+    FusionTreeBasis, SparseOperator, braid_adjacent, _cache, _factored_states, _from_factored
+)
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol
 
@@ -58,12 +59,6 @@ def rest_charges(model: AnyonModel, n_modes: int) -> tuple[int, ...]:
     return tuple(sorted(set(int(g) for g in rest.totals())))
 
 
-def _factored_shape(n_modes: int):
-    if n_modes == 1:
-        return 0
-    return (0, trees.left_comb(1, n_modes - 1))
-
-
 def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) -> SparseOperator:
     cache = _cache(model)
     key = ("elem", n_modes, a, b0, c0, 1)
@@ -75,34 +70,16 @@ def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) ->
             f"{model.labels[c0]} is not a fusion channel of "
             f"{model.labels[a]} x {model.labels[b0]}"
         )
-    basis = FusionTreeBasis(model, n_modes)
-    if n_modes == 1:
-        if b0 != model.vacuum:
-            raise ModelDataError("a single mode has no rest system; b0 must be the vacuum")
-        ket = basis.index[(model.vacuum,)]
-        bra = basis.index[(a,)]
-        result = SparseOperator.from_entries(basis, basis, {(ket, bra): 1.0})
-        cache[key] = result
-        return result
-
-    shape = _factored_shape(n_modes)
-    w = recouple(basis, shape)
-    fact = w.row_basis
-    rest_span = (1, n_modes - 1)
-    root = fact.root_span
-    entries = {}
-    for col, st in enumerate(fact.states):
-        if fact.charge(st, (0, 0)) != a:
-            continue
-        if fact.charge(st, rest_span) != b0 or fact.charge(st, root) != c0:
-            continue
-        partner = list(st)
-        partner[fact._span_pos[(0, 0)]] = model.vacuum
-        partner[fact._span_pos[root]] = b0
-        row = fact.index[tuple(partner)]
-        entries[(row, col)] = 1.0
-    mid = SparseOperator.from_entries(fact, fact, entries)
-    result = (w.dagger() @ mid @ w).drop()
+    if n_modes == 1 and b0 != model.vacuum:
+        raise ModelDataError("a single mode has no rest system; b0 must be the vacuum")
+    w, groups = _factored_states(model, n_modes, 1)
+    e, x = (model.vacuum,), (a,)
+    entries = {
+        (group[(e, b0)], group[(x, c0)]): 1.0
+        for (b, _y), group in groups.items()
+        if b == b0 and (x, c0) in group
+    }
+    result = _from_factored(w, entries)
     cache[key] = result
     return result
 

@@ -25,7 +25,13 @@ from anyonladder.algebra import (
     verify_relations,
 )
 from anyonladder.basis import FusionTreeBasis, SparseOperator
-from anyonladder.ladder import annihilating_element, fibonacci_pair, ladder_set, resolver
+from anyonladder.ladder import (
+    annihilating_element,
+    fibonacci_pair,
+    ladder_set,
+    resolver,
+    rest_charges,
+)
 from anyonladder.model import ModelDataError, builtin
 
 
@@ -84,14 +90,59 @@ def test_observable_basis_projector_structure(fib):
             assert (op @ op).allclose(op)
 
 
-def test_candidates_commute_with_complement(fib):
-    comp = complement_observable_basis(fib, 3, 1)
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
+def test_candidates_commute_with_complement(name, m):
+    model = builtin(name)
+    comp = complement_observable_basis(model, 3, m)
     assert comp
+    _metas, candidates = local_candidate_span(model, 3, m)
     worst = 0.0
-    for _meta, a in candidate_local_basis(fib, 3):
+    for a in candidates:
         for t in comp:
             worst = max(worst, (a @ t - t @ a).norm_max())
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
+def test_observable_basis_sums_candidate_span(name):
+    """``E_{x,x'}`` is the sum over ``b0`` and ``G`` of the span elements
+    ``sum_{y: b0} |x,y;G><x',y;G|``."""
+    model = builtin(name)
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            metas, span = local_candidate_span(model, n, m)
+            sums = {}
+            for meta, el in zip(metas, span):
+                if meta["G"] == meta["Gp"]:
+                    key = (meta["x"], meta["xp"])
+                    sums[key] = sums[key] + el if key in sums else el
+            region_keys = FusionTreeBasis(model, m).states
+            pairs, ops = observable_basis(model, n, m)
+            for (x, xp), op in zip(pairs, ops):
+                total = sums[(region_keys[x.index], region_keys[xp.index])]
+                assert (total - op).norm_max() < 1e-12, (n, m, x, xp)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
+def test_mode1_elements_are_span_elements(name):
+    """``a^{b0,c0}`` is the span element ``sum_{y: b0} |e,y;b0><a,y;c0|``, bit for bit."""
+    model = builtin(name)
+    labels, e = model.labels, model.vacuum
+    for n in range(1, 5):
+        metas, span = local_candidate_span(model, n, 1)
+        by_meta = {
+            (meta["b0"], meta["x"], meta["G"], meta["xp"], meta["Gp"]): el
+            for meta, el in zip(metas, span)
+        }
+        for a in range(model.n_labels):
+            for b0 in rest_charges(model, n):
+                for c0 in model.fuse(a, b0):
+                    el = annihilating_element(model, n, labels[a], labels[b0], labels[c0])
+                    ref = by_meta[(labels[b0], (e,), b0, (a,), c0)]
+                    assert el.matrix.shape == ref.matrix.shape
+                    for part in ("data", "indices", "indptr"):
+                        assert np.array_equal(getattr(el.matrix, part), getattr(ref.matrix, part))
 
 
 def test_is_local_candidate_flags(fib):
@@ -253,6 +304,21 @@ def test_decompose_rejects_non_local(fib):
     op = _random_local_observable(fib, 3, 2, rng)
     with pytest.raises(ValueError, match="not local"):
         decompose_observable(op, (1,))
+
+
+def test_decompose_reports_local_but_unrealised(ising):
+    rng = np.random.default_rng(5)
+    op = _random_local_observable(ising, 3, 2, rng)
+    with pytest.raises(
+        ValueError,
+        match=r"local on modes \[1, 2\] but outside the span realised by ladder polynomials",
+    ):
+        decompose_observable(op, (1, 2))
+
+
+def test_decompose_rejects_repeated_modes(fib):
+    with pytest.raises(ValueError, match="invalid region"):
+        decompose_observable(2.0 * _identity(fib, 3), (1, 1))
 
 
 def test_decompose_rejects_charge_changing(fib):

@@ -121,6 +121,18 @@ def test_decompose_fixture(capsys, tmp_path):
     assert all({"coeff", "word"} <= set(term) for term in payload)
 
 
+def test_decompose_fixture_acts_on_modes_one_and_two_only(capsys):
+    assert main(["decompose", "--fixture", "n1"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["decompose", "--fixture", "n1", "--sites", "1,2"]) == 0
+    assert capsys.readouterr().out == plain
+    for sites in ("3", "2,3"):
+        code = main(["decompose", "--fixture", "n1", "--sites", sites])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--sites" in err
+
+
 def test_decompose_unknown_fixture(capsys):
     code = main(["decompose", "--fixture", "nope"])
     err = capsys.readouterr().err
