@@ -358,21 +358,19 @@ def abelian_sum_polynomial(model: AnyonModel, a: int, k: int) -> LadderPolynomia
     """
     if a == model.vacuum:
         # sum_{b abelian} (e)^{b,b} = P(mode k = e) - non-abelian (e)^{b,b} terms
-        poly = _vacuum_projector_polynomial(model, k)
+        parts = [(1.0, _vacuum_projector_polynomial(model, k))]
         for b in range(model.n_labels):
             if not model.abelian[b]:
-                poly = poly - element_polynomial(model, k, a, b, b)
-        return poly
+                parts.append((-1.0, element_polynomial(model, k, a, b, b)))
+        return LadderPolynomial.sum(parts)
     label = model.labels[a]
     sym0 = GeneratorSymbol(k, "std", label, 0, False)
-    poly = LadderPolynomial.generator(sym0)
+    parts = [(1.0, LadderPolynomial.generator(sym0))]
     for b in range(model.n_labels):
         channels = model.fuse(a, b)
-        if len(channels) > 1:
-            poly = poly - element_polynomial(model, k, a, b, channels[0])
-        elif not model.abelian[b]:
-            poly = poly - element_polynomial(model, k, a, b, channels[0])
-    return poly
+        if len(channels) > 1 or not model.abelian[b]:
+            parts.append((-1.0, element_polynomial(model, k, a, b, channels[0])))
+    return LadderPolynomial.sum(parts)
 
 
 def _vacuum_projector_polynomial(model: AnyonModel, k: int) -> LadderPolynomial:
@@ -432,12 +430,12 @@ def element_polynomial(model: AnyonModel, k: int, a: int, b0: int, c0: int) -> L
     # single channel, non-abelian b0: projector trick
     a_s, c_t = _multichannel_partner(model, b0)
     q = element_polynomial(model, k, a_s, b0, c_t)
-    single_sum = a0 * 1.0
+    parts = [(1.0, a0)]
     for b in range(model.n_labels):
         chans = model.fuse(a, b)
         if len(chans) > 1:
-            single_sum = single_sum - element_polynomial(model, k, a, b, chans[0])
-    return q @ q.adjoint() @ single_sum
+            parts.append((-1.0, element_polynomial(model, k, a, b, chans[0])))
+    return q @ q.adjoint() @ LadderPolynomial.sum(parts)
 
 
 def _table_selecting(model: AnyonModel, tables, b0: int, c0: int) -> int:
@@ -480,13 +478,13 @@ def o_polynomial(model: AnyonModel, n_modes: int, leaves, internals, g) -> Ladde
 
     def factor_polynomial(p: int) -> LadderPolynomial:
         a_p = x.leaves[p - 1]
-        poly = LadderPolynomial()
+        parts = []
         abelian_weights = []
         for b, c, weight in _factor_terms(model, n_modes, x, gi, p):
             if model.abelian[b]:
                 abelian_weights.append(weight)
             else:
-                poly = poly + weight * element_polynomial(model, p, a_p, b, c)
+                parts.append((weight, element_polynomial(model, p, a_p, b, c)))
         if abelian_weights:
             w0 = abelian_weights[0]
             if any(abs(w - w0) > 1e-12 for w in abelian_weights[1:]):
@@ -494,8 +492,8 @@ def o_polynomial(model: AnyonModel, n_modes: int, leaves, internals, g) -> Ladde
                     f"factor at mode {p} mixes abelian rest charges with "
                     "different F-weights; no ladder realization exists"
                 )
-            poly = poly + w0 * abelian_sum_polynomial(model, a_p, p)
-        return poly
+            parts.append((w0, abelian_sum_polynomial(model, a_p, p)))
+        return LadderPolynomial.sum(parts)
 
     result = factor_polynomial(1)
     for p in range(2, len(x.leaves) + 1):
@@ -581,8 +579,8 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
     polys = []
     columns = []
     for x, xp in pairs:
-        total = LadderPolynomial()
-        distinct = LadderPolynomial()
+        total = []
+        distinct = []
         seen_signatures = set()
         duplicates = False
         for g in system_totals(model, n_modes, x):
@@ -590,17 +588,17 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
             right = factor_polys.get((xp.index, g))
             if left is None or right is None:
                 continue
-            term = left.adjoint() @ right
-            total = total + term
+            term = (1.0, left.adjoint() @ right)
+            total.append(term)
             sig = (left.signature(), right.signature())
             if sig in seen_signatures:
                 duplicates = True
             else:
                 seen_signatures.add(sig)
-                distinct = distinct + term
-        variants = [("sum", total)]
+                distinct.append(term)
+        variants = [("sum", LadderPolynomial.sum(total))]
         if duplicates:
-            variants.append(("distinct", distinct))
+            variants.append(("distinct", LadderPolynomial.sum(distinct)))
         for variant, poly in variants:
             evaluated = poly.evaluate_with_identity(resolve, identity, cache=word_cache)
             entries.append((x, xp, variant))
@@ -664,14 +662,14 @@ def decompose_observable(
         )
 
     mode_map = {k + 1: s[k] for k in range(m)}
-    polynomial = LadderPolynomial()
+    parts = []
     coefficients: dict[tuple[str, str, str], complex] = {}
     for c, (x, xp, variant), poly in zip(coeffs, entries, polys):
         if abs(c) <= 1e-13:
             continue
-        polynomial = polynomial + complex(c) * poly
+        parts.append((complex(c), poly))
         coefficients[(x.label(model), xp.label(model), variant)] = complex(c)
-    polynomial = polynomial.relabel_modes(mode_map)
+    polynomial = LadderPolynomial.sum(parts).relabel_modes(mode_map)
 
     evaluated = polynomial.evaluate_with_identity(
         resolver(model, n), SparseOperator.identity(basis), cache=_word_cache(model, n)

@@ -315,8 +315,14 @@ def recouple(basis: FusionTreeBasis, target_shape) -> SparseOperator:
 
 def _from_factored(w: SparseOperator, entries: Mapping[tuple[int, int], complex]) -> SparseOperator:
     """``W^dagger M W`` on the canonical basis, for ``M`` given by its entries
-    in the shape of ``w.row_basis``."""
+    in the shape of ``w.row_basis``.  When that shape is the canonical one,
+    ``W`` is the identity and the two products are skipped."""
     fact = w.row_basis
+    if fact.shape == w.col_basis.shape:
+        canonical = w.col_basis
+        op = SparseOperator.from_entries(canonical, canonical, entries).drop()
+        op.matrix.data += 0.0  # -0.0 parts become +0.0, as in a product with W
+        return op
     return (w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop()
 
 

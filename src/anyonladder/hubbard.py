@@ -157,17 +157,17 @@ def hamiltonian_polynomial(spec: LatticeSpec, params: HubbardParams) -> LadderPo
     :func:`build_hamiltonian`; the two construction paths cross-check each
     other.
     """
-    poly = LadderPolynomial()
+    parts = []
     for i in range(1, spec.n_modes + 1):
         for family in ("alpha", "beta"):
             word = (_pair_symbol(family, i, True), _pair_symbol(family, i, False))
-            poly = poly + LadderPolynomial([(-params.mu, word)])
+            parts.append((-params.mu, LadderPolynomial([(1.0, word)])))
     for i, j, _kind in spec.edges:
         for family in ("alpha", "beta"):
             hop = (_pair_symbol(family, j, True), _pair_symbol(family, i, False))
             back = (_pair_symbol(family, i, True), _pair_symbol(family, j, False))
-            poly = poly + LadderPolynomial([(-params.t, hop), (-params.t, back)])
-    return poly
+            parts.append((-params.t, LadderPolynomial([(1.0, hop), (1.0, back)])))
+    return LadderPolynomial.sum(parts)
 
 
 def build_hamiltonian(

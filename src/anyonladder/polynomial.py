@@ -15,8 +15,7 @@ callback, so the same polynomial can be evaluated on any mode count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -28,9 +27,13 @@ __all__ = ["GeneratorSymbol", "LadderPolynomial", "MERGE_TOLERANCE"]
 MERGE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorSymbol:
-    """One generator factor in a word."""
+class GeneratorSymbol(NamedTuple):
+    """One generator factor in a word.
+
+    A plain tuple of its five fields: hashing, equality and ordering compare
+    the field tuples in C, so words key dicts and sort without Python-level
+    calls.
+    """
 
     mode: int  # 1-based lattice mode
     kind: str  # "std" | "pair"
@@ -68,7 +71,7 @@ Word = tuple[GeneratorSymbol, ...]
 
 
 def _word_sort_key(word: Word):
-    return (len(word), tuple((s.mode, s.kind, s.particle, s.j, s.dagger) for s in word))
+    return (len(word), word)
 
 
 class LadderPolynomial:
@@ -76,16 +79,46 @@ class LadderPolynomial:
 
     Canonical form: like words merged, coefficients below
     ``MERGE_TOLERANCE`` dropped, terms ordered by (length, per-symbol key).
+    Weighted sums of many polynomials go through :meth:`sum`, which merges
+    every term in one pass.
     """
 
     def __init__(self, terms: Iterable[tuple[complex, Sequence[GeneratorSymbol]]] = ()):
         merged: dict[Word, complex] = {}
         for coeff, word in terms:
-            key = tuple(word)
-            merged[key] = merged.get(key, 0.0) + complex(coeff)
+            if type(word) is not tuple:
+                if isinstance(word, GeneratorSymbol):
+                    raise TypeError("a word is a sequence of GeneratorSymbol, not a bare symbol")
+                word = tuple(word)
+            merged[word] = merged.get(word, 0.0) + complex(coeff)
         self._terms: dict[Word, complex] = {
             w: c for w, c in merged.items() if abs(c) > MERGE_TOLERANCE
         }
+
+    @classmethod
+    def sum(cls, pairs: Iterable[tuple[complex, "LadderPolynomial"]]) -> "LadderPolynomial":
+        """The weighted sum ``c_0 * p_0 + c_1 * p_1 + ...`` of ``(c_i, p_i)`` pairs.
+
+        Every term is merged into one dict, in one pass.  A term's
+        coefficient is ``term_coeff * c_i``, left out when at most
+        ``MERGE_TOLERANCE`` (as ``c_i * p_i`` leaves it out), and a word whose
+        running sum cancels to at most the tolerance is removed at once (as
+        each ``+`` of the left fold removes it).  The result therefore equals
+        the left fold of ``+`` exactly: the same coefficients in the same
+        term order.
+        """
+        merged: dict[Word, complex] = {}
+        for weight, poly in pairs:
+            for word, c in poly._terms.items():
+                c = complex(c * weight)
+                if abs(c) <= MERGE_TOLERANCE:
+                    continue
+                total = merged.get(word, 0.0) + c
+                if abs(total) > MERGE_TOLERANCE:
+                    merged[word] = total
+                else:
+                    del merged[word]
+        return cls((c, w) for w, c in merged.items())
 
     @classmethod
     def constant(cls, value: complex) -> "LadderPolynomial":
@@ -109,13 +142,10 @@ class LadderPolynomial:
     # -- algebra ----------------------------------------------------------------
 
     def __add__(self, other: "LadderPolynomial") -> "LadderPolynomial":
-        return LadderPolynomial(
-            [(c, w) for w, c in self._terms.items()]
-            + [(c, w) for w, c in other._terms.items()]
-        )
+        return LadderPolynomial.sum([(1.0, self), (1.0, other)])
 
     def __sub__(self, other: "LadderPolynomial") -> "LadderPolynomial":
-        return self + (other * -1.0)
+        return LadderPolynomial.sum([(1.0, self), (-1.0, other)])
 
     def __mul__(self, scalar: complex) -> "LadderPolynomial":
         if isinstance(scalar, LadderPolynomial):
@@ -132,18 +162,19 @@ class LadderPolynomial:
                 out.append((c1 * c2, w1 + w2))
         return LadderPolynomial(out)
 
+    def _symbol_map(self, fn: Callable[[GeneratorSymbol], GeneratorSymbol]):
+        """``fn`` applied once to each distinct symbol, as a lookup function."""
+        return {s: fn(s) for s in {s for w in self._terms for s in w}}.__getitem__
+
     def adjoint(self) -> "LadderPolynomial":
+        adj = self._symbol_map(GeneratorSymbol.adjoint)
         return LadderPolynomial(
-            [
-                (np.conj(c), tuple(s.adjoint() for s in reversed(w)))
-                for w, c in self._terms.items()
-            ]
+            [(np.conj(c), tuple(map(adj, reversed(w)))) for w, c in self._terms.items()]
         )
 
     def relabel_modes(self, mode_map: dict[int, int]) -> "LadderPolynomial":
-        return LadderPolynomial(
-            [(c, tuple(s.relabel(mode_map) for s in w)) for w, c in self._terms.items()]
-        )
+        moved = self._symbol_map(lambda s: s.relabel(mode_map))
+        return LadderPolynomial([(c, tuple(map(moved, w))) for w, c in self._terms.items()])
 
     # -- evaluation ---------------------------------------------------------------
 

@@ -182,3 +182,35 @@ def occupation_multiset(model, n_modes: int) -> dict[int, int]:
     for (occ, _d), ways in current.items():
         out[occ] = out.get(occ, 0) + ways
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions replaced by faster paths
+# ---------------------------------------------------------------------------
+
+
+def fold_sum(pairs):
+    """Weighted sum of ``(coeff, LadderPolynomial)`` pairs by the left fold
+    ``total = total + coeff * poly``, with ``*`` and ``+`` written out as the
+    constructor calls they stood for: every step re-canonicalises the whole
+    running sum, so this is quadratic in the number of terms.
+    """
+    from anyonladder.polynomial import LadderPolynomial
+
+    total = LadderPolynomial()
+    for weight, poly in pairs:
+        scaled = LadderPolynomial([(c * weight, w) for w, c in poly._terms.items()])
+        total = LadderPolynomial(
+            [(c, w) for w, c in total._terms.items()]
+            + [(c, w) for w, c in scaled._terms.items()]
+        )
+    return total
+
+
+def conjugate_factored(w, entries):
+    """``W^dagger M W`` by the two sparse products, for ``M`` given by its
+    entries in the shape of ``w.row_basis``, whatever ``W`` is."""
+    from anyonladder.basis import SparseOperator
+
+    fact = w.row_basis
+    return (w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop()

@@ -33,6 +33,7 @@ from anyonladder.ladder import (
     rest_charges,
 )
 from anyonladder.model import ModelDataError, builtin
+from anyonladder.polynomial import LadderPolynomial
 
 
 def _rank(ops, tol=1e-10):
@@ -288,6 +289,24 @@ def test_decompose_round_trip_split_region(fib):
             resolver(fib, 3), _identity(fib, 3)
         )
         assert (ev - op).norm_max() < 1e-9
+
+
+def test_warm_decompose_merges_terms_in_one_pass(fib, monkeypatch):
+    """A warm call builds its polynomial with a bounded number of
+    constructor calls (one sum and one relabel), not one per fitted column."""
+    op = _random_local_observable(fib, 3, 2, np.random.default_rng(5))
+    decompose_observable(op, (1, 2))  # builds and caches the product frame
+    calls = []
+    init = LadderPolynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LadderPolynomial, "__init__", counting_init)
+    dec = decompose_observable(op, (1, 2))
+    assert dec.polynomial.n_terms > 100
+    assert len(calls) <= 3
 
 
 def test_decompose_identity_short_circuit(fib):

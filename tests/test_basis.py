@@ -9,6 +9,8 @@ from anyonladder.basis import (
     DROP_TOLERANCE,
     FusionTreeBasis,
     SparseOperator,
+    _factored_states,
+    _from_factored,
     _labelings,
     _move_matrix,
     braid_adjacent,
@@ -300,3 +302,24 @@ def test_vectorised_charge_helpers_match_loops(fib, ising):
         assert any(not op.is_charge_diagonal() for op in ops)
     with pytest.raises(ValueError):
         basis.totals()[0] = 1
+
+
+def test_from_factored_matches_explicit_conjugation(fib, fermion, ising):
+    """Skipping the identity recoupling (m >= n - 1) leaves the CSR bytes as
+    the two products make them, signed zeros included."""
+    rng = np.random.default_rng(3)
+    for model in (fib, fermion, ising):
+        for n in range(1, 5):
+            for m in range(1, n + 1):
+                w, _groups = _factored_states(model, n, m)
+                dim = w.row_basis.dim
+                idx = rng.integers(dim, size=(12, 2))
+                values = list(rng.normal(size=12) + 1j * rng.normal(size=12))
+                values[:4] = [complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, 0.5), 1e-15]
+                entries = {(int(i), int(j)): v for (i, j), v in zip(idx, values)}
+                got = _from_factored(w, entries)
+                want = orc.conjugate_factored(w, entries)
+                assert got.row_basis.is_compatible(want.row_basis)
+                assert got.col_basis.is_compatible(want.col_basis)
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(got.matrix, attr).tobytes() == getattr(want.matrix, attr).tobytes()

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.ladder import ladder_set, resolver
-from anyonladder.polynomial import GeneratorSymbol, LadderPolynomial
+from anyonladder.polynomial import MERGE_TOLERANCE, GeneratorSymbol, LadderPolynomial
+from oracles import fold_sum
 
 symbols = st.builds(
     GeneratorSymbol,
@@ -15,12 +18,54 @@ symbols = st.builds(
     j=st.integers(min_value=0, max_value=2),
     dagger=st.booleans(),
 )
+pair_symbols = st.builds(
+    GeneratorSymbol,
+    mode=st.integers(min_value=1, max_value=4),
+    kind=st.just("pair"),
+    particle=st.sampled_from(["alpha", "beta"]),
+    j=st.just(0),
+    dagger=st.booleans(),
+)
+any_symbols = symbols | pair_symbols
+
+
+def _fields(sym):
+    """The field tuple the symbol's ordering and hash are defined by."""
+    return (sym.mode, sym.kind, sym.particle, sym.j, sym.dagger)
 
 
 @settings(max_examples=50, deadline=None)
-@given(symbols)
+@given(any_symbols)
 def test_token_round_trip(sym):
-    assert GeneratorSymbol.from_token(sym.token()) == sym
+    back = GeneratorSymbol.from_token(sym.token())
+    assert back == sym and type(back) is GeneratorSymbol
+    assert back.kind == sym.kind
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(any_symbols, min_size=2, max_size=8))
+def test_symbol_hash_equality_and_order_follow_field_tuples(syms):
+    for a in syms:
+        assert hash(a) == hash(_fields(a))
+        for b in syms:
+            assert (a == b) == (_fields(a) == _fields(b))
+            assert (a < b) == (_fields(a) < _fields(b))
+    assert sorted(syms) == sorted(syms, key=_fields)
+
+
+@settings(max_examples=25, deadline=None)
+@given(any_symbols)
+def test_symbol_pickle_round_trip(sym):
+    back = pickle.loads(pickle.dumps(sym))
+    assert back == sym and type(back) is GeneratorSymbol
+    assert str(back) == str(sym)
+
+
+def test_bare_symbol_is_not_a_word():
+    sym = GeneratorSymbol(1, "std", "tau", 0, False)
+    with pytest.raises(TypeError, match="bare symbol"):
+        LadderPolynomial([(1.0, sym)])
+    assert LadderPolynomial([(1.0, [sym])]).terms == [(1.0, (sym,))]
 
 
 @settings(max_examples=50, deadline=None)
@@ -143,3 +188,59 @@ def test_adjoint_antihomomorphism(word_a, word_b):
     lhs = (pa @ pb).adjoint()
     rhs = pb.adjoint() @ pa.adjoint()
     assert lhs.signature() == rhs.signature()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(any_symbols, max_size=3), min_size=1, max_size=8))
+def test_terms_sort_by_length_then_field_tuples(words):
+    p = LadderPolynomial([(1.0, w) for w in words])
+    old_key = lambda w: (len(w), tuple(_fields(s) for s in w))  # noqa: E731
+    assert [w for _, w in p.terms] == sorted({tuple(w) for w in words}, key=old_key)
+
+
+def _exact(poly):
+    """Terms in dict order, coefficients down to the sign of zero."""
+    return [(w, c.real.hex(), c.imag.hex()) for w, c in poly._terms.items()]
+
+
+def _random_polynomial(rng, pool, n_terms):
+    terms = []
+    for _ in range(n_terms):
+        length = int(rng.integers(0, 4))
+        word = tuple(pool[int(i)] for i in rng.integers(len(pool), size=length))
+        terms.append((complex(rng.normal(), rng.normal()), word))
+    return LadderPolynomial(terms)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sum_equals_left_fold(seed):
+    rng = np.random.default_rng(seed)
+    pool = [GeneratorSymbol(k, "std", "tau", j, d) for k in (1, 2) for j in (0, 1) for d in (False, True)]
+    polys = [_random_polynomial(rng, pool, int(rng.integers(1, 30))) for _ in range(12)]
+    weights = [1.0, -1.0, 0.5, complex(rng.normal(), rng.normal()), np.float64(rng.normal()),
+               np.complex128(complex(rng.normal(), rng.normal()))]
+    pairs = [(weights[i % len(weights)], p) for i, p in enumerate(polys)]
+    got, want = LadderPolynomial.sum(pairs), fold_sum(pairs)
+    assert sum(p.n_terms for p in polys) > got.n_terms  # words repeat and merge
+    assert _exact(got) == _exact(want)
+    assert got.terms == want.terms
+
+
+def test_sum_drops_cancelled_coefficients_like_the_fold():
+    w1, w2, w3 = ((GeneratorSymbol(k, "std", "tau", 0, False),) for k in (1, 2, 3))
+    a = LadderPolynomial([(1.0, w1), (2.0, w2)])
+    near = LadderPolynomial([(1.0 - 5e-13, w1), (1.0, w3)])
+    pairs = [(1.0, a), (-1.0, near)]
+    got = LadderPolynomial.sum(pairs)
+    assert abs(1.0 - (1.0 - 5e-13)) <= MERGE_TOLERANCE
+    assert [w for w in got._terms] == [w2, w3]
+    assert _exact(got) == _exact(fold_sum(pairs))
+    # a partial sum that cancels is removed, and the word comes back last
+    one = LadderPolynomial([(1.0, w1)])
+    pairs = [(1.0, one), (-1.0, one), (1.0, LadderPolynomial([(1.0, w2)])), (2.0, one)]
+    got = LadderPolynomial.sum(pairs)
+    assert [w for w in got._terms] == [w2, w1]
+    assert _exact(got) == _exact(fold_sum(pairs))
+    # scaled terms at or below the tolerance are left out before merging
+    pairs = [(1e-13, one)] * 20
+    assert LadderPolynomial.sum(pairs).is_zero() and fold_sum(pairs).is_zero()
