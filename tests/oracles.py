@@ -158,6 +158,26 @@ def closure_dimension_bruteforce(mats: list[np.ndarray], tol: float = 1e-10) -> 
         rank = len(span)
 
 
+def commutant_dimension(model, n_modes: int, m: int, tol: float = 1e-10) -> int:
+    """Dimension of the dense commutant of the complement observables of ``{1..M}``.
+
+    Solves ``X C - C X = 0`` for every ``C`` of
+    ``complement_observable_basis`` as one linear system on the row-major
+    flattened ``X`` (``vec(A X B) = (A kron B^T) vec(X)``) and counts its
+    null space with a plain SVD.  No closure or span machinery is involved.
+    """
+    from anyonladder.algebra import complement_observable_basis
+
+    comps = [c.to_dense() for c in complement_observable_basis(model, n_modes, m)]
+    d = total_dimension(model, n_modes)
+    if not comps:
+        return d * d
+    eye = np.eye(d)
+    system = np.vstack([np.kron(eye, c.T) - np.kron(c, eye) for c in comps])
+    svals = np.linalg.svd(system, compute_uv=False)
+    return d * d - int(np.sum(svals > tol * max(1.0, svals.max())))
+
+
 # ---------------------------------------------------------------------------
 # Occupation multiset for the t = 0 Hamiltonian
 # ---------------------------------------------------------------------------

@@ -105,6 +105,20 @@ def test_candidates_commute_with_complement(name, m):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize(
+    "name, n, want", [("fibonacci", 3, 13), ("ising", 2, 34), ("fermion", 3, 8)]
+)
+def test_candidate_span_is_the_complement_commutant(name, n, want):
+    """The mode-1 candidate span lies in the commutant of the complement
+    observables and has its dimension, so the two spaces are equal."""
+    model = builtin(name)
+    _metas, span = local_candidate_span(model, n, 1)
+    comps = complement_observable_basis(model, n, 1)
+    assert max((a @ c - c @ a).norm_max() for a in span for c in comps) < 1e-12
+    assert orc.commutant_dimension(model, n, 1) == want
+    assert len(span) == want
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
 def test_observable_basis_sums_candidate_span(name):
     """``E_{x,x'}`` is the sum over ``b0`` and ``G`` of the span elements
