@@ -17,6 +17,7 @@ operators, and ``op = sum c_{x,x'} O_x^dagger O_{x'}``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,8 @@ from .basis import (
     FusionTreeBasis, SparseOperator, braid_word, _cache, _factored_states, _from_factored
 )
 from .ladder import (
-    _element_family,
     coefficient_tables,
+    fermion_type,
     fibonacci_pair,
     ladder_set,
     resolver,
@@ -45,7 +46,6 @@ __all__ = [
     "region_states",
     "is_local_candidate",
     "mode_relabel_unitary",
-    "o_operator",
     "o_polynomial",
     "system_totals",
     "element_polynomial",
@@ -258,8 +258,9 @@ def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     rest-charge-resolved spanning set (which contains all ladder operators of
     the region, including total-charge changing ones).  Returns
     ``(flag, residual)`` with ``residual`` the largest unfitted entry.
-    Charge-changing local elements cannot commute with all complement
-    operators, so locality is a span condition here, not a commutant one.
+    The span equals the commutant of :func:`complement_observable_basis`,
+    charge-changing elements included; fitting against it avoids forming
+    that commutant.
     """
     basis = op.row_basis
     model = basis.model
@@ -328,25 +329,6 @@ def _factor_terms(model: AnyonModel, n_modes: int, x: RegionState, g: int, p: in
             if abs(weight) > 1e-14:
                 terms.append((b, c, weight))
     return terms
-
-
-def o_operator(model: AnyonModel, n_modes: int, leaves, internals, g) -> SparseOperator:
-    """The operator ``O_{a,d,g}`` of the constructive decomposition, as a matrix.
-
-    ``O = prod_{p=M..2} (sum_{b,c} [F^{d_{p-2} a_p b}_g]^*_{d_{p-1} c}
-    (a_p)^{b,c}_p) . (sum_{b} (a_1)^{b,g}_1)`` with ``d_0 = a_1`` and ``g``
-    the total charge of the whole chain; factors ordered mode M leftmost,
-    the mode-1 factor acting first.  Summing ``O^dagger_{x,g} O_{x',g}``
-    over ``g`` yields the observable ``|x><x'| (x) id``.
-    """
-    x = _as_region_state(model, leaves, internals)
-    gi = _charge_index(model, g)
-    result = SparseOperator.identity(FusionTreeBasis(model, n_modes))
-    for p, a_p in enumerate(x.leaves, start=1):
-        terms = _factor_terms(model, n_modes, x, gi, p)
-        factor = _element_family(model, n_modes, a_p, terms, p)[p]
-        result = (factor @ result).drop()
-    return result
 
 
 def abelian_sum_polynomial(model: AnyonModel, a: int, k: int) -> LadderPolynomial:
@@ -466,12 +448,12 @@ def o_polynomial(model: AnyonModel, n_modes: int, leaves, internals, g) -> Ladde
 
     Abelian-rest terms inside each factor are only expressible through the
     full abelian sum, so the realized operator can differ from the strict
-    :func:`o_operator` by extra abelian-rest terms living in other
-    total-charge sectors.  Observable reconstruction is unaffected: the
-    decomposition fits coefficients against the evaluated polynomial
-    products themselves.  A factor whose compatible abelian rests carry
-    different F-weights has no ladder realization and raises
-    ``ModelDataError``.
+    master-equation operator (``tests/oracles.py::o_operator``) by extra
+    abelian-rest terms living in other total-charge sectors.  Observable
+    reconstruction is unaffected: the decomposition fits coefficients
+    against the evaluated polynomial products themselves.  A factor whose
+    compatible abelian rests carry different F-weights has no ladder
+    realization and raises ``ModelDataError``.
     """
     x = _as_region_state(model, leaves, internals)
     gi = _charge_index(model, g)
@@ -807,21 +789,25 @@ def fock_words(model: AnyonModel, n_modes: int):
 
     Returns a dict ``state_index -> (scalar, word)`` with
     ``|state> = scalar * word|0>`` where ``word`` is a product of daggered
-    ``alpha_k``/``beta_k`` symbols (leftmost applied last).  Words are found
+    ``alpha_k``/``beta_k`` pair symbols, or of the daggered ``alpha^(0)_k``
+    of a fermion-type model (leftmost applied last).  Words are found
     breadth-first, keeping only steps that land on a single canonical state.
+    Any other model raises ``ModelDataError``.
     """
-    pair = fibonacci_pair(model, n_modes)
     basis = FusionTreeBasis(model, n_modes)
     vac = vacuum_index(basis)
-
-    creators = []
-    for k in range(1, n_modes + 1):
-        creators.append(
-            (GeneratorSymbol(k, "pair", "alpha", 0, True), pair.alpha[k].dagger())
-        )
-        creators.append(
-            (GeneratorSymbol(k, "pair", "beta", 0, True), pair.beta[k].dagger())
-        )
+    psi = fermion_type(model)
+    modes = range(1, n_modes + 1)
+    if psi is not None:
+        letters = [GeneratorSymbol(k, "std", model.labels[psi], 0, False) for k in modes]
+    else:
+        letters = [
+            GeneratorSymbol(k, "pair", name, 0, False)
+            for k in modes
+            for name in ("alpha", "beta")
+        ]
+    resolve = resolver(model, n_modes)
+    creators = [(sym.adjoint(), resolve(sym).dagger()) for sym in letters]
 
     reached: dict[int, tuple[complex, tuple[GeneratorSymbol, ...]]] = {vac: (1.0, ())}
     frontier = [vac]
@@ -884,18 +870,19 @@ def apply_word(model: AnyonModel, n_modes: int, scalar: complex, word) -> np.nda
 
 
 def kernel_dimension(model: AnyonModel, n_modes: int, tol: float = 1e-10) -> int:
-    """Dimension of the joint kernel of all annihilation operators."""
-    blocks = []
-    for particle in model.labels:
-        if particle == model.labels[model.vacuum]:
-            continue
-        ls = ladder_set(model, n_modes, particle)
-        for (k, j), op in sorted(ls.ops.items()):
-            blocks.append(op.to_dense())
-    stacked = np.vstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    """Dimension of the joint kernel of all annihilation operators.
+
+    ``dim`` minus the rank of the stacked annihilators, the rank being the
+    number of singular values above ``tol``.
+    """
+    stacked = np.vstack([
+        op.to_dense()
+        for i, label in enumerate(model.labels)
+        if i != model.vacuum
+        for op in ladder_set(model, n_modes, label).ops.values()
+    ])
     dim = stacked.shape[1]
-    return int(np.sum(svals <= tol * max(1.0, svals.max()))) + max(0, dim - len(svals))
+    return dim - len(_extend_span(np.zeros((0, dim)), stacked, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -903,81 +890,62 @@ def kernel_dimension(model: AnyonModel, n_modes: int, tol: float = 1e-10) -> int
 # ---------------------------------------------------------------------------
 
 
+def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning what ``rows`` adds to the row span of ``onb``.
+
+    ``onb`` holds orthonormal rows.  The batch ``rows`` is projected off them
+    twice (the second pass removes what rounding left of the first), and the
+    right singular vectors of the residual whose singular value exceeds
+    ``tol`` are returned.  This is the one orthogonaliser of the package.
+    """
+    for _ in range(2):
+        rows = rows - (rows @ onb.conj().T) @ onb
+    _u, svals, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[svals > tol]
+
+
 @dataclass
 class ClosureResult:
     dimension: int
-    converged: bool
     rounds: int
     onb: np.ndarray  # (dimension, dim*dim) orthonormal rows
 
     def contains(self, op: SparseOperator, tol: float = 1e-10) -> bool:
+        """Whether ``op`` lies in the span, to ``tol`` relative to its norm."""
         vec = op.to_dense().ravel()
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             return True
-        resid = vec - self.onb.T @ (self.onb.conj() @ vec)
-        return bool(np.linalg.norm(resid) <= tol * norm)
+        return not len(_extend_span(self.onb, vec[None, :] / norm, tol))
 
 
-def algebra_closure(
-    generators,
-    include_identity: bool = True,
-    tol: float = 1e-10,
-    max_rounds: int = 64,
-    cap: int | None = None,
-) -> ClosureResult:
-    """Dimension and basis of the algebra generated by ``generators``.
+def algebra_closure(generators, tol: float = 1e-10) -> ClosureResult:
+    """Dimension and orthonormal basis of the unital *-algebra of ``generators``.
 
-    The generator list is closed under adjoints automatically; the span grows
-    by left-multiplication with generators until stable (or ``max_rounds``).
-    ``cap`` stops the growth early (``converged`` is then False) so callers
-    can bound runtime on large systems.
+    The span starts from the identity, every generator and every adjoint.
+    Each round multiplies every generator and adjoint onto each basis matrix
+    the previous round added; the products of one generator are absorbed
+    as one :func:`_extend_span` batch (a residual singular value above
+    ``tol`` counts as new), which keeps the working memory at one
+    generator's products rather than all of them.  Growth stops when a round
+    adds nothing or the span is the whole ``dim x dim`` matrix algebra; the
+    dimension grows strictly and is bounded by ``dim**2``, so the loop
+    always ends.  ``rounds`` counts the product rounds, the last one
+    included.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    basis = generators[0].row_basis
-    dim = basis.dim
-    gens = []
-    for g in generators:
-        gens.append(g.to_dense())
-        gens.append(g.to_dense().conj().T)
-
-    seeds = [np.eye(dim, dtype=complex)] if include_identity else []
-    seeds += gens
-
-    onb: list[np.ndarray] = []
-
-    def absorb(mat: np.ndarray) -> bool:
-        vec = mat.ravel().astype(complex)
-        for row in onb:
-            vec = vec - row * np.vdot(row, vec)
-        norm = np.linalg.norm(vec)
-        if norm <= tol:
-            return False
-        onb.append(vec / norm)
-        return True
-
-    for seed in seeds:
-        absorb(seed)
-
-    limit = dim * dim if cap is None else min(cap, dim * dim)
-    converged = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        grew = False
-        current = [vec.reshape(dim, dim) for vec in list(onb)]
-        for mat in current:
-            for gen in gens:
-                if absorb(gen @ mat):
-                    grew = True
-            if len(onb) > limit:
-                break
-        if len(onb) > limit:
-            break  # cap exceeded: not converged
-        if not grew:
-            converged = True
-            break
-        if len(onb) >= dim * dim:
-            converged = True
-            break
-    return ClosureResult(len(onb), converged, rounds, np.array(onb))
+    dim = generators[0].row_basis.dim
+    dense = [g.to_dense() for g in generators]
+    gens = [m for d in dense for m in (d, d.conj().T)]
+    seeds = np.stack([np.eye(dim)] + gens).reshape(-1, dim * dim)
+    onb = _extend_span(np.zeros((0, dim * dim)), seeds, tol)
+    new = onb
+    for rounds in itertools.count(1):
+        start = len(onb)
+        for gen in gens:
+            products = (gen @ new.reshape(-1, dim, dim)).reshape(-1, dim * dim)
+            onb = np.vstack([onb, _extend_span(onb, products, tol)])
+        new = onb[start:]
+        if not len(new) or len(onb) >= dim * dim:
+            return ClosureResult(len(onb), rounds, onb)

@@ -27,7 +27,7 @@ from .basis import (
     total_charge_projector,
 )
 from .fixtures import fixture, fixture_descriptions, fixture_names
-from .ladder import fermion_type, fibonacci_pair, j_count, ladder_set
+from .ladder import fermion_type, fibonacci_pair, fibonacci_type, j_count, ladder_set
 from .model import (
     BUILTIN_MODELS,
     ModelDataError,
@@ -110,6 +110,9 @@ def cmd_ladder(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_NO_PAIR_OR_FERMION = "no Fibonacci pair and no fermion type in this model"
+
+
 def _verify_relations(model, n: int, tol: float) -> tuple[list[str], bool]:
     lines: list[str] = []
     psi = fermion_type(model)
@@ -131,6 +134,8 @@ def _verify_relations(model, n: int, tol: float) -> tuple[list[str], bool]:
             f"relations: residual={worst:.3e}"
         )
         return lines, ok
+    if fibonacci_type(model) is None:
+        return [f"[n/a] {_NO_PAIR_OR_FERMION}"], True
     report = alg.verify_relations(model, n, tolerance=tol)
     lines.extend(report.format_text().splitlines())
     return lines, report.passed
@@ -167,24 +172,21 @@ def _verify_locality(model, n: int, tol: float) -> tuple[list[str], bool]:
 
 
 def _verify_fock(model, n: int, tol: float) -> tuple[list[str], bool]:
-    basis = FusionTreeBasis(model, n)
-    words = alg.fock_words(model, n)
-    worst = 0.0
-    hits = 0
-    for idx in range(basis.dim):
-        if idx not in words:
-            continue
-        scalar, word = words[idx]
-        vec = alg.apply_word(model, n, scalar, word)
-        target = np.zeros(basis.dim)
-        target[idx] = 1.0
-        worst = max(worst, float(np.abs(vec - target).max()))
-        hits += 1
-    ok = hits == basis.dim and worst <= tol
-    lines = [
-        f"[{'pass' if ok else 'FAIL'}] {hits}/{basis.dim} states reconstructed "
-        f"by creation words: residual={worst:.3e}"
-    ]
+    dim = FusionTreeBasis(model, n).dim
+    if fermion_type(model) is None and fibonacci_type(model) is None:
+        lines, ok = [f"[n/a] creation words: {_NO_PAIR_OR_FERMION}"], True
+    else:
+        words = alg.fock_words(model, n)
+        target = np.eye(dim)
+        worst = max(
+            (float(np.abs(alg.apply_word(model, n, *words[i]) - target[i]).max()) for i in words),
+            default=0.0,
+        )
+        ok = len(words) == dim and worst <= tol
+        lines = [
+            f"[{'pass' if ok else 'FAIL'}] {len(words)}/{dim} states reconstructed "
+            f"by creation words: residual={worst:.3e}"
+        ]
     kdim = alg.kernel_dimension(model, n)
     kok = kdim == 1
     lines.append(
@@ -194,10 +196,13 @@ def _verify_fock(model, n: int, tol: float) -> tuple[list[str], bool]:
 
 
 def _verify_closure(model, n: int, tol: float) -> tuple[list[str], bool]:
+    """Mode-1 ladder operators with the total-charge projectors must close on
+    the candidate-local span of mode 1 (the commutant of the complement
+    observables); all ladder operators must close on the full algebra."""
     lines = []
     ok = True
     gens_all = []
-    gens_mode1 = []
+    gens_mode1 = [total_charge_projector(model, n, g) for g in model.labels]
     for i, lab in enumerate(model.labels):
         if i == model.vacuum:
             continue
@@ -208,17 +213,17 @@ def _verify_closure(model, n: int, tol: float) -> tuple[list[str], bool]:
                 gens_mode1.append(op)
     res1 = alg.algebra_closure(gens_mode1, tol=tol)
     cand = len(alg.local_candidate_span(model, n, 1)[1])
-    good = res1.converged and res1.dimension == cand
+    good = res1.dimension == cand
     ok &= good
     lines.append(
-        f"[{'pass' if good else 'FAIL'}] mode-1 closure dimension = "
-        f"{res1.dimension} (candidate-local span = {cand})"
+        f"[{'pass' if good else 'FAIL'}] mode-1 closure with total-charge "
+        f"projectors: dimension = {res1.dimension} (candidate-local span = {cand})"
     )
     dim = FusionTreeBasis(model, n).dim
     if dim <= 40:
         res = alg.algebra_closure(gens_all, tol=tol)
         full = dim * dim
-        good = res.converged and res.dimension == full
+        good = res.dimension == full
         ok &= good
         lines.append(
             f"[{'pass' if good else 'FAIL'}] all-modes closure dimension = "

@@ -44,6 +44,7 @@ __all__ = [
     "fermion_annihilator",
     "identity_ladder",
     "fermion_type",
+    "fibonacci_type",
     "rest_charges",
     "resolver",
 ]
@@ -272,22 +273,22 @@ class FibonacciPair:
     beta: dict[int, SparseOperator]
 
 
-def _fibonacci_tau(model: AnyonModel) -> int:
-    non_abelian = [i for i, flag in enumerate(model.abelian) if not flag]
-    if model.n_labels != 2 or len(non_abelian) != 1:
-        raise ModelDataError(
-            "the unnormalised pair is specific to Fibonacci-type models "
-            "(two particle types, one non-abelian)"
-        )
-    tau = non_abelian[0]
-    if set(model.fuse(tau, tau)) != {model.vacuum, tau}:
-        raise ModelDataError("the non-abelian type must satisfy tau x tau = e + tau")
-    return tau
+def fibonacci_type(model: AnyonModel) -> int | None:
+    """The non-vacuum type of a two-type model with ``tau x tau = e + tau``, else None."""
+    if model.n_labels != 2:
+        return None
+    tau = 1 - model.vacuum
+    return tau if set(model.fuse(tau, tau)) == {model.vacuum, tau} else None
 
 
 def fibonacci_pair(model: AnyonModel, n_modes: int) -> FibonacciPair:
     """Build the unnormalised ``alpha_k``/``beta_k`` pair on every mode."""
-    tau = _fibonacci_tau(model)
+    tau = fibonacci_type(model)
+    if tau is None:
+        raise ModelDataError(
+            "the unnormalised pair is specific to Fibonacci-type models "
+            "(two particle types, tau x tau = e + tau)"
+        )
     e = model.vacuum
     alpha_terms = [(e, tau, _SQRT_HALF), (tau, e, 1.0)]
     beta_terms = [(e, tau, _SQRT_HALF), (tau, tau, 1.0)]

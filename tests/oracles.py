@@ -164,7 +164,8 @@ def commutant_dimension(model, n_modes: int, m: int, tol: float = 1e-10) -> int:
     Solves ``X C - C X = 0`` for every ``C`` of
     ``complement_observable_basis`` as one linear system on the row-major
     flattened ``X`` (``vec(A X B) = (A kron B^T) vec(X)``) and counts its
-    null space with a plain SVD.  No closure or span machinery is involved.
+    null space with a plain SVD.  The package supplies only the complement
+    observables; no closure or candidate-span code is involved.
     """
     from anyonladder.algebra import complement_observable_basis
 
@@ -234,3 +235,27 @@ def conjugate_factored(w, entries):
 
     fact = w.row_basis
     return (w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop()
+
+
+def o_operator(model, n_modes: int, leaves, internals, g):
+    """The operator ``O_{a,d,g}`` of the constructive decomposition, as a matrix.
+
+    ``O = prod_{p=M..2} (sum_{b,c} [F^{d_{p-2} a_p b}_g]^*_{d_{p-1} c}
+    (a_p)^{b,c}_p) . (sum_{b} (a_1)^{b,g}_1)`` with ``d_0 = a_1`` and ``g``
+    the total charge of the whole chain; factors ordered mode M leftmost,
+    the mode-1 factor acting first.  Summing ``O^dagger_{x,g} O_{x',g}``
+    over ``g`` yields the observable ``|x><x'| (x) id``.  The strict matrix
+    that ``algebra.o_polynomial`` realizes up to abelian-rest terms.
+    """
+    from anyonladder.algebra import _as_region_state, _charge_index, _factor_terms
+    from anyonladder.basis import FusionTreeBasis, SparseOperator
+    from anyonladder.ladder import _element_family
+
+    x = _as_region_state(model, leaves, internals)
+    gi = _charge_index(model, g)
+    result = SparseOperator.identity(FusionTreeBasis(model, n_modes))
+    for p, a_p in enumerate(x.leaves, start=1):
+        terms = _factor_terms(model, n_modes, x, gi, p)
+        factor = _element_family(model, n_modes, a_p, terms, p)[p]
+        result = (factor @ result).drop()
+    return result

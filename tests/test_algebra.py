@@ -16,7 +16,6 @@ from anyonladder.algebra import (
     kernel_dimension,
     local_candidate_span,
     mode_relabel_unitary,
-    o_operator,
     o_polynomial,
     observable_basis,
     region_states,
@@ -24,7 +23,12 @@ from anyonladder.algebra import (
     vacuum_index,
     verify_relations,
 )
-from anyonladder.basis import FusionTreeBasis, SparseOperator
+from anyonladder.basis import (
+    FusionTreeBasis,
+    SparseOperator,
+    braid_adjacent,
+    total_charge_projector,
+)
 from anyonladder.ladder import (
     annihilating_element,
     fibonacci_pair,
@@ -106,16 +110,23 @@ def test_candidates_commute_with_complement(name, m):
 
 
 @pytest.mark.parametrize(
-    "name, n, want", [("fibonacci", 3, 13), ("ising", 2, 34), ("fermion", 3, 8)]
+    "name, n, m, want",
+    [
+        ("fibonacci", 3, 1, 13),
+        ("ising", 2, 1, 34),
+        ("fermion", 3, 1, 8),
+        ("fibonacci", 3, 2, 89),
+        ("fermion", 3, 2, 32),
+    ],
 )
-def test_candidate_span_is_the_complement_commutant(name, n, want):
-    """The mode-1 candidate span lies in the commutant of the complement
+def test_candidate_span_is_the_complement_commutant(name, n, m, want):
+    """The candidate span lies in the commutant of the complement
     observables and has its dimension, so the two spaces are equal."""
     model = builtin(name)
-    _metas, span = local_candidate_span(model, n, 1)
-    comps = complement_observable_basis(model, n, 1)
+    _metas, span = local_candidate_span(model, n, m)
+    comps = complement_observable_basis(model, n, m)
     assert max((a @ c - c @ a).norm_max() for a in span for c in comps) < 1e-12
-    assert orc.commutant_dimension(model, n, 1) == want
+    assert orc.commutant_dimension(model, n, m) == want
     assert len(span) == want
 
 
@@ -207,7 +218,7 @@ def test_o_operator_products_sum_to_observables(fib, fermion, ising):
             for x in region_states(model, m):
                 acc = SparseOperator.zero(FusionTreeBasis(model, n))
                 for g in system_totals(model, n, x):
-                    o = o_operator(model, n, x.leaves, x.internals, g)
+                    o = orc.o_operator(model, n, x.leaves, x.internals, g)
                     acc = acc + o.dagger() @ o
                 assert (acc - diag[x.index]).norm_max() < 1e-12
 
@@ -219,20 +230,20 @@ def test_o_polynomial_realizes_o_operator(fib):
     for m in (1, 2):
         for x in region_states(fib, m):
             for g in system_totals(fib, n, x):
-                op = o_operator(fib, n, x.leaves, x.internals, g)
+                op = orc.o_operator(fib, n, x.leaves, x.internals, g)
                 poly = o_polynomial(fib, n, x.leaves, x.internals, g)
                 ev = poly.evaluate_with_identity(res, ident)
                 assert (ev - op).norm_max() < 1e-12
 
 
 def test_o_operator_accepts_labels_and_validates(fib):
-    a = o_operator(fib, 3, ("tau", "tau"), ("tau",), "tau")
-    b = o_operator(fib, 3, (1, 1), (1,), 1)
+    a = orc.o_operator(fib, 3, ("tau", "tau"), ("tau",), "tau")
+    b = orc.o_operator(fib, 3, (1, 1), (1,), 1)
     assert a.allclose(b)
     with pytest.raises(ValueError, match="internal charges"):
-        o_operator(fib, 3, ("tau", "tau"), (), "tau")
+        orc.o_operator(fib, 3, ("tau", "tau"), (), "tau")
     with pytest.raises(ValueError, match="fusion outcome"):
-        o_operator(fib, 3, ("e", "e"), ("tau",), "tau")
+        orc.o_operator(fib, 3, ("e", "e"), ("tau",), "tau")
 
 
 def test_ising_mixed_weight_factor_has_no_realization(ising):
@@ -415,6 +426,16 @@ def test_fock_words_reconstruct_every_state(fib):
         assert np.abs(vec - want).max() < 1e-10
 
 
+def test_fermion_fock_words_use_the_fermion_creators(fermion):
+    n = 3
+    words = fock_words(fermion, n)
+    assert len(words) == FusionTreeBasis(fermion, n).dim
+    for idx, (scalar, word) in words.items():
+        assert all(sym.kind == "std" and sym.j == 0 and sym.dagger for sym in word)
+        vec = apply_word(fermion, n, scalar, word)
+        assert np.abs(vec - np.eye(len(words))[idx]).max() < 1e-10
+
+
 def test_fock_word_single_state_accessor(fib):
     basis = FusionTreeBasis(fib, 2)
     state = basis.states[3]
@@ -436,10 +457,11 @@ def test_annihilators_kill_vacuum(fib):
             assert np.abs(pair.beta[k].apply(vac)).max() < 1e-12
 
 
-def test_joint_kernel_is_vacuum_only(fib, fermion):
+def test_joint_kernel_is_vacuum_only(fib, fermion, ising):
     assert kernel_dimension(fib, 2) == 1
     assert kernel_dimension(fib, 3) == 1
     assert kernel_dimension(fermion, 3) == 1
+    assert kernel_dimension(ising, 2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +473,6 @@ def test_closure_single_mode_matches_candidate_span(fib):
     ls = ladder_set(fib, 3, "tau")
     gens = [op for (k, _j), op in ls.ops.items() if k == 1]
     result = algebra_closure(gens)
-    assert result.converged
     assert result.dimension == 13
     for _meta, op in candidate_local_basis(fib, 3):
         assert result.contains(op)
@@ -463,19 +484,58 @@ def test_closure_all_modes_matches_bruteforce(fib, fermion):
         gens = list(ls.ops.values())
         result = algebra_closure(gens)
         oracle = orc.closure_dimension_bruteforce([g.to_dense() for g in gens])
-        assert result.converged
         assert result.dimension == oracle
     # Fibonacci ladder operators on two modes generate everything
     assert algebra_closure(list(ladder_set(fib, 2, "tau").ops.values())).dimension == 25
 
 
-def test_closure_cap_interrupts(fib):
-    ls = ladder_set(fib, 2, "tau")
-    result = algebra_closure(list(ls.ops.values()), cap=5)
-    assert not result.converged
-    assert result.dimension <= 25
+def _closure_generators(model, n):
+    """Mode-1 ladder operators, the same plus total-charge projectors, and all."""
+    mode1, every = [], []
+    for i, label in enumerate(model.labels):
+        if i != model.vacuum:
+            for (k, _j), op in sorted(ladder_set(model, n, label).ops.items()):
+                every.append(op)
+                if k == 1:
+                    mode1.append(op)
+    projectors = [total_charge_projector(model, n, g) for g in model.labels]
+    return {"mode1": mode1, "mode1+P": projectors + mode1, "all": every}
 
 
-def test_fibonacci_pair_requires_fibonacci_rules(fermion):
+# (dimension, rounds) of the per-vector Gram-Schmidt closure this one replaced
+CLOSURE_PINS = {
+    ("fibonacci", 2): {"mode1": (13, 3), "mode1+P": (13, 2), "all": (25, 2)},
+    ("fibonacci", 3): {"mode1": (13, 3), "mode1+P": (13, 2), "all": (169, 3)},
+    ("fermion", 2): {"mode1": (4, 2), "mode1+P": (8, 3), "all": (16, 3)},
+    ("fermion", 3): {"mode1": (4, 2), "mode1+P": (8, 3), "all": (64, 5)},
+    ("ising", 2): {"mode1": (25, 4), "mode1+P": (34, 3), "all": (100, 3)},
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(CLOSURE_PINS))
+def test_closure_dimensions_and_rounds_are_pinned(name, n):
+    model = builtin(name)
+    for kind, gens in _closure_generators(model, n).items():
+        result = algebra_closure(gens)
+        assert (result.dimension, result.rounds) == CLOSURE_PINS[(name, n)][kind], kind
+        assert result.onb.shape == (result.dimension, FusionTreeBasis(model, n).dim ** 2)
+        gram = result.onb.conj() @ result.onb.T
+        assert np.abs(gram - np.eye(result.dimension)).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
+def test_mode1_closure_contains_candidates_not_braid(name):
+    model = builtin(name)
+    n = 3 if name != "ising" else 2
+    result = algebra_closure(_closure_generators(model, n)["mode1+P"])
+    for _meta, op in candidate_local_basis(model, n):
+        assert result.contains(op)
+    assert not result.contains(braid_adjacent(model, n, 1))
+    assert result.contains(SparseOperator.zero(FusionTreeBasis(model, n)))
+
+
+def test_fibonacci_pair_requires_fibonacci_rules(fermion, ising):
     with pytest.raises(ModelDataError, match="Fibonacci"):
         fibonacci_pair(fermion, 2)
+    with pytest.raises(ModelDataError, match="Fibonacci"):
+        fock_words(ising, 2)  # neither a Fibonacci pair nor a fermion type

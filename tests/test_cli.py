@@ -102,6 +102,26 @@ def test_verify_relations_dispatches_on_structure_not_name(tmp_path, capsys):
     assert "result: pass" in captured.out
 
 
+@pytest.mark.parametrize("model, modes", [("fibonacci", 3), ("ising", 2), ("fermion", 3)])
+def test_verify_all_passes_on_every_builtin(model, modes, capsys):
+    code = main(["verify", "--model", model, "--modes", str(modes), "--suite", "all"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "FAIL" not in out and out.endswith("result: pass\n")
+
+
+def test_verify_marks_suites_that_do_not_apply(capsys):
+    assert main(["verify", "--model", "ising", "--modes", "2", "--suite", "relations"]) == 0
+    out = capsys.readouterr().out
+    assert "  [n/a] no Fibonacci pair and no fermion type in this model\n" in out
+    assert main(["verify", "--model", "ising", "--modes", "2", "--suite", "fock"]) == 0
+    out = capsys.readouterr().out
+    assert "[n/a] creation words" in out
+    assert "[pass] joint annihilator kernel dimension = 1" in out
+    assert main(["verify", "--model", "fermion", "--modes", "3", "--suite", "fock"]) == 0
+    assert "[pass] 8/8 states reconstructed" in capsys.readouterr().out
+
+
 def test_decompose_list_fixtures(capsys):
     code = main(["decompose", "--list-fixtures"])
     out = capsys.readouterr().out
