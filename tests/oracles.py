@@ -34,6 +34,40 @@ def total_dimension(model, n_modes: int) -> int:
     return sum(path_counts(model, n_modes).values())
 
 
+def labelings(model, shape):
+    """Every labeling of a fusion-tree ``shape``, by brute force.
+
+    Tries every charge on every span (leaf spans included) and keeps the
+    assignments allowed by the fusion table at each internal node.  Returns
+    ``(spans, states)`` like ``trees.enumerate_labelings``: the spans sorted,
+    the charge tuples ordered by (root charge, leaf charges, internal charges
+    by span).
+    """
+    nodes = []  # (node span, left child span, right child span)
+
+    def walk(s):
+        if isinstance(s, int):
+            return (s, s)
+        left, right = walk(s[0]), walk(s[1])
+        nodes.append(((left[0], right[1]), left, right))
+        return (left[0], right[1])
+
+    lo, hi = walk(shape)
+    leaves = [(i, i) for i in range(lo, hi + 1)]
+    inner = sorted(node for node, _l, _r in nodes)
+    spans = sorted(leaves + inner)
+    col = {s: i for i, s in enumerate(spans)}
+    grid = np.indices((model.n_labels,) * len(spans)).reshape(len(spans), -1).T
+    keep = np.ones(len(grid), dtype=bool)
+    for node, left, right in nodes:
+        keep &= model.fusion[grid[:, col[left]], grid[:, col[right]], grid[:, col[node]]] > 0
+    states = [tuple(int(c) for c in row) for row in grid[keep]]
+    states.sort(key=lambda st: (
+        st[col[(lo, hi)]], [st[col[s]] for s in leaves], [st[col[s]] for s in inner]
+    ))
+    return spans, states
+
+
 # ---------------------------------------------------------------------------
 # Dense recoupling oracle on three modes
 # ---------------------------------------------------------------------------

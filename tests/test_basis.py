@@ -236,12 +236,14 @@ def _reference_move_matrix(model, fresh, shape, node_span):
 
 
 def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
+    """Cached tables, fresh enumerations and the brute-force oracle agree on
+    every shape of up to six modes that recoupling visits."""
     for model in (fib, fermion, ising):
         tables = {}
 
         def fresh(shape):
             if shape not in tables:
-                tables[shape] = trees.enumerate_labelings(model, shape)
+                tables[shape] = orc.labelings(model, shape)
             return tables[shape]
 
         for n in range(1, 7):
@@ -266,6 +268,7 @@ def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
                 cached = _labelings(model, shape)
                 assert isinstance(cached[0], tuple) and isinstance(cached[1], tuple)
                 assert cached == (tuple(spans), tuple(states))
+                assert trees.enumerate_labelings(model, shape) == (spans, states)
             assert canonical.states is _labelings(model, canonical.shape)[1]
             assert FusionTreeBasis(model, n).dim == orc.total_dimension(model, n)
 
