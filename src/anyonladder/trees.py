@@ -17,8 +17,9 @@ charge.  Any shape is reduced to the left comb by such rotations.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "Shape",
@@ -29,7 +30,6 @@ __all__ = [
     "fold_left",
     "internal_spans",
     "all_spans",
-    "subtree",
     "rotate_right_to_left",
     "moves_to_left_comb",
     "enumerate_labelings",
@@ -97,21 +97,6 @@ def all_spans(shape) -> list[tuple[int, int]]:
     return sorted(leaf + internal_spans(shape))
 
 
-def subtree(shape, target: tuple[int, int]):
-    """The subtree covering exactly ``target``; raises if absent."""
-    lo, hi = span(shape)
-    if (lo, hi) == target:
-        return shape
-    if is_leaf(shape):
-        raise KeyError(f"span {target} not in shape")
-    _, mid = span(shape[0])
-    if target[1] <= mid:
-        return subtree(shape[0], target)
-    if target[0] > mid:
-        return subtree(shape[1], target)
-    raise KeyError(f"span {target} not in shape")
-
-
 def rotate_right_to_left(shape, target: tuple[int, int]):
     """Rotate ``(A, (B, C)) -> ((A, B), C)`` at the node covering ``target``.
 
@@ -156,46 +141,34 @@ def moves_to_left_comb(shape) -> list[tuple[int, int]]:
     return moves
 
 
-def _label_options(model, shape, leaf_labels) -> Iterator[tuple[dict, int]]:
-    """Yield (span->charge dict, root charge) for all valid labelings."""
+def _label_table(model, shape) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Spans of ``shape`` and one row of their charges per valid labeling.
+
+    A node's table joins every row of its left child's table with every row
+    of its right child's, once per channel of the two child charges in
+    ``model.fusion``; the node's own span is the last column.
+    """
     if is_leaf(shape):
-        options = range(model.n_labels) if leaf_labels is None else [leaf_labels[shape]]
-        for a in options:
-            yield {(shape, shape): a}, a
-        return
-    left, right = shape
-    node_span = span(shape)
-    for lmap, lc in _label_options(model, left, leaf_labels):
-        for rmap, rc in _label_options(model, right, leaf_labels):
-            for c in model.fuse(lc, rc):
-                merged = dict(lmap)
-                merged.update(rmap)
-                merged[node_span] = c
-                yield merged, c
+        return [(shape, shape)], np.arange(model.n_labels).reshape(-1, 1)
+    left_spans, left = _label_table(model, shape[0])
+    right_spans, right = _label_table(model, shape[1])
+    li, ri = np.indices((len(left), len(right))).reshape(2, -1)
+    pair, charge = np.nonzero(model.fusion[left[li, -1], right[ri, -1]])
+    table = np.hstack([left[li[pair]], right[ri[pair]], charge[:, None]])
+    return left_spans + right_spans + [span(shape)], table
 
 
-def enumerate_labelings(model, shape, total=None, leaf_labels=None):
+def enumerate_labelings(model, shape):
     """All labelings of ``shape`` as charge tuples over ``all_spans(shape)``.
 
     The order is deterministic: lexicographic in (root charge, leaf charges,
-    internal charges by span).  ``leaf_labels`` optionally pins the leaf
-    charges (a map mode -> particle index), ``total`` the root charge.
+    internal charges by span).
     """
+    found, table = _label_table(model, shape)
     spans = all_spans(shape)
-    lo, hi = span(shape)
-    root = (lo, hi)
-    leaf_spans = [(i, i) for i in range(lo, hi + 1)]
-    inner = [s for s in spans if s not in set(leaf_spans)]
-
-    rows = []
-    for charges, root_charge in _label_options(model, shape, leaf_labels):
-        if total is not None and root_charge != total:
-            continue
-        key = (
-            root_charge,
-            tuple(charges[s] for s in leaf_spans),
-            tuple(charges[s] for s in inner),
-        )
-        rows.append((key, tuple(charges[s] for s in spans)))
-    rows.sort(key=lambda kv: kv[0])
-    return spans, [state for _, state in rows]
+    table = table[:, [found.index(s) for s in spans]]
+    root = spans.index(span(shape))
+    leaves = [i for i, s in enumerate(spans) if s[0] == s[1]]
+    inner = [i for i, s in enumerate(spans) if s[0] != s[1]]
+    order = np.lexsort(table[:, ([root] + leaves + inner)[::-1]].T)
+    return spans, [tuple(row) for row in table[order].tolist()]
