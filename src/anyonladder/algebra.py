@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import (
-    FusionTreeBasis, SparseOperator, braid_word, _cache, _factored_states, _from_factored
+    FusionTreeBasis, SparseOperator, braid_word, _factored_states, _from_factored, _memo
 )
 from .ladder import (
     coefficient_tables,
@@ -97,6 +97,7 @@ def region_states(model: AnyonModel, m: int) -> list[RegionState]:
     return out
 
 
+@_memo
 def observable_basis(model: AnyonModel, n_modes: int, m: int):
     """The operators ``E_{x,x'} = |x><x'| (x) id`` spanning region observables.
 
@@ -104,10 +105,6 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
     pairs of equal charge and ``ops`` the corresponding canonical-basis
     operators.
     """
-    cache = _cache(model)
-    key = ("observable-basis", n_modes, m)
-    if key in cache:
-        return cache[key]
     w, groups = _factored_states(model, n_modes, m)
     # E_{x,x'} pairs the factored states of equal rest labeling and total charge
     blocks: dict[tuple, dict] = {}
@@ -123,7 +120,6 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
         _from_factored(w, blocks.get((region_keys[x.index], region_keys[xp.index]), {}))
         for x, xp in pairs
     ]
-    cache[key] = (pairs, ops)
     return pairs, ops
 
 
@@ -180,6 +176,7 @@ def complement_observable_basis(model: AnyonModel, n_modes: int, m: int):
     return ops
 
 
+@_memo
 def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
     """Spanning set of all candidate-local operators of region ``{1..M}``.
 
@@ -188,10 +185,6 @@ def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
     single-mode case reproduces the 13-element Fibonacci set; ``m == n``
     gives the full matrix algebra.
     """
-    cache = _cache(model)
-    key = ("candidate-span", n_modes, m)
-    if key in cache:
-        return cache[key]
     w, groups = _factored_states(model, n_modes, m)
     # sum_{y: b0} |x,y;G><x',y;G'| for every (b0, x, G, x', G') with support
     blocks: dict[tuple, dict] = {}
@@ -205,18 +198,14 @@ def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
         for b0, x, G, xp, Gp in keys
     ]
     ops = [_from_factored(w, blocks[k]) for k in keys]
-    cache[key] = (metas, ops)
     return metas, ops
 
 
+@_memo
 def _frame(model: AnyonModel, n_modes: int, m: int, span) -> np.ndarray:
-    """The operators of ``span(model, n_modes, m)`` as flattened dense columns, cached."""
-    cache = _cache(model)
-    key = ("frame", span.__name__, n_modes, m)
-    if key not in cache:
-        _, ops = span(model, n_modes, m)
-        cache[key] = np.stack([op.to_dense().ravel() for op in ops], axis=1)
-    return cache[key]
+    """The operators of ``span(model, n_modes, m)`` as flattened dense columns."""
+    _, ops = span(model, n_modes, m)
+    return np.stack([op.to_dense().ravel() for op in ops], axis=1)
 
 
 def _fit(stack: np.ndarray, op: SparseOperator, modes):
@@ -483,12 +472,10 @@ def o_polynomial(model: AnyonModel, n_modes: int, leaves, internals, g) -> Ladde
     return result
 
 
+@_memo
 def _word_cache(model: AnyonModel, n_modes: int) -> dict:
-    cache = _cache(model)
-    key = ("word-cache", n_modes)
-    if key not in cache:
-        cache[key] = {}
-    return cache[key]
+    """Word products on ``n_modes`` modes, filled in by every evaluation that shares it."""
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +509,7 @@ class Decomposition:
         return "\n".join(lines)
 
 
+@_memo
 def _product_frame(model: AnyonModel, n_modes: int, m: int):
     """Evaluated products ``sum_g P_{x,g}^dagger P_{x',g}`` per observable pair.
 
@@ -537,10 +525,6 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
     ``distinct`` variant summing each distinct realization pair once is
     added to the frame.
     """
-    cache = _cache(model)
-    key = ("product-frame", n_modes, m)
-    if key in cache:
-        return cache[key]
     pairs, _ops = observable_basis(model, n_modes, m)
     states = region_states(model, m)
     resolve = resolver(model, n_modes)
@@ -586,9 +570,7 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
             entries.append((x, xp, variant))
             polys.append(poly)
             columns.append(evaluated.to_dense().ravel())
-    stack = np.stack(columns, axis=1)
-    cache[key] = (entries, polys, stack)
-    return cache[key]
+    return entries, polys, np.stack(columns, axis=1)
 
 
 def decompose_observable(
@@ -784,6 +766,7 @@ def vacuum_index(basis: FusionTreeBasis) -> int:
     return basis.index[target]
 
 
+@_memo
 def fock_words(model: AnyonModel, n_modes: int):
     """Creation words reaching every canonical state from the vacuum.
 
@@ -792,7 +775,9 @@ def fock_words(model: AnyonModel, n_modes: int):
     ``alpha_k``/``beta_k`` pair symbols, or of the daggered ``alpha^(0)_k``
     of a fermion-type model (leftmost applied last).  Words are found
     breadth-first, keeping only steps that land on a single canonical state.
-    Any other model raises ``ModelDataError``.
+    Any other model raises ``ModelDataError``.  Built once per (model,
+    n_modes); every caller shares the returned dict, which must not be
+    modified.
     """
     basis = FusionTreeBasis(model, n_modes)
     vac = vacuum_index(basis)
@@ -843,11 +828,7 @@ def fock_word(model: AnyonModel, n_modes: int, state) -> tuple[complex, tuple]:
     """
     basis = FusionTreeBasis(model, n_modes)
     idx = state if isinstance(state, (int, np.integer)) else basis.index[tuple(state)]
-    cache = _cache(model)
-    key = ("fock-words", n_modes)
-    if key not in cache:
-        cache[key] = fock_words(model, n_modes)
-    words = cache[key]
+    words = fock_words(model, n_modes)
     if idx not in words:
         raise RuntimeError(
             f"state {basis.state_label(idx)} was not reached from the vacuum; "

@@ -9,6 +9,8 @@ entries below ``DROP_TOLERANCE``.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping
@@ -220,26 +222,36 @@ class SparseOperator:
 # ---------------------------------------------------------------------------
 
 
-def _cache(model: AnyonModel) -> dict:
-    cache = getattr(model, "_op_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(model, "_op_cache", cache)
-    return cache
+def _memo(fn):
+    """Keep each result of ``fn(model, ...)`` in the model's operator cache.
 
-
-def _labelings(model: AnyonModel, shape):
-    """``trees.enumerate_labelings(model, shape)`` as immutable tuples.
-
-    Enumerated once per (model, shape) and kept in the model's operator
-    cache; every basis and recoupling move of that shape shares the table.
+    The key is ``fn`` with its bound arguments, defaults filled in, so every
+    spelling of one call shares one entry; a call that raises stores
+    nothing.  Results are shared by every caller and must be treated as
+    read-only.
     """
-    cache = _cache(model)
-    key = ("labelings", shape)
-    if key not in cache:
-        spans, states = trees.enumerate_labelings(model, shape)
-        cache[key] = (tuple(spans), tuple(states))
-    return cache[key]
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoised(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        model, *rest = bound.arguments.values()
+        cache = vars(model).setdefault("_op_cache", {})
+        key = (fn, *rest)
+        if key not in cache:
+            cache[key] = fn(*args, **kwargs)
+        return cache[key]
+
+    return memoised
+
+
+@_memo
+def _labelings(model: AnyonModel, shape):
+    """``trees.enumerate_labelings(model, shape)`` as immutable tuples, shared
+    by every basis and recoupling move of that shape."""
+    spans, states = trees.enumerate_labelings(model, shape)
+    return tuple(spans), tuple(states)
 
 
 def _move_matrix(model: AnyonModel, shape, node_span):
@@ -291,26 +303,24 @@ def recouple(basis: FusionTreeBasis, target_shape) -> SparseOperator:
     target-shape coordinates are ``W @ v``.  ``W`` is charge preserving and
     unitary; ``recouple(basis, canonical_shape)`` is the identity.
     """
-    model = basis.model
     if basis.sector is not None:
         raise ValueError("recouple expects the full (all-sector) canonical basis")
     if basis.shape != trees.left_comb(0, basis.n_modes - 1):
         raise ValueError("recouple expects the canonical left-comb basis")
-    key = ("recouple", basis.n_modes, target_shape)
-    cache = _cache(model)
-    if key in cache:
-        return cache[key]
+    return _recouple(basis.model, basis.n_modes, target_shape)
 
-    target_basis = FusionTreeBasis(model, basis.n_modes, shape=target_shape)
+
+@_memo
+def _recouple(model: AnyonModel, n_modes: int, target_shape) -> SparseOperator:
+    basis = FusionTreeBasis(model, n_modes)
+    target_basis = FusionTreeBasis(model, n_modes, shape=target_shape)
     # Compose overlap matrices target -> canonical, then take the adjoint.
     shape = target_shape
     overlap = sp.identity(target_basis.dim, dtype=complex, format="csr")
     for node_span in trees.moves_to_left_comb(target_shape):
         shape, mat = _move_matrix(model, shape, node_span)
         overlap = (mat @ overlap).tocsr()
-    result = SparseOperator(basis, target_basis, overlap).drop().dagger()
-    cache[key] = result
-    return result
+    return SparseOperator(basis, target_basis, overlap).drop().dagger()
 
 
 def _from_factored(w: SparseOperator, entries: Mapping[tuple[int, int], complex]) -> SparseOperator:
@@ -326,6 +336,7 @@ def _from_factored(w: SparseOperator, entries: Mapping[tuple[int, int], complex]
     return (w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop()
 
 
+@_memo
 def _factored_states(model: AnyonModel, n_modes: int, m: int):
     """The canonical states of ``n_modes`` modes factored as (modes 1..m) x (the rest).
 
@@ -334,15 +345,10 @@ def _factored_states(model: AnyonModel, n_modes: int, m: int):
     identity when ``m == n_modes``.  ``groups[(b0, y)] = {(x, G): i}`` lists
     each factored state ``i`` under its rest charge ``b0`` (the vacuum when
     ``m == n_modes``) and rest labeling ``y``, keyed by its region labeling
-    ``x`` (an ``m``-mode canonical state) and total charge ``G``.  Built once
-    per (model, n_modes, m).
+    ``x`` (an ``m``-mode canonical state) and total charge ``G``.
     """
     if not 1 <= m <= n_modes:
         raise ValueError(f"region size {m} out of range")
-    cache = _cache(model)
-    key = ("factored-states", n_modes, m)
-    if key in cache:
-        return cache[key]
     region = trees.left_comb(0, m - 1)
     shape = region if m == n_modes else (region, trees.left_comb(m, n_modes - 1))
     w = recouple(FusionTreeBasis(model, n_modes), shape)
@@ -356,10 +362,10 @@ def _factored_states(model: AnyonModel, n_modes: int, m: int):
         b0 = model.vacuum if b0_pos is None else st[b0_pos]
         group = groups.setdefault((b0, tuple(st[p] for p in rest_pos)), {})
         group[(tuple(st[p] for p in region_pos), st[root])] = i
-    cache[key] = (w, groups)
     return w, groups
 
 
+@_memo
 def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over") -> SparseOperator:
     """Unitary braid exchanging modes ``k`` and ``k+1`` (1-based) on the canonical basis.
 
@@ -370,21 +376,13 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
         raise ValueError(f"braid index k={k} out of range for {n_modes} modes")
     if sense not in ("over", "under"):
         raise ValueError(f"unknown braid sense {sense!r}")
-    cache = _cache(model)
-    key = ("braid", n_modes, k, sense)
-    if key in cache:
-        return cache[key]
-
-    basis = FusionTreeBasis(model, n_modes)
     if sense == "under":
-        result = braid_adjacent(model, n_modes, k, "over").dagger()
-        cache[key] = result
-        return result
+        return braid_adjacent(model, n_modes, k, "over").dagger()
 
     i, j = k - 1, k  # 0-based pair
     parts = list(range(0, i)) + [(i, j)] + list(range(j + 1, n_modes))
     target = trees.fold_left(parts)
-    w = recouple(basis, target)
+    w = recouple(FusionTreeBasis(model, n_modes), target)
     target_basis = w.row_basis
 
     pair_span = (i, j)
@@ -399,9 +397,7 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
         swapped[pos[(j, j)]] = a
         row = target_basis.index[tuple(swapped)]
         entries[(row, col)] = model.r(a, b, c)
-    result = _from_factored(w, entries)
-    cache[key] = result
-    return result
+    return _from_factored(w, entries)
 
 
 def braid_word(model: AnyonModel, n_modes: int, word) -> SparseOperator:

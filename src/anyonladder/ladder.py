@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    FusionTreeBasis, SparseOperator, braid_adjacent, _cache, _factored_states, _from_factored
+    FusionTreeBasis, SparseOperator, braid_adjacent, _factored_states, _from_factored, _memo
 )
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol
@@ -60,12 +60,8 @@ def rest_charges(model: AnyonModel, n_modes: int) -> tuple[int, ...]:
     return tuple(sorted(set(int(g) for g in rest.totals())))
 
 
+@_memo
 def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) -> SparseOperator:
-    cache = _cache(model)
-    key = ("elem", n_modes, a, b0, c0, 1)
-    if key in cache:
-        return cache[key]
-
     if c0 not in model.fuse(a, b0):
         raise ModelDataError(
             f"{model.labels[c0]} is not a fusion channel of "
@@ -80,9 +76,7 @@ def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) ->
         for (b, _y), group in groups.items()
         if b == b0 and (x, c0) in group
     }
-    result = _from_factored(w, entries)
-    cache[key] = result
-    return result
+    return _from_factored(w, entries)
 
 
 def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]:
@@ -120,18 +114,13 @@ def transport_to_mode(op: SparseOperator, k: int) -> SparseOperator:
     return _transports(op, k)[k]
 
 
+@_memo
 def annihilating_element(
     model: AnyonModel, n_modes: int, a: str, b0: str, c0: str, mode: int = 1
 ) -> SparseOperator:
     """The annihilating element ``a_mode^{b0, c0}`` on the canonical basis."""
     ai, bi, ci = model.index(a), model.index(b0), model.index(c0)
-    cache = _cache(model)
-    key = ("elem", n_modes, ai, bi, ci, mode)
-    if key in cache:
-        return cache[key]
-    result = transport_to_mode(_mode1_element(model, n_modes, ai, bi, ci), mode)
-    cache[key] = result
-    return result
+    return transport_to_mode(_mode1_element(model, n_modes, ai, bi, ci), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +214,13 @@ class LadderSet:
         return self.ops[(k, j)]
 
 
+@_memo
 def ladder_set(model: AnyonModel, n_modes: int, particle: str) -> LadderSet:
-    """Construct the ``J`` annihilation operators of ``particle`` on all modes."""
+    """The ``J`` annihilation operators of ``particle`` on all modes.
+
+    Built once per (model, n_modes, particle); every caller shares the
+    returned set, which must not be modified.
+    """
     tables = coefficient_tables(model, particle)
     ai = model.index(particle)
     ops: dict[tuple[int, int], SparseOperator] = {}
@@ -331,26 +325,26 @@ def fermion_annihilator(model: AnyonModel, n_modes: int, k: int = 1) -> SparseOp
 # ---------------------------------------------------------------------------
 
 
+@_memo
+def _shared_pair(model: AnyonModel, n_modes: int) -> FibonacciPair:
+    # fibonacci_pair itself builds afresh on every call; this is the one
+    # shared copy, looked up by name so that rebinding the name is seen.
+    return fibonacci_pair(model, n_modes)
+
+
 def resolver(model: AnyonModel, n_modes: int):
     """Map undaggered ``std`` and ``pair`` generator symbols to their matrices.
 
     Ladder sets and the Fibonacci pair are built on first use and kept in the
     model's operator cache, so every resolver of one (model, n_modes) shares them.
     """
-    cache = _cache(model)
 
     def resolve(symbol: GeneratorSymbol) -> SparseOperator:
         if symbol.dagger:
             raise ValueError("resolver expects undaggered symbols")
         if symbol.kind == "std":
-            key = ("ladder-set", n_modes, symbol.particle)
-            if key not in cache:
-                cache[key] = ladder_set(model, n_modes, symbol.particle)
-            return cache[key].op(symbol.mode, symbol.j)
-        key = ("pair", n_modes)
-        if key not in cache:
-            cache[key] = fibonacci_pair(model, n_modes)
-        pair = cache[key]
+            return ladder_set(model, n_modes, symbol.particle).op(symbol.mode, symbol.j)
+        pair = _shared_pair(model, n_modes)
         return {"alpha": pair.alpha, "beta": pair.beta}[symbol.particle][symbol.mode]
 
     return resolve
