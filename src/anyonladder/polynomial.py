@@ -247,19 +247,19 @@ class LadderPolynomial:
             reference.row_basis, reference.col_basis, sparse.csr_matrix(dense)
         ).drop()
 
-    def signature(self, decimals: int = 12) -> tuple:
+    def signature(self) -> tuple:
         """Hashable canonical form: words with coefficients rounded.
 
-        Equal signatures mean equal polynomials up to ``10**-decimals`` in
-        each coefficient; used to deduplicate repeated realizations.
+        Equal signatures mean equal polynomials up to ``1e-12`` in each
+        coefficient; used to deduplicate repeated realizations.
         """
         items = []
         for w, c in self._terms.items():
             items.append(
                 (
                     tuple(s.token() for s in w),
-                    round(c.real, decimals),
-                    round(c.imag, decimals),
+                    round(c.real, 12),
+                    round(c.imag, 12),
                 )
             )
         return tuple(sorted(items))

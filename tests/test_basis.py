@@ -18,7 +18,8 @@ from anyonladder.basis import (
     recouple,
     total_charge_projector,
 )
-from anyonladder.ladder import annihilating_element
+from anyonladder.ladder import annihilating_element, ladder_set, resolver
+from anyonladder.polynomial import GeneratorSymbol
 from anyonladder.trees import left_comb, right_comb
 
 FOUR_LEAF_SHAPES = [
@@ -326,3 +327,35 @@ def test_from_factored_matches_explicit_conjugation(fib, fermion, ising):
                 assert got.col_basis.is_compatible(want.col_basis)
                 for attr in ("data", "indices", "indptr"):
                     assert getattr(got.matrix, attr).tobytes() == getattr(want.matrix, attr).tobytes()
+
+
+def test_memo_keys_calls_by_bound_arguments(fib):
+    """Every spelling of one call, defaults filled in, shares one cache entry."""
+    first = braid_adjacent(fib, 4, 2)
+    size = len(fib._op_cache)
+    assert braid_adjacent(fib, 4, 2, "over") is first
+    assert braid_adjacent(fib, 4, 2, sense="over") is first
+    assert len(fib._op_cache) == size
+    raw = braid_adjacent.__wrapped__
+    assert [key[1:] for key in fib._op_cache if key[0] is raw and key[1:3] == (4, 2)] == [
+        (4, 2, "over")
+    ]
+
+
+def test_memo_stores_nothing_for_a_raising_call(fib):
+    braid_adjacent(fib, 3, 1)
+    before = dict(fib._op_cache)
+    with pytest.raises(ValueError):
+        _factored_states(fib, 3, 0)
+    with pytest.raises(ValueError):
+        braid_adjacent(fib, 3, 5)
+    assert list(fib._op_cache) == list(before)
+    assert all(fib._op_cache[key] is value for key, value in before.items())
+
+
+def test_ladder_set_is_shared_with_the_resolver(fib):
+    ls = ladder_set(fib, 3, "tau")
+    assert ladder_set(fib, 3, particle="tau") is ls
+    resolve = resolver(fib, 3)
+    for (k, j), op in ls.ops.items():
+        assert resolve(GeneratorSymbol(k, "std", "tau", j, False)) is op
