@@ -327,8 +327,9 @@ def fermion_annihilator(model: AnyonModel, n_modes: int, k: int = 1) -> SparseOp
 
 @_memo
 def _shared_pair(model: AnyonModel, n_modes: int) -> FibonacciPair:
-    # fibonacci_pair itself builds afresh on every call; this is the one
-    # shared copy, looked up by name so that rebinding the name is seen.
+    # fibonacci_pair builds a fresh pair on every call; this keeps the one
+    # copy that resolvers share.  It calls fibonacci_pair through the module
+    # global, so a rebound (for example, wrapped) fibonacci_pair is used.
     return fibonacci_pair(model, n_modes)
 
 
