@@ -761,9 +761,7 @@ def verify_relations(model: AnyonModel, n_modes: int, tolerance: float = 1e-10) 
 
 
 def vacuum_index(basis: FusionTreeBasis) -> int:
-    e = basis.model.vacuum
-    target = tuple(e for _ in basis.spans)
-    return basis.index[target]
+    return int(basis.table.find([[basis.model.vacuum] * len(basis.spans)])[0])
 
 
 @_memo
@@ -822,12 +820,19 @@ def fock_words(model: AnyonModel, n_modes: int):
 def fock_word(model: AnyonModel, n_modes: int, state) -> tuple[complex, tuple]:
     """Creation word for one canonical state: ``|state> = scalar * word |0>``.
 
-    ``state`` is a basis index or a labeling tuple.  Every canonical state is
-    reachable for the bundled models; an unreachable state would mean the
-    breadth-first construction itself is broken, hence the hard error.
+    ``state`` is a basis index or a labeling tuple; any other value raises
+    ``ValueError``.  Every canonical state is reachable for the bundled
+    models; an unreachable state would mean the breadth-first construction
+    itself is broken, hence the hard error.
     """
     basis = FusionTreeBasis(model, n_modes)
-    idx = state if isinstance(state, (int, np.integer)) else basis.index[tuple(state)]
+    if isinstance(state, (int, np.integer)):
+        idx = int(state) if 0 <= state < basis.dim else -1
+    else:
+        ints = len(state) == len(basis.spans) and np.issubdtype(np.asarray(state).dtype, np.integer)
+        idx = int(basis.table.find([tuple(state)])[0]) if ints else -1
+    if idx < 0:
+        raise ValueError(f"{state!r} is neither a state index nor a labeling of {n_modes} modes")
     words = fock_words(model, n_modes)
     if idx not in words:
         raise RuntimeError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -52,19 +51,29 @@ class FusionTreeBasis:
         if (lo, hi) != (0, n_modes - 1):
             raise ValueError(f"shape covers {(lo, hi)}, expected (0, {n_modes - 1})")
         self.sector = None if sector is None else model.index(sector)
-        self.spans, states = _labelings(model, self.shape)
+        table = _label_table(model, self.shape)
+        self.spans = table.spans
         self._span_pos = {s: i for i, s in enumerate(self.spans)}
         self.root_span = (0, n_modes - 1)
         if self.sector is not None:
-            root = self._span_pos[self.root_span]
-            states = tuple(st for st in states if st[root] == self.sector)
-        self.states: tuple[tuple[int, ...], ...] = states
-        self.index: dict[tuple[int, ...], int] = {st: i for i, st in enumerate(states)}
-        self._totals: np.ndarray | None = None
+            keep = table.column(self.root_span) == self.sector
+            table = table._replace(rows=table.rows[keep], codes=table.codes[keep])
+            table.rows.flags.writeable = table.codes.flags.writeable = False
+        self.table: trees.LabelTable = table
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.table.rows)
+
+    @functools.cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``table`` as tuples, built on first use."""
+        return tuple(map(tuple, self.table.rows.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """State tuple -> position, built on first use; ``table.find`` needs no dict."""
+        return {st: i for i, st in enumerate(self.states)}
 
     def charge(self, state: tuple[int, ...], span: tuple[int, int]) -> int:
         return state[self._span_pos[span]]
@@ -76,20 +85,15 @@ class FusionTreeBasis:
         return tuple(state[self._span_pos[(i, i)]] for i in range(self.n_modes))
 
     def totals(self) -> np.ndarray:
-        """Total charge per state, as a read-only int array built once per basis."""
-        if self._totals is None:
-            root = self._span_pos[self.root_span]
-            totals = np.fromiter((st[root] for st in self.states), dtype=int, count=self.dim)
-            totals.flags.writeable = False
-            self._totals = totals
-        return self._totals
+        """Total charge per state, as a read-only column of ``table``."""
+        return self.table.column(self.root_span)
 
     def sector_indices(self, g: int) -> np.ndarray:
         return np.flatnonzero(self.totals() == g)
 
     def state_label(self, i: int) -> str:
         """Human-readable ``(a_1 .. a_n; d_1 .. d_{n-1})`` string."""
-        st = self.states[i]
+        st = self.table.rows[i].tolist()
         names = self.model.labels
         leaves = ",".join(names[a] for a in self.leaves(st))
         inner = [s for s in self.spans if s[0] != s[1]]
@@ -114,12 +118,13 @@ class SparseOperator:
     matrix: sp.csr_matrix
 
     @classmethod
-    def from_entries(cls, row_basis, col_basis, entries: Mapping[tuple[int, int], complex]):
-        rows, cols, vals = [], [], []
-        for (i, j), v in entries.items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
+    def from_entries(cls, row_basis, col_basis, entries):
+        """``entries`` maps ``(i, j)`` to a value, or is a ``(rows, cols, values)``
+        triple of arrays; either way entries are stored in the order given."""
+        if isinstance(entries, Mapping):
+            keys = np.array(list(entries), dtype=int).reshape(-1, 2)
+            entries = keys[:, 0], keys[:, 1], list(entries.values())
+        rows, cols, vals = entries
         mat = sp.csr_matrix(
             (np.array(vals, dtype=complex), (rows, cols)),
             shape=(row_basis.dim, col_basis.dim),
@@ -247,11 +252,20 @@ def _memo(fn):
 
 
 @_memo
-def _labelings(model: AnyonModel, shape):
-    """``trees.enumerate_labelings(model, shape)`` as immutable tuples, shared
-    by every basis and recoupling move of that shape."""
-    spans, states = trees.enumerate_labelings(model, shape)
-    return tuple(spans), tuple(states)
+def _label_table(model: AnyonModel, shape) -> trees.LabelTable:
+    """``trees.enumerate_labelings(model, shape)``, shared by every basis and
+    recoupling move of that shape."""
+    return trees.enumerate_labelings(model, shape)
+
+
+@_memo
+def _symbol_tensors(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ``F[a, b, c, d, x, y] = [F^{abc}_d]_{x,y}`` and ``R[a, b, c] =
+    R^{ab}_c``, zero wherever a fusion is forbidden."""
+    n = model.n_labels
+    f = [model.f_entry(*key) for key in np.ndindex((n,) * 6)]
+    r = [model.r(*key) if model.fusion[key] else 0.0 for key in np.ndindex((n,) * 3)]
+    return np.array(f, complex).reshape((n,) * 6), np.array(r, complex).reshape((n,) * 3)
 
 
 def _move_matrix(model: AnyonModel, shape, node_span):
@@ -260,38 +274,19 @@ def _move_matrix(model: AnyonModel, shape, node_span):
     Returns ``(new_shape, M)`` with ``M[i_new, j_old] = <new_i|old_j>``.
     """
     new_shape, a_span, b_span, c_span = trees.rotate_right_to_left(shape, node_span)
-    old_spans, old_states = _labelings(model, shape)
-    new_spans, new_states = _labelings(model, new_shape)
-    new_index = {st: i for i, st in enumerate(new_states)}
-    old_pos = {s: i for i, s in enumerate(old_spans)}
-
+    old, new = _label_table(model, shape), _label_table(model, new_shape)
     removed = (b_span[0], c_span[1])
     created = (a_span[0], b_span[1])
-    # A new state is the old one with the removed charge dropped and the
-    # created charge x inserted at ``slot``; every other span keeps its charge.
-    slot = new_spans.index(created)
-    kept = itemgetter(*(old_pos[s] for s in new_spans if s != created))
-    pa, pb, pc, pd, py = (old_pos[s] for s in (a_span, b_span, c_span, node_span, removed))
-
-    rows, cols, vals = [], [], []
-    for j, st in enumerate(old_states):
-        block = model.f_block(st[pa], st[pb], st[pc], st[pd])
-        if block is None or st[py] not in block.cols:
-            continue
-        y = block.cols.index(st[py])
-        rest = kept(st)
-        head, tail = rest[:slot], rest[slot:]
-        for idx, x in enumerate(block.rows):
-            amp = block.mat[idx, y]
-            if abs(amp) <= DROP_TOLERANCE:
-                continue
-            rows.append(new_index[head + (x,) + tail])
-            cols.append(j)
-            vals.append(complex(amp))
-    mat = sp.csr_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)),
-        shape=(len(new_states), len(old_states)),
-    )
+    a, b, c, d, y = (old.column(s) for s in (a_span, b_span, c_span, node_span, removed))
+    # Entries run by old state j, then by channel x in label order.
+    amps = _symbol_tensors(model)[0][a, b, c, d, :, y]
+    j, x = np.nonzero(np.abs(amps) > DROP_TOLERANCE)
+    # A new state is the old one with the removed charge replaced by the
+    # created charge x; every other span keeps its charge.
+    source = [old.spans.index(removed if s == created else s) for s in new.spans]
+    labels = old.rows[np.ix_(j, source)]
+    labels[:, new.spans.index(created)] = x
+    mat = sp.csr_matrix((amps[j, x], (new.find(labels), j)), shape=(len(new.rows), len(old.rows)))
     return new_shape, mat
 
 
@@ -323,10 +318,11 @@ def _recouple(model: AnyonModel, n_modes: int, target_shape) -> SparseOperator:
     return SparseOperator(basis, target_basis, overlap).drop().dagger()
 
 
-def _from_factored(w: SparseOperator, entries: Mapping[tuple[int, int], complex]) -> SparseOperator:
+def _from_factored(w: SparseOperator, entries) -> SparseOperator:
     """``W^dagger M W`` on the canonical basis, for ``M`` given by its entries
-    in the shape of ``w.row_basis``.  When that shape is the canonical one,
-    ``W`` is the identity and the two products are skipped."""
+    in the shape of ``w.row_basis`` (as ``SparseOperator.from_entries`` takes
+    them).  When that shape is the canonical one, ``W`` is the identity and
+    the two products are skipped."""
     fact = w.row_basis
     if fact.shape == w.col_basis.shape:
         canonical = w.col_basis
@@ -352,16 +348,13 @@ def _factored_states(model: AnyonModel, n_modes: int, m: int):
     region = trees.left_comb(0, m - 1)
     shape = region if m == n_modes else (region, trees.left_comb(m, n_modes - 1))
     w = recouple(FusionTreeBasis(model, n_modes), shape)
-    fact = w.row_basis
-    region_pos = [p for p, s in enumerate(fact.spans) if s[1] < m]
-    rest_pos = [p for p, s in enumerate(fact.spans) if s[0] >= m]
-    root = fact._span_pos[fact.root_span]
-    b0_pos = fact._span_pos.get((m, n_modes - 1))
+    fact = w.row_basis.table
+    xs = map(tuple, fact.rows[:, [p for p, s in enumerate(fact.spans) if s[1] < m]].tolist())
+    ys = map(tuple, fact.rows[:, [p for p, s in enumerate(fact.spans) if s[0] >= m]].tolist())
+    b0s = fact.column((m, n_modes - 1)).tolist() if m < n_modes else [model.vacuum] * len(fact.rows)
     groups: dict = {}
-    for i, st in enumerate(fact.states):
-        b0 = model.vacuum if b0_pos is None else st[b0_pos]
-        group = groups.setdefault((b0, tuple(st[p] for p in rest_pos)), {})
-        group[(tuple(st[p] for p in region_pos), st[root])] = i
+    for i, (b0, y, x, g) in enumerate(zip(b0s, ys, xs, w.row_basis.totals().tolist())):
+        groups.setdefault((b0, y), {})[(x, g)] = i
     return w, groups
 
 
@@ -380,24 +373,16 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
         return braid_adjacent(model, n_modes, k, "over").dagger()
 
     i, j = k - 1, k  # 0-based pair
-    parts = list(range(0, i)) + [(i, j)] + list(range(j + 1, n_modes))
-    target = trees.fold_left(parts)
+    target = trees.fold_left(list(range(0, i)) + [(i, j)] + list(range(j + 1, n_modes)))
     w = recouple(FusionTreeBasis(model, n_modes), target)
-    target_basis = w.row_basis
 
-    pair_span = (i, j)
-    entries: dict[tuple[int, int], complex] = {}
-    pos = target_basis._span_pos
-    for col, st in enumerate(target_basis.states):
-        a = st[pos[(i, i)]]
-        b = st[pos[(j, j)]]
-        c = st[pos[pair_span]]
-        swapped = list(st)
-        swapped[pos[(i, i)]] = b
-        swapped[pos[(j, j)]] = a
-        row = target_basis.index[tuple(swapped)]
-        entries[(row, col)] = model.r(a, b, c)
-    return _from_factored(w, entries)
+    # Each state goes to the one with leaves i and j swapped, times R^{ab}_c.
+    table = w.row_basis.table
+    a, b = table.spans.index((i, i)), table.spans.index((j, j))
+    swapped = table.rows.copy()
+    swapped[:, [a, b]] = table.rows[:, [b, a]]
+    phases = _symbol_tensors(model)[1][table.rows[:, a], table.rows[:, b], table.column((i, j))]
+    return _from_factored(w, (table.find(swapped), np.arange(len(swapped)), phases))
 
 
 def braid_word(model: AnyonModel, n_modes: int, word) -> SparseOperator:

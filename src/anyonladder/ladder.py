@@ -24,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trees
 from .basis import (
-    FusionTreeBasis, SparseOperator, braid_adjacent, _factored_states, _from_factored, _memo
+    FusionTreeBasis, SparseOperator, braid_adjacent, _factored_states, _from_factored,
+    _label_table, _memo,
 )
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol
@@ -56,8 +58,8 @@ def rest_charges(model: AnyonModel, n_modes: int) -> tuple[int, ...]:
         raise ValueError("n_modes must be at least 1")
     if n_modes == 1:
         return (model.vacuum,)
-    rest = FusionTreeBasis(model, n_modes - 1)
-    return tuple(sorted(set(int(g) for g in rest.totals())))
+    rest = _label_table(model, trees.left_comb(0, n_modes - 2))
+    return tuple(int(g) for g in np.unique(rest.column((0, n_modes - 2))))
 
 
 @_memo

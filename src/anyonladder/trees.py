@@ -17,7 +17,7 @@ charge.  Any shape is reduced to the left comb by such rotations.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "rotate_right_to_left",
     "moves_to_left_comb",
     "enumerate_labelings",
+    "LabelTable",
 ]
 
 Shape = object  # int leaf | tuple (left, right)
@@ -158,17 +159,54 @@ def _label_table(model, shape) -> tuple[list[tuple[int, int]], np.ndarray]:
     return left_spans + right_spans + [span(shape)], table
 
 
-def enumerate_labelings(model, shape):
-    """All labelings of ``shape`` as charge tuples over ``all_spans(shape)``.
+class LabelTable(NamedTuple):
+    """Every labeling of one shape, as one read-only integer table.
+
+    Row ``i`` of ``rows`` holds the charges of state ``i`` over ``spans``.
+    ``codes[i] = rows[i] @ place`` reads the row as a base-``radix`` number
+    whose digits run root charge, leaf charges, internal charges by span;
+    the rows are sorted by code, so ``codes`` increases with the position.
+    """
+
+    spans: tuple[tuple[int, int], ...]
+    rows: np.ndarray
+    codes: np.ndarray
+    place: np.ndarray
+    radix: int
+
+    def find(self, labelings) -> np.ndarray:
+        """Position of each row of ``labelings``; -1 for a row that is no state."""
+        labelings = np.asarray(labelings, dtype=np.int64)
+        codes = labelings @ self.place
+        pos = np.searchsorted(self.codes, codes)
+        found = ((labelings >= 0) & (labelings < self.radix)).all(axis=-1) & (pos < len(self.codes))
+        found[found] = self.codes[pos[found]] == codes[found]
+        return np.where(found, pos, -1)
+
+    def column(self, span_: tuple[int, int]) -> np.ndarray:
+        """The charges of one span, state by state."""
+        return self.rows[:, self.spans.index(span_)]
+
+
+def enumerate_labelings(model, shape) -> LabelTable:
+    """All labelings of ``shape`` over ``all_spans(shape)``, as a :class:`LabelTable`.
 
     The order is deterministic: lexicographic in (root charge, leaf charges,
-    internal charges by span).
+    internal charges by span).  Raises ``ValueError`` when the codes of the
+    shape would not fit in int64.
     """
-    found, table = _label_table(model, shape)
     spans = all_spans(shape)
+    radix = model.n_labels
+    if radix ** len(spans) > 2 ** 63:
+        raise ValueError(f"{radix} labels on {len(spans)} spans overflow the int64 labeling codes")
+    found, table = _label_table(model, shape)
     table = table[:, [found.index(s) for s in spans]]
     root = spans.index(span(shape))
-    leaves = [i for i, s in enumerate(spans) if s[0] == s[1]]
-    inner = [i for i, s in enumerate(spans) if s[0] != s[1]]
-    order = np.lexsort(table[:, ([root] + leaves + inner)[::-1]].T)
-    return spans, [tuple(row) for row in table[order].tolist()]
+    digits = sorted(range(len(spans)), key=lambda i: (i != root, spans[i][0] != spans[i][1]))
+    place = np.zeros(len(spans), dtype=np.int64)
+    place[digits] = [radix ** p for p in range(len(spans) - 1, -1, -1)]
+    order = np.argsort(table @ place)
+    table, codes = table[order], table[order] @ place
+    for array in (table, codes, place):
+        array.flags.writeable = False
+    return LabelTable(tuple(spans), table, codes, place, radix)

@@ -293,3 +293,28 @@ def o_operator(model, n_modes: int, leaves, internals, g):
         factor = _element_family(model, n_modes, a_p, terms, p)[p]
         result = (factor @ result).drop()
     return result
+
+
+def braid_adjacent_loop(model, n_modes: int, k: int, sense: str = "over"):
+    """``basis.braid_adjacent`` as a loop over the states of the pair-folded
+    shape: each state maps to the one with leaves ``k`` and ``k+1`` swapped,
+    times ``R^{a_k a_{k+1}}_c``, and the result is recoupled to the canonical
+    basis.  ``under`` is the adjoint of ``over``."""
+    from anyonladder import trees
+    from anyonladder.basis import FusionTreeBasis, _from_factored, recouple
+
+    if sense == "under":
+        return braid_adjacent_loop(model, n_modes, k).dagger()
+    i, j = k - 1, k
+    target = trees.fold_left(list(range(0, i)) + [(i, j)] + list(range(j + 1, n_modes)))
+    w = recouple(FusionTreeBasis(model, n_modes), target)
+    target_basis = w.row_basis
+    pos = target_basis._span_pos
+    entries = {}
+    for col, st in enumerate(target_basis.states):
+        a, b, c = st[pos[(i, i)]], st[pos[(j, j)]], st[pos[(i, j)]]
+        swapped = list(st)
+        swapped[pos[(i, i)]] = b
+        swapped[pos[(j, j)]] = a
+        entries[(target_basis.index[tuple(swapped)], col)] = model.r(a, b, c)
+    return _from_factored(w, entries)

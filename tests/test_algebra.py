@@ -446,6 +446,23 @@ def test_fock_word_single_state_accessor(fib):
     assert np.isclose(vec[3], 1.0)
 
 
+def test_fock_word_rejects_bad_indices_and_labelings(fib):
+    """A bad index or a labeling that is no canonical state is named in a
+    ValueError, not mistaken for an incomplete word search."""
+    basis = FusionTreeBasis(fib, 3)
+    message = "is neither a state index nor a labeling of 3 modes"
+    for bad in (-1, basis.dim, 99):
+        with pytest.raises(ValueError, match=f"^{bad} {message}"):
+            fock_word(fib, 3, bad)
+    tau, e = fib.index("tau"), fib.vacuum
+    forbidden = [e] * len(basis.spans)
+    forbidden[basis.spans.index((0, 2))] = tau  # vacuum leaves fusing to tau
+    for labeling in (forbidden, (e, e), (e,) * (len(basis.spans) - 1) + (2,), (0.0,) * 5):
+        with pytest.raises(ValueError, match=message):
+            fock_word(fib, 3, labeling)
+    assert fock_word(fib, 3, basis.states[-1]) == fock_word(fib, 3, basis.dim - 1)
+
+
 def test_annihilators_kill_vacuum(fib):
     for n in (1, 2, 3, 4):
         basis = FusionTreeBasis(fib, n)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from anyonladder.basis import (
     SparseOperator,
     _factored_states,
     _from_factored,
-    _labelings,
+    _label_table,
     _move_matrix,
     braid_adjacent,
     braid_word,
@@ -211,7 +212,8 @@ def _all_shapes(lo, hi):
 
 
 def _reference_move_matrix(model, fresh, shape, node_span):
-    """The per-state rebuild of one rotation, on fresh enumerations."""
+    """The per-state rebuild of one rotation, on fresh enumerations, with its
+    entries in the order the gather emits them: by old state, then by channel."""
     new_shape, a_span, b_span, c_span = trees.rotate_right_to_left(shape, node_span)
     old_spans, old_states = fresh(shape)
     new_spans, new_states = fresh(new_shape)
@@ -219,7 +221,7 @@ def _reference_move_matrix(model, fresh, shape, node_span):
     old_pos = {s: i for i, s in enumerate(old_spans)}
     removed = (b_span[0], c_span[1])
     created = (a_span[0], b_span[1])
-    out = np.zeros((len(new_states), len(old_states)), dtype=complex)
+    rows, cols, vals = [], [], []
     for j, st in enumerate(old_states):
         a, b, c, d = (st[old_pos[s]] for s in (a_span, b_span, c_span, node_span))
         y = st[old_pos[removed]]
@@ -232,8 +234,17 @@ def _reference_move_matrix(model, fresh, shape, node_span):
             if abs(amp) <= DROP_TOLERANCE:
                 continue
             base[created] = x
-            out[new_index[tuple(base[s] for s in new_spans)], j] = amp
-    return out
+            rows.append(new_index[tuple(base[s] for s in new_spans)])
+            cols.append(j)
+            vals.append(complex(amp))
+    return sp.csr_matrix(
+        (np.array(vals, dtype=complex), (rows, cols)), shape=(len(new_states), len(old_states))
+    )
+
+
+def _csr_bytes(mat):
+    mat = getattr(mat, "matrix", mat)
+    return [getattr(mat, attr).tobytes() for attr in ("data", "indices", "indptr")]
 
 
 def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
@@ -262,16 +273,57 @@ def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
             for shape, node_span in moves:
                 _, mat = _move_matrix(model, shape, node_span)
                 reference = _reference_move_matrix(model, fresh, shape, node_span)
-                assert np.array_equal(mat.toarray(), reference)
+                assert _csr_bytes(mat) == _csr_bytes(reference)
             visited = {canonical.shape} | {shape for shape, _ in moves}
             for shape in visited:
                 spans, states = fresh(shape)
-                cached = _labelings(model, shape)
-                assert isinstance(cached[0], tuple) and isinstance(cached[1], tuple)
-                assert cached == (tuple(spans), tuple(states))
-                assert trees.enumerate_labelings(model, shape) == (spans, states)
-            assert canonical.states is _labelings(model, canonical.shape)[1]
+                cached = _label_table(model, shape)
+                assert cached.spans == tuple(spans)
+                assert list(map(tuple, cached.rows.tolist())) == states
+                assert not cached.rows.flags.writeable and not cached.codes.flags.writeable
+                fresh_table = trees.enumerate_labelings(model, shape)
+                assert np.array_equal(fresh_table.rows, cached.rows)
+            assert canonical.table.rows is _label_table(model, canonical.shape).rows
+            assert canonical.states == tuple(fresh(canonical.shape)[1])
             assert FusionTreeBasis(model, n).dim == orc.total_dimension(model, n)
+
+
+def test_label_table_lookup_round_trips(fib, fermion, ising):
+    """On every shape of up to six modes, each row's code finds its own
+    position, and labelings that are no state are reported missing."""
+    for model in (fib, fermion, ising):
+        for n in range(1, 7):
+            for shape in _all_shapes(0, n - 1):
+                table = _label_table(model, shape)
+                assert np.all(np.diff(table.codes) > 0)
+                assert np.array_equal(table.find(table.rows), np.arange(len(table.rows)))
+                positions = {st: i for i, st in enumerate(map(tuple, table.rows.tolist()))}
+                probe = table.rows.copy()
+                probe[:, 0] = (probe[:, 0] + 1) % model.n_labels
+                want = [positions.get(st, -1) for st in map(tuple, probe.tolist())]
+                assert table.find(probe).tolist() == want
+                for bad in (-1, model.n_labels):
+                    probe[:, -1] = bad
+                    assert np.all(table.find(probe) == -1)
+            if n > 1:
+                assert -1 in want
+
+
+def test_label_codes_refuse_int64_overflow(fib, ising):
+    for model, n in ((fib, 33), (ising, 21)):
+        with pytest.raises(ValueError, match="overflow the int64"):
+            trees.enumerate_labelings(model, left_comb(0, n - 1))
+
+
+def test_braid_gather_matches_the_state_loop(fib, fermion, ising):
+    """Every adjacent braid has the CSR bytes of the per-state loop."""
+    for model in (fib, fermion, ising):
+        for n in range(2, 7):
+            for k in range(1, n):
+                for sense in ("over", "under"):
+                    got = braid_adjacent(model, n, k, sense)
+                    want = orc.braid_adjacent_loop(model, n, k, sense)
+                    assert _csr_bytes(got) == _csr_bytes(want)
 
 
 def _loop_totals(basis):

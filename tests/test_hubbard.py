@@ -296,3 +296,11 @@ def test_diagonalize_never_densifies_the_full_operator(monkeypatch):
         for method in ("dense", "iterative"):
             sp = diagonalize(h, g, method=method)
             assert sp.method == method and sp.block_dim in (89, 144)
+
+
+def test_rungs5_sector_e_ground_energy():
+    """The largest lattice the benchmark solves, on the only ``eigsh`` path."""
+    _, h = hubbard_hamiltonian(5, HubbardParams(t=1.0, mu=0.5, indexing="geometric"))
+    spectrum = diagonalize(h, "e", want_vector=False)
+    assert spectrum.method == "iterative"
+    assert abs(spectrum.ground_energy - (-9.7006651521)) < 1e-9
