@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import trees
 from .basis import (
     FusionTreeBasis, SparseOperator, braid_word, _factored_states, _from_factored, _memo
 )
@@ -240,6 +241,21 @@ def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperat
     return braid_word(model, n_modes, word)
 
 
+def _canonical_basis(op: SparseOperator) -> FusionTreeBasis:
+    """The basis ``op`` acts on, after checking that its rows and its columns
+    are both over the one unsectored left-comb basis."""
+    basis = op.row_basis
+    if not (
+        basis.sector is None
+        and basis.shape == trees.left_comb(0, basis.n_modes - 1)
+        and op.col_basis.is_compatible(basis)
+    ):
+        raise ValueError(
+            "operator must map the unsectored left-comb basis of its modes to itself"
+        )
+    return basis
+
+
 def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     """Whether ``op`` lies in the candidate-local span of the region ``modes``.
 
@@ -251,7 +267,7 @@ def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     charge-changing elements included; fitting against it avoids forming
     that commutant.
     """
-    basis = op.row_basis
+    basis = _canonical_basis(op)
     model = basis.model
     n = basis.n_modes
     s = sorted(modes)
@@ -584,7 +600,7 @@ def decompose_observable(
     polynomial evaluates back to ``op`` within ``tolerance`` (the residual is
     recorded on the result).
     """
-    basis = op.row_basis
+    basis = _canonical_basis(op)
     model = basis.model
     n = basis.n_modes
     s = tuple(sorted(modes))

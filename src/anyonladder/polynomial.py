@@ -20,7 +20,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from .basis import SparseOperator
+from .basis import SparseOperator, _matmul_batch
 
 __all__ = ["GeneratorSymbol", "LadderPolynomial", "MERGE_TOLERANCE"]
 
@@ -72,6 +72,42 @@ Word = tuple[GeneratorSymbol, ...]
 
 def _word_sort_key(word: Word):
     return (len(word), word)
+
+
+def _fill_cache(words: Sequence[Word], resolver, cache: dict, identity) -> None:
+    """Put the matrix of each word in ``words`` into ``cache``, with those of
+    its uncached suffixes and of their first letters.
+
+    The empty word is ``identity``; a letter comes from ``resolver`` (a
+    daggered one as the adjoint of its undaggered matrix); a longer word is
+    ``letter @ rest`` with ``rest`` the word after its first letter.  Words
+    are built shortest first, all of one length in one ``_matmul_batch``
+    call, so every product sees the same operands, and gives the same bits,
+    as a word-by-word recursion.
+    """
+    pending: dict[Word, None] = {}  # an ordered set
+    for word in words:
+        if not word:
+            cache[()] = identity
+        for k in range(len(word)):
+            suffix = word[k:]
+            if suffix in cache or suffix in pending:
+                break
+            pending[suffix] = None
+            if word[k:k + 1] not in cache:
+                pending[word[k:k + 1]] = None
+    by_length: dict[int, list[Word]] = {}
+    for word in pending:
+        by_length.setdefault(len(word), []).append(word)
+    for length in sorted(by_length):
+        batch = by_length[length]
+        if length == 1:
+            for word in batch:
+                sym = word[0]
+                base = resolver(sym.adjoint() if sym.dagger else sym)
+                cache[word] = base.dagger() if sym.dagger else base
+        else:
+            cache.update(zip(batch, _matmul_batch([(cache[w[:1]], cache[w[1:]]) for w in batch])))
 
 
 class LadderPolynomial:
@@ -187,8 +223,11 @@ class LadderPolynomial:
 
         ``resolver`` maps an undaggered generator symbol to its matrix; the
         daggered one is derived.  ``cache`` (word -> SparseOperator) is
-        shared across calls to reuse word products; word matrices are built
-        recursively so common suffixes are computed once.
+        shared across calls to reuse word products.  A missing word is
+        ``letter @ rest``, with its uncached suffixes and their letters added
+        too, so common suffixes are computed once; the missing words of one
+        length are multiplied in one batched call, shortest first, and each
+        gets the CSR bytes that ``SparseOperator.__matmul__`` would give it.
         """
         if cache is None:
             cache = {}
@@ -213,25 +252,15 @@ class LadderPolynomial:
         return self._accumulate(resolver, cache, identity)
 
     def _accumulate(self, resolver, cache: dict, identity) -> SparseOperator:
-        def word_matrix(word: Word) -> SparseOperator:
-            hit = cache.get(word)
-            if hit is not None:
-                return hit
-            if len(word) == 0:
-                mat = identity
-            elif len(word) == 1:
-                sym = word[0]
-                base = resolver(sym.adjoint() if sym.dagger else sym)
-                mat = base.dagger() if sym.dagger else base
-            else:
-                mat = word_matrix(word[:1]) @ word_matrix(word[1:])
-            cache[word] = mat
-            return mat
+        mats = list(map(cache.get, self._terms))
+        missing = [w for w, mat in zip(self._terms, mats) if mat is None]
+        if missing:
+            _fill_cache(missing, resolver, cache, identity)
+            mats = list(map(cache.__getitem__, self._terms))
 
         dense = None
         reference = identity
-        for w, c in self._terms.items():
-            mat = word_matrix(w)
+        for c, mat in zip(self._terms.values(), mats):
             if dense is None:
                 dense = c * mat.to_dense()
                 reference = mat

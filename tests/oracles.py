@@ -318,3 +318,50 @@ def braid_adjacent_loop(model, n_modes: int, k: int, sense: str = "over"):
         swapped[pos[(j, j)]] = a
         entries[(target_basis.index[tuple(swapped)], col)] = model.r(a, b, c)
     return _from_factored(w, entries)
+
+
+def evaluate_recursively(poly, resolver, cache: dict, identity=None):
+    """``LadderPolynomial.evaluate_with_identity`` with every word matrix built
+    by its own recursive ``letter @ rest`` product (``SparseOperator.__matmul__``),
+    suffixes shared through ``cache``."""
+    import numpy as np
+    from scipy import sparse
+
+    from anyonladder.basis import SparseOperator
+
+    def word_matrix(word):
+        hit = cache.get(word)
+        if hit is not None:
+            return hit
+        if len(word) == 0:
+            mat = identity
+        elif len(word) == 1:
+            sym = word[0]
+            base = resolver(sym.adjoint() if sym.dagger else sym)
+            mat = base.dagger() if sym.dagger else base
+        else:
+            mat = word_matrix(word[:1]) @ word_matrix(word[1:])
+        cache[word] = mat
+        return mat
+
+    dense = None
+    reference = identity
+    for w, c in poly._terms.items():
+        mat = word_matrix(w)
+        if dense is None:
+            dense = c * mat.to_dense()
+            reference = mat
+        else:
+            dense += c * mat.to_dense()
+    if dense is None:
+        dense = np.zeros((identity.row_basis.dim, identity.col_basis.dim), dtype=complex)
+    return SparseOperator(reference.row_basis, reference.col_basis, sparse.csr_matrix(dense)).drop()
+
+
+def csr_bytes(op):
+    """The dtype and raw bytes of each CSR array of ``op``: equal exactly when
+    two operators store the same entries in the same order, bit for bit."""
+    return tuple(
+        (part.dtype.str, part.tobytes())
+        for part in (op.matrix.data, op.matrix.indices, op.matrix.indptr)
+    )

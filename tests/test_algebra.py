@@ -3,6 +3,8 @@ import pytest
 
 import oracles as orc
 from anyonladder.algebra import (
+    _product_frame,
+    _word_cache,
     abelian_sum_polynomial,
     algebra_closure,
     apply_word,
@@ -36,7 +38,7 @@ from anyonladder.ladder import (
     resolver,
     rest_charges,
 )
-from anyonladder.model import ModelDataError, builtin
+from anyonladder.model import ModelDataError, builtin, dump_model, load_model
 from anyonladder.polynomial import LadderPolynomial
 
 
@@ -334,6 +336,37 @@ def test_warm_decompose_merges_terms_in_one_pass(fib, monkeypatch):
     assert len(calls) <= 3
 
 
+@pytest.mark.parametrize(
+    "name, n, m",
+    [
+        ("fibonacci", 3, 1),
+        ("fibonacci", 3, 2),
+        ("fibonacci", 3, 3),
+        ("fibonacci", 4, 2),
+        ("fibonacci", 5, 1),
+        ("ising", 3, 1),
+        ("ising", 3, 2),
+        ("fermion", 4, 2),
+    ],
+)
+def test_product_frame_words_match_recursive_evaluation(name, n, m):
+    """A cold frame build fills the shared word cache with the keys and CSR
+    bytes of the word-by-word recursion, and its stack has the bytes of the
+    recursion's evaluations."""
+    model = load_model(dump_model(builtin(name)))  # a copy with empty caches
+    _entries, polys, stack = _product_frame(model, n, m)
+    resolve, identity = resolver(model, n), _identity(model, n)
+    recursive = {}
+    columns = [
+        orc.evaluate_recursively(poly, resolve, recursive, identity).to_dense().ravel()
+        for poly in polys
+    ]
+    batched = _word_cache(model, n)
+    assert batched.keys() == recursive.keys()
+    assert all(orc.csr_bytes(batched[w]) == orc.csr_bytes(recursive[w]) for w in recursive)
+    assert np.stack(columns, axis=1).tobytes() == stack.tobytes()
+
+
 def test_decompose_identity_short_circuit(fib):
     op = 2.5 * _identity(fib, 3)
     dec = decompose_observable(op, (1, 2))
@@ -369,6 +402,25 @@ def test_decompose_rejects_charge_changing(fib):
     pair = fibonacci_pair(fib, 3)
     with pytest.raises(ValueError, match="not an observable"):
         decompose_observable(pair.alpha[1], (1,))
+
+
+def test_decompose_and_locality_reject_non_canonical_bases(fib):
+    n3, n2 = FusionTreeBasis(fib, 3), FusionTreeBasis(fib, 2)
+    tau = FusionTreeBasis(fib, 3, sector="tau")
+    right = FusionTreeBasis(fib, 3, shape=(0, (1, 2)))
+    ops = [
+        SparseOperator.from_entries(n3, n2, {(0, 0): 1.0}),
+        SparseOperator.from_entries(n2, n3, {(0, 0): 1.0}),
+        SparseOperator.identity(tau) * 2.0,
+        SparseOperator.from_entries(tau, tau, {(0, 0): 1.0}),
+        SparseOperator.from_entries(right, right, {(0, 0): 1.0}),
+        SparseOperator.from_entries(n3, tau, {(0, 0): 1.0}),
+    ]
+    for op in ops:
+        with pytest.raises(ValueError, match="unsectored left-comb basis"):
+            decompose_observable(op, (1,))
+        with pytest.raises(ValueError, match="unsectored left-comb basis"):
+            is_local_candidate(op, (1,))
 
 
 def test_decompose_occupation_operator(fib):

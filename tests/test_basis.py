@@ -13,6 +13,7 @@ from anyonladder.basis import (
     _factored_states,
     _from_factored,
     _label_table,
+    _matmul_batch,
     _move_matrix,
     braid_adjacent,
     braid_word,
@@ -379,6 +380,74 @@ def test_from_factored_matches_explicit_conjugation(fib, fermion, ising):
                 assert got.col_basis.is_compatible(want.col_basis)
                 for attr in ("data", "indices", "indptr"):
                     assert getattr(got.matrix, attr).tobytes() == getattr(want.matrix, attr).tobytes()
+
+
+def _random_operator(rng, row_basis, col_basis, density):
+    """Random complex operator with about ``density`` of its entries stored."""
+    mask = rng.random((row_basis.dim, col_basis.dim)) < density
+    rows, cols = np.nonzero(mask)
+    vals = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    return SparseOperator.from_entries(row_basis, col_basis, (rows, cols, vals))
+
+
+def test_matmul_batch_matches_scipy_products_bit_for_bit(fib):
+    """Each batched product has the CSR bytes of ``a @ b`` (scipy's product,
+    then ``drop``), whatever else is in the batch."""
+    rng = np.random.default_rng(11)
+    b2, b3, b4 = (FusionTreeBasis(fib, n) for n in (2, 3, 4))
+    pairs = []
+    for x, y, z in [(b3, b3, b3), (b2, b3, b4), (b4, b3, b2), (b3, b4, b3), (b3, b3, b3)]:
+        for density in (0.05, 0.3, 0.8):  # sparse with empty rows, to many terms per entry
+            pairs.append((_random_operator(rng, x, y, density), _random_operator(rng, y, z, density)))
+    # Terms that cancel exactly, or leave a sum at or below DROP_TOLERANCE.
+    u = SparseOperator.from_entries(b2, b2, {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1e-15})
+    v = SparseOperator.from_entries(b2, b2, {(0, 0): 0.3 - 0.7j, (1, 0): -0.3 + 0.7j, (1, 1): 1.0})
+    pairs += [(u, v), (SparseOperator.zero(b3), pairs[0][1]), (pairs[0][0], SparseOperator.zero(b3))]
+    # Stored entries out of column order, summed in stored order by scipy.
+    a, b = pairs[4]
+    m = a.matrix
+    unsorted = sp.csr_matrix((m.data[::-1], m.indices[::-1], m.nnz - m.indptr[::-1]), shape=m.shape)
+    pairs.append((SparseOperator(b2, b3, unsorted), b))
+
+    got = _matmul_batch(pairs)
+    assert len(got) == len(pairs)
+    # (0, 0) cancels to zero and (1, 1) is 1e-15: both left out.
+    assert {(i, j) for i, j, _ in got[-4].entries()} == {(0, 1), (1, 0)}
+    for (a, b), out in zip(pairs, got):
+        want = a @ b
+        assert out.row_basis is a.row_basis and out.col_basis is b.col_basis
+        assert orc.csr_bytes(out) == orc.csr_bytes(want)
+    # One pair alone gives the same bytes as within the batch.
+    assert orc.csr_bytes(_matmul_batch(pairs[4:5])[0]) == orc.csr_bytes(got[4])
+    assert _matmul_batch([]) == []
+    with pytest.raises(ValueError, match="incompatible bases"):
+        _matmul_batch([(pairs[6][0], pairs[9][1])])
+
+
+def test_matmul_batch_forms_complex_products_part_by_part(fib):
+    """Pins products where numpy's complex multiply, which may fuse a multiply
+    and an add, rounds differently from scipy's part-by-part product."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    y = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    parts = np.empty_like(x)
+    parts.real = x.real * y.real - x.imag * y.imag
+    parts.imag = x.real * y.imag + x.imag * y.real
+    differ = np.flatnonzero((x * y).view(float) != parts.view(float)) // 2
+    if len(differ) == 0:
+        pytest.skip("numpy's complex multiply rounds part by part on this CPU")
+    basis = FusionTreeBasis(fib, 1)
+    pairs = [
+        (
+            SparseOperator.from_entries(basis, basis, {(0, 1): x[i]}),
+            SparseOperator.from_entries(basis, basis, {(1, 0): y[i]}),
+        )
+        for i in differ[:8]
+    ]
+    for (a, b), out in zip(pairs, _matmul_batch(pairs)):
+        want = a @ b
+        assert orc.csr_bytes(out) == orc.csr_bytes(want)
+        assert (a.matrix.data * b.matrix.data).tobytes() != want.matrix.data.tobytes()
 
 
 def test_memo_keys_calls_by_bound_arguments(fib):

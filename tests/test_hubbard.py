@@ -4,6 +4,7 @@ import pytest
 import oracles as orc
 from anyonladder.basis import FusionTreeBasis, SparseOperator, total_charge_projector
 from anyonladder.hubbard import (
+    INDEXINGS,
     HubbardParams,
     build_hamiltonian,
     build_lattice,
@@ -90,6 +91,22 @@ def test_polynomial_route_matches_direct():
         resolver(model, spec.n_modes), SparseOperator.identity(FusionTreeBasis(model, spec.n_modes))
     )
     assert (direct - resolved).norm_max() < 1e-12
+
+
+@pytest.mark.parametrize("indexing", INDEXINGS)
+@pytest.mark.parametrize("n_rungs", [1, 2, 3])
+def test_hamiltonian_polynomial_words_match_recursive_evaluation(n_rungs, indexing):
+    spec = build_lattice(n_rungs, indexing)
+    poly = hamiltonian_polynomial(spec, HubbardParams(t=1.1, mu=-0.4, indexing=indexing))
+    model = builtin("fibonacci")
+    resolve = resolver(model, spec.n_modes)
+    identity = SparseOperator.identity(FusionTreeBasis(model, spec.n_modes))
+    batched, recursive = {}, {}
+    got = poly.evaluate_with_identity(resolve, identity, cache=batched)
+    want = orc.evaluate_recursively(poly, resolve, recursive, identity)
+    assert batched.keys() == recursive.keys()
+    assert all(orc.csr_bytes(batched[w]) == orc.csr_bytes(recursive[w]) for w in recursive)
+    assert orc.csr_bytes(got) == orc.csr_bytes(want)
 
 
 def test_zero_hopping_is_diagonal_occupation_count():

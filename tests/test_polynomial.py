@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.ladder import ladder_set, resolver
 from anyonladder.polynomial import MERGE_TOLERANCE, GeneratorSymbol, LadderPolynomial
-from oracles import fold_sum
+from oracles import csr_bytes, evaluate_recursively, fold_sum
 
 symbols = st.builds(
     GeneratorSymbol,
@@ -166,6 +166,24 @@ def test_evaluate_empty_polynomial(fib):
     assert zero.is_zero()
     with pytest.raises(ValueError):
         zero.evaluate(resolver(fib, 2))
+
+
+def test_evaluation_caches_the_words_the_recursion_caches(fib):
+    """Constant terms, shared suffixes, daggered letters and a warm second
+    call: the word cache gets the keys and CSR bytes of the recursion."""
+    resolve = resolver(fib, 3)
+    ident = SparseOperator.identity(FusionTreeBasis(fib, 3))
+    a, b, c = _gen(1), _gen(2, dagger=True), _gen(3, j=1)
+    first = a @ b @ c + 0.5 * (b @ c) + 2j * (c @ a @ a @ b)
+    second = LadderPolynomial.constant(1.5) + a @ b @ c @ c - 0.25 * (c @ a @ a @ b)
+    batched, recursive = {}, {}
+    for poly in (first, second):
+        got = poly.evaluate_with_identity(resolve, ident, cache=batched)
+        want = evaluate_recursively(poly, resolve, recursive, ident)
+        assert batched.keys() == recursive.keys()
+        assert all(csr_bytes(batched[w]) == csr_bytes(recursive[w]) for w in recursive)
+        assert csr_bytes(got) == csr_bytes(want)
+    assert () in batched and (a @ b @ c).terms[0][1][1:] in batched
 
 
 def test_terms_are_sorted_deterministically():
