@@ -222,41 +222,108 @@ class SparseOperator:
         return bool(np.array_equal(rows, cols))
 
 
-def _matmul_batch(pairs) -> list[SparseOperator]:
-    """``[a @ b for a, b in pairs]`` in one vectorised pass, bit for bit.
+@dataclass(frozen=True, eq=False)
+class _CSRBlock:
+    """Equal-shape matrices between two bases, stacked row-wise in one CSR.
 
-    The pairs are stacked block-diagonally and every term ``a[i, j] b[j, k]``
-    is expanded in the order of scipy's ``csr_matmat`` (Gustavson's row-wise
-    product): row ``i`` of ``a``, its stored entries in order, each followed
-    by the stored entries of row ``j`` of ``b``.  Real and imaginary parts
-    are formed by separate float operations, as that kernel forms them;
-    numpy's complex multiply may fuse them and move the last bit.  Each entry
-    sums its terms in that order from zero, entries at or below
-    ``DROP_TOLERANCE`` are left out (as ``drop`` leaves them out), and every
-    product comes back as canonical sorted CSR.
+    Matrix ``i`` is rows ``i * R .. (i + 1) * R`` of the stack (``R`` the
+    row-basis dimension), its entries in their stored order; ``rows`` holds
+    the row of each entry within its matrix.  A word cache refers to matrix
+    ``i`` as ``(block, i)``; no scipy object exists per matrix until
+    :meth:`operator` makes one.
     """
-    for a, b in pairs:
-        if not a.col_basis.is_compatible(b.row_basis):
-            raise ValueError("operator composition over incompatible bases")
-    if not pairs:
-        return []
-    am = [a.matrix for a, _ in pairs]
-    bm = [b.matrix for _, b in pairs]
-    row_off = np.cumsum([0] + [m.shape[0] for m in am])
-    mid_off = np.cumsum([0] + [m.shape[0] for m in bm])
-    col_off = np.cumsum([0] + [m.shape[1] for m in bm])
 
-    def stacked(mats, offsets):
-        """Row lengths, shifted column indices and values of ``mats`` stacked."""
-        row_nnz = np.concatenate([m.indptr[1:] for m in mats])
-        row_nnz -= np.concatenate([m.indptr[:-1] for m in mats])
-        cols = np.concatenate([m.indices for m in mats])
-        cols = cols + np.repeat(offsets[:-1], [len(m.indices) for m in mats])
-        return row_nnz, cols, np.concatenate([m.data for m in mats])
+    row_basis: FusionTreeBasis
+    col_basis: FusionTreeBasis
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rows: np.ndarray
 
-    a_row_nnz, a_col, a_val = stacked(am, mid_off)
-    b_row_nnz, b_col, b_val = stacked(bm, col_off)
-    a_row = np.repeat(np.arange(row_off[-1]), a_row_nnz)
+    _require_same_bases = SparseOperator._require_same_bases
+
+    @classmethod
+    def pack(cls, ops) -> "_CSRBlock":
+        """The operators ``ops``, which share their bases, as one block."""
+        first = ops[0]
+        for op in ops:
+            first._require_same_bases(op)
+        mats = [op.matrix for op in ops]
+        starts = np.cumsum([0] + [m.nnz for m in mats])
+        indptr = np.concatenate([m.indptr[:-1] + s for m, s in zip(mats, starts)] + [starts[-1:]])
+        rows = np.repeat(np.tile(np.arange(first.row_basis.dim), len(ops)), np.diff(indptr))
+        return cls(first.row_basis, first.col_basis, indptr,
+                   np.concatenate([m.indices for m in mats]),
+                   np.concatenate([m.data for m in mats]).astype(complex, copy=False), rows)
+
+    def operator(self, i: int) -> SparseOperator:
+        """Matrix ``i`` as a ``SparseOperator``, with the CSR bytes it was stored with."""
+        n_rows = self.row_basis.dim
+        ptr = self.indptr[i * n_rows:(i + 1) * n_rows + 1]
+        lo, hi = ptr[0], ptr[-1]
+        mat = sp.csr_matrix((self.data[lo:hi], self.indices[lo:hi], ptr - lo),
+                            shape=(n_rows, self.col_basis.dim))
+        return SparseOperator(self.row_basis, self.col_basis, mat)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def _gather(refs):
+    """The stored entries of the matrices ``block.operator(i)`` for ``(block,
+    i)`` in ``refs``, in that order and each in its stored order: ``(first
+    block, position in refs, row, column, value)`` per entry.
+
+    The blocks must share their bases.  Each block is read with one gather.
+    """
+    blocks, slots = zip(*refs)
+    slots = np.array(slots)
+    base = blocks[0]
+    if blocks.count(base) == len(blocks):
+        groups = [(base, np.arange(len(blocks)))]
+    else:
+        ids = np.fromiter(map(id, blocks), np.intp, len(blocks))
+        _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+        groups = [(blocks[i], np.flatnonzero(which == b)) for b, i in enumerate(first)]
+    parts = []
+    for block, sel in groups:
+        base._require_same_bases(block)
+        word_ptr = block.indptr[::base.row_basis.dim]
+        starts = word_ptr[slots[sel]]
+        counts = word_ptr[slots[sel] + 1] - starts
+        src = _ranges(starts, counts)
+        parts.append((np.repeat(sel, counts), block.rows[src], block.indices[src], block.data[src]))
+    if len(parts) == 1:
+        return (base, *parts[0])
+    owner, rows, cols, vals = map(np.concatenate, zip(*parts))
+    order = np.argsort(owner, kind="stable")  # back to the order of refs
+    return base, owner[order], rows[order], cols[order], vals[order]
+
+
+def _matmul_batch(lefts, rights) -> _CSRBlock:
+    """The block of ``a @ b`` for the matrices ``a`` of ``lefts`` and ``b`` of
+    ``rights`` (lists of ``(block, i)`` references), in one vectorised pass,
+    with the CSR bytes of ``SparseOperator.__matmul__``.
+
+    Every term ``a[i, j] b[j, k]`` is expanded in the order of scipy's
+    ``csr_matmat`` (Gustavson's row-wise product): row ``i`` of ``a``, its
+    stored entries in order, each followed by the stored entries of row
+    ``j`` of ``b``.  Real and imaginary parts are formed by separate float
+    operations, as that kernel forms them; numpy's complex multiply may fuse
+    them and move the last bit.  Each entry sums its terms in that order from
+    zero, entries at or below ``DROP_TOLERANCE`` are left out (as ``drop``
+    leaves them out), and every product is stored as canonical sorted CSR.
+    """
+    a_base, a_owner, a_rows, a_col, a_val = _gather(lefts)
+    b_base, b_owner, b_rows, b_col, b_val = _gather(rights)
+    if not a_base.col_basis.is_compatible(b_base.row_basis):
+        raise ValueError("operator composition over incompatible bases")
+    n_rows, n_mid, n_cols = a_base.row_basis.dim, b_base.row_basis.dim, b_base.col_basis.dim
+    a_row = a_owner * n_rows + a_rows  # rows and columns of the stacked a, b
+    a_col = a_owner * n_mid + a_col
+    b_row_nnz = np.bincount(b_owner * n_mid + b_rows, minlength=len(rights) * n_mid)
     b_start = np.cumsum(b_row_nnz) - b_row_nnz
     # Term t pairs a entry ta[t] with b entry tb[t], in csr_matmat's order.
     count = b_row_nnz[a_col]
@@ -266,24 +333,31 @@ def _matmul_batch(pairs) -> list[SparseOperator]:
     terms = np.empty(len(ta), complex)
     terms.real = ar * br - ai * bi
     terms.imag = ar * bi + ai * br
-    keys, slot = np.unique(a_row[ta] * col_off[-1] + b_col[tb], return_inverse=True)
+    keys, slot = np.unique(a_row[ta] * n_cols + b_col[tb], return_inverse=True)
     sums = np.zeros(len(keys), complex)
     np.add.at(sums, slot, terms)
     keep = np.abs(sums) > DROP_TOLERANCE
-    rows, cols = np.divmod(keys[keep], col_off[-1])
-    sums = sums[keep]
-    indptr = np.searchsorted(rows, np.arange(row_off[-1] + 1))
-    if max(indptr[-1], col_off[-1]) <= np.iinfo(np.int32).max:  # scipy's choice, made once
+    rows, cols = np.divmod(keys[keep], n_cols)
+    indptr = np.searchsorted(rows, np.arange(len(lefts) * n_rows + 1))
+    if max(indptr[-1], n_cols) <= np.iinfo(np.int32).max:  # scipy's choice
         indptr, cols = indptr.astype(np.int32), cols.astype(np.int32)
+    return _CSRBlock(a_base.row_basis, b_base.col_basis, indptr, cols, sums[keep], rows % n_rows)
 
-    out = []
-    for p, (a, b) in enumerate(pairs):
-        ptr = indptr[row_off[p]:row_off[p + 1] + 1]
-        lo, hi = ptr[0], ptr[-1]
-        shape = (am[p].shape[0], bm[p].shape[1])
-        mat = sp.csr_matrix((sums[lo:hi], cols[lo:hi] - col_off[p], ptr - lo), shape=shape)
-        out.append(SparseOperator(a.row_basis, b.col_basis, mat))
-    return out
+
+def _dense_stacks(refs, size: int):
+    """``block.operator(i).to_dense()`` for each ``(block, i)`` in ``refs``, in
+    stacks of at most ``size`` matrices, bit for bit: each stored entry is
+    added to zero in stored order, as ``toarray`` adds it (so a ``-0.0`` part
+    becomes ``+0.0``).  The words are gathered once, for all stacks."""
+    base, owner, rows, cols, vals = _gather(refs)
+    n_rows, n_cols = base.row_basis.dim, base.col_basis.dim
+    flat = (owner * n_rows + rows) * n_cols + cols
+    bounds = np.searchsorted(owner, np.arange(0, len(refs) + size, size))
+    for k, lo in enumerate(range(0, len(refs), size)):
+        out = np.zeros((min(size, len(refs) - lo), n_rows, n_cols), complex)
+        entries = slice(bounds[k], bounds[k + 1])
+        np.add.at(out.reshape(-1), flat[entries] - lo * n_rows * n_cols, vals[entries])
+        yield out
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .basis import (
     total_charge_projector,
 )
 from .fixtures import fixture, fixture_descriptions, fixture_names
-from .ladder import fermion_type, fibonacci_pair, fibonacci_type, j_count, ladder_set
+from .ladder import _shared_pair, fermion_type, fibonacci_type, j_count, ladder_set
 from .model import (
     BUILTIN_MODELS,
     ModelDataError,
@@ -301,9 +301,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_hubbard(args) -> int:
+    model = builtin("fibonacci")
+    if args.sector is not None and args.sector not in model.labels:
+        raise ValueError(
+            f"unknown sector {args.sector!r}; expected one of {', '.join(model.labels)}"
+        )
+    sectors = [args.sector] if args.sector else list(model.labels)
     params = hub.HubbardParams(args.t, args.mu, args.indexing)
-    spec, h = hub.hubbard_hamiltonian(args.rungs, params)
-    model = h.row_basis.model
+    spec, h = hub.hubbard_hamiltonian(args.rungs, params, model=model)
     print(spec.describe())
     if args.indexing == "geometric":
         print(
@@ -311,7 +316,6 @@ def cmd_hubbard(args) -> int:
             "(i, 2N+1-i); pass --indexing paper for the (i, 2N-i) convention "
             "(the two differ for N >= 2)"
         )
-    sectors = [args.sector] if args.sector else list(model.labels)
     spectra = []
     for g in sectors:
         sp = hub.diagonalize(h, g)
@@ -323,8 +327,8 @@ def cmd_hubbard(args) -> int:
     written: list[str] = []
     _write(args.out, "spectrum.csv", sz.write_spectrum_csv(spectra), written)
     ground = min(spectra, key=lambda sp: sp.ground_energy)
-    pair = fibonacci_pair(model, spec.n_modes)
-    densities = hub.occupation_profile(ground.ground_state, pair)
+    # The pair the Hamiltonian was built from, not a second construction.
+    densities = hub.occupation_profile(ground.ground_state, _shared_pair(model, spec.n_modes))
     _write(args.out, "occupation.csv", sz.write_occupation_csv(densities), written)
     print(
         f"ground sector {ground.sector}: occupation profile "
@@ -397,10 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_arguments(args) -> None:
+    """Reject values that no subcommand accepts, before any work or output."""
+    if not 0.0 <= args.tolerance < np.inf:  # NaN fails this too
+        raise ValueError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
+    if vars(args).get("modes", 1) < 1:
+        raise ValueError(f"--modes must be at least 1, got {args.modes}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_arguments(args)
         return args.func(args)
     except (ModelDataError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,9 @@ import numpy as np
 from scipy.sparse.linalg import eigsh
 
 from .basis import FusionTreeBasis, SparseOperator
-from .ladder import FibonacciPair, fibonacci_pair
+# fibonacci_pair stays a module attribute: the benchmark's tracer rebinds it
+# here (perfbench/test_perfbench.py::test_tracer_rebinds_every_copy_and_restores).
+from .ladder import FibonacciPair, _shared_pair, fibonacci_pair  # noqa: F401
 from .model import AnyonModel, builtin
 from .polynomial import GeneratorSymbol, LadderPolynomial
 
@@ -176,7 +178,11 @@ def build_hamiltonian(
     model: AnyonModel | None = None,
     pair: FibonacciPair | None = None,
 ) -> SparseOperator:
-    """Assemble the Hamiltonian directly from the pair operator matrices."""
+    """Assemble the Hamiltonian directly from the pair operator matrices.
+
+    Without ``pair``, the model's shared pair (``ladder._shared_pair``) is
+    used, so later callers on the same model and mode count reuse it.
+    """
     if params.indexing != spec.indexing:
         raise ValueError(
             f"params request {params.indexing!r} indexing but the lattice was "
@@ -185,7 +191,7 @@ def build_hamiltonian(
     if pair is None:
         if model is None:
             model = builtin("fibonacci")
-        pair = fibonacci_pair(model, spec.n_modes)
+        pair = _shared_pair(model, spec.n_modes)
     if pair.n_modes != spec.n_modes:
         raise ValueError(
             f"pair operators cover {pair.n_modes} modes, lattice has {spec.n_modes}"

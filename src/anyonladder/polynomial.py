@@ -15,16 +15,20 @@ callback, so the same polynomial can be evaluated on any mode count.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .basis import SparseOperator, _matmul_batch
+from .basis import SparseOperator, _CSRBlock, _dense_stacks, _matmul_batch
 
 __all__ = ["GeneratorSymbol", "LadderPolynomial", "MERGE_TOLERANCE"]
 
 MERGE_TOLERANCE = 1e-12
+# Matrix entries densified at once by an evaluation: 512 KB, so that a stack
+# stays in cache while the fold reads it (larger stacks measured slower).
+_DENSE_CHUNK = 1 << 15
 
 
 class GeneratorSymbol(NamedTuple):
@@ -75,20 +79,21 @@ def _word_sort_key(word: Word):
 
 
 def _fill_cache(words: Sequence[Word], resolver, cache: dict, identity) -> None:
-    """Put the matrix of each word in ``words`` into ``cache``, with those of
-    its uncached suffixes and of their first letters.
+    """Put a ``(block, i)`` reference to the matrix of each word in ``words``
+    into ``cache``, with those of its uncached suffixes and of their first
+    letters.
 
     The empty word is ``identity``; a letter comes from ``resolver`` (a
     daggered one as the adjoint of its undaggered matrix); a longer word is
     ``letter @ rest`` with ``rest`` the word after its first letter.  Words
     are built shortest first, all of one length in one ``_matmul_batch``
-    call, so every product sees the same operands, and gives the same bits,
-    as a word-by-word recursion.
+    call that stores them as one ``_CSRBlock``, so every product sees the
+    same operands, and gives the same bits, as a word-by-word recursion.
     """
     pending: dict[Word, None] = {}  # an ordered set
     for word in words:
         if not word:
-            cache[()] = identity
+            cache[()] = (_CSRBlock.pack([identity]), 0)
         for k in range(len(word)):
             suffix = word[k:]
             if suffix in cache or suffix in pending:
@@ -102,12 +107,14 @@ def _fill_cache(words: Sequence[Word], resolver, cache: dict, identity) -> None:
     for length in sorted(by_length):
         batch = by_length[length]
         if length == 1:
-            for word in batch:
-                sym = word[0]
+            letters = []
+            for (sym,) in batch:
                 base = resolver(sym.adjoint() if sym.dagger else sym)
-                cache[word] = base.dagger() if sym.dagger else base
+                letters.append(base.dagger() if sym.dagger else base)
+            block = _CSRBlock.pack(letters)
         else:
-            cache.update(zip(batch, _matmul_batch([(cache[w[:1]], cache[w[1:]]) for w in batch])))
+            block = _matmul_batch([cache[w[:1]] for w in batch], [cache[w[1:]] for w in batch])
+        cache.update(zip(batch, zip(repeat(block), range(len(batch)))))
 
 
 class LadderPolynomial:
@@ -222,12 +229,16 @@ class LadderPolynomial:
         """Evaluate on a concrete system.
 
         ``resolver`` maps an undaggered generator symbol to its matrix; the
-        daggered one is derived.  ``cache`` (word -> SparseOperator) is
-        shared across calls to reuse word products.  A missing word is
-        ``letter @ rest``, with its uncached suffixes and their letters added
-        too, so common suffixes are computed once; the missing words of one
-        length are multiplied in one batched call, shortest first, and each
-        gets the CSR bytes that ``SparseOperator.__matmul__`` would give it.
+        daggered one is derived.  ``cache`` is shared across calls to reuse
+        word products; it maps each word to a ``(block, i)`` reference, matrix
+        ``i`` of a ``basis._CSRBlock`` (``block.operator(i)`` makes it a
+        ``SparseOperator``).  A missing word is ``letter @ rest``, with its
+        uncached suffixes and their letters added too, so common suffixes are
+        computed once; the missing words of one length are multiplied in one
+        batched call, shortest first, into one block, and each gets the CSR
+        bytes that ``SparseOperator.__matmul__`` would give it.  The result is
+        the dense sum of the terms in term order, with the bits of a sum of
+        ``coeff * matrix.to_dense()``.
         """
         if cache is None:
             cache = {}
@@ -252,29 +263,31 @@ class LadderPolynomial:
         return self._accumulate(resolver, cache, identity)
 
     def _accumulate(self, resolver, cache: dict, identity) -> SparseOperator:
-        mats = list(map(cache.get, self._terms))
-        missing = [w for w, mat in zip(self._terms, mats) if mat is None]
-        if missing:
+        refs = list(map(cache.get, self._terms))
+        if None in refs:
+            missing = [w for w, ref in zip(self._terms, refs) if ref is None]
             _fill_cache(missing, resolver, cache, identity)
-            mats = list(map(cache.__getitem__, self._terms))
-
-        dense = None
-        reference = identity
-        for c, mat in zip(self._terms.values(), mats):
-            if dense is None:
-                dense = c * mat.to_dense()
-                reference = mat
-            else:
-                dense += c * mat.to_dense()
-        if dense is None:
+            refs = list(map(cache.__getitem__, self._terms))
+        if not refs:
             if identity is None:
                 raise ValueError(
                     "cannot evaluate an empty polynomial without a basis"
                 )
-            dense = np.zeros((identity.row_basis.dim, identity.col_basis.dim), dtype=complex)
-        return SparseOperator(
-            reference.row_basis, reference.col_basis, sparse.csr_matrix(dense)
-        ).drop()
+            row_basis, col_basis = identity.row_basis, identity.col_basis
+            dense = np.zeros((row_basis.dim, col_basis.dim), dtype=complex)
+        else:
+            # The dense sum of c * M over the terms, in term order; the word
+            # matrices M are densified a chunk of terms at a time.
+            block = refs[0][0]
+            row_basis, col_basis = block.row_basis, block.col_basis
+            size = max(1, _DENSE_CHUNK // (row_basis.dim * col_basis.dim))
+            mats = (mat for stack in _dense_stacks(refs, size) for mat in stack)
+            terms = zip(self._terms.values(), mats)
+            c, mat = next(terms)
+            dense = c * mat
+            for c, mat in terms:
+                dense += c * mat
+        return SparseOperator(row_basis, col_basis, sparse.csr_matrix(dense)).drop()
 
     def signature(self) -> tuple:
         """Hashable canonical form: words with coefficients rounded.

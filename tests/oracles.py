@@ -358,6 +358,13 @@ def evaluate_recursively(poly, resolver, cache: dict, identity=None):
     return SparseOperator(reference.row_basis, reference.col_basis, sparse.csr_matrix(dense)).drop()
 
 
+def cached_word(cache: dict, word):
+    """The matrix of ``word`` that ``LadderPolynomial.evaluate*`` keeps in
+    ``cache`` (as a ``(block, i)`` reference), as a ``SparseOperator``."""
+    block, i = cache[word]
+    return block.operator(i)
+
+
 def csr_bytes(op):
     """The dtype and raw bytes of each CSR array of ``op``: equal exactly when
     two operators store the same entries in the same order, bit for bit."""

@@ -336,6 +336,36 @@ def test_warm_decompose_merges_terms_in_one_pass(fib, monkeypatch):
     assert len(calls) <= 3
 
 
+def test_cold_frame_makes_no_scipy_matrix_per_word(monkeypatch):
+    """A cold frame build stores its words packed: the CSR matrices it makes
+    number at most its batched products plus its polynomials, far fewer than
+    its words."""
+    import scipy.sparse as sp
+
+    from anyonladder import polynomial
+
+    model = load_model(dump_model(builtin("fibonacci")))  # a copy with empty caches
+    observable_basis(model, 3, 2)  # operators built outside the word products
+    ladder_set(model, 3, "tau")  # the letters' matrices
+    batches, matrices = [], []
+    kernel, init = polynomial._matmul_batch, sp.csr_matrix.__init__
+
+    def counting_kernel(*args):
+        batches.append(None)
+        return kernel(*args)
+
+    def counting_init(self, *args, **kwargs):
+        matrices.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(polynomial, "_matmul_batch", counting_kernel)
+    monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+    _entries, polys, _stack = _product_frame(model, 3, 2)
+    monkeypatch.undo()
+    assert len(_word_cache(model, 3)) > 10 * (len(batches) + len(polys))
+    assert len(matrices) <= len(batches) + len(polys)
+
+
 @pytest.mark.parametrize(
     "name, n, m",
     [
@@ -363,7 +393,9 @@ def test_product_frame_words_match_recursive_evaluation(name, n, m):
     ]
     batched = _word_cache(model, n)
     assert batched.keys() == recursive.keys()
-    assert all(orc.csr_bytes(batched[w]) == orc.csr_bytes(recursive[w]) for w in recursive)
+    assert all(
+        orc.csr_bytes(orc.cached_word(batched, w)) == orc.csr_bytes(recursive[w]) for w in recursive
+    )
     assert np.stack(columns, axis=1).tobytes() == stack.tobytes()
 
 

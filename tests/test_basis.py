@@ -10,6 +10,8 @@ from anyonladder.basis import (
     DROP_TOLERANCE,
     FusionTreeBasis,
     SparseOperator,
+    _CSRBlock,
+    _dense_stacks,
     _factored_states,
     _from_factored,
     _label_table,
@@ -390,38 +392,62 @@ def _random_operator(rng, row_basis, col_basis, density):
     return SparseOperator.from_entries(row_basis, col_basis, (rows, cols, vals))
 
 
+def _refs(ops):
+    """``(block, i)`` references to ``ops``, alternating between two blocks."""
+    blocks = [_CSRBlock.pack(ops[0::2]), _CSRBlock.pack(ops[1::2] or ops[:1])]
+    return [(blocks[i % 2], i // 2) for i in range(len(ops))]
+
+
+def _batch(pairs):
+    """``_matmul_batch`` of ``pairs``, each operand side spread over two blocks,
+    with every product made a ``SparseOperator``."""
+    block = _matmul_batch(_refs([a for a, _ in pairs]), _refs([b for _, b in pairs]))
+    return [block.operator(i) for i in range(len(pairs))]
+
+
 def test_matmul_batch_matches_scipy_products_bit_for_bit(fib):
     """Each batched product has the CSR bytes of ``a @ b`` (scipy's product,
     then ``drop``), whatever else is in the batch."""
     rng = np.random.default_rng(11)
     b2, b3, b4 = (FusionTreeBasis(fib, n) for n in (2, 3, 4))
-    pairs = []
-    for x, y, z in [(b3, b3, b3), (b2, b3, b4), (b4, b3, b2), (b3, b4, b3), (b3, b3, b3)]:
-        for density in (0.05, 0.3, 0.8):  # sparse with empty rows, to many terms per entry
-            pairs.append((_random_operator(rng, x, y, density), _random_operator(rng, y, z, density)))
+    groups = []
+    for x, y, z in [(b3, b3, b3), (b2, b3, b4), (b4, b3, b2), (b3, b4, b3)]:
+        # From sparse with empty rows to many terms per entry.
+        groups.append([
+            (_random_operator(rng, x, y, density), _random_operator(rng, y, z, density))
+            for density in (0.05, 0.3, 0.8, 0.3, 0.05)
+        ])
+    square = groups[0]
+    square += [(SparseOperator.zero(b3), square[0][1]), (square[0][0], SparseOperator.zero(b3))]
+    # Stored entries out of column order, summed in stored order by scipy.
+    a, b = groups[1][1]
+    m = a.matrix
+    unsorted = sp.csr_matrix((m.data[::-1], m.indices[::-1], m.nnz - m.indptr[::-1]), shape=m.shape)
+    groups[1].append((SparseOperator(b2, b3, unsorted), b))
     # Terms that cancel exactly, or leave a sum at or below DROP_TOLERANCE.
     u = SparseOperator.from_entries(b2, b2, {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1e-15})
     v = SparseOperator.from_entries(b2, b2, {(0, 0): 0.3 - 0.7j, (1, 0): -0.3 + 0.7j, (1, 1): 1.0})
-    pairs += [(u, v), (SparseOperator.zero(b3), pairs[0][1]), (pairs[0][0], SparseOperator.zero(b3))]
-    # Stored entries out of column order, summed in stored order by scipy.
-    a, b = pairs[4]
-    m = a.matrix
-    unsorted = sp.csr_matrix((m.data[::-1], m.indices[::-1], m.nnz - m.indptr[::-1]), shape=m.shape)
-    pairs.append((SparseOperator(b2, b3, unsorted), b))
+    groups.append([(u, v), (v, u)])
 
-    got = _matmul_batch(pairs)
-    assert len(got) == len(pairs)
+    for pairs in groups:
+        ops = [a for a, _ in pairs]
+        packed = _CSRBlock.pack(ops)
+        for i, op in enumerate(ops):
+            assert orc.csr_bytes(packed.operator(i)) == orc.csr_bytes(op)
+        got = _batch(pairs)
+        assert len(got) == len(pairs)
+        for (a, b), out in zip(pairs, got):
+            want = a @ b
+            assert out.row_basis is a.row_basis and out.col_basis is b.col_basis
+            assert orc.csr_bytes(out) == orc.csr_bytes(want)
+        # One pair alone gives the same bytes as within the batch.
+        assert orc.csr_bytes(_batch(pairs[1:2])[0]) == orc.csr_bytes(got[1])
     # (0, 0) cancels to zero and (1, 1) is 1e-15: both left out.
-    assert {(i, j) for i, j, _ in got[-4].entries()} == {(0, 1), (1, 0)}
-    for (a, b), out in zip(pairs, got):
-        want = a @ b
-        assert out.row_basis is a.row_basis and out.col_basis is b.col_basis
-        assert orc.csr_bytes(out) == orc.csr_bytes(want)
-    # One pair alone gives the same bytes as within the batch.
-    assert orc.csr_bytes(_matmul_batch(pairs[4:5])[0]) == orc.csr_bytes(got[4])
-    assert _matmul_batch([]) == []
+    assert {(i, j) for i, j, _ in _batch([(u, v)])[0].entries()} == {(0, 1), (1, 0)}
     with pytest.raises(ValueError, match="incompatible bases"):
-        _matmul_batch([(pairs[6][0], pairs[9][1])])
+        _batch([groups[1][0][::-1]])
+    with pytest.raises(ValueError, match="incompatible bases"):  # one side mixes two shapes
+        _batch([groups[0][0], groups[1][0]])
 
 
 def test_matmul_batch_forms_complex_products_part_by_part(fib):
@@ -444,10 +470,29 @@ def test_matmul_batch_forms_complex_products_part_by_part(fib):
         )
         for i in differ[:8]
     ]
-    for (a, b), out in zip(pairs, _matmul_batch(pairs)):
+    for (a, b), out in zip(pairs, _batch(pairs)):
         want = a @ b
         assert orc.csr_bytes(out) == orc.csr_bytes(want)
         assert (a.matrix.data * b.matrix.data).tobytes() != want.matrix.data.tobytes()
+
+
+def test_dense_stacks_match_to_dense_bit_for_bit(fib):
+    """Word matrices read from several blocks densify as ``to_dense`` does,
+    ``-0.0`` parts becoming ``+0.0`` and repeated entries summed in order."""
+    rng = np.random.default_rng(3)
+    b3 = FusionTreeBasis(fib, 3)
+    ops = [_random_operator(rng, b3, b3, density) for density in (0.0, 0.1, 0.5, 0.1, 0.9)]
+    values = [complex(-0.0, 1.0), complex(2.0, -0.0), 0.25, 1e-300]
+    indptr = [0, 2, 4] + [4] * (b3.dim - 2)
+    signed = sp.csr_matrix((values, [1, 0, 2, 2], indptr), shape=(b3.dim, b3.dim))
+    ops.append(SparseOperator(b3, b3, signed))
+    refs = _refs(ops)
+    want = np.stack([op.to_dense() for op in ops])
+    for size in (1, 4, len(ops)):
+        stacks = list(_dense_stacks(refs, size))
+        assert [len(stack) for stack in stacks[:-1]] == [size] * (len(stacks) - 1)
+        assert np.concatenate(stacks).tobytes() == want.tobytes()
+    assert np.concatenate(list(_dense_stacks(refs[::-1], 2))).tobytes() == want[::-1].tobytes()
 
 
 def test_memo_keys_calls_by_bound_arguments(fib):

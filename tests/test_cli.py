@@ -261,3 +261,35 @@ def test_hubbard_sector_restriction(capsys):
     assert code == 0
     assert "tau" in out
     assert "sector e" not in out
+
+
+def test_hubbard_unknown_sector_fails_before_any_work(capsys, monkeypatch):
+    from anyonladder import hubbard
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the Hamiltonian was built for a bad argument")
+
+    monkeypatch.setattr(hubbard, "hubbard_hamiltonian", no_work)
+    code = main(["hubbard", "--rungs", "2", "--sector", "x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown sector 'x'" in captured.err and "e, tau" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "ladder"])
+def test_zero_modes_fails_before_any_output(command, capsys):
+    code = main([command, "--model", "fibonacci", "--modes", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--modes must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tolerance_fails_before_any_output(value, capsys):
+    code = main(["decompose", "--fixture", "n1", "--tolerance", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--tolerance must be finite and non-negative" in captured.err

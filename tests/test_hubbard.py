@@ -105,7 +105,9 @@ def test_hamiltonian_polynomial_words_match_recursive_evaluation(n_rungs, indexi
     got = poly.evaluate_with_identity(resolve, identity, cache=batched)
     want = orc.evaluate_recursively(poly, resolve, recursive, identity)
     assert batched.keys() == recursive.keys()
-    assert all(orc.csr_bytes(batched[w]) == orc.csr_bytes(recursive[w]) for w in recursive)
+    assert all(
+        orc.csr_bytes(orc.cached_word(batched, w)) == orc.csr_bytes(recursive[w]) for w in recursive
+    )
     assert orc.csr_bytes(got) == orc.csr_bytes(want)
 
 

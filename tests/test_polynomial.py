@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.ladder import ladder_set, resolver
 from anyonladder.polynomial import MERGE_TOLERANCE, GeneratorSymbol, LadderPolynomial
-from oracles import csr_bytes, evaluate_recursively, fold_sum
+from oracles import cached_word, csr_bytes, evaluate_recursively, fold_sum
 
 symbols = st.builds(
     GeneratorSymbol,
@@ -181,9 +181,29 @@ def test_evaluation_caches_the_words_the_recursion_caches(fib):
         got = poly.evaluate_with_identity(resolve, ident, cache=batched)
         want = evaluate_recursively(poly, resolve, recursive, ident)
         assert batched.keys() == recursive.keys()
-        assert all(csr_bytes(batched[w]) == csr_bytes(recursive[w]) for w in recursive)
+        assert all(csr_bytes(cached_word(batched, w)) == csr_bytes(recursive[w]) for w in recursive)
         assert csr_bytes(got) == csr_bytes(want)
     assert () in batched and (a @ b @ c).terms[0][1][1:] in batched
+
+
+def test_new_words_over_suffixes_of_two_earlier_batches(fib):
+    """A third call whose new words end in words, and start with letters,
+    that two earlier calls stored in two different blocks: the cache still
+    gets the keys and CSR bytes of the recursion."""
+    resolve = resolver(fib, 3)
+    ident = SparseOperator.identity(FusionTreeBasis(fib, 3))
+    a, b, c = _gen(1), _gen(2, dagger=True), _gen(3, j=1)
+    third = c @ a @ b + 0.5j * (b @ c @ a) - 2.0 * (a @ c @ a @ b)
+    batched, recursive = {}, {}
+    for poly in (a @ b, c @ a, third):
+        got = poly.evaluate_with_identity(resolve, ident, cache=batched)
+        want = evaluate_recursively(poly, resolve, recursive, ident)
+        assert csr_bytes(got) == csr_bytes(want)
+    assert batched.keys() == recursive.keys()
+    assert all(csr_bytes(cached_word(batched, w)) == csr_bytes(recursive[w]) for w in recursive)
+    words = [w for _, w in third.terms if len(w) == 3]
+    assert len({id(batched[w[1:]][0]) for w in words}) == 2  # suffixes from two blocks
+    assert len({id(batched[w[:1]][0]) for w in words}) == 2  # letters from two blocks
 
 
 def test_terms_are_sorted_deterministically():
