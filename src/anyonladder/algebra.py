@@ -225,13 +225,18 @@ def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperat
     ``U`` is a product of under-crossings pulling the region modes
     ``S = {s_1 < .. < s_M}`` to the front while staying behind the others;
     conjugation by ``U^dagger`` maps the annihilation operators of mode ``k``
-    to those of mode ``s_k``.
+    to those of mode ``s_k``.  ``modes`` is any iterable of mode numbers; the
+    result is kept per sorted region and shared, so it must not be modified.
     """
-    s = sorted(modes)
+    return _mode_relabel_unitary(model, n_modes, tuple(sorted(modes)))
+
+
+@_memo
+def _mode_relabel_unitary(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> SparseOperator:
     if len(set(s)) != len(s):
         raise ValueError("region modes must be distinct")
     if s and (s[0] < 1 or s[-1] > n_modes):
-        raise ValueError(f"region modes {s} out of range for {n_modes} modes")
+        raise ValueError(f"region modes {list(s)} out of range for {n_modes} modes")
     m = len(s)
     word = []
     for i in range(m):
@@ -589,6 +594,19 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
     return entries, polys, np.stack(columns, axis=1)
 
 
+@_memo
+def _region_polys(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> list[LadderPolynomial]:
+    """The polynomials of ``_product_frame(model, n_modes, len(s))``, their
+    modes ``1..M`` relabelled to the region ``s``.
+
+    Frame polynomials hold no mode above ``M``, so the relabelling is one to
+    one on words, and a weighted sum of these equals the sum of the frame
+    polynomials relabelled afterwards.
+    """
+    mode_map = {k + 1: mode for k, mode in enumerate(s)}
+    return [poly.relabel_modes(mode_map) for poly in _product_frame(model, n_modes, len(s))[1]]
+
+
 def decompose_observable(
     op: SparseOperator, modes, tolerance: float = 1e-10
 ) -> Decomposition:
@@ -627,7 +645,7 @@ def decompose_observable(
     if np.abs(dense - lam * np.eye(basis.dim)).max() <= tolerance:
         return Decomposition(s, LadderPolynomial.constant(lam), {}, 0.0, 0.0)
 
-    entries, polys, stack = _product_frame(model, n, m)
+    entries, _polys, stack = _product_frame(model, n, m)
     coeffs, span_residual = _fit(stack, op, s)
     if span_residual > tolerance:
         _, local_residual = _fit(_frame(model, n, m, observable_basis), op, s)
@@ -641,15 +659,14 @@ def decompose_observable(
             f"(span residual {span_residual:.3e})"
         )
 
-    mode_map = {k + 1: s[k] for k in range(m)}
     parts = []
     coefficients: dict[tuple[str, str, str], complex] = {}
-    for c, (x, xp, variant), poly in zip(coeffs, entries, polys):
+    for c, (x, xp, variant), poly in zip(coeffs, entries, _region_polys(model, n, s)):
         if abs(c) <= 1e-13:
             continue
         parts.append((complex(c), poly))
         coefficients[(x.label(model), xp.label(model), variant)] = complex(c)
-    polynomial = LadderPolynomial.sum(parts).relabel_modes(mode_map)
+    polynomial = LadderPolynomial.sum(parts)
 
     evaluated = polynomial.evaluate_with_identity(
         resolver(model, n), SparseOperator.identity(basis), cache=_word_cache(model, n)

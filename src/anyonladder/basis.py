@@ -206,20 +206,10 @@ class SparseOperator:
         diff = self.matrix - other.matrix
         return float(np.abs(diff.data).max()) <= tol if diff.nnz else True
 
-    def _entry_totals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column total charge of every stored entry."""
-        mat = self.matrix.tocoo()
-        return self.row_basis.totals()[mat.row], self.col_basis.totals()[mat.col]
-
-    def sector_pairs(self) -> set[tuple[int, int]]:
-        """Distinct (row total charge, column total charge) pairs with support."""
-        rows, cols = self._entry_totals()
-        pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
-        return {(int(r), int(c)) for r, c in pairs}
-
     def is_charge_diagonal(self) -> bool:
-        rows, cols = self._entry_totals()
-        return bool(np.array_equal(rows, cols))
+        """Whether every stored entry joins states of one total charge."""
+        mat = self.matrix.tocoo()
+        return bool(np.array_equal(self.row_basis.totals()[mat.row], self.col_basis.totals()[mat.col]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,30 +266,42 @@ def _gather(refs):
     i)`` in ``refs``, in that order and each in its stored order: ``(first
     block, position in refs, row, column, value)`` per entry.
 
-    The blocks must share their bases.  Each block is read with one gather.
+    The blocks must share their bases.  The references are grouped by block,
+    each block is read with one gather per array, and one stable sort puts
+    the entries back in the order of ``refs``.
     """
     blocks, slots = zip(*refs)
     slots = np.array(slots)
     base = blocks[0]
+    word_rows = base.row_basis.dim
     if blocks.count(base) == len(blocks):
-        groups = [(base, np.arange(len(blocks)))]
+        first, order, bounds = [0], slice(None), [0, len(refs)]
     else:
         ids = np.fromiter(map(id, blocks), np.intp, len(blocks))
         _, first, which = np.unique(ids, return_index=True, return_inverse=True)
-        groups = [(blocks[i], np.flatnonzero(which == b)) for b, i in enumerate(first)]
+        order = np.argsort(which, kind="stable")
+        bounds = np.searchsorted(which[order], np.arange(len(first) + 1)).tolist()
+    starts, ends = np.empty(len(refs), np.int64), np.empty(len(refs), np.int64)
+    grouped = slots[order]
+    for b, i in enumerate(first):
+        base._require_same_bases(blocks[i])
+        word_ptr = blocks[i].indptr[::word_rows]
+        lo, hi = bounds[b], bounds[b + 1]
+        starts[lo:hi] = word_ptr[grouped[lo:hi]]
+        ends[lo:hi] = word_ptr[grouped[lo:hi] + 1]
+    counts = ends - starts
+    src = _ranges(starts, counts)
+    edges = np.concatenate([[0], np.cumsum(counts)])[bounds].tolist()
     parts = []
-    for block, sel in groups:
-        base._require_same_bases(block)
-        word_ptr = block.indptr[::base.row_basis.dim]
-        starts = word_ptr[slots[sel]]
-        counts = word_ptr[slots[sel] + 1] - starts
-        src = _ranges(starts, counts)
-        parts.append((np.repeat(sel, counts), block.rows[src], block.indices[src], block.data[src]))
-    if len(parts) == 1:
-        return (base, *parts[0])
-    owner, rows, cols, vals = map(np.concatenate, zip(*parts))
-    order = np.argsort(owner, kind="stable")  # back to the order of refs
-    return base, owner[order], rows[order], cols[order], vals[order]
+    for b, i in enumerate(first):
+        block, sel = blocks[i], src[edges[b]:edges[b + 1]]
+        parts.append((block.rows[sel], block.indices[sel], block.data[sel]))
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    owner = np.repeat(np.arange(len(refs))[order], counts)
+    if len(first) == 1:
+        return base, owner, rows, cols, vals
+    back = np.argsort(owner, kind="stable")  # back to the order of refs
+    return base, owner[back], rows[back], cols[back], vals[back]
 
 
 def _matmul_batch(lefts, rights) -> _CSRBlock:
@@ -342,22 +344,6 @@ def _matmul_batch(lefts, rights) -> _CSRBlock:
     if max(indptr[-1], n_cols) <= np.iinfo(np.int32).max:  # scipy's choice
         indptr, cols = indptr.astype(np.int32), cols.astype(np.int32)
     return _CSRBlock(a_base.row_basis, b_base.col_basis, indptr, cols, sums[keep], rows % n_rows)
-
-
-def _dense_stacks(refs, size: int):
-    """``block.operator(i).to_dense()`` for each ``(block, i)`` in ``refs``, in
-    stacks of at most ``size`` matrices, bit for bit: each stored entry is
-    added to zero in stored order, as ``toarray`` adds it (so a ``-0.0`` part
-    becomes ``+0.0``).  The words are gathered once, for all stacks."""
-    base, owner, rows, cols, vals = _gather(refs)
-    n_rows, n_cols = base.row_basis.dim, base.col_basis.dim
-    flat = (owner * n_rows + rows) * n_cols + cols
-    bounds = np.searchsorted(owner, np.arange(0, len(refs) + size, size))
-    for k, lo in enumerate(range(0, len(refs), size)):
-        out = np.zeros((min(size, len(refs) - lo), n_rows, n_cols), complex)
-        entries = slice(bounds[k], bounds[k + 1])
-        np.add.at(out.reshape(-1), flat[entries] - lo * n_rows * n_cols, vals[entries])
-        yield out
 
 
 # ---------------------------------------------------------------------------

@@ -254,9 +254,6 @@ class AnyonModel:
         """Fusion channels of ``a x b`` as label-order indices."""
         return self._fuse[a, b]
 
-    def f_block(self, a: int, b: int, c: int, d: int) -> FBlock | None:
-        return self._f.get((a, b, c, d))
-
     def f_entry(self, a: int, b: int, c: int, d: int, x: int, y: int) -> complex:
         """``[F^{abc}_d]_{x,y}``; 0 whenever any index combination is invalid."""
         block = self._f.get((a, b, c, d))

@@ -19,16 +19,15 @@ from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
-from .basis import SparseOperator, _CSRBlock, _dense_stacks, _matmul_batch
+from .basis import DROP_TOLERANCE, SparseOperator, _CSRBlock, _gather, _matmul_batch
 
 __all__ = ["GeneratorSymbol", "LadderPolynomial", "MERGE_TOLERANCE"]
 
 MERGE_TOLERANCE = 1e-12
-# Matrix entries densified at once by an evaluation: 512 KB, so that a stack
-# stays in cache while the fold reads it (larger stacks measured slower).
-_DENSE_CHUNK = 1 << 15
+# Entries of the term-by-support product matrix folded at once by an
+# evaluation (512 KB), so that memory stays bounded for any term count.
+_FOLD_CHUNK = 1 << 15
 
 
 class GeneratorSymbol(NamedTuple):
@@ -117,6 +116,36 @@ def _fill_cache(words: Sequence[Word], resolver, cache: dict, identity) -> None:
         cache.update(zip(batch, zip(repeat(block), range(len(batch)))))
 
 
+def _fold(coeffs: np.ndarray, owner: np.ndarray, pos: np.ndarray, vals: np.ndarray,
+          width: int) -> np.ndarray:
+    """The sum of ``coeffs[t] * M_t`` over the terms ``t`` in order, on
+    ``width`` positions; ``M_t`` holds the ``vals`` whose ``owner`` is ``t``
+    at their positions ``pos`` (``owner`` ascending).
+
+    It has the bits of the dense fold ``dense = c_0 * M_0; dense += c_t *
+    M_t`` at those positions (elsewhere that fold is a signed zero, which
+    evaluation drops): each ``M_t`` is its entries added to zero in stored
+    order, as ``to_dense`` makes it; the products are numpy's complex
+    multiply, as in that fold (it may fuse multiply and add); and
+    ``np.add.accumulate`` adds down the term axis one row at a time, where
+    ``np.add.reduce`` may add pairwise.  At most ``_FOLD_CHUNK`` entries are
+    folded at once, the running sum added into the first row of each chunk.
+    """
+    size = max(1, _FOLD_CHUNK // max(width, 1))
+    bounds = np.searchsorted(owner, np.arange(0, len(coeffs) + size, size))
+    total = None
+    for k, lo in enumerate(range(0, len(coeffs), size)):
+        hi = min(lo + size, len(coeffs))
+        mats = np.zeros((hi - lo, width), complex)
+        entries = slice(bounds[k], bounds[k + 1])
+        np.add.at(mats, (owner[entries] - lo, pos[entries]), vals[entries])
+        mats = coeffs[lo:hi, None] * mats
+        if total is not None:
+            mats[0] += total
+        total = np.add.accumulate(mats, axis=0, out=mats)[-1]
+    return total
+
+
 class LadderPolynomial:
     """Sum of complex-weighted generator words, kept in canonical form.
 
@@ -148,7 +177,8 @@ class LadderPolynomial:
         running sum cancels to at most the tolerance is removed at once (as
         each ``+`` of the left fold removes it).  The result therefore equals
         the left fold of ``+`` exactly: the same coefficients in the same
-        term order.
+        term order.  Every stored coefficient is a sum from ``0.0``, as the
+        constructor makes it, so the merged dict is the result's as it is.
         """
         merged: dict[Word, complex] = {}
         for weight, poly in pairs:
@@ -161,7 +191,9 @@ class LadderPolynomial:
                     merged[word] = total
                 else:
                     del merged[word]
-        return cls((c, w) for w, c in merged.items())
+        out = cls()
+        out._terms = merged
+        return out
 
     @classmethod
     def constant(cls, value: complex) -> "LadderPolynomial":
@@ -274,20 +306,17 @@ class LadderPolynomial:
                     "cannot evaluate an empty polynomial without a basis"
                 )
             row_basis, col_basis = identity.row_basis, identity.col_basis
-            dense = np.zeros((row_basis.dim, col_basis.dim), dtype=complex)
+            flat, folded = np.zeros(0, int), np.zeros(0, complex)
         else:
-            # The dense sum of c * M over the terms, in term order; the word
-            # matrices M are densified a chunk of terms at a time.
-            block = refs[0][0]
-            row_basis, col_basis = block.row_basis, block.col_basis
-            size = max(1, _DENSE_CHUNK // (row_basis.dim * col_basis.dim))
-            mats = (mat for stack in _dense_stacks(refs, size) for mat in stack)
-            terms = zip(self._terms.values(), mats)
-            c, mat = next(terms)
-            dense = c * mat
-            for c, mat in terms:
-                dense += c * mat
-        return SparseOperator(row_basis, col_basis, sparse.csr_matrix(dense)).drop()
+            base, owner, rows, cols, vals = _gather(refs)
+            row_basis, col_basis = base.row_basis, base.col_basis
+            flat, pos = np.unique(rows * np.int64(col_basis.dim) + cols, return_inverse=True)
+            coeffs = np.fromiter(self._terms.values(), complex, len(refs))
+            folded = _fold(coeffs, owner, pos, vals, len(flat))
+        # The entries ``drop`` would keep, stored as ``drop`` stores them.
+        keep = np.flatnonzero(np.abs(folded) > DROP_TOLERANCE)
+        rows, cols = np.divmod(flat[keep], col_basis.dim)
+        return SparseOperator.from_entries(row_basis, col_basis, (rows, cols, folded[keep]))
 
     def signature(self) -> tuple:
         """Hashable canonical form: words with coefficients rounded.

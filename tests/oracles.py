@@ -358,6 +358,56 @@ def evaluate_recursively(poly, resolver, cache: dict, identity=None):
     return SparseOperator(reference.row_basis, reference.col_basis, sparse.csr_matrix(dense)).drop()
 
 
+def dense_fold(poly, cache: dict, identity=None):
+    """``LadderPolynomial.evaluate_with_identity`` by the dense fold it used
+    to run: every word matrix, read from ``cache`` (filled by an earlier
+    evaluation), densified by ``to_dense`` and added as ``dense += c * M``
+    in term order."""
+    import numpy as np
+    from scipy import sparse
+
+    from anyonladder.basis import SparseOperator
+
+    refs = list(map(cache.__getitem__, poly._terms))
+    if not refs:
+        row_basis, col_basis = identity.row_basis, identity.col_basis
+        dense = np.zeros((row_basis.dim, col_basis.dim), dtype=complex)
+    else:
+        block = refs[0][0]
+        row_basis, col_basis = block.row_basis, block.col_basis
+        mats = (block.operator(i).to_dense() for block, i in refs)
+        terms = zip(poly._terms.values(), mats)
+        c, mat = next(terms)
+        dense = c * mat
+        for c, mat in terms:
+            dense += c * mat
+    return SparseOperator(row_basis, col_basis, sparse.csr_matrix(dense)).drop()
+
+
+def f_block(model, a: int, b: int, c: int, d: int):
+    """The stored F-matrix ``[F^{abc}_d]`` as a ``model.FBlock`` (channel
+    lists and matrix), or ``None`` when the fusions forbid it."""
+    return model._f.get((a, b, c, d))
+
+
+def sector_pairs(op) -> set[tuple[int, int]]:
+    """Distinct (row total charge, column total charge) pairs with support."""
+    mat = op.matrix.tocoo()
+    rows, cols = op.row_basis.totals()[mat.row], op.col_basis.totals()[mat.col]
+    pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
+    return {(int(r), int(c)) for r, c in pairs}
+
+
+def dump_triplets(op) -> str:
+    """The triplet lines of ``serialize.dump_operator``, one f-string each."""
+    coo = op.matrix.tocoo()
+    lines = []
+    for k in np.lexsort((coo.col, coo.row)):
+        r, c, v = int(coo.row[k]), int(coo.col[k]), complex(coo.data[k])
+        lines.append(f"{r} {c} {float(v.real):.17g} {float(v.imag):.17g}\n")
+    return "".join(lines)
+
+
 def cached_word(cache: dict, word):
     """The matrix of ``word`` that ``LadderPolynomial.evaluate*`` keeps in
     ``cache`` (as a ``(block, i)`` reference), as a ``SparseOperator``."""

@@ -2,13 +2,24 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anyonladder import polynomial
+from anyonladder.algebra import (
+    _product_frame,
+    _word_cache,
+    decompose_observable,
+    mode_relabel_unitary,
+    observable_basis,
+)
 from anyonladder.basis import FusionTreeBasis, SparseOperator
+from anyonladder.fixtures import fixture, fixture_names
 from anyonladder.ladder import ladder_set, resolver
+from anyonladder.model import builtin
 from anyonladder.polynomial import MERGE_TOLERANCE, GeneratorSymbol, LadderPolynomial
-from oracles import cached_word, csr_bytes, evaluate_recursively, fold_sum
+from oracles import cached_word, csr_bytes, dense_fold, evaluate_recursively, fold_sum
 
 symbols = st.builds(
     GeneratorSymbol,
@@ -282,3 +293,119 @@ def test_sum_drops_cancelled_coefficients_like_the_fold():
     # scaled terms at or below the tolerance are left out before merging
     pairs = [(1e-13, one)] * 20
     assert LadderPolynomial.sum(pairs).is_zero() and fold_sum(pairs).is_zero()
+
+
+# -- the support fold of evaluation against the dense fold ----------------------
+
+# The regions of the decompose benchmark: (model, modes, region).
+BENCHMARK_REGIONS = [
+    ("fibonacci", 3, (1, 2)),
+    ("fibonacci", 3, (2, 3)),
+    ("fibonacci", 3, (1, 3)),
+    ("fibonacci", 4, (2, 3)),
+    ("fibonacci", 5, (3,)),
+    ("ising", 3, (2,)),
+    ("ising", 3, (1, 2)),
+    ("fermion", 4, (1, 2)),
+]
+
+
+def _region_observable(model, n, region, rng):
+    """A random Hermitian combination of the region's observables, moved onto ``region``."""
+    _pairs, ops = observable_basis(model, n, len(region))
+    coeffs = rng.normal(size=len(ops)) + 1j * rng.normal(size=len(ops))
+    acc = ops[0] * coeffs[0]
+    for c, op in zip(coeffs[1:], ops[1:]):
+        acc = acc + op * c
+    u = mode_relabel_unitary(model, n, region)
+    return (u.dagger() @ (acc + acc.dagger()) @ u).drop()
+
+
+def _assert_folds_agree(poly, model, n):
+    resolve, cache = resolver(model, n), _word_cache(model, n)
+    ident = SparseOperator.identity(FusionTreeBasis(model, n))
+    got = poly.evaluate_with_identity(resolve, ident, cache=cache)
+    assert csr_bytes(got) == csr_bytes(dense_fold(poly, cache, ident))
+    return got
+
+
+@pytest.mark.parametrize("name, n, region", BENCHMARK_REGIONS)
+def test_evaluation_matches_the_dense_fold_on_benchmark_regions(name, n, region):
+    """Frame and fitted polynomials of every benchmark region evaluate to
+    the CSR bytes of the dense fold."""
+    model = builtin(name)
+    rng = np.random.default_rng(11)
+    try:
+        dec = decompose_observable(_region_observable(model, n, region, rng), region)
+    except ValueError as exc:  # Ising {1,2}: local, but outside the realised span
+        assert "outside the span" in str(exc)
+        polys = []
+    else:
+        polys = [dec.polynomial]
+        assert dec.polynomial.n_terms > 1
+    polys += _product_frame(model, n, len(region))[1]
+    for poly in polys:
+        _assert_folds_agree(poly, model, n)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_evaluation_matches_the_dense_fold_on_fixtures(name):
+    op = fixture(name)
+    basis = op.row_basis
+    dec = decompose_observable(op, (1, 2))
+    _assert_folds_agree(dec.polynomial, basis.model, basis.n_modes)
+
+
+def test_evaluation_fold_chunks_keep_the_bits(fib, monkeypatch):
+    """Folding a chunk of one term, or of a few, at a time carries the running
+    sum across chunks with the bits of one pass."""
+    dec = decompose_observable(fixture("ge-Pee"), (1, 2))
+    want = _assert_folds_agree(dec.polynomial, fib, 3)
+    for chunk in (1, 40, 1000):
+        monkeypatch.setattr(polynomial, "_FOLD_CHUNK", chunk)
+        assert csr_bytes(_assert_folds_agree(dec.polynomial, fib, 3)) == csr_bytes(want)
+
+
+def test_evaluation_on_a_one_column_support_adds_sequentially(fib):
+    """Every word matrix holds the one entry of ``a``: the fold runs down a
+    single column, where a pairwise sum would give other bits."""
+    a, ad = (GeneratorSymbol(1, "std", "tau", 0, d) for d in (False, True))
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=300) * 10.0 ** rng.integers(-6, 6, 300) + 1j * rng.normal(size=300)
+    poly = LadderPolynomial([(c, (a, ad) * k + (a,)) for k, c in enumerate(coeffs)])
+    cache = {}
+    got = poly.evaluate(resolver(fib, 1), cache)
+    assert {cached_word(cache, w).matrix.nnz for w in poly._terms} == {1}
+    assert got.nnz == 1 and csr_bytes(got) == csr_bytes(dense_fold(poly, cache))
+    value = cached_word(cache, (a,)).matrix.data[0]
+    products = np.array(list(poly._terms.values())) * value
+    assert np.add.reduce(products) != got.matrix.data[0]  # pairwise
+    assert np.add.accumulate(products)[-1] == got.matrix.data[0]
+
+
+def test_evaluation_densifies_signed_zeros_and_repeats_as_to_dense(fib):
+    """Letter matrices with ``-0.0`` parts and repeated entries, and
+    coefficients with ``-0.0`` parts, fold with the bits of the dense fold."""
+    b3 = FusionTreeBasis(fib, 3)
+    values = [complex(-0.0, 1.0), complex(2.0, -0.0), 0.25, 1e-300, complex(-0.0, -0.0)]
+    indptr = [0, 2, 4, 5] + [5] * (b3.dim - 3)
+    signed = sp.csr_matrix((values, [1, 0, 2, 2, 3], indptr), shape=(b3.dim, b3.dim))
+    letters = {
+        GeneratorSymbol(1, "std", "tau", 0, False): SparseOperator(b3, b3, signed),
+        GeneratorSymbol(2, "std", "tau", 0, False): SparseOperator(b3, b3, -signed),
+    }
+    a, b = letters
+    poly = LadderPolynomial([
+        (complex(-0.0, 1.0), (a,)), (complex(1.0, -0.0), (b,)), (-1.0, (a,) * 2),
+        (complex(-0.0, -0.0) + 1e-3, (a, b.adjoint())),
+    ])
+    cache = {}
+    got = poly.evaluate(letters.__getitem__, cache)
+    assert csr_bytes(got) == csr_bytes(dense_fold(poly, cache))
+
+
+def test_evaluation_of_an_empty_polynomial_with_an_identity(fib):
+    ident = SparseOperator.identity(FusionTreeBasis(fib, 3))
+    got = LadderPolynomial().evaluate_with_identity(resolver(fib, 3), ident)
+    assert got.nnz == 0 and got.matrix.shape == (ident.row_basis.dim,) * 2
+    assert csr_bytes(got) == csr_bytes(dense_fold(LadderPolynomial(), {}, ident))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from anyonladder.basis import FusionTreeBasis
+import oracles as orc
+from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.hubbard import HubbardParams, diagonalize, hubbard_hamiltonian
 from anyonladder.ladder import fibonacci_pair, ladder_set
 from anyonladder.polynomial import GeneratorSymbol, LadderPolynomial
@@ -98,3 +99,16 @@ def test_occupation_csv_layout():
     assert lines[0] == "mode,density"
     assert lines[1].startswith("1,") and lines[2].startswith("2,")
     assert np.isclose(float(lines[1].split(",")[1]), 0.25)
+
+
+def test_operator_triplets_match_per_line_formatting(fib):
+    """The one-pass triplet formatting prints what one f-string per entry
+    prints: signed zeros, subnormal, huge and unsorted entries included."""
+    basis = FusionTreeBasis(fib, 3)
+    values = [complex(-0.0, 1.0), complex(2.5, -0.0), 5e-324, complex(1e300, -1 / 3), 0.1]
+    op = SparseOperator.from_entries(basis, basis, ([4, 0, 0, 12, 7], [1, 3, 0, 12, 2], values))
+    pair = fibonacci_pair(fib, 3)
+    for operator in (op, pair.alpha[2], SparseOperator.zero(basis)):
+        text = dump_operator(operator, name="x")
+        header = "".join(line + "\n" for line in text.splitlines() if line.startswith("#"))
+        assert text == header + orc.dump_triplets(operator)
