@@ -24,7 +24,7 @@ import numpy as np
 
 from . import trees
 from .basis import (
-    FusionTreeBasis, SparseOperator, braid_word, _factored_states, _from_factored, _memo
+    FusionTreeBasis, SparseOperator, braid_word, _conjugate, _factored_states, _memo, _pairs
 )
 from .ladder import (
     coefficient_tables,
@@ -42,7 +42,6 @@ __all__ = [
     "RegionState",
     "candidate_local_basis",
     "local_candidate_span",
-    "complement_observable_basis",
     "observable_basis",
     "region_states",
     "is_local_candidate",
@@ -106,22 +105,18 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
     pairs of equal charge and ``ops`` the corresponding canonical-basis
     operators.
     """
-    w, groups = _factored_states(model, n_modes, m)
-    # E_{x,x'} pairs the factored states of equal rest labeling and total charge
-    blocks: dict[tuple, dict] = {}
-    for group in groups.values():
-        for (x, g), row in group.items():
-            for (xp, gp), col in group.items():
-                if g == gp:
-                    blocks.setdefault((x, xp), {})[(row, col)] = 1.0
+    w, _b0, y, x, g = _factored_states(model, n_modes, m)
     states = region_states(model, m)
-    region_keys = FusionTreeBasis(model, m).states
-    pairs = [(x, xp) for x in states for xp in states if x.charge == xp.charge]
-    ops = [
-        _from_factored(w, blocks.get((region_keys[x.index], region_keys[xp.index]), {}))
-        for x, xp in pairs
-    ]
-    return pairs, ops
+    pairs = [(r, rp) for r in states for rp in states if r.charge == rp.charge]
+    slot = np.full((len(states), len(states)), -1)
+    for k, (r, rp) in enumerate(pairs):
+        slot[r.index, rp.index] = k
+    # E_{x,x'} joins the factored states of equal rest labeling and total charge
+    rows, cols = _pairs(y * model.n_labels + g)
+    owner = slot[x[rows], x[cols]]
+    keep = owner >= 0
+    block = _conjugate(w, rows[keep], cols[keep], np.ones(keep.sum()), owner[keep], len(pairs))
+    return pairs, [block.operator(k) for k in range(len(pairs))]
 
 
 def candidate_local_basis(model: AnyonModel, n_modes: int, mode: int = 1):
@@ -151,32 +146,6 @@ def candidate_local_basis(model: AnyonModel, n_modes: int, mode: int = 1):
     ]
 
 
-def complement_observable_basis(model: AnyonModel, n_modes: int, m: int):
-    """Spanning set of observables local on the complement ``{M+1..N}``.
-
-    Mirror images of :func:`observable_basis`: for rest labelings ``y, y'``
-    of equal charge, ``T = sum_{x,G} |x,y;G><x,y';G|`` acts trivially on the
-    region factor and on the overall fusion channel.  Every operator in the
-    candidate-local span of ``{1..M}`` commutes with every element here.
-    """
-    if m == n_modes:
-        return []
-    w, groups = _factored_states(model, n_modes, m)
-    ops = []
-    keys = sorted(groups, key=lambda k: k[1])  # by rest labeling
-    for b1, y1 in keys:
-        for b2, y2 in keys:
-            if b1 != b2:
-                continue
-            left, right = groups[(b1, y1)], groups[(b2, y2)]
-            entries = {
-                (row, right[xg]): 1.0 for xg, row in left.items() if xg in right
-            }
-            if entries:
-                ops.append(_from_factored(w, entries))
-    return ops
-
-
 @_memo
 def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
     """Spanning set of all candidate-local operators of region ``{1..M}``.
@@ -186,20 +155,23 @@ def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
     single-mode case reproduces the 13-element Fibonacci set; ``m == n``
     gives the full matrix algebra.
     """
-    w, groups = _factored_states(model, n_modes, m)
-    # sum_{y: b0} |x,y;G><x',y;G'| for every (b0, x, G, x', G') with support
-    blocks: dict[tuple, dict] = {}
-    for (b0, _y), group in groups.items():
-        for (x, G), row in group.items():
-            for (xp, Gp), col in group.items():
-                blocks.setdefault((b0, x, G, xp, Gp), {})[(row, col)] = 1.0
-    keys = sorted(blocks)
+    w, b0, y, x, g = _factored_states(model, n_modes, m)
+    region = FusionTreeBasis(model, m).table.rows
+    order = np.lexsort(region.T[::-1])  # region labelings in tuple order
+    rank = np.argsort(order)
+    # sum_{y: b0} |x,y;G><x',y;G'| for every (b0, x, G, x', G') with support,
+    # keyed in that order with x, x' compared as labeling tuples
+    rows, cols = _pairs(y)
+    dims = (model.n_labels, len(region), model.n_labels, len(region), model.n_labels)
+    key = np.ravel_multi_index((b0[rows], rank[x[rows]], g[rows], rank[x[cols]], g[cols]), dims)
+    keys, owner = np.unique(key, return_inverse=True)
+    block = _conjugate(w, rows, cols, np.ones(len(rows)), owner, len(keys))
+    labelings = list(map(tuple, region[order].tolist()))
     metas = [
-        {"b0": model.labels[b0], "x": x, "G": G, "xp": xp, "Gp": Gp}
-        for b0, x, G, xp, Gp in keys
+        {"b0": model.labels[b], "x": labelings[r], "G": G, "xp": labelings[rp], "Gp": Gp}
+        for b, r, G, rp, Gp in zip(*(part.tolist() for part in np.unravel_index(keys, dims)))
     ]
-    ops = [_from_factored(w, blocks[k]) for k in keys]
-    return metas, ops
+    return metas, [block.operator(k) for k in range(len(keys))]
 
 
 @_memo
@@ -214,7 +186,7 @@ def _fit(stack: np.ndarray, op: SparseOperator, modes):
     front, over the columns of ``stack``, and the largest entry left unfitted."""
     model, n = op.row_basis.model, op.row_basis.n_modes
     u = mode_relabel_unitary(model, n, modes)
-    target = (u @ op @ u.dagger()).drop().to_dense().ravel()
+    target = (u @ op @ u.dagger()).to_dense().ravel()
     coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
     return coeffs, float(np.abs(stack @ coeffs - target).max())
 
@@ -228,15 +200,20 @@ def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperat
     to those of mode ``s_k``.  ``modes`` is any iterable of mode numbers; the
     result is kept per sorted region and shared, so it must not be modified.
     """
-    return _mode_relabel_unitary(model, n_modes, tuple(sorted(modes)))
+    return _mode_relabel_unitary(model, n_modes, _region(modes, n_modes))
+
+
+def _region(modes, n_modes: int) -> tuple[int, ...]:
+    """``modes`` as a sorted tuple, after checking that it names one or more
+    distinct modes of ``1..n_modes``."""
+    s = tuple(sorted(modes))
+    if not s or s[0] < 1 or s[-1] > n_modes or len(set(s)) != len(s):
+        raise ValueError(f"invalid region {s} for {n_modes} modes")
+    return s
 
 
 @_memo
 def _mode_relabel_unitary(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> SparseOperator:
-    if len(set(s)) != len(s):
-        raise ValueError("region modes must be distinct")
-    if s and (s[0] < 1 or s[-1] > n_modes):
-        raise ValueError(f"region modes {list(s)} out of range for {n_modes} modes")
     m = len(s)
     word = []
     for i in range(m):
@@ -268,15 +245,13 @@ def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     rest-charge-resolved spanning set (which contains all ladder operators of
     the region, including total-charge changing ones).  Returns
     ``(flag, residual)`` with ``residual`` the largest unfitted entry.
-    The span equals the commutant of :func:`complement_observable_basis`,
-    charge-changing elements included; fitting against it avoids forming
-    that commutant.
+    The span equals the commutant of the observables local on the
+    complement, charge-changing elements included; fitting against it avoids
+    forming that commutant.
     """
     basis = _canonical_basis(op)
-    model = basis.model
-    n = basis.n_modes
-    s = sorted(modes)
-    _, residual = _fit(_frame(model, n, len(s), local_candidate_span), op, s)
+    s = _region(modes, basis.n_modes)
+    _, residual = _fit(_frame(basis.model, basis.n_modes, len(s), local_candidate_span), op, s)
     return residual <= tol, residual
 
 
@@ -621,10 +596,8 @@ def decompose_observable(
     basis = _canonical_basis(op)
     model = basis.model
     n = basis.n_modes
-    s = tuple(sorted(modes))
+    s = _region(modes, n)
     m = len(s)
-    if m < 1 or s[0] < 1 or s[-1] > n or len(set(s)) != m:
-        raise ValueError(f"invalid region {s} for {n} modes")
 
     if not op.is_charge_diagonal():
         totals = basis.totals()

@@ -173,12 +173,7 @@ class SparseOperator:
         return SparseOperator(self.col_basis, self.row_basis, self.matrix.conj().T.tocsr())
 
     def drop(self, tol: float = DROP_TOLERANCE) -> "SparseOperator":
-        mat = self.matrix.tocoo()
-        keep = np.abs(mat.data) > tol
-        out = sp.csr_matrix(
-            (mat.data[keep], (mat.row[keep], mat.col[keep])), shape=mat.shape
-        )
-        return SparseOperator(self.row_basis, self.col_basis, out)
+        return SparseOperator(self.row_basis, self.col_basis, _drop(self.matrix, tol))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
@@ -210,6 +205,17 @@ class SparseOperator:
         """Whether every stored entry joins states of one total charge."""
         mat = self.matrix.tocoo()
         return bool(np.array_equal(self.row_basis.totals()[mat.row], self.col_basis.totals()[mat.col]))
+
+
+def _drop(mat: sp.csr_matrix, tol: float = DROP_TOLERANCE) -> sp.csr_matrix:
+    """``mat`` without its entries of magnitude ``tol`` or less, in canonical
+    CSR: duplicates summed after the filter, int32 indices where they fit."""
+    keep = np.abs(mat.data) > tol
+    indptr = np.concatenate(([0], np.cumsum(keep)))[mat.indptr]
+    out = sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
+    if not mat.has_canonical_format:
+        out.sum_duplicates()
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,30 +448,17 @@ def _recouple(model: AnyonModel, n_modes: int, target_shape) -> SparseOperator:
     return SparseOperator(basis, target_basis, overlap).drop().dagger()
 
 
-def _from_factored(w: SparseOperator, entries) -> SparseOperator:
-    """``W^dagger M W`` on the canonical basis, for ``M`` given by its entries
-    in the shape of ``w.row_basis`` (as ``SparseOperator.from_entries`` takes
-    them).  When that shape is the canonical one, ``W`` is the identity and
-    the two products are skipped."""
-    fact = w.row_basis
-    if fact.shape == w.col_basis.shape:
-        canonical = w.col_basis
-        op = SparseOperator.from_entries(canonical, canonical, entries).drop()
-        op.matrix.data += 0.0  # -0.0 parts become +0.0, as in a product with W
-        return op
-    return (w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop()
-
-
 @_memo
 def _factored_states(model: AnyonModel, n_modes: int, m: int):
     """The canonical states of ``n_modes`` modes factored as (modes 1..m) x (the rest).
 
-    Returns ``(w, groups)``.  ``w`` recouples the canonical basis to the
-    shape (left comb of modes 1..m, left comb of modes m+1..n); it is the
-    identity when ``m == n_modes``.  ``groups[(b0, y)] = {(x, G): i}`` lists
-    each factored state ``i`` under its rest charge ``b0`` (the vacuum when
-    ``m == n_modes``) and rest labeling ``y``, keyed by its region labeling
-    ``x`` (an ``m``-mode canonical state) and total charge ``G``.
+    Returns ``(w, b0, y, x, g)``.  ``w`` recouples the canonical basis to the
+    shape (left comb of modes 1..m, left comb of modes m+1..n), the canonical
+    shape itself when ``m == n_modes``.  The integer arrays run over the
+    states of ``w.row_basis``: rest charge ``b0`` (the vacuum when
+    ``m == n_modes``), rest-labeling id ``y`` (equal exactly for equal rest
+    labelings), region labeling ``x`` as a position in the ``m``-mode
+    canonical basis, and total charge ``g``.
     """
     if not 1 <= m <= n_modes:
         raise ValueError(f"region size {m} out of range")
@@ -473,13 +466,44 @@ def _factored_states(model: AnyonModel, n_modes: int, m: int):
     shape = region if m == n_modes else (region, trees.left_comb(m, n_modes - 1))
     w = recouple(FusionTreeBasis(model, n_modes), shape)
     fact = w.row_basis.table
-    xs = map(tuple, fact.rows[:, [p for p, s in enumerate(fact.spans) if s[1] < m]].tolist())
-    ys = map(tuple, fact.rows[:, [p for p, s in enumerate(fact.spans) if s[0] >= m]].tolist())
-    b0s = fact.column((m, n_modes - 1)).tolist() if m < n_modes else [model.vacuum] * len(fact.rows)
-    groups: dict = {}
-    for i, (b0, y, x, g) in enumerate(zip(b0s, ys, xs, w.row_basis.totals().tolist())):
-        groups.setdefault((b0, y), {})[(x, g)] = i
-    return w, groups
+    in_region = [p for p, s in enumerate(fact.spans) if s[1] < m]
+    in_rest = [p for p, s in enumerate(fact.spans) if s[0] >= m]
+    x = FusionTreeBasis(model, m).table.find(fact.rows[:, in_region])
+    # The rest digits of the labeling codes: one integer per rest labeling.
+    _, y = np.unique(fact.rows[:, in_rest] @ fact.place[in_rest], return_inverse=True)
+    b0 = fact.column((m, n_modes - 1)) if m < n_modes else np.full(len(x), model.vacuum)
+    return w, b0, y, x, w.row_basis.totals()
+
+
+def _pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, j)`` with ``key[i] == key[j]``, as two index arrays."""
+    order = np.argsort(key, kind="stable")
+    _, start, size = np.unique(key[order], return_index=True, return_counts=True)
+    per = np.repeat(size, size)  # the group start and size of each state in ``order``
+    return np.repeat(order, per), order[_ranges(np.repeat(start, size), per)]
+
+
+def _conjugate(w: SparseOperator, rows, cols, vals, owner, count: int) -> _CSRBlock:
+    """``W^dagger M_k W`` on the canonical basis for ``k < count``, as one block.
+
+    ``M_k`` holds the entries ``(rows, cols, vals)`` whose ``owner`` is ``k``,
+    in the shape of ``w.row_basis``; a ``k`` that owns none gives zero.  The
+    ``M_k`` side by side are multiplied by ``W^dagger`` once, and the dropped
+    product, restacked row-wise, by ``W`` once.  Each output entry sums the
+    terms of the separate products in their order, so matrix ``k`` has the
+    CSR bytes of ``w.dagger() @ M_k @ w``.
+    """
+    dim = w.row_basis.dim
+    vals = np.asarray(vals, dtype=complex)
+    wide = sp.csr_matrix((vals, (rows, owner * dim + cols)), shape=(dim, count * dim))
+    half = _drop(w.dagger().matrix @ wide).tocoo()
+    # Entry (i, k * dim + c) moves to (k * dim + i, c), each row's columns
+    # still ascending.
+    k, c = np.divmod(half.col, dim)
+    tall = sp.csr_matrix((half.data, (k * dim + half.row, c)), shape=(count * dim, dim))
+    out = _drop(tall @ w.matrix)
+    rows_in = np.repeat(np.arange(count * dim) % dim, np.diff(out.indptr))
+    return _CSRBlock(w.col_basis, w.col_basis, out.indptr, out.indices, out.data, rows_in)
 
 
 @_memo
@@ -506,7 +530,8 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
     swapped = table.rows.copy()
     swapped[:, [a, b]] = table.rows[:, [b, a]]
     phases = _symbol_tensors(model)[1][table.rows[:, a], table.rows[:, b], table.column((i, j))]
-    return _from_factored(w, (table.find(swapped), np.arange(len(swapped)), phases))
+    cols = np.arange(len(swapped))
+    return _conjugate(w, table.find(swapped), cols, phases, np.zeros_like(cols), 1).operator(0)
 
 
 def braid_word(model: AnyonModel, n_modes: int, word) -> SparseOperator:

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import trees
 from .basis import (
-    FusionTreeBasis, SparseOperator, braid_adjacent, _factored_states, _from_factored,
-    _label_table, _memo,
+    FusionTreeBasis, SparseOperator, braid_adjacent, _conjugate, _factored_states,
+    _label_table, _memo, _pairs,
 )
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol
@@ -71,14 +71,13 @@ def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) ->
         )
     if n_modes == 1 and b0 != model.vacuum:
         raise ModelDataError("a single mode has no rest system; b0 must be the vacuum")
-    w, groups = _factored_states(model, n_modes, 1)
-    e, x = (model.vacuum,), (a,)
-    entries = {
-        (group[(e, b0)], group[(x, c0)]): 1.0
-        for (b, _y), group in groups.items()
-        if b == b0 and (x, c0) in group
-    }
-    return _from_factored(w, entries)
+    w, b, y, x, g = _factored_states(model, n_modes, 1)
+    e_pos, a_pos = FusionTreeBasis(model, 1).table.find([[model.vacuum], [a]])
+    # |e, y; b0><a, y; c0| for every rest labeling y of charge b0
+    rows, cols = _pairs(y)
+    keep = (x[rows] == e_pos) & (b[rows] == b0) & (x[cols] == a_pos) & (g[cols] == c0)
+    owner = np.zeros(keep.sum(), dtype=int)
+    return _conjugate(w, rows[keep], cols[keep], np.ones(len(owner)), owner, 1).operator(0)
 
 
 def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]:
@@ -90,7 +89,7 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
     family = {1: op}
     for k in range(2, last_mode + 1):
         b = braid_adjacent(model, n, k - 1)
-        family[k] = (b @ family[k - 1] @ b.dagger()).drop()
+        family[k] = b @ family[k - 1] @ b.dagger()
     return family
 
 

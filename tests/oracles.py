@@ -196,13 +196,11 @@ def commutant_dimension(model, n_modes: int, m: int, tol: float = 1e-10) -> int:
     """Dimension of the dense commutant of the complement observables of ``{1..M}``.
 
     Solves ``X C - C X = 0`` for every ``C`` of
-    ``complement_observable_basis`` as one linear system on the row-major
+    :func:`complement_observable_basis` as one linear system on the row-major
     flattened ``X`` (``vec(A X B) = (A kron B^T) vec(X)``) and counts its
-    null space with a plain SVD.  The package supplies only the complement
-    observables; no closure or candidate-span code is involved.
+    null space with a plain SVD.  The complement observables are built by the
+    dictionary loops below; no closure or candidate-span code is involved.
     """
-    from anyonladder.algebra import complement_observable_basis
-
     comps = [c.to_dense() for c in complement_observable_basis(model, n_modes, m)]
     d = total_dimension(model, n_modes)
     if not comps:
@@ -271,6 +269,151 @@ def conjugate_factored(w, entries):
     return (w.dagger() @ SparseOperator.from_entries(fact, fact, entries) @ w).drop()
 
 
+def drop_coo(op, tol: float = 1e-14):
+    """``SparseOperator.drop`` as a round trip through COO: the entries above
+    ``tol`` in stored order, rebuilt as a CSR matrix."""
+    from scipy import sparse
+
+    from anyonladder.basis import SparseOperator
+
+    mat = op.matrix.tocoo()
+    keep = np.abs(mat.data) > tol
+    out = sparse.csr_matrix(
+        (mat.data[keep], (mat.row[keep], mat.col[keep])), shape=mat.shape
+    )
+    return SparseOperator(op.row_basis, op.col_basis, out)
+
+
+def factored_groups(model, n_modes: int, m: int):
+    """The canonical states of ``n_modes`` modes factored as (modes 1..m) x (the rest),
+    as nested dictionaries.
+
+    Returns ``(w, groups)``: ``w`` recouples the canonical basis to the shape
+    (left comb of modes 1..m, left comb of modes m+1..n), and
+    ``groups[(b0, y)] = {(x, G): i}`` lists each factored state ``i`` under its
+    rest charge ``b0`` and rest labeling ``y``, keyed by its region labeling
+    ``x`` and total charge ``G``.
+    """
+    from anyonladder import trees
+    from anyonladder.basis import FusionTreeBasis, recouple
+
+    region = trees.left_comb(0, m - 1)
+    shape = region if m == n_modes else (region, trees.left_comb(m, n_modes - 1))
+    w = recouple(FusionTreeBasis(model, n_modes), shape)
+    fact = w.row_basis.table
+    xs = map(tuple, fact.rows[:, [p for p, s in enumerate(fact.spans) if s[1] < m]].tolist())
+    ys = map(tuple, fact.rows[:, [p for p, s in enumerate(fact.spans) if s[0] >= m]].tolist())
+    b0s = fact.column((m, n_modes - 1)).tolist() if m < n_modes else [model.vacuum] * len(fact.rows)
+    groups: dict = {}
+    for i, (b0, y, x, g) in enumerate(zip(b0s, ys, xs, w.row_basis.totals().tolist())):
+        groups.setdefault((b0, y), {})[(x, g)] = i
+    return w, groups
+
+
+def mode1_element_loop(model, n_modes: int, a: int, b0: int, c0: int):
+    """The mode-1 annihilating element ``sum_y |e, y; b0><a, y; c0|`` from
+    :func:`factored_groups`, conjugated by :func:`conjugate_factored`."""
+    w, groups = factored_groups(model, n_modes, 1)
+    e, x = (model.vacuum,), (a,)
+    entries = {
+        (group[(e, b0)], group[(x, c0)]): 1.0
+        for (b, _y), group in groups.items()
+        if b == b0 and (x, c0) in group
+    }
+    return conjugate_factored(w, entries)
+
+
+def ladder_set_loop(model, n_modes: int, particle: str):
+    """``ladder.ladder_set(...).ops`` with every mode-1 element from
+    :func:`mode1_element_loop`: weighted element sums at mode 1, each
+    braid-transported one mode further by ``B (.) B^dagger``."""
+    from anyonladder.basis import FusionTreeBasis, SparseOperator, braid_adjacent
+    from anyonladder.ladder import coefficient_tables, rest_charges
+
+    ai = model.index(particle)
+    available = rest_charges(model, n_modes)
+    ops = {}
+    for table in coefficient_tables(model, particle):
+        op = SparseOperator.zero(FusionTreeBasis(model, n_modes))
+        for (b0, c0), coeff in table.entries.items():
+            b0, c0 = model.index(b0), model.index(c0)
+            if coeff != 0.0 and b0 in available:
+                op = op + coeff * mode1_element_loop(model, n_modes, ai, b0, c0)
+        op = drop_coo(op)
+        ops[(1, table.j)] = op
+        for k in range(2, n_modes + 1):
+            b = braid_adjacent(model, n_modes, k - 1)
+            op = drop_coo(b @ op @ b.dagger())
+            ops[(k, table.j)] = op
+    return ops
+
+
+def observable_basis_loop(model, n_modes: int, m: int):
+    """``algebra.observable_basis`` from :func:`factored_groups`: ``E_{x,x'}``
+    joins the factored states of equal rest labeling and total charge."""
+    from anyonladder.algebra import region_states
+    from anyonladder.basis import FusionTreeBasis
+
+    w, groups = factored_groups(model, n_modes, m)
+    blocks: dict[tuple, dict] = {}
+    for group in groups.values():
+        for (x, g), row in group.items():
+            for (xp, gp), col in group.items():
+                if g == gp:
+                    blocks.setdefault((x, xp), {})[(row, col)] = 1.0
+    states = region_states(model, m)
+    region_keys = FusionTreeBasis(model, m).states
+    pairs = [(x, xp) for x in states for xp in states if x.charge == xp.charge]
+    ops = [
+        conjugate_factored(w, blocks.get((region_keys[x.index], region_keys[xp.index]), {}))
+        for x, xp in pairs
+    ]
+    return pairs, ops
+
+
+def local_candidate_span_loop(model, n_modes: int, m: int):
+    """``algebra.local_candidate_span`` from :func:`factored_groups`: one
+    element per (b0, x, G, x', G') with support, in sorted key order."""
+    w, groups = factored_groups(model, n_modes, m)
+    blocks: dict[tuple, dict] = {}
+    for (b0, _y), group in groups.items():
+        for (x, G), row in group.items():
+            for (xp, Gp), col in group.items():
+                blocks.setdefault((b0, x, G, xp, Gp), {})[(row, col)] = 1.0
+    keys = sorted(blocks)
+    metas = [
+        {"b0": model.labels[b0], "x": x, "G": G, "xp": xp, "Gp": Gp}
+        for b0, x, G, xp, Gp in keys
+    ]
+    return metas, [conjugate_factored(w, blocks[k]) for k in keys]
+
+
+def complement_observable_basis(model, n_modes: int, m: int):
+    """Spanning set of observables local on the complement ``{M+1..N}``.
+
+    Mirror images of ``algebra.observable_basis``: for rest labelings ``y, y'``
+    of equal charge, ``T = sum_{x,G} |x,y;G><x,y';G|`` acts trivially on the
+    region factor and on the overall fusion channel.  Every operator in the
+    candidate-local span of ``{1..M}`` commutes with every element here.
+    """
+    if m == n_modes:
+        return []
+    w, groups = factored_groups(model, n_modes, m)
+    ops = []
+    keys = sorted(groups, key=lambda k: k[1])  # by rest labeling
+    for b1, y1 in keys:
+        for b2, y2 in keys:
+            if b1 != b2:
+                continue
+            left, right = groups[(b1, y1)], groups[(b2, y2)]
+            entries = {
+                (row, right[xg]): 1.0 for xg, row in left.items() if xg in right
+            }
+            if entries:
+                ops.append(conjugate_factored(w, entries))
+    return ops
+
+
 def o_operator(model, n_modes: int, leaves, internals, g):
     """The operator ``O_{a,d,g}`` of the constructive decomposition, as a matrix.
 
@@ -301,7 +444,7 @@ def braid_adjacent_loop(model, n_modes: int, k: int, sense: str = "over"):
     times ``R^{a_k a_{k+1}}_c``, and the result is recoupled to the canonical
     basis.  ``under`` is the adjoint of ``over``."""
     from anyonladder import trees
-    from anyonladder.basis import FusionTreeBasis, _from_factored, recouple
+    from anyonladder.basis import FusionTreeBasis, recouple
 
     if sense == "under":
         return braid_adjacent_loop(model, n_modes, k).dagger()
@@ -317,7 +460,7 @@ def braid_adjacent_loop(model, n_modes: int, k: int, sense: str = "over"):
         swapped[pos[(i, i)]] = b
         swapped[pos[(j, j)]] = a
         entries[(target_basis.index[tuple(swapped)], col)] = model.r(a, b, c)
-    return _from_factored(w, entries)
+    return conjugate_factored(w, entries)
 
 
 def evaluate_recursively(poly, resolver, cache: dict, identity=None):

@@ -9,7 +9,6 @@ from anyonladder.algebra import (
     algebra_closure,
     apply_word,
     candidate_local_basis,
-    complement_observable_basis,
     decompose_observable,
     element_polynomial,
     fock_word,
@@ -101,7 +100,7 @@ def test_observable_basis_projector_structure(fib):
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
 def test_candidates_commute_with_complement(name, m):
     model = builtin(name)
-    comp = complement_observable_basis(model, 3, m)
+    comp = orc.complement_observable_basis(model, 3, m)
     assert comp
     _metas, candidates = local_candidate_span(model, 3, m)
     worst = 0.0
@@ -126,7 +125,7 @@ def test_candidate_span_is_the_complement_commutant(name, n, m, want):
     observables and has its dimension, so the two spaces are equal."""
     model = builtin(name)
     _metas, span = local_candidate_span(model, n, m)
-    comps = complement_observable_basis(model, n, m)
+    comps = orc.complement_observable_basis(model, n, m)
     assert max((a @ c - c @ a).norm_max() for a in span for c in comps) < 1e-12
     assert orc.commutant_dimension(model, n, m) == want
     assert len(span) == want

@@ -11,11 +11,12 @@ from anyonladder.basis import (
     FusionTreeBasis,
     SparseOperator,
     _CSRBlock,
+    _conjugate,
     _factored_states,
-    _from_factored,
     _label_table,
     _matmul_batch,
     _move_matrix,
+    _pairs,
     braid_adjacent,
     braid_word,
     recouple,
@@ -362,25 +363,137 @@ def test_vectorised_charge_helpers_match_loops(fib, ising):
         basis.totals()[0] = 1
 
 
-def test_from_factored_matches_explicit_conjugation(fib, fermion, ising):
-    """Skipping the identity recoupling (m >= n - 1) leaves the CSR bytes as
-    the two products make them, signed zeros included."""
+def _csr_equal(got, want):
+    assert got.row_basis.is_compatible(want.row_basis)
+    assert got.col_basis.is_compatible(want.col_basis)
+    assert orc.csr_bytes(got) == orc.csr_bytes(want)
+
+
+def test_conjugate_matches_explicit_conjugation(fib, fermion, ising):
+    """A one-matrix batch has the CSR bytes of the two sparse products,
+    signed zeros included, also where the recoupling is the identity
+    (m >= n - 1)."""
     rng = np.random.default_rng(3)
     for model in (fib, fermion, ising):
         for n in range(1, 5):
             for m in range(1, n + 1):
-                w, _groups = _factored_states(model, n, m)
+                w = _factored_states(model, n, m)[0]
                 dim = w.row_basis.dim
                 idx = rng.integers(dim, size=(12, 2))
                 values = list(rng.normal(size=12) + 1j * rng.normal(size=12))
                 values[:4] = [complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, 0.5), 1e-15]
                 entries = {(int(i), int(j)): v for (i, j), v in zip(idx, values)}
-                got = _from_factored(w, entries)
-                want = orc.conjugate_factored(w, entries)
-                assert got.row_basis.is_compatible(want.row_basis)
-                assert got.col_basis.is_compatible(want.col_basis)
-                for attr in ("data", "indices", "indptr"):
-                    assert getattr(got.matrix, attr).tobytes() == getattr(want.matrix, attr).tobytes()
+                rows, cols = np.array(list(entries)).T
+                got = _conjugate(w, rows, cols, list(entries.values()), np.zeros_like(rows), 1)
+                _csr_equal(got.operator(0), orc.conjugate_factored(w, entries))
+
+
+def test_conjugate_batch_matches_each_product(fib, ising):
+    """Each matrix of a batch has the bytes of its own ``W^dagger M W``,
+    whatever else is in the batch: random complex entries, signed zeros, one
+    matrix with no entries, and entries whose partial products fall on
+    either side of the drop tolerance."""
+    rng = np.random.default_rng(5)
+    for model, n, m in [(fib, 4, 2), (ising, 3, 1), (fib, 3, 3)]:
+        w = _factored_states(model, n, m)[0]
+        dim = w.row_basis.dim
+        elements = []
+        for _ in range(3):
+            size = int(rng.integers(1, 3 * dim))
+            idx = rng.integers(dim, size=(size, 2))
+            values = rng.normal(size=size) + 1j * rng.normal(size=size)
+            values[:3] = [complex(-0.0, -1.0), complex(1.0, -0.0), 1e-15][:size]
+            elements.append({(int(i), int(j)): v for (i, j), v in zip(idx, values)})
+        elements.insert(2, {})  # an empty element
+        # Column j0, which W mixes most, holds one 5e-15: its W^dagger products
+        # are dropped before the second product, where they would nudge
+        # the sums of the other columns.
+        j0 = int(np.argmax(np.diff(w.matrix.indptr)))
+        dense = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        elements.append({(i, j): dense[i, j] for i in range(dim) for j in range(dim) if j != j0})
+        elements[-1][(j0, j0)] = 5e-15
+        # 2e-14 on the diagonal: products on both sides of the tolerance.
+        phases = np.exp(2j * np.pi * rng.random(dim))
+        elements.append({(i, i): 2e-14 * phases[i] for i in range(dim)})
+        count = len(elements)
+        rows, cols, vals, owner = [], [], [], []
+        # Entries of the elements interleaved: the batch keeps each element's own.
+        for k, entries in sorted(
+            ((k, e) for k, el in enumerate(elements) for e in el.items()),
+            key=lambda item: item[1][0][::-1],
+        ):
+            (i, j), v = entries
+            rows.append(i), cols.append(j), vals.append(v), owner.append(k)
+        block = _conjugate(w, np.array(rows, int), np.array(cols, int), vals, np.array(owner, int), count)
+        for k, entries in enumerate(elements):
+            want = orc.conjugate_factored(w, entries)
+            _csr_equal(block.operator(k), want)
+        assert block.operator(2).nnz == 0
+
+
+def test_factored_states_match_the_dictionary_groups(fib, fermion, ising):
+    """The arrays of ``_factored_states`` label every factored state as the
+    nested dictionaries of ``oracles.factored_groups`` do."""
+    for model in (fib, fermion, ising):
+        for n in range(1, 5):
+            for m in range(1, n + 1):
+                w, b0, y, x, g = _factored_states(model, n, m)
+                w_loop, groups = orc.factored_groups(model, n, m)
+                assert w is w_loop
+                region = FusionTreeBasis(model, m).states
+                rest_of = {}
+                for (b, rest), group in groups.items():
+                    for (xr, gr), i in group.items():
+                        assert (b0[i], region[x[i]], g[i]) == (b, xr, gr)
+                        assert rest_of.setdefault(y[i], rest) == rest
+                assert len(rest_of) == len(groups)
+
+
+def test_pairs_joins_equal_keys():
+    rng = np.random.default_rng(9)
+    for key in (rng.integers(5, size=40), np.zeros(3, int), np.arange(4), np.array([], int)):
+        rows, cols = _pairs(key)
+        got = sorted(zip(rows.tolist(), cols.tolist()))
+        want = [(i, j) for i in range(len(key)) for j in range(len(key)) if key[i] == key[j]]
+        assert got == want
+
+
+def test_drop_matches_the_coo_round_trip(fib):
+    """``drop`` filters in CSR and gives the bytes of the COO round trip:
+    unsorted product output, duplicates, explicit zeros, entries at the
+    tolerance, int64 indices and an empty matrix."""
+    rng = np.random.default_rng(13)
+    b3, b4 = FusionTreeBasis(fib, 3), FusionTreeBasis(fib, 4)
+    a = _random_operator(rng, b4, b4, 0.3)
+    products = [a @ a, braid_adjacent(fib, 4, 2) @ a]
+    raw = [SparseOperator(b4, b4, (a.matrix @ a.matrix).tocsr())]  # unsorted columns
+    assert not raw[0].matrix.has_sorted_indices
+    # Each row with entries gains its last entry negated (an exact cancel)
+    # and a 1e-15 on its first column: duplicates summed after the filter.
+    m, data, indices, indptr = a.matrix, [], [], [0]
+    for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
+        d, j = list(m.data[lo:hi]), list(m.indices[lo:hi])
+        if j:
+            d, j = d + [-d[-1], 1e-15], j + [j[-1], j[0]]
+        data, indices = data + d, indices + j
+        indptr.append(len(data))
+    dupes = sp.csr_matrix((np.array(data, complex), indices, indptr), shape=m.shape)
+    tiny = a.matrix.copy()
+    tiny.data[::3] = 0.0
+    tiny.data[1::5] = 1e-14 * np.exp(1j * np.arange(len(tiny.data[1::5])))
+    tiny.data[2::7] = -0.0
+    wide = a.matrix.copy()
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    ops = products + raw + [
+        SparseOperator(b4, b4, mat) for mat in (dupes, tiny, wide)
+    ] + [SparseOperator.zero(b3, b4), SparseOperator.from_entries(b3, b3, {(0, 0): 1e-16})]
+    assert ops[-3].matrix.indices.dtype == np.int64
+    for op in ops:
+        got = op.drop()
+        want = orc.drop_coo(op)
+        assert orc.csr_bytes(got) == orc.csr_bytes(want)
+        assert got.matrix.has_canonical_format
+    assert orc.csr_bytes(ops[4].drop(1e-3)) == orc.csr_bytes(orc.drop_coo(ops[4], 1e-3))
 
 
 def _random_operator(rng, row_basis, col_basis, density):
