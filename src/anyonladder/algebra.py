@@ -24,7 +24,8 @@ import numpy as np
 
 from . import trees
 from .basis import (
-    FusionTreeBasis, SparseOperator, braid_word, _conjugate, _factored_states, _memo, _pairs
+    FusionTreeBasis, SparseOperator, braid_word, _conjugate, _CSRBlock, _factored_states,
+    _memo, _pairs,
 )
 from .ladder import (
     coefficient_tables,
@@ -175,20 +176,28 @@ def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
 
 
 @_memo
-def _frame(model: AnyonModel, n_modes: int, m: int, span) -> np.ndarray:
-    """The operators of ``span(model, n_modes, m)`` as flattened dense columns."""
+def _span_entries(model: AnyonModel, n_modes: int, m: int, span):
+    """The stored entries of the operators of ``span(model, n_modes, m)`` as
+    ``(owner, rows, cols, vals)``, then each operator's squared norm."""
     _, ops = span(model, n_modes, m)
-    return np.stack([op.to_dense().ravel() for op in ops], axis=1)
+    block = _CSRBlock.pack(ops)
+    owner = np.repeat(np.arange(len(ops)), [op.nnz for op in ops])
+    norms = np.bincount(owner, np.abs(block.data) ** 2, len(ops))
+    return owner, block.rows, block.indices, block.data, norms
 
 
-def _fit(stack: np.ndarray, op: SparseOperator, modes):
-    """Least-squares coefficients of ``op``, its region ``modes`` braided to the
-    front, over the columns of ``stack``, and the largest entry left unfitted."""
-    model, n = op.row_basis.model, op.row_basis.n_modes
-    u = mode_relabel_unitary(model, n, modes)
-    target = (u @ op @ u.dagger()).to_dense().ravel()
-    coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
-    return coeffs, float(np.abs(stack @ coeffs - target).max())
+def _span_residual(op: SparseOperator, s: tuple[int, ...], span) -> float:
+    """The largest entry of ``op``, region ``s`` brought to the front, left by
+    its least-squares fit over the operators of ``span``: these are mutually
+    orthogonal, so each coefficient is an overlap over a squared norm."""
+    basis = op.row_basis
+    owner, rows, cols, vals, norms = _span_entries(basis.model, basis.n_modes, len(s), span)
+    target = _to_front(op, s).to_dense()
+    overlap = target[rows, cols] * vals.conj()
+    coeffs = (np.bincount(owner, overlap.real, len(norms))
+              + 1j * np.bincount(owner, overlap.imag, len(norms))) / norms
+    np.subtract.at(target, (rows, cols), coeffs[owner] * vals)
+    return float(np.abs(target).max())
 
 
 def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperator:
@@ -200,7 +209,7 @@ def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperat
     to those of mode ``s_k``.  ``modes`` is any iterable of mode numbers; the
     result is kept per sorted region and shared, so it must not be modified.
     """
-    return _mode_relabel_unitary(model, n_modes, _region(modes, n_modes))
+    return _mode_relabel_unitaries(model, n_modes, _region(modes, n_modes))[0]
 
 
 def _region(modes, n_modes: int) -> tuple[int, ...]:
@@ -213,14 +222,22 @@ def _region(modes, n_modes: int) -> tuple[int, ...]:
 
 
 @_memo
-def _mode_relabel_unitary(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> SparseOperator:
+def _mode_relabel_unitaries(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
+    """``(U, U^dagger)`` of :func:`mode_relabel_unitary` for the sorted region ``s``."""
     m = len(s)
     word = []
     for i in range(m):
         target = s[m - 1 - i]
         for j in range(m - i + 1, target + 1):
             word.append((j - 1, "under"))
-    return braid_word(model, n_modes, word)
+    u = braid_word(model, n_modes, word)
+    return u, u.dagger()
+
+
+def _to_front(op: SparseOperator, s: tuple[int, ...]) -> SparseOperator:
+    """``U op U^dagger``: ``op`` with the sorted region ``s`` braided to the front."""
+    u, u_dagger = _mode_relabel_unitaries(op.row_basis.model, op.row_basis.n_modes, s)
+    return u @ op @ u_dagger
 
 
 def _canonical_basis(op: SparseOperator) -> FusionTreeBasis:
@@ -241,17 +258,19 @@ def _canonical_basis(op: SparseOperator) -> FusionTreeBasis:
 def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     """Whether ``op`` lies in the candidate-local span of the region ``modes``.
 
-    The region is braided to the front and ``op`` is fitted against the
+    The region is braided to the front and ``op`` is projected onto the
     rest-charge-resolved spanning set (which contains all ladder operators of
     the region, including total-charge changing ones).  Returns
-    ``(flag, residual)`` with ``residual`` the largest unfitted entry.
-    The span equals the commutant of the observables local on the
-    complement, charge-changing elements included; fitting against it avoids
-    forming that commutant.
+    ``(flag, residual)`` with ``residual`` the largest entry the projection
+    leaves.  The span equals the commutant of the observables local on the
+    complement, charge-changing elements included; projecting onto it avoids
+    forming that commutant.  The span's elements have disjoint 0/1 entries
+    in the factored basis, so they are mutually orthogonal and the
+    least-squares fit has a closed form: each coefficient is the element's
+    overlap with ``op`` over its squared norm.  No dense frame is formed.
     """
     basis = _canonical_basis(op)
-    s = _region(modes, basis.n_modes)
-    _, residual = _fit(_frame(basis.model, basis.n_modes, len(s), local_candidate_span), op, s)
+    residual = _span_residual(op, _region(modes, basis.n_modes), local_candidate_span)
     return residual <= tol, residual
 
 
@@ -619,10 +638,11 @@ def decompose_observable(
         return Decomposition(s, LadderPolynomial.constant(lam), {}, 0.0, 0.0)
 
     entries, _polys, stack = _product_frame(model, n, m)
-    coeffs, span_residual = _fit(stack, op, s)
+    target = _to_front(op, s).to_dense().ravel()
+    coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
+    span_residual = float(np.abs(stack @ coeffs - target).max())
     if span_residual > tolerance:
-        _, local_residual = _fit(_frame(model, n, m, observable_basis), op, s)
-        if local_residual <= tolerance:
+        if _span_residual(op, s, observable_basis) <= tolerance:
             raise ValueError(
                 f"operator is local on modes {list(s)} but outside the span "
                 f"realised by ladder polynomials (span residual {span_residual:.3e})"

@@ -305,20 +305,18 @@ def fermion_annihilator(model: AnyonModel, n_modes: int, k: int = 1) -> SparseOp
 
     ``model`` must have a single non-vacuum type ``psi`` with
     ``psi x psi = e``; the resulting family satisfies the anticommutation
-    relations ``{f_i, f_j} = 0`` and ``{f_i, f_j^dagger} = delta_ij``.
+    relations ``{f_i, f_j} = 0`` and ``{f_i, f_j^dagger} = delta_ij``.  On a
+    single mode the rest charge ``psi`` cannot occur, and ``f_1`` is
+    ``psi_1^{e,psi}`` alone.
     """
-    psi_index = fermion_type(model)
-    if psi_index is None:
+    psi = fermion_type(model)
+    if psi is None:
         raise ModelDataError(
             "the fermionic annihilator needs a two-type model whose non-vacuum "
             "type squares to the vacuum"
         )
-    psi = model.labels[psi_index]
-    e = model.labels[model.vacuum]
-    return (
-        annihilating_element(model, n_modes, psi, e, psi, k)
-        + (-1.0) * annihilating_element(model, n_modes, psi, psi, e, k)
-    ).drop()
+    e = model.vacuum
+    return _element_family(model, n_modes, psi, [(e, psi, 1.0), (psi, e, -1.0)], k)[k]
 
 
 # ---------------------------------------------------------------------------

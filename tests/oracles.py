@@ -565,3 +565,20 @@ def csr_bytes(op):
         (part.dtype.str, part.tobytes())
         for part in (op.matrix.data, op.matrix.indices, op.matrix.indptr)
     )
+
+
+def span_residuals_dense(ops, modes, span):
+    """Largest unfitted entry of each operator of ``ops``, region ``modes``
+    braided to the front, after a dense least-squares fit over the flattened
+    operators of ``span(model, n_modes, len(modes))``: the (D^2, K) frame and
+    one ``lstsq`` for all targets, with no use of the span's orthogonality."""
+    from anyonladder.algebra import mode_relabel_unitary
+
+    basis = ops[0].row_basis
+    s = tuple(sorted(modes))
+    _, elements = span(basis.model, basis.n_modes, len(s))
+    frame = np.stack([el.to_dense().ravel() for el in elements], axis=1)
+    u = mode_relabel_unitary(basis.model, basis.n_modes, s)
+    targets = np.stack([(u @ op @ u.dagger()).to_dense().ravel() for op in ops], axis=1)
+    coeffs, *_ = np.linalg.lstsq(frame, targets, rcond=None)
+    return np.abs(frame @ coeffs - targets).max(axis=0)

@@ -449,6 +449,21 @@ def test_decompose_reports_local_but_unrealised(ising):
         decompose_observable(op, (1, 2))
 
 
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (2, r"operator is not local on modes \[1, 2\] "),
+        (1, r"operator is local on modes \[1, 2\] but outside the span realised"),
+    ],
+)
+def test_decompose_tells_braids_apart_on_two_ising_modes(ising, k, message):
+    """Both braids are charge-diagonal.  Exchanging modes 2 and 3 reaches out
+    of {1, 2}; exchanging modes 1 and 2 is local there, but no Ising ladder
+    polynomial realises it."""
+    with pytest.raises(ValueError, match=message):
+        decompose_observable(braid_adjacent(ising, 3, k), (1, 2))
+
+
 def test_decompose_rejects_repeated_modes(fib):
     with pytest.raises(ValueError, match="invalid region"):
         decompose_observable(2.0 * _identity(fib, 3), (1, 1))

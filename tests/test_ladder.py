@@ -8,6 +8,7 @@ from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.ladder import (
     annihilating_element,
     coefficient_tables,
+    fermion_annihilator,
     fibonacci_pair,
     identity_ladder,
     j_count,
@@ -164,6 +165,14 @@ def test_fermion_composite_is_canonical(fermion):
             assert np.allclose(anti, 0.0, atol=1e-10)
             mixed = fs[i] @ fs[j].conj().T + fs[j].conj().T @ fs[i]
             assert np.allclose(mixed, eye if i == j else 0.0, atol=1e-10)
+
+
+def test_single_mode_fermion_annihilator(fermion):
+    """One mode has no rest charge psi, so f_1 is psi^{e,psi} alone."""
+    f = fermion_annihilator(fermion, 1)
+    assert f.allclose(annihilating_element(fermion, 1, "psi", "e", "psi"), tol=0.0)
+    anti = (f @ f.dagger() + f.dagger() @ f).to_dense()
+    assert np.array_equal(anti, np.eye(2))
 
 
 def test_fibonacci_pair_composition(fib):
