@@ -388,16 +388,6 @@ def _label_table(model: AnyonModel, shape) -> trees.LabelTable:
     return trees.enumerate_labelings(model, shape)
 
 
-@_memo
-def _symbol_tensors(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ``F[a, b, c, d, x, y] = [F^{abc}_d]_{x,y}`` and ``R[a, b, c] =
-    R^{ab}_c``, zero wherever a fusion is forbidden."""
-    n = model.n_labels
-    f = [model.f_entry(*key) for key in np.ndindex((n,) * 6)]
-    r = [model.r(*key) if model.fusion[key] else 0.0 for key in np.ndindex((n,) * 3)]
-    return np.array(f, complex).reshape((n,) * 6), np.array(r, complex).reshape((n,) * 3)
-
-
 def _move_matrix(model: AnyonModel, shape, node_span):
     """One right-to-left rotation as a sparse overlap matrix.
 
@@ -409,7 +399,7 @@ def _move_matrix(model: AnyonModel, shape, node_span):
     created = (a_span[0], b_span[1])
     a, b, c, d, y = (old.column(s) for s in (a_span, b_span, c_span, node_span, removed))
     # Entries run by old state j, then by channel x in label order.
-    amps = _symbol_tensors(model)[0][a, b, c, d, :, y]
+    amps = model.F[a, b, c, d, :, y]
     j, x = np.nonzero(np.abs(amps) > DROP_TOLERANCE)
     # A new state is the old one with the removed charge replaced by the
     # created charge x; every other span keeps its charge.
@@ -529,7 +519,7 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
     a, b = table.spans.index((i, i)), table.spans.index((j, j))
     swapped = table.rows.copy()
     swapped[:, [a, b]] = table.rows[:, [b, a]]
-    phases = _symbol_tensors(model)[1][table.rows[:, a], table.rows[:, b], table.column((i, j))]
+    phases = model.R[table.rows[:, a], table.rows[:, b], table.column((i, j))]
     cols = np.arange(len(swapped))
     return _conjugate(w, table.find(swapped), cols, phases, np.zeros_like(cols), 1).operator(0)
 

@@ -152,6 +152,14 @@ def _pair_symbol(family: str, mode: int, dagger: bool) -> GeneratorSymbol:
     return GeneratorSymbol(mode, "pair", family, 0, dagger)
 
 
+def _check_indexing(spec: LatticeSpec, params: HubbardParams) -> None:
+    if params.indexing != spec.indexing:
+        raise ValueError(
+            f"params request {params.indexing!r} indexing but the lattice was "
+            f"built with {spec.indexing!r}"
+        )
+
+
 def hamiltonian_polynomial(spec: LatticeSpec, params: HubbardParams) -> LadderPolynomial:
     """The Hamiltonian as a ladder polynomial in the pair symbols.
 
@@ -159,6 +167,7 @@ def hamiltonian_polynomial(spec: LatticeSpec, params: HubbardParams) -> LadderPo
     :func:`build_hamiltonian`; the two construction paths cross-check each
     other.
     """
+    _check_indexing(spec, params)
     parts = []
     for i in range(1, spec.n_modes + 1):
         for family in ("alpha", "beta"):
@@ -183,11 +192,7 @@ def build_hamiltonian(
     Without ``pair``, the model's shared pair (``ladder._shared_pair``) is
     used, so later callers on the same model and mode count reuse it.
     """
-    if params.indexing != spec.indexing:
-        raise ValueError(
-            f"params request {params.indexing!r} indexing but the lattice was "
-            f"built with {spec.indexing!r}"
-        )
+    _check_indexing(spec, params)
     if pair is None:
         if model is None:
             model = builtin("fibonacci")

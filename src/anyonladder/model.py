@@ -19,6 +19,12 @@ Conventions
 * F- and R-symbols with a vacuum label among the upper indices are gauge
   fixed to 1 and are filled in automatically; documents only carry the
   non-trivial entries.
+* Both are stored once, as read-only complex arrays over label indices:
+  ``F[a, b, c, d, x, y] = [F^{abc}_d]_{x,y}`` (shape ``(n,) * 6``) and
+  ``R[a, b, c] = R^{ab}_c`` (shape ``(n,) * 3``), zero wherever the fusion
+  rules forbid an entry.
+* ``alpha`` and ``beta`` (the Fibonacci pair in generator tokens) are not
+  labels, and no label holds ``,``, ``;`` or ``|`` (the files' separators).
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ import numpy as np
 
 __all__ = [
     "AnyonModel",
-    "FBlock",
     "ModelDataError",
     "CheckResult",
     "ValidationReport",
@@ -51,22 +56,10 @@ class ModelDataError(ValueError):
     """Raised when model data is structurally unusable."""
 
 
-@dataclass(frozen=True)
-class FBlock:
-    """One F-matrix ``[F^{abc}_d]`` together with its channel index lists."""
-
-    rows: tuple[int, ...]  # valid x in a x b, label order
-    cols: tuple[int, ...]  # valid y in b x c, label order
-    mat: np.ndarray  # complex, shape (len(rows), len(cols))
-
-    def entry(self, x: int, y: int) -> complex:
-        """Matrix element for channels (x, y); 0 when the pair is invalid."""
-        try:
-            i = self.rows.index(x)
-            j = self.cols.index(y)
-        except ValueError:
-            return 0.0
-        return complex(self.mat[i, j])
+def _check_labels(labels: Iterable[str]) -> None:
+    for l in labels:
+        if l in ("alpha", "beta") or any(ch in l for ch in ",;|"):
+            raise ModelDataError(f"particle label {l!r} is reserved or holds one of , ; |")
 
 
 class AnyonModel:
@@ -90,6 +83,7 @@ class AnyonModel:
         self.labels = tuple(str(l) for l in labels)
         if len(set(self.labels)) != len(self.labels):
             raise ModelDataError(f"duplicate particle labels in {self.labels}")
+        _check_labels(self.labels)
         self._index = {l: i for i, l in enumerate(self.labels)}
         n = len(self.labels)
         if vacuum not in self._index:
@@ -135,8 +129,8 @@ class AnyonModel:
             dims.append(float(np.max(eigs.real)))
         self.quantum_dims = tuple(dims)
 
-        self._f = self._assemble_f(f_symbols)
-        self._r = self._assemble_r(r_symbols)
+        self.F = self._assemble_f(f_symbols)
+        self.R = self._assemble_r(r_symbols)
 
     # -- construction helpers -------------------------------------------------
 
@@ -149,7 +143,7 @@ class AnyonModel:
 
     def _assemble_f(
         self, provided: Mapping[tuple[str, str, str, str], np.ndarray]
-    ) -> dict[tuple[int, int, int, int], FBlock]:
+    ) -> np.ndarray:
         by_index = {}
         for (a, b, c, d), mat in provided.items():
             try:
@@ -158,47 +152,39 @@ class AnyonModel:
                 raise ModelDataError(f"F-symbol key uses unknown label: {exc}") from exc
             by_index[key] = np.asarray(mat, dtype=complex)
 
-        table: dict[tuple[int, int, int, int], FBlock] = {}
         n = len(self.labels)
-        for a, b, c, d in product(range(n), repeat=4):
-            xs, ys = self._f_channel_lists(a, b, c, d)
+        table = np.zeros((n,) * 6, dtype=complex)
+        for key in product(range(n), repeat=4):
+            xs, ys = self._f_channel_lists(*key)
             if len(xs) != len(ys):
-                raise ModelDataError(
-                    "fusion rules are not associative at "
-                    f"({self.labels[a]},{self.labels[b]},{self.labels[c]};{self.labels[d]})"
-                )
+                a, b, c, d = (self.labels[i] for i in key)
+                raise ModelDataError(f"fusion rules are not associative at ({a},{b},{c};{d})")
             if not xs:
                 continue
-            key = (a, b, c, d)
-            if self.vacuum in (a, b, c):
-                mat = np.eye(len(xs), dtype=complex)
-                if key in by_index and not np.allclose(by_index[key], mat):
+            mat = by_index.pop(key, None)
+            if self.vacuum in key[:3]:
+                if mat is not None and not np.allclose(mat, np.eye(len(xs))):
                     raise ModelDataError(
                         "F-symbols with a vacuum upper index are gauge fixed to 1; "
                         f"conflicting entry for {self._f_key_str(key)}"
                     )
-            else:
-                if key not in by_index:
-                    raise ModelDataError(f"missing F-symbol {self._f_key_str(key)}")
-                mat = by_index.pop(key)
-                if mat.shape != (len(xs), len(ys)):
-                    raise ModelDataError(
-                        f"F-symbol {self._f_key_str(key)} has shape {mat.shape}, "
-                        f"expected {(len(xs), len(ys))}"
-                    )
-            mat = mat.copy()
-            mat.setflags(write=False)
-            table[key] = FBlock(xs, ys, mat)
-        stray = [k for k in by_index if self.vacuum not in k[:3]]
-        if stray:
+                mat = np.eye(len(xs))
+            elif mat is None:
+                raise ModelDataError(f"missing F-symbol {self._f_key_str(key)}")
+            elif mat.shape != (len(xs), len(ys)):
+                raise ModelDataError(
+                    f"F-symbol {self._f_key_str(key)} has shape {mat.shape}, "
+                    f"expected {(len(xs), len(ys))}"
+                )
+            table[key][np.ix_(xs, ys)] = mat
+        if by_index:
             raise ModelDataError(
-                f"F-symbol {self._f_key_str(stray[0])} refers to a forbidden fusion"
+                f"F-symbol {self._f_key_str(next(iter(by_index)))} refers to a forbidden fusion"
             )
+        table.setflags(write=False)
         return table
 
-    def _assemble_r(
-        self, provided: Mapping[tuple[str, str, str], complex]
-    ) -> dict[tuple[int, int, int], complex]:
+    def _assemble_r(self, provided: Mapping[tuple[str, str, str], complex]) -> np.ndarray:
         by_index = {}
         for (a, b, c), val in provided.items():
             try:
@@ -207,27 +193,27 @@ class AnyonModel:
                 raise ModelDataError(f"R-symbol key uses unknown label: {exc}") from exc
             by_index[key] = complex(val)
 
-        table: dict[tuple[int, int, int], complex] = {}
         n = len(self.labels)
+        table = np.zeros((n,) * 3, dtype=complex)
         for a, b in product(range(n), repeat=2):
             for c in self._fuse[a, b]:
                 key = (a, b, c)
+                val = by_index.pop(key, None)
                 if self.vacuum in (a, b):
-                    if key in by_index and not cmath.isclose(by_index[key], 1.0):
+                    if val is not None and not cmath.isclose(val, 1.0):
                         raise ModelDataError(
                             "R-symbols with a vacuum index are gauge fixed to 1; "
                             f"conflicting entry for {self._r_key_str(key)}"
                         )
-                    table[key] = 1.0
-                else:
-                    if key not in by_index:
-                        raise ModelDataError(f"missing R-symbol {self._r_key_str(key)}")
-                    table[key] = by_index.pop(key)
-        stray = [k for k in by_index if self.vacuum not in k[:2]]
-        if stray:
+                    val = 1.0
+                elif val is None:
+                    raise ModelDataError(f"missing R-symbol {self._r_key_str(key)}")
+                table[key] = val
+        if by_index:
             raise ModelDataError(
-                f"R-symbol {self._r_key_str(stray[0])} refers to a forbidden fusion"
+                f"R-symbol {self._r_key_str(next(iter(by_index)))} refers to a forbidden fusion"
             )
+        table.setflags(write=False)
         return table
 
     def _f_key_str(self, key: tuple[int, int, int, int]) -> str:
@@ -256,19 +242,15 @@ class AnyonModel:
 
     def f_entry(self, a: int, b: int, c: int, d: int, x: int, y: int) -> complex:
         """``[F^{abc}_d]_{x,y}``; 0 whenever any index combination is invalid."""
-        block = self._f.get((a, b, c, d))
-        if block is None:
-            return 0.0
-        return block.entry(x, y)
+        return complex(self.F[a, b, c, d, x, y])
 
     def r(self, a: int, b: int, c: int) -> complex:
         """``R^{ab}_c``; raises for a forbidden fusion."""
-        try:
-            return self._r[a, b, c]
-        except KeyError:
+        if not self.fusion[a, b, c]:
             raise ModelDataError(
                 f"R-symbol requested for forbidden fusion {self._r_key_str((a, b, c))}"
-            ) from None
+            )
+        return complex(self.R[a, b, c])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AnyonModel({self.name!r}, labels={self.labels})"
@@ -456,6 +438,7 @@ def load_model(source) -> AnyonModel:
         fusion = doc["fusion"]
     except KeyError as exc:
         raise ModelDataError(f"model document misses required field {exc}") from exc
+    _check_labels(map(str, labels))
 
     triples = []
     for triple in fusion:
@@ -508,19 +491,28 @@ def dump_model(model: AnyonModel) -> dict:
         "f_symbols": {},
         "r_symbols": {},
     }
-    for (a, b, c, d), block in sorted(model._f.items()):
+    for (a, b, c, d), block in _f_blocks(model):
         if model.vacuum in (a, b, c):
             continue
         key = f"{model.labels[a]},{model.labels[b]},{model.labels[c]};{model.labels[d]}"
         doc["f_symbols"][key] = [
-            [[float(v.real), float(v.imag)] for v in row] for row in block.mat
+            [[float(v.real), float(v.imag)] for v in row] for row in block
         ]
-    for (a, b, c), val in sorted(model._r.items()):
+    for a, b, c in np.argwhere(model.fusion == 1).tolist():
         if model.vacuum in (a, b):
             continue
         key = f"{model.labels[a]},{model.labels[b]};{model.labels[c]}"
+        val = model.R[a, b, c]
         doc["r_symbols"][key] = [float(val.real), float(val.imag)]
     return doc
+
+
+def _f_blocks(model: AnyonModel):
+    """Each non-empty ``((a, b, c, d), [F^{abc}_d])``, sliced from ``model.F``."""
+    for key in product(range(model.n_labels), repeat=4):
+        xs, ys = model._f_channel_lists(*key)
+        if xs:
+            yield key, model.F[key][np.ix_(xs, ys)]
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +604,14 @@ def _ordering_residual(model: AnyonModel) -> float:
 
 def _f_unitarity_residual(model: AnyonModel) -> float:
     worst = 0.0
-    for block in model._f.values():
-        gram = block.mat @ block.mat.conj().T
-        worst = max(worst, float(np.abs(gram - np.eye(len(block.rows))).max()))
+    for _key, block in _f_blocks(model):
+        gram = block @ block.conj().T
+        worst = max(worst, float(np.abs(gram - np.eye(len(block))).max()))
     return worst
 
 
 def _r_modulus_residual(model: AnyonModel) -> float:
-    return max((abs(abs(v) - 1.0) for v in model._r.values()), default=0.0)
+    return float(np.abs(np.abs(model.R[model.fusion == 1]) - 1.0).max())
 
 
 def _quantum_dim_residual(model: AnyonModel) -> float:

@@ -8,9 +8,12 @@ tautology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
+
+from anyonladder.model import dump_model
 
 # ---------------------------------------------------------------------------
 # Path counting
@@ -527,10 +530,26 @@ def dense_fold(poly, cache: dict, identity=None):
     return SparseOperator(row_basis, col_basis, sparse.csr_matrix(dense)).drop()
 
 
+@functools.cache
+def _f_document(model) -> dict:
+    return dump_model(model)["f_symbols"]
+
+
 def f_block(model, a: int, b: int, c: int, d: int):
-    """The stored F-matrix ``[F^{abc}_d]`` as a ``model.FBlock`` (channel
-    lists and matrix), or ``None`` when the fusions forbid it."""
-    return model._f.get((a, b, c, d))
+    """``(rows, cols, mat)`` of ``[F^{abc}_d]``, or ``None`` when the fusions
+    forbid it, read from the ``dump_model`` document: rows ``x`` with
+    ``a x b -> x -> d`` via ``c``, columns ``y`` with ``b x c -> y``, in label
+    order, and the identity when a vacuum is among ``a, b, c``."""
+    fusion = model.fusion
+    rows = [x for x in range(model.n_labels) if fusion[a, b, x] and fusion[x, c, d]]
+    cols = [y for y in range(model.n_labels) if fusion[b, c, y] and fusion[a, y, d]]
+    if not rows:
+        return None
+    if model.vacuum in (a, b, c):
+        return rows, cols, np.eye(len(rows), dtype=complex)
+    key = "{},{},{};{}".format(*(model.labels[i] for i in (a, b, c, d)))
+    mat = np.array([[complex(*p) for p in row] for row in _f_document(model)[key]])
+    return rows, cols, mat
 
 
 def sector_pairs(op) -> set[tuple[int, int]]:

@@ -231,9 +231,10 @@ def _reference_move_matrix(model, fresh, shape, node_span):
         block = orc.f_block(model, a, b, c, d)
         if block is None:
             continue
+        xs, ys, mat = block
         base = {s: st[old_pos[s]] for s in old_spans if s != removed}
-        for idx, x in enumerate(block.rows):
-            amp = block.mat[idx, block.cols.index(y)] if y in block.cols else 0.0
+        for idx, x in enumerate(xs):
+            amp = mat[idx, ys.index(y)] if y in ys else 0.0
             if abs(amp) <= DROP_TOLERANCE:
                 continue
             base[created] = x

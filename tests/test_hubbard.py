@@ -64,6 +64,8 @@ def test_params_validation():
         HubbardParams(t=1.0, mu=0.0, indexing="bogus")
     with pytest.raises(ValueError):
         build_hamiltonian(build_lattice(1), HubbardParams(1.0, 0.0, "paper"))
+    with pytest.raises(ValueError, match="indexing"):
+        hamiltonian_polynomial(build_lattice(2), HubbardParams(1.0, 0.0, "paper"))
 
 
 def test_hamiltonian_invariants():

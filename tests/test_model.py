@@ -1,10 +1,13 @@
 import copy
+import json
+import re
 
 import numpy as np
 import pytest
 
 from anyonladder.model import (
     BUILTIN_MODELS,
+    AnyonModel,
     ModelDataError,
     builtin,
     dump_model,
@@ -78,8 +81,8 @@ def test_dump_load_roundtrip():
         clone = load_model(dump_model(model))
         assert clone.labels == model.labels
         assert np.array_equal(clone.fusion, model.fusion)
-        for key, block in model._f.items():
-            assert np.allclose(clone._f[key].mat, block.mat)
+        assert np.array_equal(clone.F, model.F)
+        assert np.array_equal(clone.R, model.R)
         report = validate_model(clone, level="full")
         assert report.passed
 
@@ -101,6 +104,45 @@ def test_mutated_r_phase_is_caught(fib):
     broken = load_model(doc)
     report = validate_model(broken, level="full")
     assert not report.passed
+
+
+def test_symbol_arrays_are_read_only_and_zero_off_the_fusion_rules():
+    for name in BUILTIN_MODELS:
+        model = builtin(name)
+        n, f = model.n_labels, model.fusion
+        assert model.F.shape == (n,) * 6 and model.R.shape == (n,) * 3
+        assert model.F.dtype == model.R.dtype == np.complex128
+        for arr in (model.F, model.R):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 2.0
+        # [F^{abc}_d]_{x,y} needs a x b -> x, x x c -> d, b x c -> y and a x y -> d.
+        allowed = np.einsum("abx,xcd,bcy,ayd->abcdxy", f, f, f, f) == 1
+        assert np.all(model.F[~allowed] == 0)
+        assert np.all(model.R[f == 0] == 0)
+        assert np.allclose(np.abs(model.R[f == 1]), 1.0)
+
+
+def test_forbidden_vacuum_symbols_rejected(fib):
+    doc = copy.deepcopy(dump_model(fib))
+    doc["f_symbols"]["e,e,tau;e"] = [[[5.0, 0.0]]]
+    with pytest.raises(ModelDataError, match="forbidden fusion"):
+        load_model(doc)
+    doc = copy.deepcopy(dump_model(fib))
+    doc["r_symbols"]["e,e;tau"] = [5.0, 0.0]
+    with pytest.raises(ModelDataError, match="forbidden fusion"):
+        load_model(doc)
+
+
+@pytest.mark.parametrize("label", ["alpha", "beta", "t,u", "t;u", "t|u"])
+def test_unwritable_label_rejected(fermion, label):
+    """Such a label would not survive the model, polynomial or operator files;
+    both the constructor and ``load_model`` name it."""
+    with pytest.raises(ModelDataError, match=re.escape(repr(label))):
+        AnyonModel("renamed", ["e", label], "e", {}, [], {}, {})
+    doc = json.loads(json.dumps(dump_model(fermion)).replace("psi", label))
+    with pytest.raises(ModelDataError, match=re.escape(repr(label))):
+        load_model(doc)
 
 
 def test_fusion_multiplicity_rejected(fib):
