@@ -267,6 +267,17 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
+def _times(u, v) -> np.ndarray:
+    """``u * v`` elementwise, real and imaginary parts formed by separate
+    float operations as scipy's sparse kernels form them; numpy's complex
+    multiply may fuse them and move the last bit."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), complex)
+    out.real = u.real * v.real - u.imag * v.imag
+    out.imag = u.real * v.imag + u.imag * v.real
+    return out
+
+
 def _gather(refs):
     """The stored entries of the matrices ``block.operator(i)`` for ``(block,
     i)`` in ``refs``, in that order and each in its stored order: ``(first
@@ -318,11 +329,10 @@ def _matmul_batch(lefts, rights) -> _CSRBlock:
     Every term ``a[i, j] b[j, k]`` is expanded in the order of scipy's
     ``csr_matmat`` (Gustavson's row-wise product): row ``i`` of ``a``, its
     stored entries in order, each followed by the stored entries of row
-    ``j`` of ``b``.  Real and imaginary parts are formed by separate float
-    operations, as that kernel forms them; numpy's complex multiply may fuse
-    them and move the last bit.  Each entry sums its terms in that order from
-    zero, entries at or below ``DROP_TOLERANCE`` are left out (as ``drop``
-    leaves them out), and every product is stored as canonical sorted CSR.
+    ``j`` of ``b``, each term formed by :func:`_times`.  Each entry sums its
+    terms in that order from zero, entries at or below ``DROP_TOLERANCE``
+    are left out (as ``drop`` leaves them out), and every product is stored
+    as canonical sorted CSR.
     """
     a_base, a_owner, a_rows, a_col, a_val = _gather(lefts)
     b_base, b_owner, b_rows, b_col, b_val = _gather(rights)
@@ -337,10 +347,7 @@ def _matmul_batch(lefts, rights) -> _CSRBlock:
     count = b_row_nnz[a_col]
     ta = np.repeat(np.arange(len(a_col)), count)
     tb = np.arange(len(ta)) + np.repeat(b_start[a_col] - (np.cumsum(count) - count), count)
-    ar, ai, br, bi = a_val.real[ta], a_val.imag[ta], b_val.real[tb], b_val.imag[tb]
-    terms = np.empty(len(ta), complex)
-    terms.real = ar * br - ai * bi
-    terms.imag = ar * bi + ai * br
+    terms = _times(a_val[ta], b_val[tb])
     keys, slot = np.unique(a_row[ta] * n_cols + b_col[tb], return_inverse=True)
     sums = np.zeros(len(keys), complex)
     np.add.at(sums, slot, terms)
@@ -388,26 +395,33 @@ def _label_table(model: AnyonModel, shape) -> trees.LabelTable:
     return trees.enumerate_labelings(model, shape)
 
 
-def _move_matrix(model: AnyonModel, shape, node_span):
-    """One right-to-left rotation as a sparse overlap matrix.
+def _move_matrix(model: AnyonModel, shape, old: trees.LabelTable, node_span):
+    """One right-to-left rotation of ``shape``, whose labelings are ``old``.
 
-    Returns ``(new_shape, M)`` with ``M[i_new, j_old] = <new_i|old_j>``.
+    Returns ``(new_shape, new, M)``: the rotated shape, its labelings and the
+    sparse overlap matrix ``M[i_new, j_old] = <new_i|old_j>``.  A new state
+    is an old one with the removed charge replaced by a created charge ``x``;
+    every other span keeps its charge, so the new labelings are the old ones
+    with every ``x`` the fusion rules allow, and no shape a move reaches is
+    enumerated.
     """
     new_shape, a_span, b_span, c_span = trees.rotate_right_to_left(shape, node_span)
-    old, new = _label_table(model, shape), _label_table(model, new_shape)
     removed = (b_span[0], c_span[1])
     created = (a_span[0], b_span[1])
     a, b, c, d, y = (old.column(s) for s in (a_span, b_span, c_span, node_span, removed))
-    # Entries run by old state j, then by channel x in label order.
-    amps = model.F[a, b, c, d, :, y]
-    j, x = np.nonzero(np.abs(amps) > DROP_TOLERANCE)
-    # A new state is the old one with the removed charge replaced by the
-    # created charge x; every other span keeps its charge.
-    source = [old.spans.index(removed if s == created else s) for s in new.spans]
+    spans = trees.all_spans(new_shape)
+    source = [old.spans.index(removed if s == created else s) for s in spans]
+    # Pairs run by old state j, then by channel x in label order.
+    j, x = np.nonzero(model.fusion[a, b, :] & model.fusion[:, c, d].T)
     labels = old.rows[np.ix_(j, source)]
-    labels[:, new.spans.index(created)] = x
-    mat = sp.csr_matrix((amps[j, x], (new.find(labels), j)), shape=(len(new.rows), len(old.rows)))
-    return new_shape, mat
+    labels[:, spans.index(created)] = x
+    new = trees.table_of(spans, labels, old.radix)
+    assert len(new.rows) == len(old.rows), f"rotation at {node_span} changes the state count"
+    amps = model.F[a[j], b[j], c[j], d[j], x, y[j]]
+    keep = np.abs(amps) > DROP_TOLERANCE
+    rows = np.searchsorted(new.codes, labels[keep] @ new.place)
+    mat = sp.csr_matrix((amps[keep], (rows, j[keep])), shape=(len(new.rows), len(old.rows)))
+    return new_shape, new, mat
 
 
 def recouple(basis: FusionTreeBasis, target_shape) -> SparseOperator:
@@ -430,10 +444,10 @@ def _recouple(model: AnyonModel, n_modes: int, target_shape) -> SparseOperator:
     basis = FusionTreeBasis(model, n_modes)
     target_basis = FusionTreeBasis(model, n_modes, shape=target_shape)
     # Compose overlap matrices target -> canonical, then take the adjoint.
-    shape = target_shape
+    shape, table = target_shape, target_basis.table
     overlap = sp.identity(target_basis.dim, dtype=complex, format="csr")
     for node_span in trees.moves_to_left_comb(target_shape):
-        shape, mat = _move_matrix(model, shape, node_span)
+        shape, table, mat = _move_matrix(model, shape, table, node_span)
         overlap = (mat @ overlap).tocsr()
     return SparseOperator(basis, target_basis, overlap).drop().dagger()
 
@@ -497,11 +511,53 @@ def _conjugate(w: SparseOperator, rows, cols, vals, owner, count: int) -> _CSRBl
 
 
 @_memo
+def _braid_tensors(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of every adjacent braid, as ``(first, later)`` tensors.
+
+    For modes ``k, k+1`` with ``k >= 2``, a canonical state with charges
+    ``p`` on modes ``1..k-1``, ``a, b`` on leaves ``k, k+1``, ``x`` on modes
+    ``1..k`` and ``q`` on modes ``1..k+1`` has the entry ``later[p, a, b, q,
+    x, z]`` in the column of the state with the leaves swapped and ``z`` on
+    modes ``1..k``:
+
+        sum_y  F^{pab}_q[x, y] R^{ba}_y conj(F^{pba}_q[z, y]),
+
+    the braid ``W^dagger (P R) W`` through the one F-move ``W`` that folds
+    the pair.  Each entry has the bits of those sparse products: every
+    complex product part by part, each F-move entry summed from zero after
+    its product with the identity, the ``DROP_TOLERANCE`` drops of each
+    product, and the sum over ``y`` ascending from zero.  ``first[a, b, q]``
+    is the entry for ``k = 1``, where ``W`` is the identity and ``q`` the pair
+    charge.  A loop over ``y`` keeps every array at ``n_labels ** 6``.
+    """
+    one = np.complex128(1.0)
+    r = model.R.transpose(1, 0, 2)  # r[a, b, y] = R^{ba}_y
+    half = 0.0 + _times(one, r)  # the identity's W^dagger times P R
+    first = np.where(np.abs(half) > DROP_TOLERANCE, 0.0 + _times(half, np.conj(one)), 0.0)
+    g = 0.0 + _times(model.F, one)  # the F-move's overlap entries
+    g = np.where(np.abs(g) > DROP_TOLERANCE, g, 0.0)
+    later = np.zeros(g.shape, complex)
+    for y in range(model.n_labels):
+        half = 0.0 + _times(g[..., y], r[None, :, :, None, None, y])
+        half[np.abs(half) <= DROP_TOLERANCE] = 0.0
+        w = np.conj(g[..., y].transpose(0, 2, 1, 3, 4))  # conj F^{pba}_q[z, y]
+        terms = _times(half[..., :, None], w[..., None, :])
+        stored = (half != 0)[..., :, None] & (w != 0)[..., None, :]
+        later = np.where(stored, later + terms, later)
+    for tensor in (first, later):
+        tensor.flags.writeable = False
+    return first, later
+
+
+@_memo
 def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over") -> SparseOperator:
     """Unitary braid exchanging modes ``k`` and ``k+1`` (1-based) on the canonical basis.
 
     ``over`` applies the stored R-symbols ``R^{a_k a_{k+1}}_c`` for a
-    counterclockwise exchange; ``under`` is its adjoint.
+    counterclockwise exchange; ``under`` is its adjoint.  Each row takes its
+    entries from :func:`_braid_tensors`; its columns are the row's state with
+    leaves ``k, k+1`` swapped and each charge ``z`` on modes ``1..k``, found
+    by their labeling codes.
     """
     if not 1 <= k <= n_modes - 1:
         raise ValueError(f"braid index k={k} out of range for {n_modes} modes")
@@ -510,18 +566,27 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
     if sense == "under":
         return braid_adjacent(model, n_modes, k, "over").dagger()
 
+    basis = FusionTreeBasis(model, n_modes)
+    table = basis.table
     i, j = k - 1, k  # 0-based pair
-    target = trees.fold_left(list(range(0, i)) + [(i, j)] + list(range(j + 1, n_modes)))
-    w = recouple(FusionTreeBasis(model, n_modes), target)
-
-    # Each state goes to the one with leaves i and j swapped, times R^{ab}_c.
-    table = w.row_basis.table
-    a, b = table.spans.index((i, i)), table.spans.index((j, j))
-    swapped = table.rows.copy()
-    swapped[:, [a, b]] = table.rows[:, [b, a]]
-    phases = model.R[table.rows[:, a], table.rows[:, b], table.column((i, j))]
-    cols = np.arange(len(swapped))
-    return _conjugate(w, table.find(swapped), cols, phases, np.zeros_like(cols), 1).operator(0)
+    leaf_i, leaf_j = table.spans.index((i, i)), table.spans.index((j, j))
+    a, b, q = table.rows[:, leaf_i], table.rows[:, leaf_j], table.column((0, j))
+    swapped = table.codes + (b - a) * (table.place[leaf_i] - table.place[leaf_j])
+    first, later = _braid_tensors(model)
+    if k == 1:
+        vals, codes = first[a, b, q][:, None], swapped[:, None]
+    else:
+        x_digit = table.spans.index((0, i))
+        x = table.rows[:, x_digit]
+        vals = later[table.column((0, i - 1)), a, b, q, x]
+        z = np.arange(model.n_labels)
+        codes = swapped[:, None] + (z - x[:, None]) * table.place[x_digit]
+    # Rows ascending, each row's columns ascending with z: canonical CSR.
+    row, col = np.nonzero(np.abs(vals) > DROP_TOLERANCE)
+    indptr = np.searchsorted(row, np.arange(basis.dim + 1))
+    cols = np.searchsorted(table.codes, codes[row, col])
+    mat = sp.csr_matrix((vals[row, col], cols, indptr), shape=(basis.dim, basis.dim))
+    return SparseOperator(basis, basis, mat)
 
 
 def braid_word(model: AnyonModel, n_modes: int, word) -> SparseOperator:

@@ -203,14 +203,15 @@ def build_hamiltonian(
         )
 
     basis = FusionTreeBasis(pair.model, spec.n_modes)
+    families = [(family, {i: op.dagger() for i, op in family.items()})
+                for family in (pair.alpha, pair.beta)]
     h = SparseOperator.zero(basis)
     for i in range(1, spec.n_modes + 1):
-        for family in (pair.alpha, pair.beta):
-            op = family[i]
-            h = h + (-params.mu) * (op.dagger() @ op)
+        for family, daggers in families:
+            h = h + (-params.mu) * (daggers[i] @ family[i])
     for i, j, _kind in spec.edges:
-        for family in (pair.alpha, pair.beta):
-            hop = family[j].dagger() @ family[i]
+        for family, daggers in families:
+            hop = daggers[j] @ family[i]
             h = h + (-params.t) * (hop + hop.dagger())
     return h.drop()
 
@@ -271,6 +272,11 @@ def diagonalize(
     basis = h.row_basis
     model = basis.model
     g = sector if isinstance(sector, (int, np.integer)) else model.index(sector)
+    if not 0 <= g < model.n_labels:
+        raise ValueError(
+            f"sector index {g} out of range; expected 0..{model.n_labels - 1} "
+            f"for the labels {', '.join(model.labels)}"
+        )
     if (h + (-1.0) * h.dagger()).norm_max() > HERMITICITY_TOLERANCE:
         raise ValueError("operator is not Hermitian; cannot diagonalize")
     if not h.is_charge_diagonal():

@@ -88,8 +88,8 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
         raise ValueError(f"mode {last_mode} out of range for {n} modes")
     family = {1: op}
     for k in range(2, last_mode + 1):
-        b = braid_adjacent(model, n, k - 1)
-        family[k] = b @ family[k - 1] @ b.dagger()
+        over, under = (braid_adjacent(model, n, k - 1, sense) for sense in ("over", "under"))
+        family[k] = over @ family[k - 1] @ under
     return family
 
 

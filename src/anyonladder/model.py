@@ -60,6 +60,8 @@ def _check_labels(labels: Iterable[str]) -> None:
     for l in labels:
         if l in ("alpha", "beta") or any(ch in l for ch in ",;|"):
             raise ModelDataError(f"particle label {l!r} is reserved or holds one of , ; |")
+        if not l or l != l.strip():
+            raise ModelDataError(f"particle label {l!r} is empty or has leading or trailing whitespace")
 
 
 class AnyonModel:

@@ -17,7 +17,7 @@ charge.  Any shape is reduced to the left comb by such rotations.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,12 +27,13 @@ __all__ = [
     "span",
     "left_comb",
     "right_comb",
-    "fold_left",
     "internal_spans",
     "all_spans",
     "rotate_right_to_left",
     "moves_to_left_comb",
     "enumerate_labelings",
+    "code_place",
+    "table_of",
     "LabelTable",
 ]
 
@@ -65,16 +66,6 @@ def right_comb(lo: int, hi: int):
     shape = hi
     for leaf in range(hi - 1, lo - 1, -1):
         shape = (leaf, shape)
-    return shape
-
-
-def fold_left(parts: Sequence):
-    """Left-comb combination of already-built subshapes."""
-    if not parts:
-        raise ValueError("cannot fold an empty sequence of shapes")
-    shape = parts[0]
-    for part in parts[1:]:
-        shape = (shape, part)
     return shape
 
 
@@ -188,6 +179,33 @@ class LabelTable(NamedTuple):
         return self.rows[:, self.spans.index(span_)]
 
 
+def code_place(spans, radix: int) -> np.ndarray:
+    """Digit weights of the labeling codes over the sorted ``spans``.
+
+    The digits run root charge, leaf charges, internal charges by span, most
+    significant first, in base ``radix``.  Raises ``ValueError`` when such
+    codes would not fit in int64.
+    """
+    if radix ** len(spans) > 2 ** 63:
+        raise ValueError(f"{radix} labels on {len(spans)} spans overflow the int64 labeling codes")
+    root = (spans[0][0], max(hi for _, hi in spans))
+    digits = sorted(range(len(spans)), key=lambda i: (spans[i] != root, spans[i][0] != spans[i][1]))
+    place = np.zeros(len(spans), dtype=np.int64)
+    place[digits] = [radix ** p for p in range(len(spans) - 1, -1, -1)]
+    return place
+
+
+def table_of(spans, rows: np.ndarray, radix: int) -> LabelTable:
+    """The labelings ``rows`` over the sorted ``spans``, repeats merged, as a
+    read-only :class:`LabelTable` sorted by code."""
+    place = code_place(spans, radix)
+    codes, first = np.unique(rows @ place, return_index=True)
+    rows = rows[first]
+    for array in (rows, codes, place):
+        array.flags.writeable = False
+    return LabelTable(tuple(spans), rows, codes, place, radix)
+
+
 def enumerate_labelings(model, shape) -> LabelTable:
     """All labelings of ``shape`` over ``all_spans(shape)``, as a :class:`LabelTable`.
 
@@ -196,17 +214,6 @@ def enumerate_labelings(model, shape) -> LabelTable:
     shape would not fit in int64.
     """
     spans = all_spans(shape)
-    radix = model.n_labels
-    if radix ** len(spans) > 2 ** 63:
-        raise ValueError(f"{radix} labels on {len(spans)} spans overflow the int64 labeling codes")
+    code_place(spans, model.n_labels)  # refuse an overflowing shape before the join
     found, table = _label_table(model, shape)
-    table = table[:, [found.index(s) for s in spans]]
-    root = spans.index(span(shape))
-    digits = sorted(range(len(spans)), key=lambda i: (i != root, spans[i][0] != spans[i][1]))
-    place = np.zeros(len(spans), dtype=np.int64)
-    place[digits] = [radix ** p for p in range(len(spans) - 1, -1, -1)]
-    order = np.argsort(table @ place)
-    table, codes = table[order], table[order] @ place
-    for array in (table, codes, place):
-        array.flags.writeable = False
-    return LabelTable(tuple(spans), table, codes, place, radix)
+    return table_of(spans, table[:, [found.index(s) for s in spans]], model.n_labels)

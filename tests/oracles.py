@@ -441,19 +441,27 @@ def o_operator(model, n_modes: int, leaves, internals, g):
     return result
 
 
+def pair_folded_shape(n_modes: int, k: int):
+    """The left comb of ``n_modes`` leaves with modes ``k`` and ``k+1``
+    (1-based) fused into one pair first."""
+    parts = list(range(0, k - 1)) + [(k - 1, k)] + list(range(k + 1, n_modes))
+    shape = parts[0]
+    for part in parts[1:]:
+        shape = (shape, part)
+    return shape
+
+
 def braid_adjacent_loop(model, n_modes: int, k: int, sense: str = "over"):
     """``basis.braid_adjacent`` as a loop over the states of the pair-folded
     shape: each state maps to the one with leaves ``k`` and ``k+1`` swapped,
     times ``R^{a_k a_{k+1}}_c``, and the result is recoupled to the canonical
     basis.  ``under`` is the adjoint of ``over``."""
-    from anyonladder import trees
     from anyonladder.basis import FusionTreeBasis, recouple
 
     if sense == "under":
         return braid_adjacent_loop(model, n_modes, k).dagger()
     i, j = k - 1, k
-    target = trees.fold_left(list(range(0, i)) + [(i, j)] + list(range(j + 1, n_modes)))
-    w = recouple(FusionTreeBasis(model, n_modes), target)
+    w = recouple(FusionTreeBasis(model, n_modes), pair_folded_shape(n_modes, k))
     target_basis = w.row_basis
     pos = target_basis._span_pos
     entries = {}

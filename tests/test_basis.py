@@ -17,12 +17,14 @@ from anyonladder.basis import (
     _matmul_batch,
     _move_matrix,
     _pairs,
+    _recouple,
     braid_adjacent,
     braid_word,
     recouple,
     total_charge_projector,
 )
 from anyonladder.ladder import annihilating_element, ladder_set, resolver
+from anyonladder.model import dump_model, load_model
 from anyonladder.polynomial import GeneratorSymbol
 from anyonladder.trees import left_comb, right_comb
 
@@ -251,9 +253,19 @@ def _csr_bytes(mat):
     return [getattr(mat, attr).tobytes() for attr in ("data", "indices", "indptr")]
 
 
+def _assert_same_table(got, want):
+    assert got.spans == want.spans and got.radix == want.radix
+    for attr in ("rows", "codes", "place"):
+        mine, theirs = getattr(got, attr), getattr(want, attr)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert not mine.flags.writeable
+
+
 def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
-    """Cached tables, fresh enumerations and the brute-force oracle agree on
-    every shape of up to six modes that recoupling visits."""
+    """Cached tables, tables derived by the moves, fresh enumerations and the
+    brute-force oracle agree on every shape of up to six modes that
+    recoupling visits, and on every shape the factored-state recouplings of
+    up to seven modes visit."""
     for model in (fib, fermion, ising):
         tables = {}
 
@@ -275,7 +287,8 @@ def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
                     moves.add((shape, node_span))
                     shape = trees.rotate_right_to_left(shape, node_span)[0]
             for shape, node_span in moves:
-                _, mat = _move_matrix(model, shape, node_span)
+                new_shape, new, mat = _move_matrix(model, shape, _label_table(model, shape), node_span)
+                _assert_same_table(new, trees.enumerate_labelings(model, new_shape))
                 reference = _reference_move_matrix(model, fresh, shape, node_span)
                 assert _csr_bytes(mat) == _csr_bytes(reference)
             visited = {canonical.shape} | {shape for shape, _ in moves}
@@ -284,12 +297,19 @@ def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
                 cached = _label_table(model, shape)
                 assert cached.spans == tuple(spans)
                 assert list(map(tuple, cached.rows.tolist())) == states
-                assert not cached.rows.flags.writeable and not cached.codes.flags.writeable
-                fresh_table = trees.enumerate_labelings(model, shape)
-                assert np.array_equal(fresh_table.rows, cached.rows)
+                _assert_same_table(cached, trees.enumerate_labelings(model, shape))
             assert canonical.table.rows is _label_table(model, canonical.shape).rows
             assert canonical.states == tuple(fresh(canonical.shape)[1])
             assert FusionTreeBasis(model, n).dim == orc.total_dimension(model, n)
+        # The chains of derived tables the factored-state recouplings walk.
+        for n in range(1, 8):
+            for m in range(1, n + 1):
+                shape = _factored_states(model, n, m)[0].row_basis.shape
+                table = trees.enumerate_labelings(model, shape)
+                for node_span in trees.moves_to_left_comb(shape):
+                    shape, table, _ = _move_matrix(model, shape, table, node_span)
+                    _assert_same_table(table, trees.enumerate_labelings(model, shape))
+                assert shape == left_comb(0, n - 1)
 
 
 def test_label_table_lookup_round_trips(fib, fermion, ising):
@@ -321,13 +341,29 @@ def test_label_codes_refuse_int64_overflow(fib, ising):
 
 def test_braid_gather_matches_the_state_loop(fib, fermion, ising):
     """Every adjacent braid has the CSR bytes of the per-state loop."""
-    for model in (fib, fermion, ising):
-        for n in range(2, 7):
-            for k in range(1, n):
-                for sense in ("over", "under"):
-                    got = braid_adjacent(model, n, k, sense)
-                    want = orc.braid_adjacent_loop(model, n, k, sense)
-                    assert _csr_bytes(got) == _csr_bytes(want)
+    sizes = [(model, n) for model in (fib, fermion, ising) for n in range(2, 7)]
+    sizes += [(fib, 8), (fib, 10), (fermion, 10)]  # as the benchmarks build, with Ising 6
+    for model, n in sizes:
+        for k in range(1, n):
+            for sense in ("over", "under"):
+                got = braid_adjacent(model, n, k, sense)
+                want = orc.braid_adjacent_loop(model, n, k, sense)
+                assert orc.csr_bytes(got) == orc.csr_bytes(want)
+
+
+def test_braids_recouple_nothing(ising):
+    """Every braid of six modes, built on a fresh copy of the model, adds no
+    recoupling and no table of a pair-folded shape to the operator cache."""
+    model = load_model(dump_model(ising))
+    n = 6
+    for k in range(1, n):
+        for sense in ("over", "under"):
+            braid_adjacent(model, n, k, sense)
+    keys = list(model._op_cache)
+    assert not [key for key in keys if key[0] is _recouple.__wrapped__]
+    folded = {orc.pair_folded_shape(n, k) for k in range(2, n)}
+    tables = [key[1] for key in keys if key[0] is _label_table.__wrapped__]
+    assert tables and not folded & set(tables)
 
 
 def _loop_totals(basis):

@@ -191,6 +191,9 @@ def test_diagonalize_validation():
     _, h = hubbard_hamiltonian(1, HubbardParams(t=1.0, mu=0.0))
     with pytest.raises(ValueError):
         diagonalize(h, "sigma")  # not a label of the model
+    for index in (5, -1, np.int64(2)):  # only 0 and 1 index a Fibonacci label
+        with pytest.raises(ValueError, match="out of range.*e, tau"):
+            diagonalize(h, index)
     from anyonladder.basis import SparseOperator
 
     basis = h.row_basis

@@ -134,7 +134,7 @@ def test_forbidden_vacuum_symbols_rejected(fib):
         load_model(doc)
 
 
-@pytest.mark.parametrize("label", ["alpha", "beta", "t,u", "t;u", "t|u"])
+@pytest.mark.parametrize("label", ["alpha", "beta", "t,u", "t;u", "t|u", "", " psi"])
 def test_unwritable_label_rejected(fermion, label):
     """Such a label would not survive the model, polynomial or operator files;
     both the constructor and ``load_model`` name it."""
