@@ -287,14 +287,10 @@ def system_totals(model: AnyonModel, n_modes: int, x: RegionState) -> tuple[int,
     return tuple(sorted(out))
 
 
-def _charge_index(model: AnyonModel, g) -> int:
-    return g if isinstance(g, (int, np.integer)) else model.index(g)
-
-
 def _as_region_state(model: AnyonModel, leaves, internals) -> RegionState:
     """Normalize label/index sequences into a fusion-consistent RegionState."""
-    a = tuple(_charge_index(model, v) for v in leaves)
-    d = tuple(_charge_index(model, v) for v in internals)
+    a = tuple(map(model.charge, leaves))
+    d = tuple(map(model.charge, internals))
     if not a:
         raise ValueError("region content needs at least one leaf charge")
     if len(d) != len(a) - 1:
@@ -460,7 +456,7 @@ def o_polynomial(model: AnyonModel, n_modes: int, leaves, internals, g) -> Ladde
     realization and raises ``ModelDataError``.
     """
     x = _as_region_state(model, leaves, internals)
-    gi = _charge_index(model, g)
+    gi = model.charge(g)
 
     def factor_polynomial(p: int) -> LadderPolynomial:
         a_p = x.leaves[p - 1]

@@ -37,10 +37,10 @@ class FusionTreeBasis:
     """Ordered basis of fusion-tree labelings for a fixed shape.
 
     ``shape=None`` means the canonical left comb.  ``sector`` optionally
-    restricts to states of one total charge (given as a label).
+    restricts to states of one total charge (a label or an index).
     """
 
-    def __init__(self, model: AnyonModel, n_modes: int, sector: str | None = None,
+    def __init__(self, model: AnyonModel, n_modes: int, sector: str | int | None = None,
                  shape=None):
         if n_modes < 1:
             raise ValueError("n_modes must be at least 1")
@@ -50,7 +50,7 @@ class FusionTreeBasis:
         lo, hi = trees.span(self.shape)
         if (lo, hi) != (0, n_modes - 1):
             raise ValueError(f"shape covers {(lo, hi)}, expected (0, {n_modes - 1})")
-        self.sector = None if sector is None else model.index(sector)
+        self.sector = None if sector is None else model.charge(sector)
         table = _label_table(model, self.shape)
         self.spans = table.spans
         self._span_pos = {s: i for i, s in enumerate(self.spans)}

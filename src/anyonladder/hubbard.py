@@ -16,7 +16,10 @@ The Hamiltonian is built from the unnormalised Fibonacci pair operators
         - t sum_rung  (a_j^+ a_i + b_j^+ b_i)   + h.c. of the t-terms,
 
 is Hermitian by construction and commutes with every total-charge projector,
-so it is diagonalized per charge sector.
+so it is diagonalized per charge sector.  A build for one sector
+(``hubbard_hamiltonian(..., sector=g)``) transports the pair on that
+sector's columns only and assembles H on the sector basis; its bytes are
+those of the full H sliced to the sector, and so are its eigenvalues.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
-from .basis import FusionTreeBasis, SparseOperator
+from .basis import SparseOperator
 # fibonacci_pair stays a module attribute: the benchmark's tracer rebinds it
 # here (perfbench/test_perfbench.py::test_tracer_rebinds_every_copy_and_restores).
 from .ladder import FibonacciPair, _shared_pair, fibonacci_pair  # noqa: F401
@@ -190,7 +193,10 @@ def build_hamiltonian(
     """Assemble the Hamiltonian directly from the pair operator matrices.
 
     Without ``pair``, the model's shared pair (``ladder._shared_pair``) is
-    used, so later callers on the same model and mode count reuse it.
+    used, so later callers on the same model and mode count reuse it.  H
+    acts on the pair's column basis: the full canonical basis, or one
+    total-charge sector for a pair built on that sector, where H is the
+    full H's sector block with the same CSR bytes.
     """
     _check_indexing(spec, params)
     if pair is None:
@@ -202,7 +208,7 @@ def build_hamiltonian(
             f"pair operators cover {pair.n_modes} modes, lattice has {spec.n_modes}"
         )
 
-    basis = FusionTreeBasis(pair.model, spec.n_modes)
+    basis = pair.alpha[1].col_basis
     families = [(family, {i: op.dagger() for i, op in family.items()})
                 for family in (pair.alpha, pair.beta)]
     h = SparseOperator.zero(basis)
@@ -217,11 +223,17 @@ def build_hamiltonian(
 
 
 def hubbard_hamiltonian(
-    n_rungs: int, params: HubbardParams, model: AnyonModel | None = None
+    n_rungs: int, params: HubbardParams, model: AnyonModel | None = None, sector=None
 ) -> tuple[LatticeSpec, SparseOperator]:
-    """Build the lattice for ``params.indexing`` and its Hamiltonian."""
+    """Build the lattice for ``params.indexing`` and its Hamiltonian.
+
+    ``sector`` (a label or an index) builds H on that total-charge sector
+    only, from the shared pair restricted to it; None builds every charge.
+    """
     spec = build_lattice(n_rungs, params.indexing)
-    return spec, build_hamiltonian(spec, params, model=model)
+    model = builtin("fibonacci") if model is None else model
+    pair = _shared_pair(model, spec.n_modes, sector)
+    return spec, build_hamiltonian(spec, params, pair=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +247,9 @@ class Spectrum:
 
     ``method`` records the solver: ``dense`` returns the full sector
     spectrum, ``iterative`` only the lowest few eigenvalues.  The ground
-    state, when requested, is embedded back into the full canonical basis.
+    state, when requested, lives in the basis of the diagonalized operator:
+    embedded into the full canonical basis for a full operator, on the
+    sector basis for an operator built on one sector.
     """
 
     sector: str
@@ -260,22 +274,23 @@ def diagonalize(
 
     The sector block is sliced straight from the CSR matrix and symmetrised
     there; the full operator is never densified, and the Hermiticity check
-    runs on the sparse difference ``h - h^dagger``.  ``method`` defaults to a
-    dense ``eigh`` of that block for block dimension up to ``DENSE_CUTOFF``
-    and an iterative extremal solve (lowest ``k_extremal`` eigenvalues, sparse
-    ``eigsh``) above it.  Blocks of dimension at most ``k_extremal + 1`` are
-    too small for ``eigsh`` and are always solved densely; the returned
-    ``method`` says which solver ran.
+    runs on the sparse difference ``h - h^dagger``.  An operator on a sector
+    basis is its own block and can only be solved for that sector.
+    ``method`` defaults to a dense ``eigh`` of the block for block dimension
+    up to ``DENSE_CUTOFF`` and an iterative extremal solve (lowest
+    ``k_extremal`` eigenvalues, sparse ``eigsh``) above it.  Blocks of
+    dimension at most ``k_extremal + 1`` are too small for ``eigsh`` and are
+    always solved densely; the returned ``method`` says which solver ran.
     """
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}; expected dense or iterative")
     basis = h.row_basis
     model = basis.model
-    g = sector if isinstance(sector, (int, np.integer)) else model.index(sector)
-    if not 0 <= g < model.n_labels:
+    g = model.charge(sector)
+    if basis.sector not in (None, g):
         raise ValueError(
-            f"sector index {g} out of range; expected 0..{model.n_labels - 1} "
-            f"for the labels {', '.join(model.labels)}"
+            f"operator is restricted to sector {model.labels[basis.sector]}; "
+            f"cannot diagonalize sector {model.labels[g]}"
         )
     if (h + (-1.0) * h.dagger()).norm_max() > HERMITICITY_TOLERANCE:
         raise ValueError("operator is not Hermitian; cannot diagonalize")
@@ -286,7 +301,7 @@ def diagonalize(
         raise ValueError(
             f"sector {model.labels[g]} is empty for {basis.n_modes} modes"
         )
-    block = h.matrix[idx][:, idx]
+    block = h.matrix if basis.sector is not None else h.matrix[idx][:, idx]
     block = (block + block.conj().T) / 2.0
 
     if method is None:
@@ -313,8 +328,9 @@ def occupation_profile(state: np.ndarray, pair: FibonacciPair) -> np.ndarray:
     """Expected occupation <n_i> per mode, n_i = a_i^+ a_i + b_i^+ b_i.
 
     ``n_i`` is the projector onto states whose mode ``i`` is occupied, so
-    every density lies in [0, 1].  Unnormalized input is rescaled with a
-    warning.
+    every density lies in [0, 1].  ``state`` lives in the pair's column basis,
+    so a sector ground state takes the pair built on that sector.
+    Unnormalized input is rescaled with a warning.
     """
     state = np.asarray(state, dtype=complex)
     norm = float(np.linalg.norm(state))

@@ -81,33 +81,51 @@ def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) ->
 
 
 def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]:
-    """A mode-1 operator on modes ``1..last_mode``, each transported from the one before."""
+    """A mode-1 operator on modes ``1..last_mode``, each transported from the one before.
+
+    The columns of ``op`` may be one total-charge sector of the canonical
+    basis.  Braids keep the total charge, so each transport multiplies by the
+    ``under`` braid's block on that sector alone, and every stored entry sums
+    the terms of the full-basis product in their order: the result is the
+    full transport's sector columns, bit for bit.
+    """
     model = op.row_basis.model
     n = op.row_basis.n_modes
     if not 1 <= last_mode <= n:
         raise ValueError(f"mode {last_mode} out of range for {n} modes")
+    cols = op.col_basis
+    idx = None if cols.sector is None else op.row_basis.sector_indices(cols.sector)
     family = {1: op}
     for k in range(2, last_mode + 1):
         over, under = (braid_adjacent(model, n, k - 1, sense) for sense in ("over", "under"))
+        if idx is not None:
+            under = SparseOperator(cols, cols, under.matrix[idx][:, idx])
         family[k] = over @ family[k - 1] @ under
     return family
 
 
 def _element_family(
-    model: AnyonModel, n_modes: int, a: int, terms, last_mode: int
+    model: AnyonModel, n_modes: int, a: int, terms, last_mode: int,
+    cols: FusionTreeBasis | None = None,
 ) -> dict[int, SparseOperator]:
     """``sum weight * a^{b0,c0}`` over ``terms = [(b0, c0, weight), ...]``.
 
     Terms are added in the given order at mode 1, skipping those whose rest
     charge ``b0`` is unreachable on ``n_modes`` modes; the sum is then
-    braid-transported to modes ``1..last_mode``.
+    braid-transported to modes ``1..last_mode``.  ``cols``, a sector of the
+    canonical basis, keeps only the columns of that sector before the
+    transport; rows stay on the full canonical basis.
     """
     available = rest_charges(model, n_modes)
-    op = SparseOperator.zero(FusionTreeBasis(model, n_modes))
+    basis = FusionTreeBasis(model, n_modes)
+    op = SparseOperator.zero(basis)
     for b0, c0, weight in terms:
         if b0 in available:
             op = op + weight * _mode1_element(model, n_modes, a, b0, c0)
-    return _transports(op.drop(), last_mode)
+    op = op.drop()
+    if cols is not None:
+        op = SparseOperator(basis, cols, op.matrix[:, basis.sector_indices(cols.sector)])
+    return _transports(op, last_mode)
 
 
 def transport_to_mode(op: SparseOperator, k: int) -> SparseOperator:
@@ -276,8 +294,14 @@ def fibonacci_type(model: AnyonModel) -> int | None:
     return tau if set(model.fuse(tau, tau)) == {model.vacuum, tau} else None
 
 
-def fibonacci_pair(model: AnyonModel, n_modes: int) -> FibonacciPair:
-    """Build the unnormalised ``alpha_k``/``beta_k`` pair on every mode."""
+def fibonacci_pair(model: AnyonModel, n_modes: int, sector=None) -> FibonacciPair:
+    """Build the unnormalised ``alpha_k``/``beta_k`` pair on every mode.
+
+    With a total charge ``sector`` (a label or an index), each operator keeps
+    its rows on the full canonical basis and its columns on that sector's
+    basis: the full operators' sector columns, bit for bit, built without
+    transporting the other columns.
+    """
     tau = fibonacci_type(model)
     if tau is None:
         raise ModelDataError(
@@ -287,8 +311,9 @@ def fibonacci_pair(model: AnyonModel, n_modes: int) -> FibonacciPair:
     e = model.vacuum
     alpha_terms = [(e, tau, _SQRT_HALF), (tau, e, 1.0)]
     beta_terms = [(e, tau, _SQRT_HALF), (tau, tau, 1.0)]
-    alpha = _element_family(model, n_modes, tau, alpha_terms, n_modes)
-    beta = _element_family(model, n_modes, tau, beta_terms, n_modes)
+    cols = None if sector is None else FusionTreeBasis(model, n_modes, sector=sector)
+    alpha = _element_family(model, n_modes, tau, alpha_terms, n_modes, cols)
+    beta = _element_family(model, n_modes, tau, beta_terms, n_modes, cols)
     return FibonacciPair(model, n_modes, alpha, beta)
 
 
@@ -324,12 +349,23 @@ def fermion_annihilator(model: AnyonModel, n_modes: int, k: int = 1) -> SparseOp
 # ---------------------------------------------------------------------------
 
 
+def _shared_pair(model: AnyonModel, n_modes: int, sector=None) -> FibonacciPair:
+    """The one pair per (model, n_modes, sector) that resolvers, Hamiltonians
+    and occupation profiles share.
+
+    ``sector`` (a label or an index, None for every charge) puts the columns
+    on that total-charge sector, as :func:`fibonacci_pair` does; a label and
+    its index share one cached pair.
+    """
+    return _pair_on(model, n_modes, None if sector is None else model.charge(sector))
+
+
 @_memo
-def _shared_pair(model: AnyonModel, n_modes: int) -> FibonacciPair:
+def _pair_on(model: AnyonModel, n_modes: int, sector: int | None) -> FibonacciPair:
     # fibonacci_pair builds a fresh pair on every call; this keeps the one
-    # copy that resolvers share.  It calls fibonacci_pair through the module
-    # global, so a rebound (for example, wrapped) fibonacci_pair is used.
-    return fibonacci_pair(model, n_modes)
+    # copy per sector.  It calls fibonacci_pair through the module global, so
+    # a rebound (for example, wrapped) fibonacci_pair is used.
+    return fibonacci_pair(model, n_modes, sector)
 
 
 def resolver(model: AnyonModel, n_modes: int):

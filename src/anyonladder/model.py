@@ -238,6 +238,17 @@ class AnyonModel:
         except KeyError:
             raise ModelDataError(f"unknown particle label {label!r}") from None
 
+    def charge(self, g) -> int:
+        """The index of charge ``g``, given as a label or as an integer index."""
+        if not isinstance(g, (int, np.integer)):
+            return self.index(g)
+        if not 0 <= g < self.n_labels:
+            raise ValueError(
+                f"charge index {g} out of range; expected 0..{self.n_labels - 1} "
+                f"for the labels {', '.join(self.labels)}"
+            )
+        return int(g)
+
     def fuse(self, a: int, b: int) -> tuple[int, ...]:
         """Fusion channels of ``a x b`` as label-order indices."""
         return self._fuse[a, b]

@@ -427,12 +427,12 @@ def o_operator(model, n_modes: int, leaves, internals, g):
     over ``g`` yields the observable ``|x><x'| (x) id``.  The strict matrix
     that ``algebra.o_polynomial`` realizes up to abelian-rest terms.
     """
-    from anyonladder.algebra import _as_region_state, _charge_index, _factor_terms
+    from anyonladder.algebra import _as_region_state, _factor_terms
     from anyonladder.basis import FusionTreeBasis, SparseOperator
     from anyonladder.ladder import _element_family
 
     x = _as_region_state(model, leaves, internals)
-    gi = _charge_index(model, g)
+    gi = model.charge(g)
     result = SparseOperator.identity(FusionTreeBasis(model, n_modes))
     for p, a_p in enumerate(x.leaves, start=1):
         terms = _factor_terms(model, n_modes, x, gi, p)

@@ -277,6 +277,14 @@ def test_ising_mixed_weight_factor_has_no_realization(ising):
         o_polynomial(ising, 3, (1, 2), (2,), 2)
 
 
+def test_o_polynomial_rejects_out_of_range_charges(fib):
+    # leaves, internals and the total charge, each with an index no label has
+    for leaves, internals, g in (((5,), (), 1), ((-1,), (), 1), ((1, 1), (7,), 1),
+                                 ((1,), (), 7), ((1,), (), -1)):
+        with pytest.raises(ValueError, match="out of range.*e, tau"):
+            o_polynomial(fib, 3, leaves, internals, g)
+
+
 def test_element_polynomial_matches_element(fib):
     res = resolver(fib, 3)
     ident = _identity(fib, 3)

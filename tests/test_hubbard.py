@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import oracles as orc
 from anyonladder.basis import FusionTreeBasis, SparseOperator, total_charge_projector
@@ -13,7 +14,7 @@ from anyonladder.hubbard import (
     hubbard_hamiltonian,
     occupation_profile,
 )
-from anyonladder.ladder import fibonacci_pair, resolver
+from anyonladder.ladder import _shared_pair, fibonacci_pair, resolver
 from anyonladder.model import builtin
 
 
@@ -200,6 +201,86 @@ def test_diagonalize_validation():
     bad = SparseOperator.from_entries(basis, basis, {(0, 1): 1.0})
     with pytest.raises(ValueError, match="[Hh]ermitian"):
         diagonalize(bad, "e")
+
+
+def _restricted(op, g, rows=True):
+    """``op`` with its columns, and its rows unless ``rows`` is false, cut to sector ``g``."""
+    model = op.row_basis.model
+    sector = FusionTreeBasis(model, op.row_basis.n_modes, sector=g)
+    idx = op.col_basis.sector_indices(model.charge(g))
+    if rows:
+        return SparseOperator(sector, sector, op.matrix[idx][:, idx])
+    return SparseOperator(op.row_basis, sector, op.matrix[:, idx])
+
+
+def test_diagonalize_refuses_another_sector_of_a_restricted_operator():
+    _, h = hubbard_hamiltonian(2, HubbardParams(t=1.0, mu=0.5))
+    h_e = _restricted(h, "e")
+    assert diagonalize(h_e, "e").eigenvalues.tobytes() == diagonalize(h, "e").eigenvalues.tobytes()
+    for other in ("tau", 1):
+        with pytest.raises(ValueError, match="restricted to sector e") as info:
+            diagonalize(h_e, other)
+        assert "empty" not in str(info.value)
+
+
+@pytest.mark.parametrize("indexing", INDEXINGS)
+def test_sector_hamiltonian_is_the_full_one_sliced_byte_for_byte(indexing):
+    params = HubbardParams(t=0.7, mu=-0.3, indexing=indexing)
+    for n_rungs in range(1, 6):
+        _, full = hubbard_hamiltonian(n_rungs, params)
+        for g in ("e", "tau"):
+            _, h = hubbard_hamiltonian(n_rungs, params, sector=g)
+            assert h.row_basis is h.col_basis and h.row_basis.sector == full.row_basis.model.charge(g)
+            assert orc.csr_bytes(h) == orc.csr_bytes(_restricted(full, g)), (n_rungs, g)
+
+
+def test_sector_pair_is_the_full_pair_on_sector_columns_byte_for_byte():
+    model = builtin("fibonacci")
+    for n in range(1, 11):
+        full = _shared_pair(model, n)
+        for g in ("e", "tau"):
+            pair = _shared_pair(model, n, g)
+            assert pair is _shared_pair(model, n, model.charge(g))
+            for family, reference in ((pair.alpha, full.alpha), (pair.beta, full.beta)):
+                assert sorted(family) == list(range(1, n + 1))
+                for k, op in family.items():
+                    assert op.row_basis.sector is None and op.col_basis.sector == model.charge(g)
+                    want = orc.csr_bytes(_restricted(reference[k], g, rows=False))
+                    assert orc.csr_bytes(op) == want, (n, g, k)
+
+
+def test_sector_hamiltonian_solves_to_the_same_eigenvalue_bits(monkeypatch):
+    # ARPACK draws a random start vector; a fixed one makes its result a
+    # function of the block alone.
+    from anyonladder import hubbard
+
+    def eigsh_from_ones(block, **kwargs):
+        return scipy.sparse.linalg.eigsh(block, v0=np.ones(block.shape[0]), **kwargs)
+
+    monkeypatch.setattr(hubbard, "eigsh", eigsh_from_ones)
+    params = HubbardParams(0.8, 0.4)
+    _, full = hubbard_hamiltonian(4, params)
+    for g in ("e", "tau"):
+        _, h = hubbard_hamiltonian(4, params, sector=g)
+        for method in ("iterative", "dense"):
+            want = diagonalize(full, g, method=method, want_vector=False)
+            got = diagonalize(h, g, method=method, want_vector=False)
+            assert (got.method, got.block_dim) == (want.method, want.block_dim)
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), (g, method)
+
+
+def test_sector_ground_state_lives_in_the_operator_basis():
+    params = HubbardParams(t=1.0, mu=0.5)
+    _, full = hubbard_hamiltonian(3, params)
+    _, h = hubbard_hamiltonian(3, params, sector="e")
+    want = diagonalize(full, "e", method="dense")
+    got = diagonalize(h, "e", method="dense")
+    idx = full.row_basis.sector_indices(0)
+    assert got.ground_state.shape == (len(idx),) == (h.row_basis.dim,)
+    assert got.ground_state.tobytes() == want.ground_state[idx].tobytes()
+    model = h.row_basis.model
+    profile = occupation_profile(got.ground_state, _shared_pair(model, 6, "e"))
+    assert profile.tobytes() == occupation_profile(want.ground_state, _shared_pair(model, 6)).tobytes()
 
 
 def test_occupation_profile_matches_leaf_occupancy():
