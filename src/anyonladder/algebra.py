@@ -88,14 +88,12 @@ class RegionState:
 
 
 def region_states(model: AnyonModel, m: int) -> list[RegionState]:
-    sub = FusionTreeBasis(model, m)
-    out = []
-    for i, st in enumerate(sub.states):
-        leaves = sub.leaves(st)
-        inner_spans = [s for s in sub.spans if s[0] != s[1]]
-        internals = tuple(sub.charge(st, s) for s in inner_spans)
-        out.append(RegionState(i, leaves, internals, sub.total(st)))
-    return out
+    table = FusionTreeBasis(model, m).table
+    leaves = table.rows[:, [table.spans.index((k, k)) for k in range(m)]].tolist()
+    internals = table.rows[:, [p for p, s in enumerate(table.spans) if s[0] != s[1]]].tolist()
+    totals = table.column((0, m - 1)).tolist()
+    return [RegionState(i, tuple(a), tuple(d), g)
+            for i, (a, d, g) in enumerate(zip(leaves, internals, totals))]
 
 
 @_memo
@@ -764,8 +762,8 @@ def verify_relations(model: AnyonModel, n_modes: int, tolerance: float = 1e-10) 
         for b_mode in range(a_mode + 1, n_modes + 1):
             ab = pair.alpha[a_mode] @ pair.alpha[b_mode]
             ba = pair.alpha[b_mode] @ pair.alpha[a_mode]
-            cols_ab = {j for _, j, _ in ab.entries()}
-            cols_ba = {j for _, j, _ in ba.entries()}
+            cols_ab = set(ab.matrix.indices.tolist())
+            cols_ba = set(ba.matrix.indices.tolist())
             overlap = cols_ab & cols_ba
             report.reported.append(
                 (
@@ -783,7 +781,7 @@ def verify_relations(model: AnyonModel, n_modes: int, tolerance: float = 1e-10) 
 
 
 def vacuum_index(basis: FusionTreeBasis) -> int:
-    return int(basis.table.find([[basis.model.vacuum] * len(basis.spans)])[0])
+    return int(basis.table.find([[basis.model.vacuum] * len(basis.table.spans)])[0])
 
 
 @_memo
@@ -851,7 +849,7 @@ def fock_word(model: AnyonModel, n_modes: int, state) -> tuple[complex, tuple]:
     if isinstance(state, (int, np.integer)):
         idx = int(state) if 0 <= state < basis.dim else -1
     else:
-        ints = len(state) == len(basis.spans) and np.issubdtype(np.asarray(state).dtype, np.integer)
+        ints = len(state) == len(basis.table.spans) and np.issubdtype(np.asarray(state).dtype, np.integer)
         idx = int(basis.table.find([tuple(state)])[0]) if ints else -1
     if idx < 0:
         raise ValueError(f"{state!r} is neither a state index nor a labeling of {n_modes} modes")

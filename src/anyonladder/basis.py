@@ -52,8 +52,6 @@ class FusionTreeBasis:
             raise ValueError(f"shape covers {(lo, hi)}, expected (0, {n_modes - 1})")
         self.sector = None if sector is None else model.charge(sector)
         table = _label_table(model, self.shape)
-        self.spans = table.spans
-        self._span_pos = {s: i for i, s in enumerate(self.spans)}
         self.root_span = (0, n_modes - 1)
         if self.sector is not None:
             keep = table.column(self.root_span) == self.sector
@@ -65,25 +63,6 @@ class FusionTreeBasis:
     def dim(self) -> int:
         return len(self.table.rows)
 
-    @functools.cached_property
-    def states(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of ``table`` as tuples, built on first use."""
-        return tuple(map(tuple, self.table.rows.tolist()))
-
-    @functools.cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        """State tuple -> position, built on first use; ``table.find`` needs no dict."""
-        return {st: i for i, st in enumerate(self.states)}
-
-    def charge(self, state: tuple[int, ...], span: tuple[int, int]) -> int:
-        return state[self._span_pos[span]]
-
-    def total(self, state: tuple[int, ...]) -> int:
-        return state[self._span_pos[self.root_span]]
-
-    def leaves(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(state[self._span_pos[(i, i)]] for i in range(self.n_modes))
-
     def totals(self) -> np.ndarray:
         """Total charge per state, as a read-only column of ``table``."""
         return self.table.column(self.root_span)
@@ -93,11 +72,10 @@ class FusionTreeBasis:
 
     def state_label(self, i: int) -> str:
         """Human-readable ``(a_1 .. a_n; d_1 .. d_{n-1})`` string."""
-        st = self.table.rows[i].tolist()
         names = self.model.labels
-        leaves = ",".join(names[a] for a in self.leaves(st))
-        inner = [s for s in self.spans if s[0] != s[1]]
-        ds = ",".join(names[self.charge(st, s)] for s in inner)
+        row = dict(zip(self.table.spans, self.table.rows[i].tolist()))
+        leaves = ",".join(names[row[(k, k)]] for k in range(self.n_modes))
+        ds = ",".join(names[c] for s, c in row.items() if s[0] != s[1])
         return f"({leaves};{ds})" if ds else f"({leaves})"
 
     def is_compatible(self, other: "FusionTreeBasis") -> bool:
@@ -190,11 +168,6 @@ class SparseOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def entries(self):
-        mat = self.matrix.tocoo()
-        for i, j, v in zip(mat.row, mat.col, mat.data):
-            yield int(i), int(j), complex(v)
 
     def allclose(self, other: "SparseOperator", tol: float = 1e-10) -> bool:
         self._require_same_bases(other)

@@ -71,7 +71,7 @@ def dump_operator(op: SparseOperator, name: str = "") -> str:
 def load_operator(text: str, model: AnyonModel) -> SparseOperator:
     """Parse the triplet format back into a SparseOperator on ``model``."""
     header: dict[str, str] = {}
-    triplets = []
+    triplets: dict[tuple[int, int], complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -88,7 +88,12 @@ def load_operator(text: str, model: AnyonModel) -> SparseOperator:
                 f"line {lineno}: expected 'row col re im', got {line!r}"
             )
         r, c = int(parts[0]), int(parts[1])
-        triplets.append((r, c, complex(float(parts[2]), float(parts[3]))))
+        v = complex(float(parts[2]), float(parts[3]))
+        if (r, c) in triplets:
+            raise ValueError(f"line {lineno}: repeated entry ({r}, {c})")
+        if not np.isfinite(v):
+            raise ValueError(f"line {lineno}: non-finite value in {line!r}")
+        triplets[(r, c)] = v
     if "n_modes" not in header:
         raise ValueError("missing '# n_modes:' header line")
     if "model" in header and header["model"] != model.name:
@@ -104,7 +109,7 @@ def load_operator(text: str, model: AnyonModel) -> SparseOperator:
                 f"declared dim {declared} does not match basis dim {basis.dim}"
             )
     mat = sparse.dok_matrix((basis.dim, basis.dim), dtype=complex)
-    for r, c, v in triplets:
+    for (r, c), v in triplets.items():
         if not (0 <= r < basis.dim and 0 <= c < basis.dim):
             raise ValueError(f"entry ({r}, {c}) outside dimension {basis.dim}")
         mat[r, c] = v

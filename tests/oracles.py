@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -41,7 +42,9 @@ def labelings(model, shape):
     """Every labeling of a fusion-tree ``shape``, by brute force.
 
     Tries every charge on every span (leaf spans included) and keeps the
-    assignments allowed by the fusion table at each internal node.  Returns
+    assignments allowed by the fusion table at each internal node, charging
+    the leaves first and then each node after its children, so that an
+    assignment is dropped as soon as a node forbids it.  Returns
     ``(spans, states)`` like ``trees.enumerate_labelings``: the spans sorted,
     the charge tuples ordered by (root charge, leaf charges, internal charges
     by span).
@@ -59,16 +62,47 @@ def labelings(model, shape):
     leaves = [(i, i) for i in range(lo, hi + 1)]
     inner = sorted(node for node, _l, _r in nodes)
     spans = sorted(leaves + inner)
-    col = {s: i for i, s in enumerate(spans)}
-    grid = np.indices((model.n_labels,) * len(spans)).reshape(len(spans), -1).T
-    keep = np.ones(len(grid), dtype=bool)
-    for node, left, right in nodes:
-        keep &= model.fusion[grid[:, col[left]], grid[:, col[right]], grid[:, col[node]]] > 0
-    states = [tuple(int(c) for c in row) for row in grid[keep]]
-    states.sort(key=lambda st: (
-        st[col[(lo, hi)]], [st[col[s]] for s in leaves], [st[col[s]] for s in inner]
-    ))
+    children = {node: (left, right) for node, left, right in nodes}
+    charged = leaves + list(children)  # each node after its children
+    grid = np.zeros((1, 0), dtype=int)  # one row per assignment, columns as in charged
+    for s in charged:
+        grid = np.hstack([
+            np.repeat(grid, model.n_labels, axis=0),
+            np.tile(np.arange(model.n_labels), len(grid))[:, None],
+        ])
+        if s in children:
+            left, right = (charged.index(c) for c in children[s])
+            grid = grid[model.fusion[grid[:, left], grid[:, right], grid[:, -1]] > 0]
+    states = list(map(tuple, grid[:, [charged.index(s) for s in spans]].tolist()))
+    states.sort(key=operator.itemgetter(*(spans.index(s) for s in [(lo, hi)] + leaves + inner)))
     return spans, states
+
+
+def charge_rows(model, shape) -> list[dict]:
+    """:func:`labelings` of ``shape`` as one ``{span: charge}`` dict per state."""
+    spans, states = labelings(model, shape)
+    return [dict(zip(spans, st)) for st in states]
+
+
+def comb_shape(n_modes: int):
+    """The canonical left comb ``((0, 1), 2), ...`` of ``n_modes`` leaves."""
+    shape = 0
+    for leaf in range(1, n_modes):
+        shape = (shape, leaf)
+    return shape
+
+
+def region_states(model, m: int):
+    """``algebra.region_states``: one ``RegionState`` per labeling of the
+    left comb of ``m`` leaves, its internal charges ``d_p`` those of modes
+    ``1..p+1``."""
+    from anyonladder.algebra import RegionState
+
+    return [
+        RegionState(i, tuple(st[(p, p)] for p in range(m)),
+                    tuple(st[(0, p)] for p in range(1, m)), st[(0, m - 1)])
+        for i, st in enumerate(charge_rows(model, comb_shape(m)))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +128,20 @@ def right_states_3(model) -> list[tuple[int, int, int, int, int]]:
             for d in model.fuse(a1, y):
                 out.append((a1, a2, a3, y, d))
     return sorted(out)
+
+
+def order_3(model, right: bool = False) -> np.ndarray:
+    """Position in :func:`comb_states_3` (in :func:`right_states_3` with
+    ``right``) of each labeling of the left (right) comb of three modes, in
+    the order of :func:`labelings`."""
+    shape, inner, states = (
+        ((0, (1, 2)), (1, 2), right_states_3(model)) if right
+        else (((0, 1), 2), (0, 1), comb_states_3(model))
+    )
+    return np.array([
+        states.index((st[(0, 0)], st[(1, 1)], st[(2, 2)], st[inner], st[(0, 2)]))
+        for st in charge_rows(model, shape)
+    ])
 
 
 def recoupling_matrix_3(model) -> np.ndarray:
@@ -354,9 +402,6 @@ def ladder_set_loop(model, n_modes: int, particle: str):
 def observable_basis_loop(model, n_modes: int, m: int):
     """``algebra.observable_basis`` from :func:`factored_groups`: ``E_{x,x'}``
     joins the factored states of equal rest labeling and total charge."""
-    from anyonladder.algebra import region_states
-    from anyonladder.basis import FusionTreeBasis
-
     w, groups = factored_groups(model, n_modes, m)
     blocks: dict[tuple, dict] = {}
     for group in groups.values():
@@ -365,7 +410,7 @@ def observable_basis_loop(model, n_modes: int, m: int):
                 if g == gp:
                     blocks.setdefault((x, xp), {})[(row, col)] = 1.0
     states = region_states(model, m)
-    region_keys = FusionTreeBasis(model, m).states
+    region_keys = labelings(model, comb_shape(m))[1]
     pairs = [(x, xp) for x in states for xp in states if x.charge == xp.charge]
     ops = [
         conjugate_factored(w, blocks.get((region_keys[x.index], region_keys[xp.index]), {}))
@@ -461,16 +506,18 @@ def braid_adjacent_loop(model, n_modes: int, k: int, sense: str = "over"):
     if sense == "under":
         return braid_adjacent_loop(model, n_modes, k).dagger()
     i, j = k - 1, k
-    w = recouple(FusionTreeBasis(model, n_modes), pair_folded_shape(n_modes, k))
-    target_basis = w.row_basis
-    pos = target_basis._span_pos
+    shape = pair_folded_shape(n_modes, k)
+    w = recouple(FusionTreeBasis(model, n_modes), shape)
+    spans, states = labelings(model, shape)
+    pos = {s: p for p, s in enumerate(spans)}
+    index = {st: p for p, st in enumerate(states)}
     entries = {}
-    for col, st in enumerate(target_basis.states):
+    for col, st in enumerate(states):
         a, b, c = st[pos[(i, i)]], st[pos[(j, j)]], st[pos[(i, j)]]
         swapped = list(st)
         swapped[pos[(i, i)]] = b
         swapped[pos[(j, j)]] = a
-        entries[(target_basis.index[tuple(swapped)], col)] = model.r(a, b, c)
+        entries[(index[tuple(swapped)], col)] = model.r(a, b, c)
     return conjugate_factored(w, entries)
 
 

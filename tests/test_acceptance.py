@@ -108,15 +108,7 @@ def test_criterion_2_coefficient_tables():
 def test_criterion_3_recoupling_elements():
     with _criterion(3, "diagrammatic recoupling elements", budget=5.0):
         fib = builtin("fibonacci")
-        basis = FusionTreeBasis(fib, 3)
-        comb = orc.comb_states_3(fib)
-        perm = []
-        for st in basis.states:
-            a1, a2, a3 = basis.leaves(st)
-            x = basis.charge(st, (0, 1))
-            d = basis.charge(st, (0, 2))
-            perm.append(comb.index((a1, a2, a3, x, d)))
-        perm = np.array(perm)
+        perm = orc.order_3(fib)
         for a, b0, c0 in ((1, 0, 1), (1, 1, 0), (1, 1, 1)):
             la, lb, lc = (fib.labels[i] for i in (a, b0, c0))
             got1 = annihilating_element(fib, 3, la, lb, lc, 1).to_dense()

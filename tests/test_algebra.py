@@ -132,6 +132,20 @@ def test_candidate_span_is_the_complement_commutant(name, n, m, want):
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
+def test_region_states_match_the_brute_force_labelings(name):
+    """Each region state's leaves, internal and total charges, as Python
+    ints, are those of the brute-force labeling at its position."""
+    def types(states):
+        return [type(v) for x in states for v in (x.index, *x.leaves, *x.internals, x.charge)]
+
+    model = builtin(name)
+    for m in range(1, 5):
+        got, want = region_states(model, m), orc.region_states(model, m)
+        assert got == want
+        assert types(got) == types(want)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
 def test_observable_basis_sums_candidate_span(name):
     """``E_{x,x'}`` is the sum over ``b0`` and ``G`` of the span elements
     ``sum_{y: b0} |x,y;G><x',y;G|``."""
@@ -144,7 +158,7 @@ def test_observable_basis_sums_candidate_span(name):
                 if meta["G"] == meta["Gp"]:
                     key = (meta["x"], meta["xp"])
                     sums[key] = sums[key] + el if key in sums else el
-            region_keys = FusionTreeBasis(model, m).states
+            region_keys = orc.labelings(model, orc.comb_shape(m))[1]
             pairs, ops = observable_basis(model, n, m)
             for (x, xp), op in zip(pairs, ops):
                 total = sums[(region_keys[x.index], region_keys[xp.index])]
@@ -568,8 +582,7 @@ def test_fermion_fock_words_use_the_fermion_creators(fermion):
 
 
 def test_fock_word_single_state_accessor(fib):
-    basis = FusionTreeBasis(fib, 2)
-    state = basis.states[3]
+    state = orc.labelings(fib, orc.comb_shape(2))[1][3]
     scalar, word = fock_word(fib, 2, 3)
     scalar2, word2 = fock_word(fib, 2, state)
     assert scalar == scalar2 and word == word2
@@ -586,12 +599,13 @@ def test_fock_word_rejects_bad_indices_and_labelings(fib):
         with pytest.raises(ValueError, match=f"^{bad} {message}"):
             fock_word(fib, 3, bad)
     tau, e = fib.index("tau"), fib.vacuum
-    forbidden = [e] * len(basis.spans)
-    forbidden[basis.spans.index((0, 2))] = tau  # vacuum leaves fusing to tau
-    for labeling in (forbidden, (e, e), (e,) * (len(basis.spans) - 1) + (2,), (0.0,) * 5):
+    spans, states = orc.labelings(fib, orc.comb_shape(3))
+    forbidden = [e] * len(spans)
+    forbidden[spans.index((0, 2))] = tau  # vacuum leaves fusing to tau
+    for labeling in (forbidden, (e, e), (e,) * (len(spans) - 1) + (2,), (0.0,) * 5):
         with pytest.raises(ValueError, match=message):
             fock_word(fib, 3, labeling)
-    assert fock_word(fib, 3, basis.states[-1]) == fock_word(fib, 3, basis.dim - 1)
+    assert fock_word(fib, 3, states[-1]) == fock_word(fib, 3, basis.dim - 1)
 
 
 def test_annihilators_kill_vacuum(fib):

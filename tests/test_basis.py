@@ -37,27 +37,6 @@ FOUR_LEAF_SHAPES = [
 ]
 
 
-def _comb_perm(basis, oracle_states):
-    """Package comb-state index -> oracle index, via the defining labels."""
-    out = []
-    for st in basis.states:
-        a1, a2, a3 = basis.leaves(st)
-        x = basis.charge(st, (0, 1))
-        d = basis.charge(st, (0, 2))
-        out.append(oracle_states.index((a1, a2, a3, x, d)))
-    return np.array(out)
-
-
-def _right_perm(basis, oracle_states):
-    out = []
-    for st in basis.states:
-        a1, a2, a3 = basis.leaves(st)
-        y = basis.charge(st, (1, 2))
-        d = basis.charge(st, (0, 2))
-        out.append(oracle_states.index((a1, a2, a3, y, d)))
-    return np.array(out)
-
-
 def test_dimensions_match_path_counting(fib, fermion, ising):
     for model in (fib, fermion, ising):
         for n in range(1, 9):
@@ -87,6 +66,24 @@ def test_state_label_format(fib):
     assert all("e" in lab or "t" in lab for lab in labels)
 
 
+def test_state_labels_match_the_brute_force_labelings(fib, fermion, ising):
+    """``state_label`` names the brute-force labeling at each position of
+    every canonical basis of up to four modes, whole or sectored."""
+    for model in (fib, fermion, ising):
+        names = model.labels
+        for n in range(1, 5):
+            rows = orc.charge_rows(model, orc.comb_shape(n))
+            for sector in (None, *range(model.n_labels)):
+                basis = FusionTreeBasis(model, n, sector=sector)
+                want = []
+                for st in rows:
+                    if sector in (None, st[(0, n - 1)]):
+                        leaves = ",".join(names[st[(p, p)]] for p in range(n))
+                        inner = ",".join(names[st[(0, p)]] for p in range(1, n))
+                        want.append(f"({leaves};{inner})" if inner else f"({leaves})")
+                assert [basis.state_label(i) for i in range(basis.dim)] == want
+
+
 def test_recouple_is_unitary(fib):
     basis = FusionTreeBasis(fib, 4)
     eye = np.eye(basis.dim)
@@ -105,16 +102,15 @@ def test_recoupling_matches_dense_oracle(fib, fermion, ising):
         basis = FusionTreeBasis(model, 3)
         u = orc.recoupling_matrix_3(model)
         w = recouple(basis, right_comb(0, 2))
-        perm_c = _comb_perm(basis, orc.comb_states_3(model))
-        perm_r = _right_perm(w.row_basis, orc.right_states_3(model))
+        perm_c = orc.order_3(model)
+        perm_r = orc.order_3(model, right=True)
         expected = u.conj().T[np.ix_(perm_r, perm_c)]
         assert np.allclose(w.matrix.toarray(), expected, atol=1e-12)
 
 
 def test_braid_matches_dense_oracle(fib, fermion, ising):
     for model in (fib, fermion, ising):
-        basis = FusionTreeBasis(model, 3)
-        perm = _comb_perm(basis, orc.comb_states_3(model))
+        perm = orc.order_3(model)
         for sense in ("over", "under"):
             b = braid_adjacent(model, 3, 1, sense).to_dense()
             o = orc.braid12_oracle(model, sense)[np.ix_(perm, perm)]
@@ -147,9 +143,9 @@ def test_distant_braids_commute(fib):
 
 def test_fermion_exchange_minus_sign(fermion):
     # two fermions in the vacuum channel pick up -1 under exchange
-    basis = FusionTreeBasis(fermion, 2)
     b = braid_adjacent(fermion, 2, 1).to_dense()
-    idx = [i for i, st in enumerate(basis.states) if basis.leaves(st) == (1, 1)]
+    states = orc.charge_rows(fermion, orc.comb_shape(2))
+    idx = [i for i, st in enumerate(states) if (st[(0, 0)], st[(1, 1)]) == (1, 1)]
     assert len(idx) == 1
     assert np.isclose(b[idx[0], idx[0]], -1.0)
 
@@ -278,7 +274,7 @@ def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
             canonical = FusionTreeBasis(model, n)
             for g in model.labels:
                 sectored = FusionTreeBasis(model, n, sector=g)
-                assert set(sectored.states) <= set(canonical.states)
+                assert set(map(tuple, sectored.table.rows.tolist())) <= set(fresh(canonical.shape)[1])
             # Every rotation recouple makes, from every shape to the left comb.
             moves = set()
             for shape in _all_shapes(0, n - 1):
@@ -299,7 +295,7 @@ def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):
                 assert list(map(tuple, cached.rows.tolist())) == states
                 _assert_same_table(cached, trees.enumerate_labelings(model, shape))
             assert canonical.table.rows is _label_table(model, canonical.shape).rows
-            assert canonical.states == tuple(fresh(canonical.shape)[1])
+            assert list(map(tuple, canonical.table.rows.tolist())) == fresh(canonical.shape)[1]
             assert FusionTreeBasis(model, n).dim == orc.total_dimension(model, n)
         # The chains of derived tables the factored-state recouplings walk.
         for n in range(1, 8):
@@ -367,7 +363,8 @@ def test_braids_recouple_nothing(ising):
 
 
 def _loop_totals(basis):
-    return np.array([basis.total(st) for st in basis.states], dtype=int)
+    totals = [st[(0, basis.n_modes - 1)] for st in orc.charge_rows(basis.model, basis.shape)]
+    return np.array([t for t in totals if basis.sector in (None, t)], dtype=int)
 
 
 def _loop_sector_pairs(op):
@@ -477,7 +474,7 @@ def test_factored_states_match_the_dictionary_groups(fib, fermion, ising):
                 w, b0, y, x, g = _factored_states(model, n, m)
                 w_loop, groups = orc.factored_groups(model, n, m)
                 assert w is w_loop
-                region = FusionTreeBasis(model, m).states
+                region = orc.labelings(model, orc.comb_shape(m))[1]
                 rest_of = {}
                 for (b, rest), group in groups.items():
                     for (xr, gr), i in group.items():
@@ -592,7 +589,8 @@ def test_matmul_batch_matches_scipy_products_bit_for_bit(fib):
         # One pair alone gives the same bytes as within the batch.
         assert orc.csr_bytes(_batch(pairs[1:2])[0]) == orc.csr_bytes(got[1])
     # (0, 0) cancels to zero and (1, 1) is 1e-15: both left out.
-    assert {(i, j) for i, j, _ in _batch([(u, v)])[0].entries()} == {(0, 1), (1, 0)}
+    coo = _batch([(u, v)])[0].matrix.tocoo()
+    assert set(zip(coo.row.tolist(), coo.col.tolist())) == {(0, 1), (1, 0)}
     with pytest.raises(ValueError, match="incompatible bases"):
         _batch([groups[1][0][::-1]])
     with pytest.raises(ValueError, match="incompatible bases"):  # one side mixes two shapes

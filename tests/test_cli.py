@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.cli import main
 from anyonladder.model import builtin, dump_model
 from anyonladder.serialize import dump_operator
@@ -190,6 +191,21 @@ def test_decompose_charge_changing_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not an observable" in err
+
+
+@pytest.mark.parametrize("bad, problem", [
+    ("1 1 0.5 0", "line 8: repeated entry (1, 1)"),
+    ("0 1 nan 0", "line 8: non-finite value"),
+    ("0 1 0 inf", "line 8: non-finite value"),
+])
+def test_decompose_rejects_a_bad_triplet_line(tmp_path, capsys, bad, problem):
+    fib = builtin("fibonacci")
+    text = dump_operator(SparseOperator.identity(FusionTreeBasis(fib, 1)))
+    path = tmp_path / "bad.triplets"
+    path.write_text(text.rstrip("\n") + "\n" + bad + "\n")
+    code = main(["decompose", "--op", str(path), "--sites", "1", "--model", "fibonacci"])
+    assert code == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_decompose_requires_subject(capsys):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import oracles as orc
 from anyonladder.basis import FusionTreeBasis, SparseOperator, total_charge_projector
@@ -249,15 +248,7 @@ def test_sector_pair_is_the_full_pair_on_sector_columns_byte_for_byte():
                     assert orc.csr_bytes(op) == want, (n, g, k)
 
 
-def test_sector_hamiltonian_solves_to_the_same_eigenvalue_bits(monkeypatch):
-    # ARPACK draws a random start vector; a fixed one makes its result a
-    # function of the block alone.
-    from anyonladder import hubbard
-
-    def eigsh_from_ones(block, **kwargs):
-        return scipy.sparse.linalg.eigsh(block, v0=np.ones(block.shape[0]), **kwargs)
-
-    monkeypatch.setattr(hubbard, "eigsh", eigsh_from_ones)
+def test_sector_hamiltonian_solves_to_the_same_eigenvalue_bits():
     params = HubbardParams(0.8, 0.4)
     _, full = hubbard_hamiltonian(4, params)
     for g in ("e", "tau"):
@@ -267,6 +258,16 @@ def test_sector_hamiltonian_solves_to_the_same_eigenvalue_bits(monkeypatch):
             got = diagonalize(h, g, method=method, want_vector=False)
             assert (got.method, got.block_dim) == (want.method, want.block_dim)
             assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), (g, method)
+
+
+def test_iterative_solves_of_one_block_give_the_same_bits():
+    """The iterative solve starts from a fixed vector, so repeating it
+    repeats every eigenvalue bit and the ground vector."""
+    _, h = hubbard_hamiltonian(4, HubbardParams(t=1.0, mu=0.5), sector="tau")
+    first, second = (diagonalize(h, "tau", method="iterative") for _ in range(2))
+    assert first.method == "iterative"
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.ground_state.tobytes() == second.ground_state.tobytes()
 
 
 def test_sector_ground_state_lives_in_the_operator_basis():
@@ -292,7 +293,8 @@ def test_occupation_profile_matches_leaf_occupancy():
     state = np.zeros(basis.dim, dtype=complex)
     state[idx] = 1.0
     profile = occupation_profile(state, pair)
-    leaves = basis.leaves(basis.states[idx])
+    st = orc.charge_rows(basis.model, orc.comb_shape(4))[idx]
+    leaves = [st[(k, k)] for k in range(4)]
     assert np.allclose(profile, [1.0 if a != 0 else 0.0 for a in leaves], atol=1e-12)
 
 

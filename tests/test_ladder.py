@@ -19,18 +19,6 @@ from anyonladder.ladder import (
 )
 
 
-def _perm3(model):
-    basis = FusionTreeBasis(model, 3)
-    comb = orc.comb_states_3(model)
-    out = []
-    for st in basis.states:
-        a1, a2, a3 = basis.leaves(st)
-        x = basis.charge(st, (0, 1))
-        d = basis.charge(st, (0, 2))
-        out.append(comb.index((a1, a2, a3, x, d)))
-    return np.array(out)
-
-
 def _labels(model, *idx):
     return tuple(model.labels[i] for i in idx)
 
@@ -42,7 +30,7 @@ def test_mode1_elements_match_oracle(fib, fermion, ising):
         "ising": (ising, [(1, 0, 1), (1, 1, 0), (2, 0, 2), (2, 2, 0)]),
     }
     for model, triples in cases.values():
-        perm = _perm3(model)
+        perm = orc.order_3(model)
         for a, b0, c0 in triples:
             la, lb, lc = _labels(model, a, b0, c0)
             got = annihilating_element(model, 3, la, lb, lc, mode=1).to_dense()
@@ -51,7 +39,7 @@ def test_mode1_elements_match_oracle(fib, fermion, ising):
 
 
 def test_mode2_elements_match_oracle(fib):
-    perm = _perm3(fib)
+    perm = orc.order_3(fib)
     for a, b0, c0 in [(1, 0, 1), (1, 1, 0), (1, 1, 1)]:
         la, lb, lc = _labels(fib, a, b0, c0)
         got = annihilating_element(fib, 3, la, lb, lc, mode=2).to_dense()
@@ -67,10 +55,9 @@ def test_elements_are_nilpotent(fib, ising):
 
 
 def test_identity_ladder_is_mode_vacuum_projector(fib):
-    basis = FusionTreeBasis(fib, 3)
     ident = identity_ladder(fib, 3, mode=2).to_dense()
     want = np.diag(
-        [1.0 if basis.leaves(st)[1] == 0 else 0.0 for st in basis.states]
+        [1.0 if st[(1, 1)] == 0 else 0.0 for st in orc.charge_rows(fib, orc.comb_shape(3))]
     )
     assert np.allclose(ident, want, atol=1e-12)
 
@@ -191,7 +178,7 @@ def test_occupation_projector_diagonal(fib):
     # diagonal in the canonical basis with eigenvalues {0, 1}
     n = 2
     pair = fibonacci_pair(fib, n)
-    basis = FusionTreeBasis(fib, n)
+    states = orc.charge_rows(fib, orc.comb_shape(n))
     for k in (1, 2):
         num = (
             pair.alpha[k].dagger() @ pair.alpha[k]
@@ -202,8 +189,8 @@ def test_occupation_projector_diagonal(fib):
         eigs = np.real(np.diag(num))
         assert np.allclose(np.unique(np.round(eigs, 9)), [0.0, 1.0])
         # occupied exactly when the mode leaf carries the particle
-        for i, st in enumerate(basis.states):
-            leaf = basis.leaves(st)[k - 1]
+        for i, st in enumerate(states):
+            leaf = st[(k - 1, k - 1)]
             assert np.isclose(eigs[i], 1.0 if leaf == 1 else 0.0, atol=1e-12)
 
 
