@@ -28,16 +28,16 @@ from .basis import (
     _memo, _pairs,
 )
 from .ladder import (
+    _shared_pair,
     coefficient_tables,
     fermion_type,
-    fibonacci_pair,
     ladder_set,
     resolver,
     rest_charges,
     transport_to_mode,
 )
 from .model import AnyonModel, ModelDataError
-from .polynomial import GeneratorSymbol, LadderPolynomial
+from .polynomial import GeneratorSymbol, LadderPolynomial, _fill_cache
 
 __all__ = [
     "RegionState",
@@ -552,7 +552,6 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
 
     entries = []
     polys = []
-    columns = []
     for x, xp in pairs:
         total = []
         distinct = []
@@ -575,10 +574,15 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
         if duplicates:
             variants.append(("distinct", LadderPolynomial.sum(distinct)))
         for variant, poly in variants:
-            evaluated = poly.evaluate_with_identity(resolve, identity, cache=word_cache)
             entries.append((x, xp, variant))
             polys.append(poly)
-            columns.append(evaluated.to_dense().ravel())
+    # Every word the frame lacks, built in one batched product per length.
+    missing = [w for poly in polys for w in poly._terms if w not in word_cache]
+    _fill_cache(missing, resolve, word_cache, identity)
+    columns = [
+        poly.evaluate_with_identity(resolve, identity, cache=word_cache).to_dense().ravel()
+        for poly in polys
+    ]
     return entries, polys, np.stack(columns, axis=1)
 
 
@@ -701,7 +705,7 @@ def verify_relations(model: AnyonModel, n_modes: int, tolerance: float = 1e-10) 
     disjoint-support statement for different modes are measured and reported,
     never asserted.
     """
-    pair = fibonacci_pair(model, n_modes)
+    pair = _shared_pair(model, n_modes)
     basis = FusionTreeBasis(model, n_modes)
     identity = SparseOperator.identity(basis)
     report = RelationReport(n_modes, tolerance)

@@ -225,6 +225,12 @@ class _CSRBlock:
                    np.concatenate([m.indices for m in mats]),
                    np.concatenate([m.data for m in mats]).astype(complex, copy=False), rows)
 
+    @classmethod
+    def unstack(cls, row_basis, col_basis, mat: sp.csr_matrix) -> "_CSRBlock":
+        """The block of the matrices stacked row-wise in ``mat``, as stored."""
+        rows = np.repeat(np.arange(mat.shape[0]) % row_basis.dim, np.diff(mat.indptr))
+        return cls(row_basis, col_basis, mat.indptr, mat.indices, mat.data, rows)
+
     def operator(self, i: int) -> SparseOperator:
         """Matrix ``i`` as a ``SparseOperator``, with the CSR bytes it was stored with."""
         n_rows = self.row_basis.dim
@@ -296,40 +302,27 @@ def _gather(refs):
 
 def _matmul_batch(lefts, rights) -> _CSRBlock:
     """The block of ``a @ b`` for the matrices ``a`` of ``lefts`` and ``b`` of
-    ``rights`` (lists of ``(block, i)`` references), in one vectorised pass,
-    with the CSR bytes of ``SparseOperator.__matmul__``.
-
-    Every term ``a[i, j] b[j, k]`` is expanded in the order of scipy's
-    ``csr_matmat`` (Gustavson's row-wise product): row ``i`` of ``a``, its
-    stored entries in order, each followed by the stored entries of row
-    ``j`` of ``b``, each term formed by :func:`_times`.  Each entry sums its
-    terms in that order from zero, entries at or below ``DROP_TOLERANCE``
-    are left out (as ``drop`` leaves them out), and every product is stored
-    as canonical sorted CSR.
+    ``rights`` (lists of ``(block, i)`` references), in one scipy product:
+    the ``a_i`` placed block-diagonally (rows ``i * R``, columns ``i * M``)
+    times the ``b_i`` stacked row-wise, all entries in stored order.  That
+    runs the kernel of ``SparseOperator.__matmul__`` on each ``a_i @ b_i``
+    in place, so after ``_drop`` each product has its CSR bytes.
     """
     a_base, a_owner, a_rows, a_col, a_val = _gather(lefts)
     b_base, b_owner, b_rows, b_col, b_val = _gather(rights)
     if not a_base.col_basis.is_compatible(b_base.row_basis):
         raise ValueError("operator composition over incompatible bases")
     n_rows, n_mid, n_cols = a_base.row_basis.dim, b_base.row_basis.dim, b_base.col_basis.dim
-    a_row = a_owner * n_rows + a_rows  # rows and columns of the stacked a, b
-    a_col = a_owner * n_mid + a_col
-    b_row_nnz = np.bincount(b_owner * n_mid + b_rows, minlength=len(rights) * n_mid)
-    b_start = np.cumsum(b_row_nnz) - b_row_nnz
-    # Term t pairs a entry ta[t] with b entry tb[t], in csr_matmat's order.
-    count = b_row_nnz[a_col]
-    ta = np.repeat(np.arange(len(a_col)), count)
-    tb = np.arange(len(ta)) + np.repeat(b_start[a_col] - (np.cumsum(count) - count), count)
-    terms = _times(a_val[ta], b_val[tb])
-    keys, slot = np.unique(a_row[ta] * n_cols + b_col[tb], return_inverse=True)
-    sums = np.zeros(len(keys), complex)
-    np.add.at(sums, slot, terms)
-    keep = np.abs(sums) > DROP_TOLERANCE
-    rows, cols = np.divmod(keys[keep], n_cols)
-    indptr = np.searchsorted(rows, np.arange(len(lefts) * n_rows + 1))
-    if max(indptr[-1], n_cols) <= np.iinfo(np.int32).max:  # scipy's choice
-        indptr, cols = indptr.astype(np.int32), cols.astype(np.int32)
-    return _CSRBlock(a_base.row_basis, b_base.col_basis, indptr, cols, sums[keep], rows % n_rows)
+
+    def stacked(rows, cols, vals, n_stacked, width):  # rows ascending, order kept
+        indptr = np.searchsorted(rows, np.arange(n_stacked + 1))
+        return sp.csr_matrix((vals, cols, indptr), shape=(n_stacked, width))
+
+    count = len(lefts)
+    a = stacked(a_owner * n_rows + a_rows, a_owner * n_mid + a_col, a_val,
+                count * n_rows, count * n_mid)
+    b = stacked(b_owner * n_mid + b_rows, b_col, b_val, count * n_mid, n_cols)
+    return _CSRBlock.unstack(a_base.row_basis, b_base.col_basis, _drop(a @ b))
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +471,7 @@ def _conjugate(w: SparseOperator, rows, cols, vals, owner, count: int) -> _CSRBl
     # still ascending.
     k, c = np.divmod(half.col, dim)
     tall = sp.csr_matrix((half.data, (k * dim + half.row, c)), shape=(count * dim, dim))
-    out = _drop(tall @ w.matrix)
-    rows_in = np.repeat(np.arange(count * dim) % dim, np.diff(out.indptr))
-    return _CSRBlock(w.col_basis, w.col_basis, out.indptr, out.indices, out.data, rows_in)
+    return _CSRBlock.unstack(w.col_basis, w.col_basis, _drop(tall @ w.matrix))
 
 
 @_memo

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .algebra import observable_basis
 from .basis import SparseOperator
-from .ladder import fibonacci_pair
+from .ladder import _shared_pair
 from .model import builtin
 
 __all__ = ["CORPUS_VERSION", "fixture", "fixture_names", "fixture_descriptions"]
@@ -52,7 +52,7 @@ def _build_corpus():
             op = op + op.dagger()
         corpus[name] = (op.drop(), desc)
 
-    pair = fibonacci_pair(model, _N_MODES)
+    pair = _shared_pair(model, _N_MODES)
     for k in _REGION:
         op = (
             pair.alpha[k].dagger() @ pair.alpha[k]

@@ -88,6 +88,8 @@ def _fill_cache(words: Sequence[Word], resolver, cache: dict, identity) -> None:
     are built shortest first, all of one length in one ``_matmul_batch``
     call that stores them as one ``_CSRBlock``, so every product sees the
     same operands, and gives the same bits, as a word-by-word recursion.
+    Passing the words of many polynomials at once makes one batched product
+    per word length in all.
     """
     pending: dict[Word, None] = {}  # an ordered set
     for word in words:
@@ -267,8 +269,9 @@ class LadderPolynomial:
         ``SparseOperator``).  A missing word is ``letter @ rest``, with its
         uncached suffixes and their letters added too, so common suffixes are
         computed once; the missing words of one length are multiplied in one
-        batched call, shortest first, into one block, and each gets the CSR
-        bytes that ``SparseOperator.__matmul__`` would give it.  The result is
+        scipy product over the stacked operands (``basis._matmul_batch``),
+        shortest first, into one block, and each gets the CSR bytes that
+        ``SparseOperator.__matmul__`` would give it.  The result is
         the dense sum of the terms in term order, with the bits of a sum of
         ``coeff * matrix.to_dense()``.
         """

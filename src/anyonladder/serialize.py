@@ -12,7 +12,6 @@ import io
 import json
 
 import numpy as np
-from scipy import sparse
 
 from .basis import FusionTreeBasis, SparseOperator
 from .ladder import CoefficientTable, coefficient_tables
@@ -108,12 +107,12 @@ def load_operator(text: str, model: AnyonModel) -> SparseOperator:
             raise ValueError(
                 f"declared dim {declared} does not match basis dim {basis.dim}"
             )
-    mat = sparse.dok_matrix((basis.dim, basis.dim), dtype=complex)
-    for (r, c), v in triplets.items():
+    for r, c in triplets:
         if not (0 <= r < basis.dim and 0 <= c < basis.dim):
             raise ValueError(f"entry ({r}, {c}) outside dimension {basis.dim}")
-        mat[r, c] = v
-    return SparseOperator(basis, basis, mat.tocsr())
+    # Exact zeros are not stored; the CSR is canonical, whatever the line order.
+    nonzero = {rc: v for rc, v in triplets.items() if v != 0}
+    return SparseOperator.from_entries(basis, basis, nonzero)
 
 
 # ---------------------------------------------------------------------------

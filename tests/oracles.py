@@ -470,17 +470,40 @@ def o_operator(model, n_modes: int, leaves, internals, g):
     the total charge of the whole chain; factors ordered mode M leftmost,
     the mode-1 factor acting first.  Summing ``O^dagger_{x,g} O_{x',g}``
     over ``g`` yields the observable ``|x><x'| (x) id``.  The strict matrix
-    that ``algebra.o_polynomial`` realizes up to abelian-rest terms.
+    that ``algebra.o_polynomial`` realizes up to abelian-rest terms.  The
+    region content is checked against the fusion table, the rest charges
+    ``b`` are those with a path on the other ``n_modes - 1`` modes, and the
+    weights are read from ``model.F``.
     """
-    from anyonladder.algebra import _as_region_state, _factor_terms
     from anyonladder.basis import FusionTreeBasis, SparseOperator
     from anyonladder.ladder import _element_family
 
-    x = _as_region_state(model, leaves, internals)
+    a = tuple(map(model.charge, leaves))
+    d = tuple(map(model.charge, internals))
+    if not a:
+        raise ValueError("region content needs at least one leaf charge")
+    if len(d) != len(a) - 1:
+        raise ValueError(f"{len(a)} leaves need {len(a) - 1} internal charges, got {len(d)}")
+    ds = a[:1] + d  # d_0 = a_1, then the charge of modes 1..p for p = 2..M
+    for p in range(1, len(a)):
+        if not model.fusion[ds[p - 1], a[p], ds[p]]:
+            label = model.labels[ds[p]]
+            raise ValueError(f"internal charge {label} at step {p} is not a fusion outcome")
     gi = model.charge(g)
+    counts = path_counts(model, n_modes - 1) if n_modes > 1 else {model.vacuum: 1}
+    rests = [b for b, ways in sorted(counts.items()) if ways]
     result = SparseOperator.identity(FusionTreeBasis(model, n_modes))
-    for p, a_p in enumerate(x.leaves, start=1):
-        terms = _factor_terms(model, n_modes, x, gi, p)
+    for p, a_p in enumerate(a, start=1):
+        if p == 1:
+            terms = [(b, gi, 1.0) for b in rests if model.fusion[a_p, b, gi]]
+        else:
+            terms = [
+                (b, c, np.conj(model.F[ds[p - 2], a_p, b, gi, ds[p - 1], c]))
+                for b in rests
+                for c in range(model.n_labels)
+                if model.fusion[a_p, b, c]
+            ]
+            terms = [t for t in terms if abs(t[2]) > 1e-14]
         factor = _element_family(model, n_modes, a_p, terms, p)[p]
         result = (factor @ result).drop()
     return result

@@ -383,9 +383,15 @@ def test_warm_decompose_merges_terms_in_one_pass(fib, monkeypatch):
 
 
 def test_cold_frame_makes_no_scipy_matrix_per_word(monkeypatch):
-    """A cold frame build stores its words packed: the CSR matrices it makes
-    number at most its batched products plus its polynomials, far fewer than
-    its words."""
+    """A cold frame build stores its words packed, with one batched product
+    per word length from 2 up: the CSR matrices it makes number at most a
+    fixed handful per batched product plus one per polynomial, far fewer
+    than its words.
+
+    A batched product makes five: its two stacked operands, two inside
+    scipy's product and the dropped result.  The bound allows six per batch,
+    the sixth covering the adjoints of the daggered letters and the
+    identity."""
     import scipy.sparse as sp
 
     from anyonladder import polynomial
@@ -408,8 +414,10 @@ def test_cold_frame_makes_no_scipy_matrix_per_word(monkeypatch):
     monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
     _entries, polys, _stack = _product_frame(model, 3, 2)
     monkeypatch.undo()
+    longest = max(len(w) for poly in polys for _c, w in poly.terms)
+    assert len(batches) == longest - 1
     assert len(_word_cache(model, 3)) > 10 * (len(batches) + len(polys))
-    assert len(matrices) <= len(batches) + len(polys)
+    assert len(matrices) <= 6 * len(batches) + len(polys)
 
 
 @pytest.mark.parametrize(

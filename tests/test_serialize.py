@@ -112,3 +112,27 @@ def test_operator_triplets_match_per_line_formatting(fib):
         text = dump_operator(operator, name="x")
         header = "".join(line + "\n" for line in text.splitlines() if line.startswith("#"))
         assert text == header + orc.dump_triplets(operator)
+
+
+def test_loaded_operator_is_canonical_csr_whatever_the_line_order(fib):
+    """Shuffled triplet lines and exact-zero triplets load to the CSR bytes
+    that a ``dok_matrix`` filled entry by entry (which stores no zero) gives
+    for the lines in the written, sorted order."""
+    from scipy import sparse
+
+    pair = fibonacci_pair(fib, 3)
+    op = (pair.alpha[2].dagger() @ pair.beta[1] + 0.5j * pair.alpha[3]).drop()
+    header, rows = [], []
+    for line in dump_operator(op).splitlines():
+        (header if line.startswith("#") else rows).append(line)
+    rows += ["5 7 0 0", "2 11 -0.0 0.0"]  # exact zeros, at unstored positions
+    want = sparse.dok_matrix(op.matrix.shape, dtype=complex)
+    for line in sorted(rows, key=lambda line: tuple(map(int, line.split()[:2]))):
+        r, c, re, im = line.split()
+        want[int(r), int(c)] = complex(float(re), float(im))
+    want = SparseOperator(op.row_basis, op.col_basis, want.tocsr())
+    assert orc.csr_bytes(want) == orc.csr_bytes(op)
+    rng = np.random.default_rng(3)
+    for order in (rng.permutation(len(rows)), range(len(rows) - 1, -1, -1)):
+        text = "\n".join(header + [rows[i] for i in order]) + "\n"
+        assert orc.csr_bytes(load_operator(text, fib)) == orc.csr_bytes(want)
