@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.sparse.linalg import eigsh
 
 from .basis import SparseOperator
@@ -246,8 +247,9 @@ class Spectrum:
     """Eigenvalues of one charge sector, sorted ascending.
 
     ``method`` records the solver: ``dense`` returns the full sector
-    spectrum, ``iterative`` only the lowest few eigenvalues.  The ground
-    state, when requested, lives in the basis of the diagonalized operator:
+    spectrum, with the bits of ``np.linalg.eigh``, ``iterative`` only the
+    lowest few eigenvalues.  The ground state, when requested, lives in the
+    basis of the diagonalized operator:
     embedded into the full canonical basis for a full operator, on the
     sector basis for an operator built on one sector.
     """
@@ -276,11 +278,15 @@ def diagonalize(
     there; the full operator is never densified, and the Hermiticity check
     runs on the sparse difference ``h - h^dagger``.  An operator on a sector
     basis is its own block and can only be solved for that sector.
-    ``method`` defaults to a dense ``eigh`` of the block for block dimension
+    ``method`` defaults to a dense solve of the block for block dimension
     up to ``DENSE_CUTOFF`` and an iterative extremal solve (lowest
     ``k_extremal`` eigenvalues, sparse ``eigsh``) above it.  Blocks of
     dimension at most ``k_extremal + 1`` are too small for ``eigsh`` and are
     always solved densely; the returned ``method`` says which solver ran.
+    The dense solve runs LAPACK zheevd's steps but back-transforms only the
+    ground vector, and none without ``want_vector``; its eigenvalues and
+    ground vector have the bits of ``np.linalg.eigh`` (see
+    ``_dense_solve``).
     """
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}; expected dense or iterative")
@@ -309,8 +315,7 @@ def diagonalize(
     if len(idx) <= k_extremal + 1:
         method = "dense"
     if method == "dense":
-        vals, vecs = np.linalg.eigh(block.toarray())
-        ground = vecs[:, 0]
+        vals, ground = _dense_solve(block.toarray(), want_vector)
     else:
         # A seeded start vector, uniform on (-1, 1) in both parts as ARPACK
         # draws its own, makes the result a function of the block alone.
@@ -325,6 +330,57 @@ def diagonalize(
         vector = np.zeros(basis.dim, dtype=complex)
         vector[idx] = ground
     return Spectrum(model.labels[g], len(idx), method, np.real(vals), vector)
+
+
+# zheevd hands blocks of at most this dimension (LAPACK's SMLSIZ) to zsteqr
+# on complex vectors, whose signed zeros a real tridiagonal solve does not
+# give.  It rescales a block whose largest entry is outside (_RMIN, _RMAX),
+# and dstevd rescales a tridiagonal matrix the same way, so the steps of
+# _dense_solve run only where neither rescales.
+_SMLSIZ = 25
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_RMIN, _RMAX = np.sqrt(_SMLNUM), np.sqrt(1.0 / _SMLNUM)
+
+
+def _unscaled(x: np.ndarray) -> bool:
+    return bool(_RMIN < np.abs(x).max() < _RMAX)
+
+
+def _dense_solve(a: np.ndarray, want_vector: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and ground vector of the Hermitian ``a``, with the bits
+    of ``np.linalg.eigh(a)`` under one BLAS thread.
+
+    The steps are LAPACK zheevd's: Householder reduction of the lower
+    triangle to a real tridiagonal matrix, divide and conquer on that, and the
+    back-transform, here of column 0 only and unblocked (``lwork=1``), as
+    numpy's zheevd workspace makes it.  Blocks that zheevd solves another way
+    (see ``_SMLSIZ``) go to ``eigh``.
+    """
+    n = len(a)
+    if n > _SMLSIZ and _unscaled(a):
+        lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
+        c, d, e, tau, info = lapack.zhetrd(a, lower=1, lwork=lwork)
+        _check_info("zhetrd", info)
+        if _unscaled(np.concatenate([d, e])):
+            # The vectors are needed either way: without them dstevd runs
+            # dsterf, whose eigenvalues differ in the last bits.
+            vals, z, info = lapack.dstevd(d, e, compute_v=1)
+            _check_info("dstevd", info)
+            if not want_vector:
+                return vals, None
+            ground = z[:, :1].astype(complex)
+            ground[1:], _, info = lapack.zunmqr(
+                "L", "N", c[1:, :-1], tau, ground[1:], lwork=1
+            )
+            _check_info("zunmqr", info)
+            return vals, ground[:, 0]
+    vals, vecs = np.linalg.eigh(a)
+    return vals, vecs[:, 0]
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
 
 
 def occupation_profile(state: np.ndarray, pair: FibonacciPair) -> np.ndarray:

@@ -1,7 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import anyonladder
 import oracles as orc
+from anyonladder import hubbard
 from anyonladder.basis import FusionTreeBasis, SparseOperator, total_charge_projector
 from anyonladder.hubbard import (
     INDEXINGS,
@@ -411,3 +419,119 @@ def test_rungs5_sector_e_ground_energy():
     spectrum = diagonalize(h, "e", want_vector=False)
     assert spectrum.method == "iterative"
     assert abs(spectrum.ground_energy - (-9.7006651521)) < 1e-9
+
+
+def _run_on_one_blas_thread(*args: str) -> str:
+    """stdout of ``python *args`` run with the BLAS on one thread.
+
+    numpy's ``eigh`` back-transforms every eigenvector, and a multi-threaded
+    BLAS rounds column 0 of that product differently from the one-column
+    product of the dense solve, so ground-vector bits are compared on one
+    thread, as the benchmark runs.
+    """
+    paths = [Path(anyonladder.__file__).parents[1], Path(__file__).parent]
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")])
+        ),
+    }
+    run = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def _eigh_oracle_mismatches() -> list[str]:
+    """Blocks whose dense-solve eigenvalue or ground-vector bytes differ
+    from ``np.linalg.eigh``'s."""
+    blocks = []
+    for indexing in INDEXINGS:
+        for n_rungs in (1, 2, 3, 4):
+            _, h = hubbard_hamiltonian(n_rungs, HubbardParams(0.9, 0.35, indexing))
+            for g in range(h.row_basis.model.n_labels):
+                idx = h.row_basis.sector_indices(g)
+                block = h.matrix[idx][:, idx]
+                block = ((block + block.conj().T) / 2.0).toarray()
+                blocks.append((f"{indexing} rungs {n_rungs} sector {g}", block))
+    rng = np.random.default_rng(2024)
+    for n in [*range(1, 81), 129, 257]:
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        blocks.append((f"random {n}", (m + m.conj().T) / 2.0))
+    m = np.round(2 * rng.normal(size=(16, 16))) + 1j * np.round(2 * rng.normal(size=(16, 16)))
+    blocks.append(("integer, every eigenvalue threefold", np.kron(np.eye(3), m + m.conj().T)))
+    bad = []
+    for name, a in blocks:
+        want_vals, want_vecs = np.linalg.eigh(a)
+        vals, ground = hubbard._dense_solve(a, want_vector=True)
+        if vals.tobytes() != want_vals.tobytes():
+            bad.append(f"{name}: eigenvalues")
+        if ground.tobytes() != want_vecs[:, 0].tobytes():
+            bad.append(f"{name}: ground vector")
+    return bad
+
+
+def test_dense_solve_has_the_bits_of_eigh():
+    out = _run_on_one_blas_thread(
+        "-c", "import test_hubbard as t; print(t._eigh_oracle_mismatches())"
+    )
+    assert out.strip() == "[]"
+
+
+def test_dense_solve_without_vector_skips_the_back_transform(monkeypatch):
+    _, h = hubbard_hamiltonian(3, HubbardParams(0.9, 0.35))  # blocks 89 and 144
+    with_vector = [diagonalize(h, g) for g in ("e", "tau")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("back-transform without a vector request")
+
+    monkeypatch.setattr(hubbard.lapack, "zunmqr", refuse)
+    for want in with_vector:
+        got = diagonalize(h, want.sector, want_vector=False)
+        assert got.ground_state is None
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+
+def test_dense_solve_raises_on_a_lapack_failure(monkeypatch):
+    _, h = hubbard_hamiltonian(3, HubbardParams(0.9, 0.35))
+    dstevd = hubbard.lapack.dstevd
+
+    def fail(*args, **kwargs):
+        vals, z, _ = dstevd(*args, **kwargs)
+        return vals, z, 3
+
+    monkeypatch.setattr(hubbard.lapack, "dstevd", fail)
+    with pytest.raises(np.linalg.LinAlgError, match="dstevd"):
+        diagonalize(h, "tau")
+
+
+@pytest.mark.parametrize(
+    "t, mu, spectrum_sha256, occupation_sha256",
+    [
+        # Largest entry above LAPACK's unscaled range: zheevd rescales.
+        (
+            "1e200", "0.5",
+            "28ccad2b8ae0f53814619a20dd8818ccd6aeacfc9dad9a1a493d415e5e0c4a73",
+            "5982692ccb9af5bebb22617ecea1163703eb68d7260882a9a436f9bd5c5d8464",
+        ),
+        # Below it: zheevd scales the block up.
+        (
+            "1e-200", "0",
+            "9a377a0112ae6a5be3aea8e3097214c0d949942ff19c0105832aa84ec121b974",
+            "d26c4495f287c4a5f05b28d04ae20fa9f5a0c6588ef402285e936d6c080886d0",
+        ),
+    ],
+)
+def test_hubbard_files_at_extreme_magnitudes_keep_their_bytes(
+    tmp_path, t, mu, spectrum_sha256, occupation_sha256
+):
+    _run_on_one_blas_thread(
+        "-m", "anyonladder.cli", "hubbard", "--rungs", "3", "--t", t, "--mu", mu,
+        "--out", str(tmp_path),
+    )
+    for name, want in (("spectrum.csv", spectrum_sha256), ("occupation.csv", occupation_sha256)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
