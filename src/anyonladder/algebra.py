@@ -18,7 +18,7 @@ operators, and ``op = sum c_{x,x'} O_x^dagger O_{x'}``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .ladder import (
     rest_charges,
     transport_to_mode,
 )
-from .model import AnyonModel, ModelDataError
+from .model import AnyonModel, ModelDataError, ValidationReport
 from .polynomial import GeneratorSymbol, LadderPolynomial, _fill_cache
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "abelian_sum_polynomial",
     "Decomposition",
     "decompose_observable",
-    "RelationReport",
     "verify_relations",
     "fock_words",
     "fock_word",
@@ -645,6 +644,11 @@ def decompose_observable(
                 f"operator is local on modes {list(s)} but outside the span "
                 f"realised by ladder polynomials (span residual {span_residual:.3e})"
             )
+        if _span_residual(op, s, local_candidate_span) <= tolerance:
+            raise ValueError(
+                f"operator is candidate-local on modes {list(s)} but not an "
+                f"observable of them (span residual {span_residual:.3e})"
+            )
         raise ValueError(
             f"operator is not local on modes {list(s)} "
             f"(span residual {span_residual:.3e})"
@@ -671,60 +675,32 @@ def decompose_observable(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RelationReport:
-    n_modes: int
-    tolerance: float
-    asserted: list[tuple[str, float]] = field(default_factory=list)
-    reported: list[tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= self.tolerance for _, r in self.asserted)
-
-    @property
-    def max_residual(self) -> float:
-        return max((r for _, r in self.asserted), default=0.0)
-
-    def format_text(self) -> str:
-        lines = [f"modes: {self.n_modes}", f"tolerance: {self.tolerance:.3e}"]
-        for name, residual in self.asserted:
-            status = "pass" if residual <= self.tolerance else "FAIL"
-            lines.append(f"  [{status}] {name}: residual={residual:.3e}")
-        for name, text in self.reported:
-            lines.append(f"  [info] {name}: {text}")
-        lines.append(f"result: {'pass' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def verify_relations(model: AnyonModel, n_modes: int, tolerance: float = 1e-10) -> RelationReport:
+def verify_relations(
+    model: AnyonModel, n_modes: int, tolerance: float = 1e-10
+) -> ValidationReport:
     """Check the single-mode relations of the unnormalised Fibonacci pair.
 
-    Six families are asserted per mode; the printed completeness relation
+    Six families are checked per mode; the printed completeness relation
     (whose last term is ``alpha beta^dagger alpha beta^dagger``) and the
-    disjoint-support statement for different modes are measured and reported,
-    never asserted.
+    disjoint-support statement for different modes are measured and noted
+    after every check, never asserted.
     """
     pair = _shared_pair(model, n_modes)
     basis = FusionTreeBasis(model, n_modes)
     identity = SparseOperator.identity(basis)
-    report = RelationReport(n_modes, tolerance)
+    report = ValidationReport([f"modes: {n_modes}", f"tolerance: {tolerance:.3e}"], tolerance)
+    notes = []
 
     for k in range(1, n_modes + 1):
         al, be = pair.alpha[k], pair.beta[k]
         ald, bed = al.dagger(), be.dagger()
-        report.asserted.append((f"alpha_{k}^2 = 0", (al @ al).norm_max()))
-        report.asserted.append(
-            (
-                f"alpha_{k} beta_{k} = beta_{k} alpha_{k} = 0",
-                max((al @ be).norm_max(), (be @ al).norm_max()),
-            )
+        report.check(f"alpha_{k}^2 = 0", (al @ al).norm_max())
+        report.check(
+            f"alpha_{k} beta_{k} = beta_{k} alpha_{k} = 0",
+            max((al @ be).norm_max(), (be @ al).norm_max()),
         )
-        report.asserted.append(
-            (
-                f"alpha_{k} alpha_{k}^+ = beta_{k} beta_{k}^+",
-                (al @ ald - be @ bed).norm_max(),
-            )
+        report.check(
+            f"alpha_{k} alpha_{k}^+ = beta_{k} beta_{k}^+", (al @ ald - be @ bed).norm_max()
         )
         chain = [al @ bed @ be, al @ bed @ al, be @ ald @ al, be @ ald @ be]
         worst = max(
@@ -732,33 +708,27 @@ def verify_relations(model: AnyonModel, n_modes: int, tolerance: float = 1e-10) 
             for i in range(len(chain))
             for j in range(i + 1, len(chain))
         )
-        report.asserted.append((f"mixed third-order chain equalities (mode {k})", worst))
-        report.asserted.append(
-            (
-                f"alpha_{k} alpha_{k}^+ alpha_{k} = alpha_{k} - beta_{k} alpha_{k}^+ alpha_{k}",
-                (al @ ald @ al - (al - be @ ald @ al)).norm_max(),
-            )
+        report.check(f"mixed third-order chain equalities (mode {k})", worst)
+        report.check(
+            f"alpha_{k} alpha_{k}^+ alpha_{k} = alpha_{k} - beta_{k} alpha_{k}^+ alpha_{k}",
+            (al @ ald @ al - (al - be @ ald @ al)).norm_max(),
         )
-        report.asserted.append(
-            (
-                f"beta_{k} beta_{k}^+ beta_{k} = beta_{k} - alpha_{k} beta_{k}^+ beta_{k}",
-                (be @ bed @ be - (be - al @ bed @ be)).norm_max(),
-            )
+        report.check(
+            f"beta_{k} beta_{k}^+ beta_{k} = beta_{k} - alpha_{k} beta_{k}^+ beta_{k}",
+            (be @ bed @ be - (be - al @ bed @ be)).norm_max(),
         )
 
         base = bed @ be + ald @ al + al @ ald
         printed = base + (al @ bed @ al @ bed)
         variant_single = base + (al @ bed)
         variant_scaled = base + 2.0 * (al @ bed @ al @ bed)
-        report.reported.append(
-            (
-                f"completeness (mode {k})",
-                "printed residual={:.3e}; +alpha beta^+ residual={:.3e}; "
-                "+2(alpha beta^+)^2 residual={:.3e}".format(
-                    (printed - identity).norm_max(),
-                    (variant_single - identity).norm_max(),
-                    (variant_scaled - identity).norm_max(),
-                ),
+        notes.append(
+            f"completeness (mode {k}): "
+            "printed residual={:.3e}; +alpha beta^+ residual={:.3e}; "
+            "+2(alpha beta^+)^2 residual={:.3e}".format(
+                (printed - identity).norm_max(),
+                (variant_single - identity).norm_max(),
+                (variant_scaled - identity).norm_max(),
             )
         )
 
@@ -768,14 +738,13 @@ def verify_relations(model: AnyonModel, n_modes: int, tolerance: float = 1e-10) 
             ba = pair.alpha[b_mode] @ pair.alpha[a_mode]
             cols_ab = set(ab.matrix.indices.tolist())
             cols_ba = set(ba.matrix.indices.tolist())
-            overlap = cols_ab & cols_ba
-            report.reported.append(
-                (
-                    f"support alpha_{a_mode} alpha_{b_mode} vs alpha_{b_mode} alpha_{a_mode}",
-                    f"supports {sorted(cols_ab)} and {sorted(cols_ba)}; "
-                    f"disjoint={not overlap}",
-                )
+            notes.append(
+                f"support alpha_{a_mode} alpha_{b_mode} vs alpha_{b_mode} alpha_{a_mode}: "
+                f"supports {sorted(cols_ab)} and {sorted(cols_ba)}; "
+                f"disjoint={not cols_ab & cols_ba}"
             )
+    for text in notes:
+        report.note("info", text)
     return report
 
 
@@ -883,7 +852,8 @@ def kernel_dimension(model: AnyonModel, n_modes: int, tol: float = 1e-10) -> int
     """Dimension of the joint kernel of all annihilation operators.
 
     ``dim`` minus the rank of the stacked annihilators, the rank being the
-    number of singular values above ``tol``.
+    number of singular values above ``tol`` and the rounding floor of
+    :func:`_extend_span`.
     """
     stacked = np.vstack([
         op.to_dense()
@@ -905,9 +875,17 @@ def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
 
     ``onb`` holds orthonormal rows.  The batch ``rows`` is projected off them
     twice (the second pass removes what rounding left of the first), and the
-    right singular vectors of the residual whose singular value exceeds
-    ``tol`` are returned.  This is the one orthogonaliser of the package.
+    right singular vectors of the residual whose singular value exceeds the
+    cut are returned.  The cut is ``tol``, but never below the rounding level
+    ``eps * max(rows.shape) * |rows|_2`` of the batch as given (numpy's
+    ``matrix_rank`` floor), so even ``tol=0`` drops the batch's rounding; the
+    Frobenius norm bounds the 2-norm, so the SVD behind the latter runs only
+    when the floor can exceed ``tol``.  This is the one orthogonaliser of the
+    package.
     """
+    floor = np.finfo(float).eps * max(rows.shape)
+    if floor * np.linalg.norm(rows) > tol:
+        tol = max(tol, floor * np.linalg.norm(rows, 2))
     for _ in range(2):
         rows = rows - (rows @ onb.conj().T) @ onb
     _u, svals, vh = np.linalg.svd(rows, full_matrices=False)

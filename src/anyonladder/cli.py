@@ -6,13 +6,14 @@ to ladder polynomial) and ``hubbard`` (lattice Hamiltonian spectra).
 
 Exit codes: 0 success, 1 at least one asserted verification failed,
 2 usage or input error.  Output is deterministic: identical inputs produce
-byte-identical reports and files.
+byte-identical reports and files for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .ladder import _shared_pair, fermion_type, fibonacci_type, j_count, ladder_
 from .model import (
     BUILTIN_MODELS,
     ModelDataError,
+    ValidationReport,
     builtin,
     load_model,
     validate_model,
@@ -113,68 +115,50 @@ def cmd_ladder(args) -> int:
 _NO_PAIR_OR_FERMION = "no Fibonacci pair and no fermion type in this model"
 
 
-def _verify_relations(model, n: int, tol: float) -> tuple[list[str], bool]:
-    lines: list[str] = []
+def _verify_relations(model, n: int, tol: float) -> ValidationReport:
     psi = fermion_type(model)
-    if psi is not None:
-        ls = ladder_set(model, n, model.labels[psi])
-        ops = [ls.op(k, 0) for k in range(1, n + 1)]
-        ident = SparseOperator.identity(FusionTreeBasis(model, n))
-        worst = 0.0
-        for i, fi in enumerate(ops):
-            for j, fj in enumerate(ops):
-                worst = max(worst, (fi @ fj + fj @ fi).norm_max())
-                cross = fi @ fj.dagger() + fj.dagger() @ fi
-                if i == j:
-                    cross = cross - ident
-                worst = max(worst, cross.norm_max())
-        ok = worst <= tol
-        lines.append(
-            f"[{'pass' if ok else 'FAIL'}] canonical anticommutation "
-            f"relations: residual={worst:.3e}"
-        )
-        return lines, ok
-    if fibonacci_type(model) is None:
-        return [f"[n/a] {_NO_PAIR_OR_FERMION}"], True
-    report = alg.verify_relations(model, n, tolerance=tol)
-    lines.extend(report.format_text().splitlines())
-    return lines, report.passed
+    if psi is None and fibonacci_type(model) is not None:
+        return alg.verify_relations(model, n, tolerance=tol)
+    report = ValidationReport([], tol)
+    if psi is None:
+        report.note("n/a", _NO_PAIR_OR_FERMION)
+        return report
+    ls = ladder_set(model, n, model.labels[psi])
+    ops = [ls.op(k, 0) for k in range(1, n + 1)]
+    ident = SparseOperator.identity(FusionTreeBasis(model, n))
+    worst = 0.0
+    for i, fi in enumerate(ops):
+        for j, fj in enumerate(ops):
+            worst = max(worst, (fi @ fj + fj @ fi).norm_max())
+            cross = fi @ fj.dagger() + fj.dagger() @ fi
+            if i == j:
+                cross = cross - ident
+            worst = max(worst, cross.norm_max())
+    report.check("canonical anticommutation relations", worst)
+    return report
 
 
-def _verify_locality(model, n: int, tol: float) -> tuple[list[str], bool]:
-    lines = []
-    ok = True
+def _verify_locality(model, n: int, tol: float) -> ValidationReport:
+    report = ValidationReport([], tol)
     elems = alg.candidate_local_basis(model, n, mode=1)
     flags = [alg.is_local_candidate(op, (1,), tol=tol)[0] for _meta, op in elems]
-    good = all(flags)
-    ok &= good
-    lines.append(
-        f"[{'pass' if good else 'FAIL'}] {sum(flags)}/{len(flags)} mode-1 "
-        "elements are candidate-local on {1}"
+    report.verdict(
+        all(flags), f"{sum(flags)}/{len(flags)} mode-1 elements are candidate-local on {{1}}"
     )
     for g in model.labels:
-        proj = total_charge_projector(model, n, g)
-        flag, res = alg.is_local_candidate(proj, (1,), tol=tol)
-        ok &= flag
-        lines.append(
-            f"[{'pass' if flag else 'FAIL'}] total-charge projector P_{g} "
-            f"is candidate-local on {{1}}: residual={res:.3e}"
-        )
+        res = alg.is_local_candidate(total_charge_projector(model, n, g), (1,), tol=tol)[1]
+        report.check(f"total-charge projector P_{g} is candidate-local on {{1}}", res)
     if n >= 2:
-        braid = braid_adjacent(model, n, 1)
-        flag, res = alg.is_local_candidate(braid, (1,), tol=tol)
-        ok &= not flag
-        lines.append(
-            f"[{'pass' if not flag else 'FAIL'}] braid(1,2) is not local on "
-            f"{{1}}: residual={res:.3e}"
-        )
-    return lines, ok
+        flag, res = alg.is_local_candidate(braid_adjacent(model, n, 1), (1,), tol=tol)
+        report.verdict(not flag, f"braid(1,2) is not local on {{1}}: residual={res:.3e}")
+    return report
 
 
-def _verify_fock(model, n: int, tol: float) -> tuple[list[str], bool]:
+def _verify_fock(model, n: int, tol: float) -> ValidationReport:
+    report = ValidationReport([], tol)
     dim = FusionTreeBasis(model, n).dim
     if fermion_type(model) is None and fibonacci_type(model) is None:
-        lines, ok = [f"[n/a] creation words: {_NO_PAIR_OR_FERMION}"], True
+        report.note("n/a", f"creation words: {_NO_PAIR_OR_FERMION}")
     else:
         words = alg.fock_words(model, n)
         target = np.eye(dim)
@@ -182,25 +166,20 @@ def _verify_fock(model, n: int, tol: float) -> tuple[list[str], bool]:
             (float(np.abs(alg.apply_word(model, n, *words[i]) - target[i]).max()) for i in words),
             default=0.0,
         )
-        ok = len(words) == dim and worst <= tol
-        lines = [
-            f"[{'pass' if ok else 'FAIL'}] {len(words)}/{dim} states reconstructed "
-            f"by creation words: residual={worst:.3e}"
-        ]
+        report.verdict(
+            len(words) == dim and worst <= tol,
+            f"{len(words)}/{dim} states reconstructed by creation words: residual={worst:.3e}",
+        )
     kdim = alg.kernel_dimension(model, n)
-    kok = kdim == 1
-    lines.append(
-        f"[{'pass' if kok else 'FAIL'}] joint annihilator kernel dimension = {kdim} (expect 1)"
-    )
-    return lines, ok and kok
+    report.verdict(kdim == 1, f"joint annihilator kernel dimension = {kdim} (expect 1)")
+    return report
 
 
-def _verify_closure(model, n: int, tol: float) -> tuple[list[str], bool]:
+def _verify_closure(model, n: int, tol: float) -> ValidationReport:
     """Mode-1 ladder operators with the total-charge projectors must close on
     the candidate-local span of mode 1 (the commutant of the complement
     observables); all ladder operators must close on the full algebra."""
-    lines = []
-    ok = True
+    report = ValidationReport([], tol)
     gens_all = []
     gens_mode1 = [total_charge_projector(model, n, g) for g in model.labels]
     for i, lab in enumerate(model.labels):
@@ -211,53 +190,44 @@ def _verify_closure(model, n: int, tol: float) -> tuple[list[str], bool]:
             gens_all.append(op)
             if k == 1:
                 gens_mode1.append(op)
-    res1 = alg.algebra_closure(gens_mode1, tol=tol)
+    got = alg.algebra_closure(gens_mode1, tol=tol).dimension
     cand = len(alg.local_candidate_span(model, n, 1)[1])
-    good = res1.dimension == cand
-    ok &= good
-    lines.append(
-        f"[{'pass' if good else 'FAIL'}] mode-1 closure with total-charge "
-        f"projectors: dimension = {res1.dimension} (candidate-local span = {cand})"
+    report.verdict(
+        got == cand,
+        f"mode-1 closure with total-charge projectors: dimension = {got} "
+        f"(candidate-local span = {cand})",
     )
     dim = FusionTreeBasis(model, n).dim
     if dim <= 40:
-        res = alg.algebra_closure(gens_all, tol=tol)
-        full = dim * dim
-        good = res.dimension == full
-        ok &= good
-        lines.append(
-            f"[{'pass' if good else 'FAIL'}] all-modes closure dimension = "
-            f"{res.dimension} (full operator algebra = {full})"
+        got = alg.algebra_closure(gens_all, tol=tol).dimension
+        report.verdict(
+            got == dim * dim,
+            f"all-modes closure dimension = {got} (full operator algebra = {dim * dim})",
         )
     else:
-        lines.append(
-            f"[info] all-modes closure skipped (dimension {dim} too large)"
-        )
-    return lines, ok
+        report.note("info", f"all-modes closure skipped (dimension {dim} too large)")
+    return report
+
+
+_SUITES = {
+    "relations": _verify_relations,
+    "locality": _verify_locality,
+    "fock": _verify_fock,
+    "closure": _verify_closure,
+}
 
 
 def cmd_verify(args) -> int:
     model = _resolve_model(args.model)
-    suites = (
-        ["relations", "locality", "fock", "closure"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    runners = {
-        "relations": _verify_relations,
-        "locality": _verify_locality,
-        "fock": _verify_fock,
-        "closure": _verify_closure,
-    }
-    all_ok = True
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    passed = True
     for suite in suites:
         print(f"suite: {suite}")
-        lines, ok = runners[suite](model, args.modes, args.tolerance)
-        for line in lines:
-            print(f"  {line}")
-        all_ok &= ok
-    print(f"result: {'pass' if all_ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_FAIL
+        report = _SUITES[suite](model, args.modes, args.tolerance)
+        print(textwrap.indent(report.format_text(), "  "))
+        passed &= report.passed
+    print(f"result: {'pass' if passed else 'FAIL'}")
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=("basic", "full"), default="full")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("ladder", parents=[common], help="construct and export ladder operators")
+    p = sub.add_parser("ladder", help="construct and export ladder operators")
     p.add_argument("--model", required=True)
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--particle", help="restrict to one particle label")
@@ -391,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the polynomial JSON here")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("hubbard", parents=[common], help="build and diagonalize the lattice Hamiltonian")
+    p = sub.add_parser("hubbard", help="build and diagonalize the lattice Hamiltonian")
     p.add_argument("--rungs", type=int, required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=0.0)
@@ -405,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_arguments(args) -> None:
     """Reject values that no subcommand accepts, before any work or output."""
-    if not 0.0 <= args.tolerance < np.inf:  # NaN fails this too
-        raise ValueError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
+    tolerance = vars(args).get("tolerance", 0.0)
+    if not 0.0 <= tolerance < np.inf:  # NaN fails this too
+        raise ValueError(f"--tolerance must be finite and non-negative, got {tolerance}")
     if vars(args).get("modes", 1) < 1:
         raise ValueError(f"--modes must be at least 1, got {args.modes}")
 

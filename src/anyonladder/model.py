@@ -41,7 +41,6 @@ import numpy as np
 __all__ = [
     "AnyonModel",
     "ModelDataError",
-    "CheckResult",
     "ValidationReport",
     "builtin",
     "BUILTIN_MODELS",
@@ -533,49 +532,47 @@ def _f_blocks(model: AnyonModel):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    detail: str = ""
-
-
 @dataclass
 class ValidationReport:
-    model_name: str
-    level: str
+    """Checks in the order they were made, each entry ``(status, text, residual)``.
+
+    ``check`` compares a residual with ``tolerance``, ``verdict`` records a
+    pass or fail decided elsewhere, and ``note`` an ``info`` or ``n/a`` line
+    that decides nothing; ``residual`` is ``None`` for the last two.  A report
+    with header lines stands alone: its entries are indented under the header
+    and a ``result:`` line closes it.  A headerless report is one block of a
+    larger one, a ``verify`` suite, and prints its entries only.
+    """
+
+    header: list[str]
     tolerance: float
-    checks: list[CheckResult] = field(default_factory=list)
+    entries: list[tuple[str, str, float | None]] = field(default_factory=list)
+
+    def check(self, name: str, residual: float) -> None:
+        residual = float(residual)
+        status = "pass" if residual <= self.tolerance else "FAIL"
+        self.entries.append((status, f"{name}: residual={residual:.3e}", residual))
+
+    def verdict(self, ok: bool, text: str) -> None:
+        self.entries.append(("pass" if ok else "FAIL", text, None))
+
+    def note(self, status: str, text: str) -> None:
+        self.entries.append((status, text, None))
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(status != "FAIL" for status, _, _ in self.entries)
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        return max((r for _, _, r in self.entries if r is not None), default=0.0)
 
     def format_text(self) -> str:
-        lines = [
-            f"model: {self.model_name}",
-            f"level: {self.level}",
-            f"tolerance: {self.tolerance:.3e}",
-        ]
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            line = f"  [{status}] {c.name}: residual={c.residual:.3e}"
-            if c.detail:
-                line += f" ({c.detail})"
-            lines.append(line)
-        lines.append(f"result: {'pass' if self.passed else 'FAIL'}")
+        pad = "  " if self.header else ""
+        lines = [*self.header, *(f"{pad}[{status}] {text}" for status, text, _ in self.entries)]
+        if self.header:
+            lines.append(f"result: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-def _check(report: ValidationReport, name: str, residual: float, detail: str = ""):
-    report.checks.append(
-        CheckResult(name, residual <= report.tolerance, float(residual), detail)
-    )
 
 
 def _vacuum_residual(model: AnyonModel) -> float:
@@ -711,20 +708,21 @@ def validate_model(
     """
     if level not in ("basic", "full"):
         raise ValueError(f"unknown validation level {level!r}")
-    report = ValidationReport(model.name, level, tolerance)
-    _check(report, "vacuum-law", _vacuum_residual(model))
-    _check(report, "dual-law", _dual_residual(model))
-    _check(
-        report,
-        "commutativity",
-        float(np.abs(model.fusion.astype(int) - model.fusion.transpose(1, 0, 2)).max()),
+    report = ValidationReport(
+        [f"model: {model.name}", f"level: {level}", f"tolerance: {tolerance:.3e}"], tolerance
     )
-    _check(report, "associativity", _associativity_residual(model))
-    _check(report, "abelian-first-ordering", _ordering_residual(model))
-    _check(report, "f-unitarity", _f_unitarity_residual(model))
-    _check(report, "r-unit-modulus", _r_modulus_residual(model))
-    _check(report, "quantum-dimensions", _quantum_dim_residual(model))
+    report.check("vacuum-law", _vacuum_residual(model))
+    report.check("dual-law", _dual_residual(model))
+    report.check(
+        "commutativity",
+        np.abs(model.fusion.astype(int) - model.fusion.transpose(1, 0, 2)).max(),
+    )
+    report.check("associativity", _associativity_residual(model))
+    report.check("abelian-first-ordering", _ordering_residual(model))
+    report.check("f-unitarity", _f_unitarity_residual(model))
+    report.check("r-unit-modulus", _r_modulus_residual(model))
+    report.check("quantum-dimensions", _quantum_dim_residual(model))
     if level == "full":
-        _check(report, "pentagon", pentagon_residual(model))
-        _check(report, "hexagon", hexagon_residual(model))
+        report.check("pentagon", pentagon_residual(model))
+        report.check("hexagon", hexagon_residual(model))
     return report

@@ -126,12 +126,13 @@ def test_criterion_4_relation_suite():
             report = verify_relations(fib, n)
             assert report.passed
             assert report.max_residual < 1e-10
-            assert len(report.asserted) == 6 * n
-            completeness = [t for name, t in report.reported if "completeness" in name]
+            assert sum(r is not None for _, _, r in report.entries) == 6 * n
+            notes = [t for status, t, _ in report.entries if status == "info"]
+            completeness = [t for t in notes if t.startswith("completeness")]
             assert len(completeness) == n
             assert all("residual=" in text for text in completeness)
             if n >= 2:
-                support = [t for name, t in report.reported if "support" in name]
+                support = [t for t in notes if t.startswith("support")]
                 assert support and all("disjoint=" in text for text in support)
 
 
@@ -272,7 +273,7 @@ def test_criterion_9_model_validation():
         for name in ("fibonacci", "fermion", "ising"):
             report = validate_model(builtin(name), level="full")
             assert report.passed
-            residuals = {c.name: c.residual for c in report.checks}
+            residuals = {t.split(": residual=")[0]: r for _, t, r in report.entries}
             assert residuals["pentagon"] < 1e-10
             assert residuals["hexagon"] < 1e-10
         doc = copy.deepcopy(dump_model(builtin("fibonacci")))

@@ -494,6 +494,19 @@ def test_decompose_tells_braids_apart_on_two_ising_modes(ising, k, message):
         decompose_observable(braid_adjacent(ising, 3, k), (1, 2))
 
 
+@pytest.mark.parametrize("charge", ["e", "tau"])
+def test_decompose_names_candidate_local_projectors(fib, charge):
+    """A total-charge projector lies in the candidate-local span of {1} but is
+    no observable of mode 1; decompose says so instead of "not local"."""
+    proj = total_charge_projector(fib, 3, charge)
+    assert is_local_candidate(proj, (1,)) == (True, 0.0)
+    with pytest.raises(
+        ValueError,
+        match=r"operator is candidate-local on modes \[1\] but not an observable of them ",
+    ):
+        decompose_observable(proj, (1,))
+
+
 def test_decompose_rejects_repeated_modes(fib):
     with pytest.raises(ValueError, match="invalid region"):
         decompose_observable(2.0 * _identity(fib, 3), (1, 1))
@@ -544,8 +557,8 @@ def test_relation_suite_passes(fib):
         report = verify_relations(fib, n)
         assert report.passed
         assert report.max_residual < 1e-10
-        assert len(report.asserted) == 6 * n
-        names = [name for name, _ in report.reported]
+        assert sum(r is not None for _, _, r in report.entries) == 6 * n
+        names = [t for status, t, _ in report.entries if status == "info"]
         assert sum("completeness" in x for x in names) == n
         if n >= 2:
             assert any("support" in x for x in names)
@@ -557,7 +570,7 @@ def test_relation_suite_reports_completeness_not_asserts(fib):
     report = verify_relations(fib, 1)
     # the printed completeness relation misses the identity by a finite amount;
     # it is reported with measured residuals, not asserted
-    (_, text), = [r for r in report.reported if "completeness" in r[0]]
+    (text,) = [t for status, t, _ in report.entries if status == "info" and "completeness" in t]
     assert "printed residual=2.500e-01" in text
     assert "+alpha beta^+ residual=" in text
 
@@ -691,6 +704,15 @@ def test_closure_dimensions_and_rounds_are_pinned(name, n):
         assert result.onb.shape == (result.dimension, FusionTreeBasis(model, n).dim ** 2)
         gram = result.onb.conj() @ result.onb.T
         assert np.abs(gram - np.eye(result.dimension)).max() < 1e-10
+
+
+@pytest.mark.parametrize("name, n", sorted(CLOSURE_PINS))
+def test_closure_at_zero_tolerance_stays_within_the_matrix_algebra(name, n):
+    """Rounding-level singular values are no new directions, even at tol=0."""
+    model = builtin(name)
+    for kind, gens in _closure_generators(model, n).items():
+        dimension = algebra_closure(gens, tol=0.0).dimension
+        assert dimension <= FusionTreeBasis(model, n).dim ** 2, kind
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])

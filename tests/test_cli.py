@@ -1,5 +1,7 @@
 import copy
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,12 @@ def _write_model(tmp_path, doc, name="model.json"):
     return str(path)
 
 
+def _broken_fibonacci(tmp_path):
+    doc = copy.deepcopy(dump_model(builtin("fibonacci")))
+    doc["f_symbols"]["tau,tau,tau;tau"][0][1][0] *= -1.0
+    return _write_model(tmp_path, doc)
+
+
 def test_validate_builtin_passes(capsys):
     code = main(["validate", "--model", "fibonacci"])
     out = capsys.readouterr().out
@@ -25,10 +33,7 @@ def test_validate_builtin_passes(capsys):
 
 
 def test_validate_broken_model_fails(tmp_path, capsys):
-    doc = copy.deepcopy(dump_model(builtin("fibonacci")))
-    doc["f_symbols"]["tau,tau,tau;tau"][0][1][0] *= -1.0
-    path = _write_model(tmp_path, doc)
-    code = main(["validate", "--model", path])
+    code = main(["validate", "--model", _broken_fibonacci(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
@@ -309,3 +314,54 @@ def test_bad_tolerance_fails_before_any_output(value, capsys):
     assert code == 2
     assert captured.out == ""
     assert "--tolerance must be finite and non-negative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["hubbard", "--rungs", "1"], ["ladder", "--model", "fibonacci", "--modes", "1"]]
+)
+def test_tolerance_is_rejected_where_nothing_reads_it(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tolerance", "1e-300"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+_REPORT_LINE = re.compile(
+    r"(  )?(model|level|tolerance|modes): \S.*"  # a header line
+    r"|suite: (relations|locality|fock|closure)"
+    r"|(  )?result: (pass|FAIL)"
+    r"|(  )+\[(pass|FAIL|info|n/a)\] \S.*"  # an entry
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "fibonacci", "--modes", "3"],
+        ["verify", "--model", "ising", "--modes", "2"],
+        ["verify", "--model", "fermion", "--modes", "3"],
+        ["verify", "--modes", "2", "--suite", "relations", "--tolerance", "0"],
+        ["validate", "--model", "ising"],
+        ["validate", "--model", "BROKEN"],
+    ],
+    ids=["fibonacci-3", "ising-2", "fermion-3", "relations-tol0", "validate", "validate-broken"],
+)
+def test_check_reports_follow_one_grammar(argv, tmp_path, capsys):
+    """Every line is a header, a ``suite:`` or ``result:`` line, or an
+    indented entry; exit code 1 exactly when an entry FAILs; and the
+    relation suite lists every check before its ``[info]`` notes."""
+    argv = [_broken_fibonacci(tmp_path) if a == "BROKEN" else a for a in argv]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] in ("result: pass", "result: FAIL")
+    assert [line for line in lines if not _REPORT_LINE.fullmatch(line)] == []
+    failed = any("[FAIL]" in line for line in lines)
+    assert code == (1 if failed else 0)
+    assert lines[-1] == f"result: {'FAIL' if failed else 'pass'}"
+    if "suite: relations" in lines:
+        start = lines.index("suite: relations") + 1
+        block = itertools.takewhile(lambda line: not line.startswith("suite: "), lines[start:])
+        statuses = [m.group(1) for line in block if (m := re.search(r"\[(\S+)\]", line))]
+        assert statuses
+        checks = [s for s in statuses if s in ("pass", "FAIL")]
+        assert statuses[: len(checks)] == checks
