@@ -870,22 +870,24 @@ def kernel_dimension(model: AnyonModel, n_modes: int, tol: float = 1e-10) -> int
 # ---------------------------------------------------------------------------
 
 
-def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
+def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float, scale: float | None = None) -> np.ndarray:
     """Orthonormal rows spanning what ``rows`` adds to the row span of ``onb``.
 
     ``onb`` holds orthonormal rows.  The batch ``rows`` is projected off them
     twice (the second pass removes what rounding left of the first), and the
     right singular vectors of the residual whose singular value exceeds the
     cut are returned.  The cut is ``tol``, but never below the rounding level
-    ``eps * max(rows.shape) * |rows|_2`` of the batch as given (numpy's
-    ``matrix_rank`` floor), so even ``tol=0`` drops the batch's rounding; the
-    Frobenius norm bounds the 2-norm, so the SVD behind the latter runs only
-    when the floor can exceed ``tol``.  This is the one orthogonaliser of the
-    package.
+    ``eps * max(rows.shape) * scale``, so even ``tol=0`` drops rounding.
+    ``scale`` is the magnitude the rows' rounding is relative to; by default
+    the batch's own ``|rows|_2`` (numpy's ``matrix_rank`` floor), whose SVD
+    runs only when the floor can exceed ``tol``, as the Frobenius norm bounds
+    the 2-norm.  This is the one orthogonaliser of the package.
     """
     floor = np.finfo(float).eps * max(rows.shape)
-    if floor * np.linalg.norm(rows) > tol:
-        tol = max(tol, floor * np.linalg.norm(rows, 2))
+    if scale is None and floor * np.linalg.norm(rows) > tol:
+        scale = np.linalg.norm(rows, 2)
+    if scale is not None:
+        tol = max(tol, floor * scale)
     for _ in range(2):
         rows = rows - (rows @ onb.conj().T) @ onb
     _u, svals, vh = np.linalg.svd(rows, full_matrices=False)
@@ -915,11 +917,13 @@ def algebra_closure(generators, tol: float = 1e-10) -> ClosureResult:
     the previous round added; the products of one generator are absorbed
     as one :func:`_extend_span` batch (a residual singular value above
     ``tol`` counts as new), which keeps the working memory at one
-    generator's products rather than all of them.  Growth stops when a round
-    adds nothing or the span is the whole ``dim x dim`` matrix algebra; the
-    dimension grows strictly and is bounded by ``dim**2``, so the loop
-    always ends.  ``rounds`` counts the product rounds, the last one
-    included.
+    generator's products rather than all of them.  The rounding floor scales
+    with the largest 2-norm of the identity and the generators, so a batch
+    that is rounding noise as a whole adds nothing even at ``tol=0``.
+    Growth stops when a round adds nothing or the span is the whole ``dim x
+    dim`` matrix algebra; the dimension grows strictly and is bounded by
+    ``dim**2``, so the loop always ends.  ``rounds`` counts the product
+    rounds, the last one included.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -927,13 +931,14 @@ def algebra_closure(generators, tol: float = 1e-10) -> ClosureResult:
     dense = [g.to_dense() for g in generators]
     gens = [m for d in dense for m in (d, d.conj().T)]
     seeds = np.stack([np.eye(dim)] + gens).reshape(-1, dim * dim)
-    onb = _extend_span(np.zeros((0, dim * dim)), seeds, tol)
+    scale = max(1.0, *(np.linalg.norm(d, 2) for d in dense))
+    onb = _extend_span(np.zeros((0, dim * dim)), seeds, tol, scale)
     new = onb
     for rounds in itertools.count(1):
         start = len(onb)
         for gen in gens:
             products = (gen @ new.reshape(-1, dim, dim)).reshape(-1, dim * dim)
-            onb = np.vstack([onb, _extend_span(onb, products, tol)])
+            onb = np.vstack([onb, _extend_span(onb, products, tol, scale)])
         new = onb[start:]
         if not len(new) or len(onb) >= dim * dim:
             return ClosureResult(len(onb), rounds, onb)

@@ -396,19 +396,19 @@ def recouple(basis: FusionTreeBasis, target_shape) -> SparseOperator:
     The result ``W`` has rows over the target-shape basis and columns over the
     canonical basis; for a state with canonical coordinates ``v`` the
     target-shape coordinates are ``W @ v``.  ``W`` is charge preserving and
-    unitary; ``recouple(basis, canonical_shape)`` is the identity.
+    unitary; ``recouple(basis, canonical_shape)`` is the identity.  On a
+    sector basis both bases keep that total charge only: F-moves keep the
+    root, so ``W`` is the full recoupling's block of that sector, bit for bit.
     """
-    if basis.sector is not None:
-        raise ValueError("recouple expects the full (all-sector) canonical basis")
     if basis.shape != trees.left_comb(0, basis.n_modes - 1):
         raise ValueError("recouple expects the canonical left-comb basis")
-    return _recouple(basis.model, basis.n_modes, target_shape)
+    return _recouple(basis.model, basis.n_modes, target_shape, basis.sector)
 
 
 @_memo
-def _recouple(model: AnyonModel, n_modes: int, target_shape) -> SparseOperator:
-    basis = FusionTreeBasis(model, n_modes)
-    target_basis = FusionTreeBasis(model, n_modes, shape=target_shape)
+def _recouple(model: AnyonModel, n_modes: int, target_shape, sector: int | None = None) -> SparseOperator:
+    basis = FusionTreeBasis(model, n_modes, sector)
+    target_basis = FusionTreeBasis(model, n_modes, sector, shape=target_shape)
     # Compose overlap matrices target -> canonical, then take the adjoint.
     shape, table = target_shape, target_basis.table
     overlap = sp.identity(target_basis.dim, dtype=complex, format="csr")
@@ -419,22 +419,22 @@ def _recouple(model: AnyonModel, n_modes: int, target_shape) -> SparseOperator:
 
 
 @_memo
-def _factored_states(model: AnyonModel, n_modes: int, m: int):
+def _factored_states(model: AnyonModel, n_modes: int, m: int, sector: int | None = None):
     """The canonical states of ``n_modes`` modes factored as (modes 1..m) x (the rest).
 
-    Returns ``(w, b0, y, x, g)``.  ``w`` recouples the canonical basis to the
-    shape (left comb of modes 1..m, left comb of modes m+1..n), the canonical
-    shape itself when ``m == n_modes``.  The integer arrays run over the
-    states of ``w.row_basis``: rest charge ``b0`` (the vacuum when
-    ``m == n_modes``), rest-labeling id ``y`` (equal exactly for equal rest
-    labelings), region labeling ``x`` as a position in the ``m``-mode
-    canonical basis, and total charge ``g``.
+    Returns ``(w, b0, y, x, g)``.  ``w`` recouples the canonical basis, or the
+    total-charge ``sector`` of it, to the shape (left comb of modes 1..m, left
+    comb of modes m+1..n), the canonical shape itself when ``m == n_modes``.
+    The integer arrays run over the states of ``w.row_basis``: rest charge
+    ``b0`` (the vacuum when ``m == n_modes``), rest-labeling id ``y`` (equal
+    exactly for equal rest labelings), region labeling ``x`` as a position in
+    the ``m``-mode canonical basis, and total charge ``g``.
     """
     if not 1 <= m <= n_modes:
         raise ValueError(f"region size {m} out of range")
     region = trees.left_comb(0, m - 1)
     shape = region if m == n_modes else (region, trees.left_comb(m, n_modes - 1))
-    w = recouple(FusionTreeBasis(model, n_modes), shape)
+    w = recouple(FusionTreeBasis(model, n_modes, sector), shape)
     fact = w.row_basis.table
     in_region = [p for p, s in enumerate(fact.spans) if s[1] < m]
     in_rest = [p for p, s in enumerate(fact.spans) if s[0] >= m]

@@ -14,7 +14,7 @@ term between (a,b) and (c,d), and ``n1``/``n2`` the mode occupations.
 from __future__ import annotations
 
 from .algebra import observable_basis
-from .basis import SparseOperator
+from .basis import SparseOperator, _memo
 from .ladder import _shared_pair
 from .model import builtin
 
@@ -25,8 +25,9 @@ _N_MODES = 3
 _REGION = (1, 2)
 
 
-def _build_corpus():
-    model = builtin("fibonacci")
+@_memo
+def _corpus(model):
+    """The named observables on ``model``, the builtin Fibonacci model."""
     pairs, ops = observable_basis(model, _N_MODES, len(_REGION))
     corpus: dict[str, tuple[SparseOperator, str]] = {}
     seen_offdiag = set()
@@ -62,27 +63,17 @@ def _build_corpus():
     return corpus
 
 
-_CORPUS: dict[str, tuple[SparseOperator, str]] | None = None
-
-
-def _corpus():
-    global _CORPUS
-    if _CORPUS is None:
-        _CORPUS = _build_corpus()
-    return _CORPUS
-
-
 def fixture_names() -> list[str]:
-    return sorted(_corpus())
+    return sorted(_corpus(builtin("fibonacci")))
 
 
 def fixture_descriptions() -> dict[str, str]:
-    return {name: desc for name, (_op, desc) in sorted(_corpus().items())}
+    return {name: desc for name, (_op, desc) in sorted(_corpus(builtin("fibonacci")).items())}
 
 
 def fixture(name: str) -> SparseOperator:
     """Look up a corpus observable by name (3-mode Fibonacci, modes {1,2})."""
-    corpus = _corpus()
+    corpus = _corpus(builtin("fibonacci"))
     if name not in corpus:
         known = ", ".join(sorted(corpus))
         raise KeyError(f"unknown fixture {name!r}; known fixtures: {known}")

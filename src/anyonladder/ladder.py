@@ -23,12 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import trees
-from .basis import (
-    FusionTreeBasis, SparseOperator, braid_adjacent, _conjugate, _factored_states,
-    _label_table, _memo, _pairs,
-)
+from .basis import FusionTreeBasis, SparseOperator, braid_adjacent, _factored_states, _label_table, _memo
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol
 
@@ -63,7 +61,14 @@ def rest_charges(model: AnyonModel, n_modes: int) -> tuple[int, ...]:
 
 
 @_memo
-def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) -> SparseOperator:
+def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int,
+                   sector: int | None = None) -> SparseOperator:
+    """``a^{b0,c0}_1`` on the columns of one total-charge ``sector`` (None: all).
+
+    ``W`` sends each canonical state ``(e, y; b0)`` to its factored state
+    with amplitude exactly 1, so the element puts ``W``'s rows ``(a, y; c0)``
+    at the rows ``(e, y; b0)``: ``S @ W`` with the bits of ``W^dagger M W``.
+    """
     if c0 not in model.fuse(a, b0):
         raise ModelDataError(
             f"{model.labels[c0]} is not a fusion channel of "
@@ -71,13 +76,16 @@ def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int) ->
         )
     if n_modes == 1 and b0 != model.vacuum:
         raise ModelDataError("a single mode has no rest system; b0 must be the vacuum")
-    w, b, y, x, g = _factored_states(model, n_modes, 1)
-    e_pos, a_pos = FusionTreeBasis(model, 1).table.find([[model.vacuum], [a]])
-    # |e, y; b0><a, y; c0| for every rest labeling y of charge b0
-    rows, cols = _pairs(y)
-    keep = (x[rows] == e_pos) & (b[rows] == b0) & (x[cols] == a_pos) & (g[cols] == c0)
-    owner = np.zeros(keep.sum(), dtype=int)
-    return _conjugate(w, rows[keep], cols[keep], np.ones(len(owner)), owner, 1).operator(0)
+    w, b, _y, _x, g = _factored_states(model, n_modes, 1, sector)
+    fact, canonical = w.row_basis.table, FusionTreeBasis(model, n_modes)
+    src = np.flatnonzero((fact.column((0, 0)) == a) & (b == b0) & (g == c0))
+    # Relabel to (e, y; b0): span (0, k) takes the rest's (1, k), leaf 1 the vacuum.
+    spans = [(1, hi) if lo == 0 < hi else (lo, hi) for lo, hi in canonical.table.spans]
+    labels = fact.rows[src][:, [fact.spans.index(s) for s in spans]]
+    labels[:, canonical.table.spans.index((0, 0))] = model.vacuum
+    select = sp.csr_matrix((np.ones(len(src), complex), (canonical.table.find(labels), src)),
+                           shape=(canonical.dim, w.row_basis.dim))
+    return SparseOperator(canonical, w.col_basis, select @ w.matrix).drop()
 
 
 def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]:
@@ -105,27 +113,22 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
 
 
 def _element_family(
-    model: AnyonModel, n_modes: int, a: int, terms, last_mode: int,
-    cols: FusionTreeBasis | None = None,
+    model: AnyonModel, n_modes: int, a: int, terms, last_mode: int, sector: int | None = None,
 ) -> dict[int, SparseOperator]:
     """``sum weight * a^{b0,c0}`` over ``terms = [(b0, c0, weight), ...]``.
 
     Terms are added in the given order at mode 1, skipping those whose rest
     charge ``b0`` is unreachable on ``n_modes`` modes; the sum is then
-    braid-transported to modes ``1..last_mode``.  ``cols``, a sector of the
-    canonical basis, keeps only the columns of that sector before the
-    transport; rows stay on the full canonical basis.
+    braid-transported to modes ``1..last_mode``.  A total-charge ``sector``
+    keeps only the terms whose ``c0`` is that sector, each built on the
+    sector's columns; rows stay on the full canonical basis.
     """
     available = rest_charges(model, n_modes)
-    basis = FusionTreeBasis(model, n_modes)
-    op = SparseOperator.zero(basis)
+    op = SparseOperator.zero(FusionTreeBasis(model, n_modes), FusionTreeBasis(model, n_modes, sector))
     for b0, c0, weight in terms:
-        if b0 in available:
-            op = op + weight * _mode1_element(model, n_modes, a, b0, c0)
-    op = op.drop()
-    if cols is not None:
-        op = SparseOperator(basis, cols, op.matrix[:, basis.sector_indices(cols.sector)])
-    return _transports(op, last_mode)
+        if b0 in available and sector in (None, c0):
+            op = op + weight * _mode1_element(model, n_modes, a, b0, c0, sector)
+    return _transports(op.drop(), last_mode)
 
 
 def transport_to_mode(op: SparseOperator, k: int) -> SparseOperator:
@@ -311,9 +314,9 @@ def fibonacci_pair(model: AnyonModel, n_modes: int, sector=None) -> FibonacciPai
     e = model.vacuum
     alpha_terms = [(e, tau, _SQRT_HALF), (tau, e, 1.0)]
     beta_terms = [(e, tau, _SQRT_HALF), (tau, tau, 1.0)]
-    cols = None if sector is None else FusionTreeBasis(model, n_modes, sector=sector)
-    alpha = _element_family(model, n_modes, tau, alpha_terms, n_modes, cols)
-    beta = _element_family(model, n_modes, tau, beta_terms, n_modes, cols)
+    sector = None if sector is None else model.charge(sector)
+    alpha = _element_family(model, n_modes, tau, alpha_terms, n_modes, sector)
+    beta = _element_family(model, n_modes, tau, beta_terms, n_modes, sector)
     return FibonacciPair(model, n_modes, alpha, beta)
 
 

@@ -715,6 +715,16 @@ def test_closure_at_zero_tolerance_stays_within_the_matrix_algebra(name, n):
         assert dimension <= FusionTreeBasis(model, n).dim ** 2, kind
 
 
+@pytest.mark.parametrize("name, n", sorted(CLOSURE_PINS))
+def test_closure_at_zero_tolerance_keeps_the_pinned_dimensions_and_rounds(name, n):
+    """A product batch that is rounding noise as a whole adds nothing at
+    tol=0: the floor scales with the generators, not with the batch."""
+    model = builtin(name)
+    for kind, gens in _closure_generators(model, n).items():
+        result = algebra_closure(gens, tol=0.0)
+        assert (result.dimension, result.rounds) == CLOSURE_PINS[(name, n)][kind], kind
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
 def test_mode1_closure_contains_candidates_not_braid(name):
     model = builtin(name)

@@ -97,6 +97,24 @@ def test_recouple_is_unitary(fib):
     assert np.allclose(canonical, eye)
 
 
+def test_sector_recoupling_is_the_full_one_sliced_byte_for_byte(fib, fermion, ising):
+    """On a sector basis, ``recouple`` gives the full recoupling's block of
+    that sector, with its CSR bytes, on every factored shape and the right
+    comb of up to five modes."""
+    for model in (fib, fermion, ising):
+        for n in range(1, 6):
+            shapes = [(left_comb(0, m - 1), left_comb(m, n - 1)) for m in range(1, n)]
+            for shape in shapes + [right_comb(0, n - 1)]:
+                full = recouple(FusionTreeBasis(model, n), shape)
+                for g in range(model.n_labels):
+                    got = recouple(FusionTreeBasis(model, n, sector=g), shape)
+                    assert got.row_basis.sector == got.col_basis.sector == g
+                    assert got.row_basis.shape == shape
+                    rows, cols = full.row_basis.sector_indices(g), full.col_basis.sector_indices(g)
+                    want = SparseOperator(got.row_basis, got.col_basis, full.matrix[rows][:, cols])
+                    assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, shape, g)
+
+
 def test_recoupling_matches_dense_oracle(fib, fermion, ising):
     for model in (fib, fermion, ising):
         basis = FusionTreeBasis(model, 3)

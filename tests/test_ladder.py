@@ -14,7 +14,9 @@ from anyonladder.ladder import (
     j_count,
     j_lower_bound,
     ladder_set,
+    _mode1_element,
     resolver,
+    rest_charges,
     transport_to_mode,
 )
 
@@ -36,6 +38,24 @@ def test_mode1_elements_match_oracle(fib, fermion, ising):
             got = annihilating_element(model, 3, la, lb, lc, mode=1).to_dense()
             want = orc.element_oracle_mode1(model, a, b0, c0)[np.ix_(perm, perm)]
             assert np.allclose(got, want, atol=1e-10)
+
+
+def test_sector_mode1_elements_match_the_loop_on_sector_columns(fib, fermion, ising):
+    """Every mode-1 element, built on the columns of its channel ``c0``
+    alone, has the CSR bytes of the loop-built element's ``c0`` columns; the
+    element on every column has the loop's own bytes."""
+    for model, n_max in ((fib, 6), (fermion, 6), (ising, 5)):
+        for n in range(1, n_max + 1):
+            for a in range(model.n_labels):
+                for b0 in rest_charges(model, n):
+                    for c0 in model.fuse(a, b0):
+                        want = orc.mode1_element_loop(model, n, a, b0, c0)
+                        assert orc.csr_bytes(_mode1_element(model, n, a, b0, c0)) == orc.csr_bytes(want)
+                        got = _mode1_element(model, n, a, b0, c0, sector=c0)
+                        assert got.row_basis.sector is None and got.col_basis.sector == c0
+                        idx = want.col_basis.sector_indices(c0)
+                        sliced = SparseOperator(got.row_basis, got.col_basis, want.matrix[:, idx])
+                        assert orc.csr_bytes(got) == orc.csr_bytes(sliced), (model.labels, n, a, b0, c0)
 
 
 def test_mode2_elements_match_oracle(fib):
