@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from . import trees
 from .basis import (
@@ -61,6 +62,7 @@ __all__ = [
     "kernel_dimension",
     "ClosureResult",
     "algebra_closure",
+    "commutant_is_trivial",
 ]
 
 
@@ -892,6 +894,41 @@ def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float, scale: float | N
         rows = rows - (rows @ onb.conj().T) @ onb
     _u, svals, vh = np.linalg.svd(rows, full_matrices=False)
     return vh[svals > tol]
+
+
+def commutant_is_trivial(generators, tol: float = 1e-10) -> bool:
+    """Whether only the scalars commute with every generator and its adjoint.
+
+    By Burnside's theorem (the double commutant theorem), the unital
+    *-algebra of ``generators`` is the whole ``dim x dim`` matrix algebra
+    exactly when this holds, so one eigensolve of size ``dim**2`` decides
+    what :func:`algebra_closure` finds by growing the span.  With ``S`` the
+    generators and their adjoints and ``L_G = I kron G^T - G kron I`` (which
+    maps the row-major ``vec(X)`` to ``vec(XG - GX)``), the commutant is the
+    null space of ``N = sum_S L_G^dagger L_G``; as ``S`` is closed under the
+    adjoint, ``N = I kron A^T + A kron I - 2 sum_S G kron conj(G)`` with
+    ``A = sum_S G^dagger G``.  The identity always spans one null direction,
+    so the commutant is trivial when N's second smallest eigenvalue exceeds
+    the cut ``max(tol, eps * dim**2)`` times ``4 sum_S |G|_2**2``, a bound on
+    ``|N|_2``; at ``tol=0`` the cut is the rounding level of N.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    dense = [g.to_dense() for g in generators]
+    gens = np.stack([m for d in dense for m in (d, d.conj().T)])
+    count, dim, _ = gens.shape
+    a = np.einsum("gji,gjk->ik", gens.conj(), gens)
+    flat = gens.reshape(count, dim * dim)
+    # built in place: at most one (dim**2, dim**2) temporary lives beside it
+    system = (flat.T @ flat.conj()).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
+    system = system.reshape(dim * dim, dim * dim)
+    system *= -2.0
+    eye = np.eye(dim)
+    system += np.kron(eye, a.T)
+    system += np.kron(a, eye)
+    scale = 4.0 * sum(np.linalg.norm(g, 2) ** 2 for g in gens)
+    cut = max(tol, np.finfo(float).eps * dim * dim) * scale
+    return bool(eigh(system, eigvals_only=True, subset_by_index=[0, 1])[1] > cut)
 
 
 @dataclass

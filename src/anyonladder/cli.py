@@ -178,7 +178,17 @@ def _verify_fock(model, n: int, tol: float) -> ValidationReport:
 def _verify_closure(model, n: int, tol: float) -> ValidationReport:
     """Mode-1 ladder operators with the total-charge projectors must close on
     the candidate-local span of mode 1 (the commutant of the complement
-    observables); all ladder operators must close on the full algebra."""
+    observables); all ladder operators must close on the full algebra.
+
+    The all-modes line (up to 40 basis states) is decided by Burnside's
+    theorem: the ladder operators and their adjoints generate the full
+    ``dim x dim`` algebra exactly when only the scalars commute with them.
+    :func:`algebra.commutant_is_trivial` finds that from the second smallest
+    eigenvalue of one ``dim**2``-sized commutator system, against a cut of
+    ``max(tol, eps * dim**2)`` times a bound on its norm, and the line then
+    reports ``dim**2``.  Otherwise it falls back to the dimension that
+    :func:`algebra.algebra_closure` grows, so both paths decide the line
+    alike."""
     report = ValidationReport([], tol)
     gens_all = []
     gens_mode1 = [total_charge_projector(model, n, g) for g in model.labels]
@@ -199,7 +209,10 @@ def _verify_closure(model, n: int, tol: float) -> ValidationReport:
     )
     dim = FusionTreeBasis(model, n).dim
     if dim <= 40:
-        got = alg.algebra_closure(gens_all, tol=tol).dimension
+        if alg.commutant_is_trivial(gens_all, tol=tol):
+            got = dim * dim
+        else:
+            got = alg.algebra_closure(gens_all, tol=tol).dimension
         report.verdict(
             got == dim * dim,
             f"all-modes closure dimension = {got} (full operator algebra = {dim * dim})",

@@ -262,6 +262,22 @@ def commutant_dimension(model, n_modes: int, m: int, tol: float = 1e-10) -> int:
     return d * d - int(np.sum(svals > tol * max(1.0, svals.max())))
 
 
+def generator_commutant_dimension(mats: list[np.ndarray], tol: float = 1e-10) -> int:
+    """Dimension of the matrices commuting with every ``G`` of ``mats`` and ``G^dagger``.
+
+    Stacks ``X G - G X = 0`` for each ``G`` and adjoint as one linear system
+    on the row-major flattened ``X``, as :func:`commutant_dimension` does, and
+    counts its null space with a plain SVD.
+    """
+    d = mats[0].shape[0]
+    eye = np.eye(d)
+    system = np.vstack([
+        np.kron(eye, g.T) - np.kron(g, eye) for m in mats for g in (m, m.conj().T)
+    ])
+    svals = np.linalg.svd(system, compute_uv=False)
+    return d * d - int(np.sum(svals > tol * max(1.0, svals.max())))
+
+
 # ---------------------------------------------------------------------------
 # Occupation multiset for the t = 0 Hamiltonian
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from anyonladder.algebra import (
     algebra_closure,
     apply_word,
     candidate_local_basis,
+    commutant_is_trivial,
     decompose_observable,
     element_polynomial,
     fock_word,
@@ -723,6 +724,21 @@ def test_closure_at_zero_tolerance_keeps_the_pinned_dimensions_and_rounds(name, 
     for kind, gens in _closure_generators(model, n).items():
         result = algebra_closure(gens, tol=0.0)
         assert (result.dimension, result.rounds) == CLOSURE_PINS[(name, n)][kind], kind
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+@pytest.mark.parametrize("name, n", sorted(CLOSURE_PINS))
+def test_commutant_decides_the_pinned_full_closures(name, n, tol):
+    """Burnside: the generated *-algebra is everything exactly when the
+    commutant is the scalars.  Trivial on every ``all`` set, not on the
+    mode-1 sets, and in agreement with the stacked-SVD oracle."""
+    model = builtin(name)
+    dim = FusionTreeBasis(model, n).dim
+    for kind, gens in _closure_generators(model, n).items():
+        trivial = commutant_is_trivial(gens, tol=tol)
+        assert trivial == (kind == "all") == (CLOSURE_PINS[(name, n)][kind][0] == dim * dim), kind
+        oracle = orc.generator_commutant_dimension([g.to_dense() for g in gens])
+        assert trivial == (oracle == 1), (kind, oracle)
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])

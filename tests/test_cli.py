@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.cli import main
+from anyonladder.ladder import ladder_set
 from anyonladder.model import builtin, dump_model
 from anyonladder.serialize import dump_operator
 
@@ -126,6 +128,54 @@ def test_verify_marks_suites_that_do_not_apply(capsys):
     assert "[pass] joint annihilator kernel dimension = 1" in out
     assert main(["verify", "--model", "fermion", "--modes", "3", "--suite", "fock"]) == 0
     assert "[pass] 8/8 states reconstructed" in capsys.readouterr().out
+
+
+# (mode-1 closure, candidate-local span, all-modes closure, dim**2) as printed
+# by ``verify --suite closure``, alike at the default tolerance and at 0
+CLOSURE_STDOUT = {
+    ("fibonacci", 1): (4, 4, 4, 4),
+    ("fibonacci", 2): (13, 13, 25, 25),
+    ("fibonacci", 3): (13, 13, 169, 169),
+    ("fibonacci", 4): (13, 13, 1156, 1156),
+    ("ising", 1): (9, 9, 9, 9),
+    ("ising", 2): (34, 34, 100, 100),
+    ("ising", 3): (34, 34, 1156, 1156),
+    ("fermion", 1): (4, 4, 4, 4),
+    ("fermion", 2): (8, 8, 16, 16),
+    ("fermion", 3): (8, 8, 64, 64),
+    ("fermion", 4): (8, 8, 256, 256),
+}
+
+
+@pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0"]], ids=["default", "tol0"])
+@pytest.mark.parametrize("model, modes", sorted(CLOSURE_STDOUT))
+def test_verify_closure_stdout_is_pinned(model, modes, tolerance, capsys):
+    mode1, cand, full, dim2 = CLOSURE_STDOUT[(model, modes)]
+    code = main(["verify", "--model", model, "--modes", str(modes), "--suite", "closure", *tolerance])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "suite: closure\n"
+        f"  [pass] mode-1 closure with total-charge projectors: dimension = {mode1} "
+        f"(candidate-local span = {cand})\n"
+        f"  [pass] all-modes closure dimension = {full} (full operator algebra = {dim2})\n"
+        "result: pass\n"
+    )
+
+
+def test_verify_closure_grows_the_span_when_the_commutant_is_not_trivial(monkeypatch, capsys):
+    """With only the mode-1 ladder operators the commutant holds more than the
+    scalars, so the all-modes line reports the dimension algebra_closure grows."""
+    from anyonladder import cli
+
+    def mode1_only(model, n, particle):
+        ls = ladder_set(model, n, particle)
+        return dataclasses.replace(ls, ops={kj: op for kj, op in ls.ops.items() if kj[0] == 1})
+
+    monkeypatch.setattr(cli, "ladder_set", mode1_only)
+    code = main(["verify", "--model", "fibonacci", "--modes", "3", "--suite", "closure"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "  [FAIL] all-modes closure dimension = 13 (full operator algebra = 169)\n" in out
 
 
 def test_decompose_list_fixtures(capsys):
