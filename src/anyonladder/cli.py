@@ -257,6 +257,11 @@ def cmd_decompose(args) -> int:
         raise ValueError("exactly one of --op or --fixture is required")
     sites = None if args.sites is None else tuple(int(s) for s in args.sites.split(","))
     if args.fixture is not None:
+        if args.model != "fibonacci":
+            raise ValueError(
+                f"fixtures are Fibonacci observables; --model must be fibonacci "
+                f"or left out, got {args.model!r}"
+            )
         try:
             op = fixture(args.fixture)
         except KeyError as exc:

@@ -60,34 +60,6 @@ def rest_charges(model: AnyonModel, n_modes: int) -> tuple[int, ...]:
     return tuple(int(g) for g in np.unique(rest.column((0, n_modes - 2))))
 
 
-@_memo
-def _mode1_element(model: AnyonModel, n_modes: int, a: int, b0: int, c0: int,
-                   sector: int | None = None) -> SparseOperator:
-    """``a^{b0,c0}_1`` on the columns of one total-charge ``sector`` (None: all).
-
-    ``W`` sends each canonical state ``(e, y; b0)`` to its factored state
-    with amplitude exactly 1, so the element puts ``W``'s rows ``(a, y; c0)``
-    at the rows ``(e, y; b0)``: ``S @ W`` with the bits of ``W^dagger M W``.
-    """
-    if c0 not in model.fuse(a, b0):
-        raise ModelDataError(
-            f"{model.labels[c0]} is not a fusion channel of "
-            f"{model.labels[a]} x {model.labels[b0]}"
-        )
-    if n_modes == 1 and b0 != model.vacuum:
-        raise ModelDataError("a single mode has no rest system; b0 must be the vacuum")
-    w, b, _y, _x, g = _factored_states(model, n_modes, 1, sector)
-    fact, canonical = w.row_basis.table, FusionTreeBasis(model, n_modes)
-    src = np.flatnonzero((fact.column((0, 0)) == a) & (b == b0) & (g == c0))
-    # Relabel to (e, y; b0): span (0, k) takes the rest's (1, k), leaf 1 the vacuum.
-    spans = [(1, hi) if lo == 0 < hi else (lo, hi) for lo, hi in canonical.table.spans]
-    labels = fact.rows[src][:, [fact.spans.index(s) for s in spans]]
-    labels[:, canonical.table.spans.index((0, 0))] = model.vacuum
-    select = sp.csr_matrix((np.ones(len(src), complex), (canonical.table.find(labels), src)),
-                           shape=(canonical.dim, w.row_basis.dim))
-    return SparseOperator(canonical, w.col_basis, select @ w.matrix).drop()
-
-
 def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]:
     """A mode-1 operator on modes ``1..last_mode``, each transported from the one before.
 
@@ -95,12 +67,15 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
     basis.  Braids keep the total charge, so each transport multiplies by the
     ``under`` braid's block on that sector alone, and every stored entry sums
     the terms of the full-basis product in their order: the result is the
-    full transport's sector columns, bit for bit.
+    full transport's sector columns, bit for bit.  A zero ``op`` stays zero
+    and is returned for every mode.
     """
     model = op.row_basis.model
     n = op.row_basis.n_modes
     if not 1 <= last_mode <= n:
         raise ValueError(f"mode {last_mode} out of range for {n} modes")
+    if op.nnz == 0:
+        return dict.fromkeys(range(1, last_mode + 1), op)
     cols = op.col_basis
     idx = None if cols.sector is None else op.row_basis.sector_indices(cols.sector)
     family = {1: op}
@@ -115,20 +90,30 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
 def _element_family(
     model: AnyonModel, n_modes: int, a: int, terms, last_mode: int, sector: int | None = None,
 ) -> dict[int, SparseOperator]:
-    """``sum weight * a^{b0,c0}`` over ``terms = [(b0, c0, weight), ...]``.
+    """``sum weight * a^{b0,c0}`` over distinct ``terms = [(b0, c0, weight), ...]``
+    on one total-charge ``sector``'s columns (None: all), transported to modes
+    ``1..last_mode``.
 
-    Terms are added in the given order at mode 1, skipping those whose rest
-    charge ``b0`` is unreachable on ``n_modes`` modes; the sum is then
-    braid-transported to modes ``1..last_mode``.  A total-charge ``sector``
-    keeps only the terms whose ``c0`` is that sector, each built on the
-    sector's columns; rows stay on the full canonical basis.
+    ``W`` sends each canonical state ``(e, y; b0)`` to its factored state with
+    amplitude exactly 1, so the mode-1 sum is ``S @ W``: ``S`` puts each row
+    ``(a, y; c0)`` of ``W`` at the row ``(e, y; b0)``, times the weight of
+    ``(b0, c0)``.  Rows of distinct ``c0`` share no column, so each stored entry
+    is one weight times one ``W`` entry.  A term with an unreachable rest
+    charge, or a ``c0`` outside ``a x b0`` or the sector, selects no row.
     """
-    available = rest_charges(model, n_modes)
-    op = SparseOperator.zero(FusionTreeBasis(model, n_modes), FusionTreeBasis(model, n_modes, sector))
+    weights = np.zeros((model.n_labels, model.n_labels), complex)
     for b0, c0, weight in terms:
-        if b0 in available and sector in (None, c0):
-            op = op + weight * _mode1_element(model, n_modes, a, b0, c0, sector)
-    return _transports(op.drop(), last_mode)
+        weights[b0, c0] = weight
+    w, b, _y, _x, g = _factored_states(model, n_modes, 1, sector)
+    fact, canonical = w.row_basis.table, FusionTreeBasis(model, n_modes)
+    src = np.flatnonzero((fact.column((0, 0)) == a) & (weights[b, g] != 0))
+    # Relabel to (e, y; b0): span (0, k) takes the rest's (1, k), leaf 1 the vacuum.
+    spans = [(1, hi) if lo == 0 < hi else (lo, hi) for lo, hi in canonical.table.spans]
+    labels = fact.rows[src][:, [fact.spans.index(s) for s in spans]]
+    labels[:, canonical.table.spans.index((0, 0))] = model.vacuum
+    select = sp.csr_matrix((weights[b[src], g[src]], (canonical.table.find(labels), src)),
+                           shape=(canonical.dim, w.row_basis.dim))
+    return _transports(SparseOperator(canonical, w.col_basis, select @ w.matrix).drop(), last_mode)
 
 
 def transport_to_mode(op: SparseOperator, k: int) -> SparseOperator:
@@ -142,7 +127,11 @@ def annihilating_element(
 ) -> SparseOperator:
     """The annihilating element ``a_mode^{b0, c0}`` on the canonical basis."""
     ai, bi, ci = model.index(a), model.index(b0), model.index(c0)
-    return transport_to_mode(_mode1_element(model, n_modes, ai, bi, ci), mode)
+    if ci not in model.fuse(ai, bi):
+        raise ModelDataError(f"{c0} is not a fusion channel of {a} x {b0}")
+    if n_modes == 1 and bi != model.vacuum:
+        raise ModelDataError("a single mode has no rest system; b0 must be the vacuum")
+    return _element_family(model, n_modes, ai, [(bi, ci, 1.0)], mode)[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +252,7 @@ def identity_ladder(model: AnyonModel, n_modes: int, mode: int = 1) -> SparseOpe
     Equals ``alpha^(j)_k alpha^(j)_k^dagger`` for any annihilation operator of
     any particle type, which is how it is expressed in ladder polynomials.
     """
-    terms = [(b0, b0, 1.0) for b0 in rest_charges(model, n_modes)]
+    terms = [(b0, b0, 1.0) for b0 in range(model.n_labels)]
     return _element_family(model, n_modes, model.vacuum, terms, mode)[mode]
 
 

@@ -415,6 +415,33 @@ def ladder_set_loop(model, n_modes: int, particle: str):
     return ops
 
 
+def element_family_loop(model, n_modes: int, a: int, terms, last_mode: int, sector=None):
+    """``ladder._element_family`` as the sum it replaced: ``weight *``
+    :func:`mode1_element_loop` added to a zero operator one term at a time,
+    skipping rest charges with no path on the other ``n_modes - 1`` modes,
+    then dropped and braid-transported one mode further by ``B (.) B^dagger``.
+    A total-charge ``sector`` slices each operator's columns to that sector.
+    """
+    from anyonladder.basis import FusionTreeBasis, SparseOperator, braid_adjacent
+
+    counts = path_counts(model, n_modes - 1) if n_modes > 1 else {model.vacuum: 1}
+    op = SparseOperator.zero(FusionTreeBasis(model, n_modes))
+    for b0, c0, weight in terms:
+        if counts.get(b0):
+            op = op + weight * mode1_element_loop(model, n_modes, a, b0, c0)
+    op = drop_coo(op)
+    family = {1: op}
+    for k in range(2, last_mode + 1):
+        b = braid_adjacent(model, n_modes, k - 1)
+        op = drop_coo(b @ op @ b.dagger())
+        family[k] = op
+    if sector is None:
+        return family
+    cols = FusionTreeBasis(model, n_modes, sector)
+    idx = op.row_basis.sector_indices(sector)
+    return {k: SparseOperator(op.row_basis, cols, op.matrix[:, idx]) for k, op in family.items()}
+
+
 def observable_basis_loop(model, n_modes: int, m: int):
     """``algebra.observable_basis`` from :func:`factored_groups`: ``E_{x,x'}``
     joins the factored states of equal rest labeling and total charge."""
@@ -492,7 +519,6 @@ def o_operator(model, n_modes: int, leaves, internals, g):
     weights are read from ``model.F``.
     """
     from anyonladder.basis import FusionTreeBasis, SparseOperator
-    from anyonladder.ladder import _element_family
 
     a = tuple(map(model.charge, leaves))
     d = tuple(map(model.charge, internals))
@@ -520,7 +546,7 @@ def o_operator(model, n_modes: int, leaves, internals, g):
                 if model.fusion[a_p, b, c]
             ]
             terms = [t for t in terms if abs(t[2]) > 1e-14]
-        factor = _element_family(model, n_modes, a_p, terms, p)[p]
+        factor = element_family_loop(model, n_modes, a_p, terms, p)[p]
         result = (factor @ result).drop()
     return result
 

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,22 @@ def test_verify_closure_grows_the_span_when_the_commutant_is_not_trivial(monkeyp
     assert "  [FAIL] all-modes closure dimension = 13 (full operator algebra = 169)\n" in out
 
 
+def test_ladder_exports_match_their_pinned_sha256(tmp_path, capsys):
+    """``ladder --out`` for Fibonacci 8, Ising 6 and fermion 10 writes exactly
+    the files of ``tests/data/ladder-sha256.txt``, byte for byte (the CI checks
+    the same list with ``sha256sum -c``)."""
+    pins = (Path(__file__).parent / "data" / "ladder-sha256.txt").read_text().splitlines()
+    want = {name: digest for digest, name in (line.split("  ", 1) for line in pins)}
+    for model, modes in (("fibonacci", 8), ("ising", 6), ("fermion", 10)):
+        out = tmp_path / f"{model}-{modes}"
+        assert main(["ladder", "--model", model, "--modes", str(modes), "--out", str(out)]) == 0
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*") if path.is_file()
+    }
+    assert got == want
+
+
 def test_decompose_list_fixtures(capsys):
     code = main(["decompose", "--list-fixtures"])
     out = capsys.readouterr().out
@@ -207,6 +225,18 @@ def test_decompose_fixture_acts_on_modes_one_and_two_only(capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert "--sites" in err
+
+
+@pytest.mark.parametrize("model", ["ising", "nonexistent.json"])
+def test_decompose_fixture_rejects_another_model(capsys, model):
+    """Fixtures are Fibonacci observables: another --model is an input error,
+    not a silent Fibonacci decomposition."""
+    code = main(["decompose", "--fixture", "n1", "--model", model])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--model" in captured.err and model in captured.err
+    assert main(["decompose", "--fixture", "n1", "--model", "fibonacci"]) == 0
 
 
 def test_decompose_unknown_fixture(capsys):

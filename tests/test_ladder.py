@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,16 @@ from anyonladder.ladder import (
     j_count,
     j_lower_bound,
     ladder_set,
-    _mode1_element,
+    _element_family,
     resolver,
     rest_charges,
     transport_to_mode,
 )
+
+
+def _mode1_element(model, n, a, b0, c0, sector=None):
+    """The mode-1 element ``a^{b0,c0}_1`` as a one-term family."""
+    return _element_family(model, n, a, [(b0, c0, 1.0)], 1, sector)[1]
 
 
 def _labels(model, *idx):
@@ -56,6 +63,61 @@ def test_sector_mode1_elements_match_the_loop_on_sector_columns(fib, fermion, is
                         idx = want.col_basis.sector_indices(c0)
                         sliced = SparseOperator(got.row_basis, got.col_basis, want.matrix[:, idx])
                         assert orc.csr_bytes(got) == orc.csr_bytes(sliced), (model.labels, n, a, b0, c0)
+
+
+def test_element_families_match_the_term_by_term_sum(fib, fermion, ising):
+    """Ladder sets, identity ladders, fermion annihilators, the Fibonacci pair
+    on every sector and every annihilating element have the CSR bytes of
+    ``oracles.element_family_loop``, which adds one element at a time."""
+    from anyonladder.model import ModelDataError
+
+    def same(got, want):
+        assert got.row_basis.is_compatible(want.row_basis)
+        assert got.col_basis.is_compatible(want.col_basis)
+        assert orc.csr_bytes(got) == orc.csr_bytes(want)
+
+    for model, n_max in ((fib, 6), (fermion, 6), (ising, 5)):
+        e = model.vacuum
+        for n in range(1, n_max + 1):
+            for particle in model.labels:
+                if particle == model.labels[e]:
+                    continue
+                ops = ladder_set(model, n, particle).ops
+                for table in coefficient_tables(model, particle):
+                    terms = [(model.index(b0), model.index(c0), coeff)
+                             for (b0, c0), coeff in table.entries.items() if coeff != 0.0]
+                    want = orc.element_family_loop(model, n, model.index(particle), terms, n)
+                    for k, op in want.items():
+                        same(ops[(k, table.j)], op)
+            identity = orc.element_family_loop(model, n, e, [(b, b, 1.0) for b in range(model.n_labels)], n)
+            for k, op in identity.items():
+                same(identity_ladder(model, n, k), op)
+            if model is fermion:
+                psi = 1 - e
+                want = orc.element_family_loop(model, n, psi, [(e, psi, 1.0), (psi, e, -1.0)], n)
+                for k, op in want.items():
+                    same(fermion_annihilator(model, n, k), op)
+            if model is fib:
+                tau, r = 1 - e, 1.0 / np.sqrt(2.0)
+                for sector in (None, e, tau):
+                    pair = fibonacci_pair(model, n, sector)
+                    for got, terms in ((pair.alpha, [(e, tau, r), (tau, e, 1.0)]),
+                                       (pair.beta, [(e, tau, r), (tau, tau, 1.0)])):
+                        want = orc.element_family_loop(model, n, tau, terms, n, sector)
+                        assert list(got) == list(want)
+                        for k, op in want.items():
+                            same(got[k], op)
+            if n > 4:
+                continue
+            for a, b0, c0 in itertools.product(range(model.n_labels), repeat=3):
+                la, lb, lc = _labels(model, a, b0, c0)
+                if c0 not in model.fuse(a, b0) or (n == 1 and b0 != e):
+                    with pytest.raises(ModelDataError):
+                        annihilating_element(model, n, la, lb, lc)
+                    continue
+                want = orc.element_family_loop(model, n, a, [(b0, c0, 1.0)], n)
+                for k, op in want.items():
+                    same(annihilating_element(model, n, la, lb, lc, mode=k), op)
 
 
 def test_mode2_elements_match_oracle(fib):
