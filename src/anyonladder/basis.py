@@ -54,9 +54,10 @@ class FusionTreeBasis:
         table = _label_table(model, self.shape)
         self.root_span = (0, n_modes - 1)
         if self.sector is not None:
-            keep = table.column(self.root_span) == self.sector
-            table = table._replace(rows=table.rows[keep], codes=table.codes[keep])
-            table.rows.flags.writeable = table.codes.flags.writeable = False
+            # The root charge is the codes' most significant digit, so a
+            # sector is a range of rows: a read-only view of the shared table.
+            lo, hi = np.searchsorted(table.column(self.root_span), [self.sector, self.sector + 1])
+            table = table._replace(rows=table.rows[lo:hi], codes=table.codes[lo:hi])
         self.table: trees.LabelTable = table
 
     @property
@@ -514,23 +515,27 @@ def _braid_tensors(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_memo
-def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over") -> SparseOperator:
+def braid_adjacent(
+    model: AnyonModel, n_modes: int, k: int, sense: str = "over", sector: str | int | None = None
+) -> SparseOperator:
     """Unitary braid exchanging modes ``k`` and ``k+1`` (1-based) on the canonical basis.
 
     ``over`` applies the stored R-symbols ``R^{a_k a_{k+1}}_c`` for a
     counterclockwise exchange; ``under`` is its adjoint.  Each row takes its
     entries from :func:`_braid_tensors`; its columns are the row's state with
     leaves ``k, k+1`` swapped and each charge ``z`` on modes ``1..k``, found
-    by their labeling codes.
+    by their labeling codes.  With a total-charge ``sector`` (a label or an
+    index) both bases keep that charge only: braids keep the total charge, so
+    the result is the full braid's block of that sector, bit for bit.
     """
     if not 1 <= k <= n_modes - 1:
         raise ValueError(f"braid index k={k} out of range for {n_modes} modes")
     if sense not in ("over", "under"):
         raise ValueError(f"unknown braid sense {sense!r}")
     if sense == "under":
-        return braid_adjacent(model, n_modes, k, "over").dagger()
+        return braid_adjacent(model, n_modes, k, "over", sector).dagger()
 
-    basis = FusionTreeBasis(model, n_modes)
+    basis = FusionTreeBasis(model, n_modes, sector)
     table = basis.table
     i, j = k - 1, k  # 0-based pair
     leaf_i, leaf_j = table.spans.index((i, i)), table.spans.index((j, j))

@@ -210,8 +210,10 @@ def build_hamiltonian(
         )
 
     basis = pair.alpha[1].col_basis
+    # A family of zero operators (beta on sector e) adds nothing.
     families = [(family, {i: op.dagger() for i, op in family.items()})
-                for family in (pair.alpha, pair.beta)]
+                for family in (pair.alpha, pair.beta)
+                if any(op.nnz for op in family.values())]
     h = SparseOperator.zero(basis)
     for i in range(1, spec.n_modes + 1):
         for family, daggers in families:
@@ -315,7 +317,7 @@ def diagonalize(
     if len(idx) <= k_extremal + 1:
         method = "dense"
     if method == "dense":
-        vals, ground = _dense_solve(block.toarray(), want_vector)
+        vals, ground = _dense_solve(block, want_vector)
     else:
         # A seeded start vector, uniform on (-1, 1) in both parts as ARPACK
         # draws its own, makes the result a function of the block alone.
@@ -346,20 +348,23 @@ def _unscaled(x: np.ndarray) -> bool:
     return bool(_RMIN < np.abs(x).max() < _RMAX)
 
 
-def _dense_solve(a: np.ndarray, want_vector: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues and ground vector of the Hermitian ``a``, with the bits
-    of ``np.linalg.eigh(a)`` under one BLAS thread.
+def _dense_solve(block, want_vector: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and ground vector of the Hermitian sparse ``block``, with
+    the bits of ``np.linalg.eigh(block.toarray())`` under one BLAS thread.
 
     The steps are LAPACK zheevd's: Householder reduction of the lower
     triangle to a real tridiagonal matrix, divide and conquer on that, and the
     back-transform, here of column 0 only and unblocked (``lwork=1``), as
     numpy's zheevd workspace makes it.  Blocks that zheevd solves another way
-    (see ``_SMLSIZ``) go to ``eigh``.
+    (see ``_SMLSIZ``) go to ``eigh``.  The block is densified once, in
+    Fortran order, and reduced in place; with dstevd's eigenvectors and
+    workspace (half a copy each) the solve peaks at two dense copies.
     """
-    n = len(a)
+    n = block.shape[0]
+    a = block.toarray(order="F")
     if n > _SMLSIZ and _unscaled(a):
         lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
-        c, d, e, tau, info = lapack.zhetrd(a, lower=1, lwork=lwork)
+        a, d, e, tau, info = lapack.zhetrd(a, lower=1, lwork=lwork, overwrite_a=1)
         _check_info("zhetrd", info)
         if _unscaled(np.concatenate([d, e])):
             # The vectors are needed either way: without them dstevd runs
@@ -369,11 +374,14 @@ def _dense_solve(a: np.ndarray, want_vector: bool) -> tuple[np.ndarray, np.ndarr
             if not want_vector:
                 return vals, None
             ground = z[:, :1].astype(complex)
-            ground[1:], _, info = lapack.zunmqr(
-                "L", "N", c[1:, :-1], tau, ground[1:], lwork=1
-            )
+            del z
+            # The Householder vectors from A(2,1) on, with LDA = n, as a view;
+            # the last row of this n x (n-1) matrix is never read.
+            v = a.ravel(order="F")[1:1 + n * (n - 1)].reshape((n, n - 1), order="F")
+            ground[1:], _, info = lapack.zunmqr("L", "N", v, tau, ground[1:], lwork=1)
             _check_info("zunmqr", info)
             return vals, ground[:, 0]
+        a = block.toarray()  # zhetrd has overwritten the first copy
     vals, vecs = np.linalg.eigh(a)
     return vals, vecs[:, 0]
 

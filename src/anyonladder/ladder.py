@@ -65,7 +65,8 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
 
     The columns of ``op`` may be one total-charge sector of the canonical
     basis.  Braids keep the total charge, so each transport multiplies by the
-    ``under`` braid's block on that sector alone, and every stored entry sums
+    ``under`` braid of that sector alone, and each row sector by its own
+    ``over`` braid (none for a sector without rows); every stored entry sums
     the terms of the full-basis product in their order: the result is the
     full transport's sector columns, bit for bit.  A zero ``op`` stays zero
     and is returned for every mode.
@@ -76,14 +77,20 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
         raise ValueError(f"mode {last_mode} out of range for {n} modes")
     if op.nnz == 0:
         return dict.fromkeys(range(1, last_mode + 1), op)
-    cols = op.col_basis
-    idx = None if cols.sector is None else op.row_basis.sector_indices(cols.sector)
+    sector = op.col_basis.sector
+    # The canonical rows of each total charge, a range since charge sorts first.
+    bounds = np.searchsorted(op.row_basis.totals(), np.arange(model.n_labels + 1))
     family = {1: op}
     for k in range(2, last_mode + 1):
-        over, under = (braid_adjacent(model, n, k - 1, sense) for sense in ("over", "under"))
-        if idx is not None:
-            under = SparseOperator(cols, cols, under.matrix[idx][:, idx])
-        family[k] = over @ family[k - 1] @ under
+        moved = family[k - 1]
+        if sector is None:
+            moved = braid_adjacent(model, n, k - 1, "over") @ moved
+        else:
+            parts = [moved.matrix[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+            parts = [braid_adjacent(model, n, k - 1, "over", g).matrix @ part if part.nnz else part
+                     for g, part in enumerate(parts)]
+            moved = SparseOperator(op.row_basis, op.col_basis, sp.vstack(parts, format="csr")).drop()
+        family[k] = moved @ braid_adjacent(model, n, k - 1, "under", sector)
     return family
 
 

@@ -115,6 +115,37 @@ def test_sector_recoupling_is_the_full_one_sliced_byte_for_byte(fib, fermion, is
                     assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, shape, g)
 
 
+def test_sector_braid_is_the_full_one_sliced_byte_for_byte(fib, fermion, ising):
+    """On a sector, ``braid_adjacent`` gives the full braid's block of that
+    sector, with its CSR bytes, for every pair, both senses and every sector."""
+    for model, n_max in ((fib, 6), (fermion, 6), (ising, 5)):
+        for n in range(2, n_max + 1):
+            for k in range(1, n):
+                for sense in ("over", "under"):
+                    full = braid_adjacent(model, n, k, sense)
+                    for g in range(model.n_labels):
+                        got = braid_adjacent(model, n, k, sense, sector=g)
+                        assert got.row_basis.sector == got.col_basis.sector == g
+                        idx = full.row_basis.sector_indices(g)
+                        want = SparseOperator(got.row_basis, got.col_basis, full.matrix[idx][:, idx])
+                        assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, k, sense, g)
+
+
+def test_sector_tables_are_views_of_the_shared_table(fib, fermion, ising):
+    """A sector basis reads its rows and codes from the shared label table,
+    read-only, and they are the table's rows of that total charge."""
+    for model in (fib, fermion, ising):
+        for n in range(1, 7):
+            for shape in (left_comb(0, n - 1), right_comb(0, n - 1)):
+                full = _label_table(model, shape)
+                for g in range(model.n_labels):
+                    table = FusionTreeBasis(model, n, sector=g, shape=shape).table
+                    keep = full.column((0, n - 1)) == g
+                    for got, whole in ((table.rows, full.rows), (table.codes, full.codes)):
+                        assert np.shares_memory(got, whole) and not got.flags.writeable
+                        assert got.dtype == whole.dtype and np.array_equal(got, whole[keep])
+
+
 def test_recoupling_matches_dense_oracle(fib, fermion, ising):
     for model in (fib, fermion, ising):
         basis = FusionTreeBasis(model, 3)
@@ -643,6 +674,7 @@ def test_matmul_batch_forms_complex_products_part_by_part(fib):
 
 def test_memo_keys_calls_by_bound_arguments(fib):
     """Every spelling of one call, defaults filled in, shares one cache entry."""
+    fib = load_model(dump_model(fib))  # a cache that no sector build of another test fills
     first = braid_adjacent(fib, 4, 2)
     size = len(fib._op_cache)
     assert braid_adjacent(fib, 4, 2, "over") is first
@@ -650,7 +682,7 @@ def test_memo_keys_calls_by_bound_arguments(fib):
     assert len(fib._op_cache) == size
     raw = braid_adjacent.__wrapped__
     keys = [key[1:] for key in fib._op_cache if key[0] is raw and key[1:3] == (4, 2)]
-    assert [key for key in keys if key[-1] != "under"] == [(4, 2, "over")]
+    assert [key for key in keys if key[2] != "under"] == [(4, 2, "over", None)]
 
 
 def test_memo_stores_nothing_for_a_raising_call(fib):

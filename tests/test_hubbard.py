@@ -2,10 +2,12 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import anyonladder
 import oracles as orc
@@ -448,7 +450,8 @@ def _run_on_one_blas_thread(*args: str) -> str:
 
 def _eigh_oracle_mismatches() -> list[str]:
     """Blocks whose dense-solve eigenvalue or ground-vector bytes differ
-    from ``np.linalg.eigh``'s."""
+    from ``np.linalg.eigh``'s.  The solve takes a sparse block, as
+    ``diagonalize`` passes it; dense test matrices go in as CSR."""
     blocks = []
     for indexing in INDEXINGS:
         for n_rungs in (1, 2, 3, 4):
@@ -456,7 +459,7 @@ def _eigh_oracle_mismatches() -> list[str]:
             for g in range(h.row_basis.model.n_labels):
                 idx = h.row_basis.sector_indices(g)
                 block = h.matrix[idx][:, idx]
-                block = ((block + block.conj().T) / 2.0).toarray()
+                block = (block + block.conj().T) / 2.0
                 blocks.append((f"{indexing} rungs {n_rungs} sector {g}", block))
     rng = np.random.default_rng(2024)
     for n in [*range(1, 81), 129, 257]:
@@ -465,9 +468,10 @@ def _eigh_oracle_mismatches() -> list[str]:
     m = np.round(2 * rng.normal(size=(16, 16))) + 1j * np.round(2 * rng.normal(size=(16, 16)))
     blocks.append(("integer, every eigenvalue threefold", np.kron(np.eye(3), m + m.conj().T)))
     bad = []
-    for name, a in blocks:
-        want_vals, want_vecs = np.linalg.eigh(a)
-        vals, ground = hubbard._dense_solve(a, want_vector=True)
+    for name, block in blocks:
+        block = sp.csr_matrix(block)
+        want_vals, want_vecs = np.linalg.eigh(block.toarray())
+        vals, ground = hubbard._dense_solve(block, want_vector=True)
         if vals.tobytes() != want_vals.tobytes():
             bad.append(f"{name}: eigenvalues")
         if ground.tobytes() != want_vecs[:, 0].tobytes():
@@ -480,6 +484,46 @@ def test_dense_solve_has_the_bits_of_eigh():
         "-c", "import test_hubbard as t; print(t._eigh_oracle_mismatches())"
     )
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("indexing", INDEXINGS)
+def test_dense_solve_holds_one_dense_copy_of_the_block(indexing):
+    """The traced peak of a dense sector solve stays near two dense copies of
+    the block: the copy zhetrd reduces in place, plus dstevd's eigenvectors
+    and workspace (half a copy each)."""
+    _, h = hubbard_hamiltonian(4, HubbardParams(0.9, 0.35, indexing))  # blocks 610 and 987
+    for g in ("e", "tau"):
+        tracemalloc.start()
+        try:
+            spectrum = diagonalize(h, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.method == "dense"
+        copies = peak / (16 * spectrum.block_dim**2)
+        assert copies <= 2.25, (g, copies)
+
+
+def test_dense_solve_falls_back_to_eigh_on_a_fresh_copy(monkeypatch):
+    """A tridiagonal matrix outside the unscaled range sends the block to
+    ``eigh`` after zhetrd has overwritten the first dense copy; the result
+    is still ``eigh`` of the original block, bit for bit."""
+    _, h = hubbard_hamiltonian(3, HubbardParams(0.9, 0.35))
+    idx = h.row_basis.sector_indices(1)
+    block = h.matrix[idx][:, idx]
+    block = (block + block.conj().T) / 2.0
+    unscaled, checked = hubbard._unscaled, []
+
+    def tridiagonal_out_of_range(x):
+        checked.append(x.ndim)
+        return unscaled(x) if x.ndim == 2 else False
+
+    monkeypatch.setattr(hubbard, "_unscaled", tridiagonal_out_of_range)
+    vals, ground = hubbard._dense_solve(block, want_vector=True)
+    assert checked == [2, 1]  # the block passed, so zhetrd ran before the fallback
+    want_vals, want_vecs = np.linalg.eigh(block.toarray())
+    assert vals.tobytes() == want_vals.tobytes()
+    assert ground.tobytes() == want_vecs[:, 0].tobytes()
 
 
 def test_dense_solve_without_vector_skips_the_back_transform(monkeypatch):
