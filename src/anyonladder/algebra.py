@@ -38,7 +38,7 @@ from .ladder import (
     transport_to_mode,
 )
 from .model import AnyonModel, ModelDataError, ValidationReport
-from .polynomial import GeneratorSymbol, LadderPolynomial, _fill_cache
+from .polynomial import GeneratorSymbol, LadderPolynomial, _fill_cache, _letter
 
 __all__ = [
     "RegionState",
@@ -128,6 +128,8 @@ def candidate_local_basis(model: AnyonModel, n_modes: int, mode: int = 1):
     of ``a x b0`` and ``d'`` of ``a' x b0``.  These include total-charge
     changing elements (d != d'); for a Fibonacci mode with rest charges
     {e, tau} there are 13 of them.  ``mode > 1`` braids the basis into place.
+    The package itself reads :func:`local_candidate_span`; this labelled
+    form is public API, and ``perfbench/spans.py`` traces it.
     """
     labels = model.labels
     metas, ops = local_candidate_span(model, n_modes, 1)
@@ -777,15 +779,15 @@ def fock_words(model: AnyonModel, n_modes: int):
     psi = fermion_type(model)
     modes = range(1, n_modes + 1)
     if psi is not None:
-        letters = [GeneratorSymbol(k, "std", model.labels[psi], 0, False) for k in modes]
+        letters = [GeneratorSymbol(k, "std", model.labels[psi], 0, True) for k in modes]
     else:
         letters = [
-            GeneratorSymbol(k, "pair", name, 0, False)
+            GeneratorSymbol(k, "pair", name, 0, True)
             for k in modes
             for name in ("alpha", "beta")
         ]
     resolve = resolver(model, n_modes)
-    creators = [(sym.adjoint(), resolve(sym).dagger()) for sym in letters]
+    creators = [(sym, _letter(resolve, sym)) for sym in letters]
 
     reached: dict[int, tuple[complex, tuple[GeneratorSymbol, ...]]] = {vac: (1.0, ())}
     frontier = [vac]
@@ -844,9 +846,7 @@ def apply_word(model: AnyonModel, n_modes: int, scalar: complex, word) -> np.nda
     vec = np.zeros(basis.dim, dtype=complex)
     vec[vacuum_index(basis)] = scalar
     for sym in reversed(tuple(word)):
-        base = resolve(sym.adjoint() if sym.dagger else sym)
-        mat = base.dagger() if sym.dagger else base
-        vec = mat.apply(vec)
+        vec = _letter(resolve, sym).apply(vec)
     return vec
 
 
@@ -855,7 +855,7 @@ def kernel_dimension(model: AnyonModel, n_modes: int, tol: float = 1e-10) -> int
 
     ``dim`` minus the rank of the stacked annihilators, the rank being the
     number of singular values above ``tol`` and the rounding floor of
-    :func:`_extend_span`.
+    :func:`_extend_span`, scaled by the stack's 2-norm.
     """
     stacked = np.vstack([
         op.to_dense()
@@ -864,7 +864,7 @@ def kernel_dimension(model: AnyonModel, n_modes: int, tol: float = 1e-10) -> int
         for op in ladder_set(model, n_modes, label).ops.values()
     ])
     dim = stacked.shape[1]
-    return dim - len(_extend_span(np.zeros((0, dim)), stacked, tol))
+    return dim - len(_extend_span(np.zeros((0, dim)), stacked, tol, np.linalg.norm(stacked, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +872,7 @@ def kernel_dimension(model: AnyonModel, n_modes: int, tol: float = 1e-10) -> int
 # ---------------------------------------------------------------------------
 
 
-def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float, scale: float | None = None) -> np.ndarray:
+def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float, scale: float) -> np.ndarray:
     """Orthonormal rows spanning what ``rows`` adds to the row span of ``onb``.
 
     ``onb`` holds orthonormal rows.  The batch ``rows`` is projected off them
@@ -880,16 +880,12 @@ def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float, scale: float | N
     right singular vectors of the residual whose singular value exceeds the
     cut are returned.  The cut is ``tol``, but never below the rounding level
     ``eps * max(rows.shape) * scale``, so even ``tol=0`` drops rounding.
-    ``scale`` is the magnitude the rows' rounding is relative to; by default
-    the batch's own ``|rows|_2`` (numpy's ``matrix_rank`` floor), whose SVD
-    runs only when the floor can exceed ``tol``, as the Frobenius norm bounds
-    the 2-norm.  This is the one orthogonaliser of the package.
+    ``scale`` is the magnitude the rows' rounding is relative to, given by
+    the caller: the 2-norm of the rows themselves (numpy's ``matrix_rank``
+    floor) or of the operands they are products of.  This is the one
+    orthogonaliser of the package.
     """
-    floor = np.finfo(float).eps * max(rows.shape)
-    if scale is None and floor * np.linalg.norm(rows) > tol:
-        scale = np.linalg.norm(rows, 2)
-    if scale is not None:
-        tol = max(tol, floor * scale)
+    tol = max(tol, np.finfo(float).eps * max(rows.shape) * scale)
     for _ in range(2):
         rows = rows - (rows @ onb.conj().T) @ onb
     _u, svals, vh = np.linalg.svd(rows, full_matrices=False)
@@ -943,7 +939,8 @@ class ClosureResult:
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             return True
-        return not len(_extend_span(self.onb, vec[None, :] / norm, tol))
+        row = vec[None, :] / norm
+        return not len(_extend_span(self.onb, row, tol, np.linalg.norm(row, 2)))
 
 
 def algebra_closure(generators, tol: float = 1e-10) -> ClosureResult:

@@ -140,8 +140,8 @@ def _verify_relations(model, n: int, tol: float) -> ValidationReport:
 
 def _verify_locality(model, n: int, tol: float) -> ValidationReport:
     report = ValidationReport([], tol)
-    elems = alg.candidate_local_basis(model, n, mode=1)
-    flags = [alg.is_local_candidate(op, (1,), tol=tol)[0] for _meta, op in elems]
+    elems = alg.local_candidate_span(model, n, 1)[1]
+    flags = [alg.is_local_candidate(op, (1,), tol=tol)[0] for op in elems]
     report.verdict(
         all(flags), f"{sum(flags)}/{len(flags)} mode-1 elements are candidate-local on {{1}}"
     )

@@ -185,25 +185,14 @@ def hamiltonian_polynomial(spec: LatticeSpec, params: HubbardParams) -> LadderPo
     return LadderPolynomial.sum(parts)
 
 
-def build_hamiltonian(
-    spec: LatticeSpec,
-    params: HubbardParams,
-    model: AnyonModel | None = None,
-    pair: FibonacciPair | None = None,
-) -> SparseOperator:
-    """Assemble the Hamiltonian directly from the pair operator matrices.
+def build_hamiltonian(spec: LatticeSpec, params: HubbardParams, pair: FibonacciPair) -> SparseOperator:
+    """Assemble the Hamiltonian directly from the matrices of ``pair``.
 
-    Without ``pair``, the model's shared pair (``ladder._shared_pair``) is
-    used, so later callers on the same model and mode count reuse it.  H
-    acts on the pair's column basis: the full canonical basis, or one
+    H acts on the pair's column basis: the full canonical basis, or one
     total-charge sector for a pair built on that sector, where H is the
     full H's sector block with the same CSR bytes.
     """
     _check_indexing(spec, params)
-    if pair is None:
-        if model is None:
-            model = builtin("fibonacci")
-        pair = _shared_pair(model, spec.n_modes)
     if pair.n_modes != spec.n_modes:
         raise ValueError(
             f"pair operators cover {pair.n_modes} modes, lattice has {spec.n_modes}"
@@ -236,7 +225,7 @@ def hubbard_hamiltonian(
     spec = build_lattice(n_rungs, params.indexing)
     model = builtin("fibonacci") if model is None else model
     pair = _shared_pair(model, spec.n_modes, sector)
-    return spec, build_hamiltonian(spec, params, pair=pair)
+    return spec, build_hamiltonian(spec, params, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -77,19 +77,26 @@ def _word_sort_key(word: Word):
     return (len(word), word)
 
 
+def _letter(resolver, sym: GeneratorSymbol) -> SparseOperator:
+    """The matrix of one letter: ``resolver(sym)`` for an undaggered symbol,
+    the adjoint of its undaggered matrix for a daggered one, so ``resolver``
+    only ever sees undaggered symbols."""
+    base = resolver(sym.adjoint() if sym.dagger else sym)
+    return base.dagger() if sym.dagger else base
+
+
 def _fill_cache(words: Sequence[Word], resolver, cache: dict, identity) -> None:
     """Put a ``(block, i)`` reference to the matrix of each word in ``words``
     into ``cache``, with those of its uncached suffixes and of their first
     letters.
 
-    The empty word is ``identity``; a letter comes from ``resolver`` (a
-    daggered one as the adjoint of its undaggered matrix); a longer word is
-    ``letter @ rest`` with ``rest`` the word after its first letter.  Words
-    are built shortest first, all of one length in one ``_matmul_batch``
-    call that stores them as one ``_CSRBlock``, so every product sees the
-    same operands, and gives the same bits, as a word-by-word recursion.
-    Passing the words of many polynomials at once makes one batched product
-    per word length in all.
+    The empty word is ``identity``; a letter is :func:`_letter` of
+    ``resolver``; a longer word is ``letter @ rest`` with ``rest`` the word
+    after its first letter.  Words are built shortest first, all of one
+    length in one ``_matmul_batch`` call that stores them as one
+    ``_CSRBlock``, so every product sees the same operands, and gives the
+    same bits, as a word-by-word recursion.  Passing the words of many
+    polynomials at once makes one batched product per word length in all.
     """
     pending: dict[Word, None] = {}  # an ordered set
     for word in words:
@@ -108,11 +115,7 @@ def _fill_cache(words: Sequence[Word], resolver, cache: dict, identity) -> None:
     for length in sorted(by_length):
         batch = by_length[length]
         if length == 1:
-            letters = []
-            for (sym,) in batch:
-                base = resolver(sym.adjoint() if sym.dagger else sym)
-                letters.append(base.dagger() if sym.dagger else base)
-            block = _CSRBlock.pack(letters)
+            block = _CSRBlock.pack([_letter(resolver, sym) for (sym,) in batch])
         else:
             block = _matmul_batch([cache[w[:1]] for w in batch], [cache[w[1:]] for w in batch])
         cache.update(zip(batch, zip(repeat(block), range(len(batch)))))
@@ -262,18 +265,19 @@ class LadderPolynomial:
     ) -> SparseOperator:
         """Evaluate on a concrete system.
 
-        ``resolver`` maps an undaggered generator symbol to its matrix; the
-        daggered one is derived.  ``cache`` is shared across calls to reuse
-        word products; it maps each word to a ``(block, i)`` reference, matrix
-        ``i`` of a ``basis._CSRBlock`` (``block.operator(i)`` makes it a
-        ``SparseOperator``).  A missing word is ``letter @ rest``, with its
-        uncached suffixes and their letters added too, so common suffixes are
-        computed once; the missing words of one length are multiplied in one
-        scipy product over the stacked operands (``basis._matmul_batch``),
-        shortest first, into one block, and each gets the CSR bytes that
-        ``SparseOperator.__matmul__`` would give it.  The result is
-        the dense sum of the terms in term order, with the bits of a sum of
-        ``coeff * matrix.to_dense()``.
+        ``resolver`` maps an undaggered generator symbol to its matrix; a
+        daggered letter is the adjoint of that matrix (:func:`_letter`), so
+        ``resolver`` never sees a daggered symbol.  ``cache`` is shared
+        across calls to reuse word products; it maps each word to a
+        ``(block, i)`` reference, matrix ``i`` of a ``basis._CSRBlock``
+        (``block.operator(i)`` makes it a ``SparseOperator``).  A missing
+        word is ``letter @ rest``, with its uncached suffixes and their
+        letters added too, so common suffixes are computed once; the missing
+        words of one length are multiplied in one scipy product over the
+        stacked operands (``basis._matmul_batch``), shortest first, into one
+        block, and each gets the CSR bytes that ``SparseOperator.__matmul__``
+        would give it.  The result is the dense sum of the terms in term
+        order, with the bits of a sum of ``coeff * matrix.to_dense()``.
         """
         if cache is None:
             cache = {}

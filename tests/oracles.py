@@ -415,6 +415,23 @@ def ladder_set_loop(model, n_modes: int, particle: str):
     return ops
 
 
+def kernel_dimension_svd(model, n_modes: int, tol: float) -> int:
+    """``algebra.kernel_dimension`` by one plain SVD: ``dim`` minus the number
+    of singular values of the stacked dense annihilators of
+    :func:`ladder_set_loop` above ``max(tol, eps * max(shape) * sigma_max)``,
+    numpy's ``matrix_rank`` cut when ``tol`` is below it.  No projection or
+    span extension is involved."""
+    stacked = np.vstack([
+        op.to_dense()
+        for i, label in enumerate(model.labels)
+        if i != model.vacuum
+        for op in ladder_set_loop(model, n_modes, label).values()
+    ])
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    cut = max(tol, np.finfo(float).eps * max(stacked.shape) * svals.max())
+    return stacked.shape[1] - int(np.sum(svals > cut))
+
+
 def element_family_loop(model, n_modes: int, a: int, terms, last_mode: int, sector=None):
     """``ladder._element_family`` as the sum it replaced: ``weight *``
     :func:`mode1_element_loop` added to a zero operator one term at a time,

@@ -648,6 +648,19 @@ def test_joint_kernel_is_vacuum_only(fib, fermion, ising):
     assert kernel_dimension(ising, 2) == 1
 
 
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+@pytest.mark.parametrize("name, n", [
+    *(("fibonacci", n) for n in range(1, 6)),
+    *(("fermion", n) for n in range(1, 6)),
+    *(("ising", n) for n in range(1, 4)),
+])
+def test_kernel_dimension_matches_the_svd_oracle(name, n, tol):
+    """At ``tol=0`` only the rounding floor keeps singular values of rounding
+    size out of the rank; without it the kernel would read 0."""
+    model = builtin(name)
+    assert kernel_dimension(model, n, tol) == orc.kernel_dimension_svd(model, n, tol) == 1
+
+
 # ---------------------------------------------------------------------------
 # Closure
 # ---------------------------------------------------------------------------

@@ -164,6 +164,86 @@ def test_verify_closure_stdout_is_pinned(model, modes, tolerance, capsys):
     )
 
 
+def _status(residual: str, tolerance) -> str:
+    """A check's status as printed: at ``--tolerance 0`` any nonzero residual fails."""
+    return "FAIL" if tolerance and float(residual) > 0.0 else "pass"
+
+
+def _report(suite: str, lines: list[str]) -> str:
+    verdict = "FAIL" if any(line.startswith("  [FAIL]") for line in lines) else "pass"
+    return "".join(line + "\n" for line in [f"suite: {suite}", *lines, f"result: {verdict}"])
+
+
+# (mode-1 candidate-local elements, residual of each total-charge projector)
+# as printed by ``verify --suite locality``, alike at the default tolerance and at 0
+LOCALITY_STDOUT = {
+    ("fibonacci", 1): (4, {"e": "0.000e+00", "tau": "0.000e+00"}),
+    ("fibonacci", 2): (13, {"e": "0.000e+00", "tau": "0.000e+00"}),
+    ("fibonacci", 3): (13, {"e": "0.000e+00", "tau": "0.000e+00"}),
+    ("fibonacci", 4): (13, {"e": "0.000e+00", "tau": "5.551e-17"}),
+    ("ising", 1): (9, {"e": "0.000e+00", "psi": "0.000e+00", "sigma": "0.000e+00"}),
+    ("ising", 2): (34, {"e": "0.000e+00", "psi": "0.000e+00", "sigma": "0.000e+00"}),
+    ("ising", 3): (34, {"e": "0.000e+00", "psi": "0.000e+00", "sigma": "2.220e-16"}),
+    ("fermion", 1): (4, {"e": "0.000e+00", "psi": "0.000e+00"}),
+    ("fermion", 2): (8, {"e": "0.000e+00", "psi": "0.000e+00"}),
+    ("fermion", 3): (8, {"e": "0.000e+00", "psi": "0.000e+00"}),
+    ("fermion", 4): (8, {"e": "0.000e+00", "psi": "0.000e+00"}),
+}
+
+
+@pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0"]], ids=["default", "tol0"])
+@pytest.mark.parametrize("model, modes", sorted(LOCALITY_STDOUT))
+def test_verify_locality_stdout_is_pinned(model, modes, tolerance, capsys):
+    count, residuals = LOCALITY_STDOUT[(model, modes)]
+    lines = [f"  [pass] {count}/{count} mode-1 elements are candidate-local on {{1}}"]
+    lines += [
+        f"  [{_status(res, tolerance)}] total-charge projector P_{g} is candidate-local "
+        f"on {{1}}: residual={res}"
+        for g, res in residuals.items()
+    ]
+    if modes >= 2:
+        lines.append("  [pass] braid(1,2) is not local on {1}: residual=1.000e+00")
+    want = _report("locality", lines)
+    code = main(["verify", "--model", model, "--modes", str(modes), "--suite", "locality", *tolerance])
+    assert capsys.readouterr().out == want
+    assert code == (1 if "[FAIL]" in want else 0)
+
+
+# (states reconstructed, their residual) as printed by ``verify --suite
+# fock``, alike at the default tolerance and at 0; None for a model with
+# neither a Fibonacci pair nor a fermion type.  The kernel line reads 1 on all.
+FOCK_STDOUT = {
+    ("fibonacci", 1): (2, "0.000e+00"),
+    ("fibonacci", 2): (5, "5.551e-17"),
+    ("fibonacci", 3): (13, "2.776e-16"),
+    ("fibonacci", 4): (34, "2.776e-16"),
+    ("ising", 1): None,
+    ("ising", 2): None,
+    ("ising", 3): None,
+    ("fermion", 1): (2, "0.000e+00"),
+    ("fermion", 2): (4, "0.000e+00"),
+    ("fermion", 3): (8, "0.000e+00"),
+    ("fermion", 4): (16, "0.000e+00"),
+}
+
+
+@pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0"]], ids=["default", "tol0"])
+@pytest.mark.parametrize("model, modes", sorted(FOCK_STDOUT))
+def test_verify_fock_stdout_is_pinned(model, modes, tolerance, capsys):
+    words = FOCK_STDOUT[(model, modes)]
+    if words is None:
+        lines = ["  [n/a] creation words: no Fibonacci pair and no fermion type in this model"]
+    else:
+        count, res = words
+        lines = [f"  [{_status(res, tolerance)}] {count}/{count} states reconstructed by "
+                 f"creation words: residual={res}"]
+    lines.append("  [pass] joint annihilator kernel dimension = 1 (expect 1)")
+    want = _report("fock", lines)
+    code = main(["verify", "--model", model, "--modes", str(modes), "--suite", "fock", *tolerance])
+    assert capsys.readouterr().out == want
+    assert code == (1 if "[FAIL]" in want else 0)
+
+
 def test_verify_closure_grows_the_span_when_the_commutant_is_not_trivial(monkeypatch, capsys):
     """With only the mode-1 ladder operators the commutant holds more than the
     scalars, so the all-modes line reports the dimension algebra_closure grows."""

@@ -73,7 +73,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         HubbardParams(t=1.0, mu=0.0, indexing="bogus")
     with pytest.raises(ValueError):
-        build_hamiltonian(build_lattice(1), HubbardParams(1.0, 0.0, "paper"))
+        build_hamiltonian(build_lattice(1), HubbardParams(1.0, 0.0, "paper"),
+                          _shared_pair(builtin("fibonacci"), 2))
     with pytest.raises(ValueError, match="indexing"):
         hamiltonian_polynomial(build_lattice(2), HubbardParams(1.0, 0.0, "paper"))
 
@@ -97,7 +98,7 @@ def test_polynomial_route_matches_direct():
 
     model = builtin("fibonacci")
     pair = fibonacci_pair(model, spec.n_modes)
-    direct = build_hamiltonian(spec, params, model=model, pair=pair)
+    direct = build_hamiltonian(spec, params, pair)
     poly = hamiltonian_polynomial(spec, params)
     resolved = poly.evaluate_with_identity(
         resolver(model, spec.n_modes), SparseOperator.identity(FusionTreeBasis(model, spec.n_modes))

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonladder import polynomial
+from anyonladder import algebra, polynomial
 from anyonladder.algebra import (
     _product_frame,
     _word_cache,
@@ -158,6 +158,34 @@ def test_evaluate_daggered_symbols_via_resolver(fib):
     got = p.evaluate(resolver(fib, 2)).to_dense()
     want = ls.op(1, 0).dagger().to_dense() @ ls.op(1, 0).to_dense()
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_daggered_letters_are_built_by_one_rule(fib, monkeypatch):
+    """Every daggered ``std`` and ``pair`` letter of Fibonacci 3 modes has
+    the CSR bytes of its undaggered matrix's adjoint, alike as a one-letter
+    word of ``_fill_cache``, as a creator of ``fock_words`` and from
+    ``_letter``."""
+    resolve = resolver(fib, 3)
+    daggered = [GeneratorSymbol(k, "std", "tau", j, True) for k, j in ladder_set(fib, 3, "tau").ops]
+    daggered += [GeneratorSymbol(k, "pair", name, 0, True)
+                 for k in range(1, 4) for name in ("alpha", "beta")]
+    cache = {}
+    polynomial._fill_cache([(sym,) for sym in daggered], resolve, cache, None)
+    creators = {}
+
+    def recording_letter(resolver, sym):
+        creators[sym] = polynomial._letter(resolver, sym)
+        return creators[sym]
+
+    monkeypatch.setattr(algebra, "_letter", recording_letter)
+    algebra.fock_words.__wrapped__(fib, 3)  # unmemoised, so its creators are built here
+    assert set(creators) == {sym for sym in daggered if sym.kind == "pair"}
+    for sym in daggered:
+        want = csr_bytes(resolve(sym.adjoint()).dagger())
+        assert csr_bytes(polynomial._letter(resolve, sym)) == want
+        assert csr_bytes(cached_word(cache, (sym,))) == want
+        if sym.kind == "pair":
+            assert csr_bytes(creators[sym]) == want
 
 
 def test_evaluate_constant_requires_identity(fib):
