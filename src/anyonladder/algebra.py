@@ -17,6 +17,7 @@ operators, and ``op = sum c_{x,x'} O_x^dagger O_{x'}``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .ladder import (
     rest_charges,
     transport_to_mode,
 )
-from .model import AnyonModel, ModelDataError, ValidationReport
+from .model import AnyonModel, ModelDataError, ValidationReport, rounding_cut
 from .polynomial import GeneratorSymbol, LadderPolynomial, _fill_cache, _letter
 
 __all__ = [
@@ -263,7 +264,8 @@ def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     rest-charge-resolved spanning set (which contains all ladder operators of
     the region, including total-charge changing ones).  Returns
     ``(flag, residual)`` with ``residual`` the largest entry the projection
-    leaves.  The span equals the commutant of the observables local on the
+    leaves, zero up to :func:`rounding_cut` over ``dim`` and ``op``'s largest
+    entry.  The span equals the commutant of the observables local on the
     complement, charge-changing elements included; projecting onto it avoids
     forming that commutant.  The span's elements have disjoint 0/1 entries
     in the factored basis, so they are mutually orthogonal and the
@@ -272,7 +274,7 @@ def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     """
     basis = _canonical_basis(op)
     residual = _span_residual(op, _region(modes, basis.n_modes), local_candidate_span)
-    return residual <= tol, residual
+    return residual <= rounding_cut(tol, basis.dim, op.norm_max()), residual
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +612,8 @@ def decompose_observable(
     ``op`` must act on the canonical basis, preserve the total charge and be
     supported on the local-observable span of the (behind-bipartition) region
     ``modes``; otherwise a ``ValueError`` reports the violation.  The returned
-    polynomial evaluates back to ``op`` within ``tolerance`` (the residual is
-    recorded on the result).
+    polynomial evaluates back to ``op`` (the residual is recorded on the
+    result).  Residuals are zero up to :func:`rounding_cut` of ``tolerance``.
     """
     basis = _canonical_basis(op)
     model = basis.model
@@ -632,23 +634,24 @@ def decompose_observable(
             "not an observable"
         )
 
+    cut = rounding_cut(tolerance, basis.dim, op.norm_max())
     # Identity component short-circuit: lambda * id is the constant polynomial.
     dense = op.to_dense()
     lam = np.trace(dense) / basis.dim
-    if np.abs(dense - lam * np.eye(basis.dim)).max() <= tolerance:
+    if np.abs(dense - lam * np.eye(basis.dim)).max() <= cut:
         return Decomposition(s, LadderPolynomial.constant(lam), {}, 0.0, 0.0)
 
     entries, _polys, stack = _product_frame(model, n, m)
     target = _to_front(op, s).to_dense().ravel()
     coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
     span_residual = float(np.abs(stack @ coeffs - target).max())
-    if span_residual > tolerance:
-        if _span_residual(op, s, observable_basis) <= tolerance:
+    if span_residual > cut:
+        if _span_residual(op, s, observable_basis) <= cut:
             raise ValueError(
                 f"operator is local on modes {list(s)} but outside the span "
                 f"realised by ladder polynomials (span residual {span_residual:.3e})"
             )
-        if _span_residual(op, s, local_candidate_span) <= tolerance:
+        if _span_residual(op, s, local_candidate_span) <= cut:
             raise ValueError(
                 f"operator is candidate-local on modes {list(s)} but not an "
                 f"observable of them (span residual {span_residual:.3e})"
@@ -684,10 +687,10 @@ def verify_relations(
 ) -> ValidationReport:
     """Check the single-mode relations of the unnormalised Fibonacci pair.
 
-    Six families are checked per mode; the printed completeness relation
-    (whose last term is ``alpha beta^dagger alpha beta^dagger``) and the
-    disjoint-support statement for different modes are measured and noted
-    after every check, never asserted.
+    Six families are checked per mode, up to :func:`rounding_cut`; the printed
+    completeness relation (whose last term is ``alpha beta^dagger alpha
+    beta^dagger``) and the disjoint-support statement for different modes are
+    measured and noted after every check, never asserted.
     """
     pair = _shared_pair(model, n_modes)
     basis = FusionTreeBasis(model, n_modes)
@@ -698,12 +701,14 @@ def verify_relations(
     for k in range(1, n_modes + 1):
         al, be = pair.alpha[k], pair.beta[k]
         ald, bed = al.dagger(), be.dagger()
-        report.check(f"alpha_{k}^2 = 0", (al @ al).norm_max())
-        report.check(
+        scale = max(1.0, al.norm_max(), be.norm_max()) ** 3  # bounds products of three
+        check = functools.partial(report.check, size=basis.dim, scale=scale)
+        check(f"alpha_{k}^2 = 0", (al @ al).norm_max())
+        check(
             f"alpha_{k} beta_{k} = beta_{k} alpha_{k} = 0",
             max((al @ be).norm_max(), (be @ al).norm_max()),
         )
-        report.check(
+        check(
             f"alpha_{k} alpha_{k}^+ = beta_{k} beta_{k}^+", (al @ ald - be @ bed).norm_max()
         )
         chain = [al @ bed @ be, al @ bed @ al, be @ ald @ al, be @ ald @ be]
@@ -712,12 +717,12 @@ def verify_relations(
             for i in range(len(chain))
             for j in range(i + 1, len(chain))
         )
-        report.check(f"mixed third-order chain equalities (mode {k})", worst)
-        report.check(
+        check(f"mixed third-order chain equalities (mode {k})", worst)
+        check(
             f"alpha_{k} alpha_{k}^+ alpha_{k} = alpha_{k} - beta_{k} alpha_{k}^+ alpha_{k}",
             (al @ ald @ al - (al - be @ ald @ al)).norm_max(),
         )
-        report.check(
+        check(
             f"beta_{k} beta_{k}^+ beta_{k} = beta_{k} - alpha_{k} beta_{k}^+ beta_{k}",
             (be @ bed @ be - (be - al @ bed @ be)).norm_max(),
         )
@@ -878,14 +883,14 @@ def _extend_span(onb: np.ndarray, rows: np.ndarray, tol: float, scale: float) ->
     ``onb`` holds orthonormal rows.  The batch ``rows`` is projected off them
     twice (the second pass removes what rounding left of the first), and the
     right singular vectors of the residual whose singular value exceeds the
-    cut are returned.  The cut is ``tol``, but never below the rounding level
-    ``eps * max(rows.shape) * scale``, so even ``tol=0`` drops rounding.
+    cut are returned.  The cut is :func:`rounding_cut` of ``tol`` over
+    ``max(rows.shape)`` and ``scale``, so even ``tol=0`` drops rounding.
     ``scale`` is the magnitude the rows' rounding is relative to, given by
     the caller: the 2-norm of the rows themselves (numpy's ``matrix_rank``
     floor) or of the operands they are products of.  This is the one
     orthogonaliser of the package.
     """
-    tol = max(tol, np.finfo(float).eps * max(rows.shape) * scale)
+    tol = rounding_cut(tol, max(rows.shape), scale)
     for _ in range(2):
         rows = rows - (rows @ onb.conj().T) @ onb
     _u, svals, vh = np.linalg.svd(rows, full_matrices=False)
@@ -905,8 +910,8 @@ def commutant_is_trivial(generators, tol: float = 1e-10) -> bool:
     adjoint, ``N = I kron A^T + A kron I - 2 sum_S G kron conj(G)`` with
     ``A = sum_S G^dagger G``.  The identity always spans one null direction,
     so the commutant is trivial when N's second smallest eigenvalue exceeds
-    the cut ``max(tol, eps * dim**2)`` times ``4 sum_S |G|_2**2``, a bound on
-    ``|N|_2``; at ``tol=0`` the cut is the rounding level of N.
+    :func:`rounding_cut` over ``dim**2`` and ``4 sum_S |G|_2**2``, a bound on
+    ``|N|_2`` that ``tol`` is relative to; at ``tol=0`` N's rounding level.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -923,7 +928,7 @@ def commutant_is_trivial(generators, tol: float = 1e-10) -> bool:
     system += np.kron(eye, a.T)
     system += np.kron(a, eye)
     scale = 4.0 * sum(np.linalg.norm(g, 2) ** 2 for g in gens)
-    cut = max(tol, np.finfo(float).eps * dim * dim) * scale
+    cut = rounding_cut(tol * scale, dim * dim, scale)
     return bool(eigh(system, eigvals_only=True, subset_by_index=[0, 1])[1] > cut)
 
 

@@ -35,6 +35,7 @@ from .model import (
     ValidationReport,
     builtin,
     load_model,
+    rounding_cut,
     validate_model,
 )
 
@@ -134,7 +135,8 @@ def _verify_relations(model, n: int, tol: float) -> ValidationReport:
             if i == j:
                 cross = cross - ident
             worst = max(worst, cross.norm_max())
-    report.check("canonical anticommutation relations", worst)
+    scale = max(1.0, *(op.norm_max() for op in ops)) ** 2
+    report.check("canonical anticommutation relations", worst, ident.row_basis.dim, scale)
     return report
 
 
@@ -146,8 +148,10 @@ def _verify_locality(model, n: int, tol: float) -> ValidationReport:
         all(flags), f"{sum(flags)}/{len(flags)} mode-1 elements are candidate-local on {{1}}"
     )
     for g in model.labels:
-        res = alg.is_local_candidate(total_charge_projector(model, n, g), (1,), tol=tol)[1]
-        report.check(f"total-charge projector P_{g} is candidate-local on {{1}}", res)
+        proj = total_charge_projector(model, n, g)
+        res = alg.is_local_candidate(proj, (1,), tol=tol)[1]
+        report.check(f"total-charge projector P_{g} is candidate-local on {{1}}", res,
+                     proj.row_basis.dim, proj.norm_max())
     if n >= 2:
         flag, res = alg.is_local_candidate(braid_adjacent(model, n, 1), (1,), tol=tol)
         report.verdict(not flag, f"braid(1,2) is not local on {{1}}: residual={res:.3e}")
@@ -166,11 +170,11 @@ def _verify_fock(model, n: int, tol: float) -> ValidationReport:
             (float(np.abs(alg.apply_word(model, n, *words[i]) - target[i]).max()) for i in words),
             default=0.0,
         )
-        report.verdict(
-            len(words) == dim and worst <= tol,
+        report.verdict(  # each word lands on a unit basis vector
+            len(words) == dim and worst <= rounding_cut(tol, dim, 1.0),
             f"{len(words)}/{dim} states reconstructed by creation words: residual={worst:.3e}",
         )
-    kdim = alg.kernel_dimension(model, n)
+    kdim = alg.kernel_dimension(model, n, tol)
     report.verdict(kdim == 1, f"joint annihilator kernel dimension = {kdim} (expect 1)")
     return report
 

@@ -47,6 +47,7 @@ __all__ = [
     "fuse",
     "load_model",
     "dump_model",
+    "rounding_cut",
     "validate_model",
 ]
 
@@ -532,25 +533,33 @@ def _f_blocks(model: AnyonModel):
 # ---------------------------------------------------------------------------
 
 
+def rounding_cut(tol: float, size: int, scale: float) -> float:
+    """The largest residual that counts as zero: ``tol``, never below the rounding
+    level ``eps * size * scale`` of ``size`` terms of operands up to ``scale``."""
+    return max(tol, np.finfo(float).eps * size * scale)
+
+
 @dataclass
 class ValidationReport:
     """Checks in the order they were made, each entry ``(status, text, residual)``.
 
-    ``check`` compares a residual with ``tolerance``, ``verdict`` records a
-    pass or fail decided elsewhere, and ``note`` an ``info`` or ``n/a`` line
-    that decides nothing; ``residual`` is ``None`` for the last two.  A report
-    with header lines stands alone: its entries are indented under the header
-    and a ``result:`` line closes it.  A headerless report is one block of a
-    larger one, a ``verify`` suite, and prints its entries only.
+    ``check`` passes a residual up to :func:`rounding_cut` of ``tolerance`` and
+    the ``size`` and ``scale`` of what it compares (none for exact integer
+    checks), ``verdict`` records a pass or fail decided elsewhere, and ``note``
+    an ``info`` or ``n/a`` line that decides nothing; ``residual`` is ``None``
+    for the last two.  A report with header lines stands alone: its entries
+    are indented under the header and a ``result:`` line closes it.  A
+    headerless report is one block of a larger one, a ``verify`` suite, and
+    prints its entries only.
     """
 
     header: list[str]
     tolerance: float
     entries: list[tuple[str, str, float | None]] = field(default_factory=list)
 
-    def check(self, name: str, residual: float) -> None:
+    def check(self, name: str, residual: float, size: int = 0, scale: float = 0.0) -> None:
         residual = float(residual)
-        status = "pass" if residual <= self.tolerance else "FAIL"
+        status = "pass" if residual <= rounding_cut(self.tolerance, size, scale) else "FAIL"
         self.entries.append((status, f"{name}: residual={residual:.3e}", residual))
 
     def verdict(self, ok: bool, text: str) -> None:
@@ -711,6 +720,8 @@ def validate_model(
     report = ValidationReport(
         [f"model: {model.name}", f"level: {level}", f"tolerance: {tolerance:.3e}"], tolerance
     )
+    # a law summing n products of p entries up to big: size p * n, scale big**p
+    n, big = model.n_labels, float(max(np.abs(model.F).max(), np.abs(model.R).max()))
     report.check("vacuum-law", _vacuum_residual(model))
     report.check("dual-law", _dual_residual(model))
     report.check(
@@ -719,10 +730,10 @@ def validate_model(
     )
     report.check("associativity", _associativity_residual(model))
     report.check("abelian-first-ordering", _ordering_residual(model))
-    report.check("f-unitarity", _f_unitarity_residual(model))
-    report.check("r-unit-modulus", _r_modulus_residual(model))
-    report.check("quantum-dimensions", _quantum_dim_residual(model))
+    report.check("f-unitarity", _f_unitarity_residual(model), 2 * n, big**2)
+    report.check("r-unit-modulus", _r_modulus_residual(model), 2, big**2)
+    report.check("quantum-dimensions", _quantum_dim_residual(model), 2 * n, max(model.quantum_dims)**2)
     if level == "full":
-        report.check("pentagon", pentagon_residual(model))
-        report.check("hexagon", hexagon_residual(model))
+        report.check("pentagon", pentagon_residual(model), 3 * n, big**3)
+        report.check("hexagon", hexagon_residual(model), 4 * n, big**4)
     return report

@@ -11,6 +11,7 @@ import pytest
 
 from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.cli import main
+from anyonladder.fixtures import fixture_names
 from anyonladder.ladder import ladder_set
 from anyonladder.model import builtin, dump_model
 from anyonladder.serialize import dump_operator
@@ -22,9 +23,11 @@ def _write_model(tmp_path, doc, name="model.json"):
     return str(path)
 
 
-def _broken_fibonacci(tmp_path):
+def _broken_fibonacci(tmp_path, shift=None):
+    """Fibonacci with the real part of one F-symbol entry negated, or moved by ``shift``."""
     doc = copy.deepcopy(dump_model(builtin("fibonacci")))
-    doc["f_symbols"]["tau,tau,tau;tau"][0][1][0] *= -1.0
+    entry = doc["f_symbols"]["tau,tau,tau;tau"][0][1]
+    entry[0] = -entry[0] if shift is None else entry[0] + shift
     return _write_model(tmp_path, doc)
 
 
@@ -41,6 +44,27 @@ def test_validate_broken_model_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("model", ["fibonacci", "ising", "fermion"])
+def test_validate_builtins_pass_at_tolerance_zero(model, capsys):
+    """Every residual of a builtin is rounding (see ``test_rounding``), so at
+    ``--tolerance 0`` only the tolerance header differs from the default run."""
+    assert main(["validate", "--model", model]) == 0
+    default = capsys.readouterr().out
+    assert main(["validate", "--model", model, "--tolerance", "0"]) == 0
+    assert capsys.readouterr().out == default.replace(
+        "tolerance: 1.000e-10", "tolerance: 0.000e+00"
+    )
+
+
+def test_validate_fails_an_f_entry_moved_by_1e_12_at_tolerance_zero(tmp_path, capsys):
+    code = main(["validate", "--model", _broken_fibonacci(tmp_path, 1e-12), "--tolerance", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    for law in ("f-unitarity", "pentagon", "hexagon"):
+        assert f"  [FAIL] {law}: residual=" in out
+    assert out.endswith("result: FAIL\n")
 
 
 def test_validate_missing_file_is_usage_error(capsys):
@@ -164,18 +188,13 @@ def test_verify_closure_stdout_is_pinned(model, modes, tolerance, capsys):
     )
 
 
-def _status(residual: str, tolerance) -> str:
-    """A check's status as printed: at ``--tolerance 0`` any nonzero residual fails."""
-    return "FAIL" if tolerance and float(residual) > 0.0 else "pass"
-
-
 def _report(suite: str, lines: list[str]) -> str:
-    verdict = "FAIL" if any(line.startswith("  [FAIL]") for line in lines) else "pass"
-    return "".join(line + "\n" for line in [f"suite: {suite}", *lines, f"result: {verdict}"])
+    return "".join(line + "\n" for line in [f"suite: {suite}", *lines, "result: pass"])
 
 
 # (mode-1 candidate-local elements, residual of each total-charge projector)
-# as printed by ``verify --suite locality``, alike at the default tolerance and at 0
+# as printed by ``verify --suite locality``, alike at the default tolerance and
+# at 0: every residual is below its rounding cut, eps * dim, and passes
 LOCALITY_STDOUT = {
     ("fibonacci", 1): (4, {"e": "0.000e+00", "tau": "0.000e+00"}),
     ("fibonacci", 2): (13, {"e": "0.000e+00", "tau": "0.000e+00"}),
@@ -197,7 +216,7 @@ def test_verify_locality_stdout_is_pinned(model, modes, tolerance, capsys):
     count, residuals = LOCALITY_STDOUT[(model, modes)]
     lines = [f"  [pass] {count}/{count} mode-1 elements are candidate-local on {{1}}"]
     lines += [
-        f"  [{_status(res, tolerance)}] total-charge projector P_{g} is candidate-local "
+        f"  [pass] total-charge projector P_{g} is candidate-local "
         f"on {{1}}: residual={res}"
         for g, res in residuals.items()
     ]
@@ -206,11 +225,12 @@ def test_verify_locality_stdout_is_pinned(model, modes, tolerance, capsys):
     want = _report("locality", lines)
     code = main(["verify", "--model", model, "--modes", str(modes), "--suite", "locality", *tolerance])
     assert capsys.readouterr().out == want
-    assert code == (1 if "[FAIL]" in want else 0)
+    assert code == 0
 
 
 # (states reconstructed, their residual) as printed by ``verify --suite
-# fock``, alike at the default tolerance and at 0; None for a model with
+# fock``, alike at the default tolerance and at 0, where each residual is
+# below its rounding cut, eps * dim, and passes; None for a model with
 # neither a Fibonacci pair nor a fermion type.  The kernel line reads 1 on all.
 FOCK_STDOUT = {
     ("fibonacci", 1): (2, "0.000e+00"),
@@ -235,13 +255,40 @@ def test_verify_fock_stdout_is_pinned(model, modes, tolerance, capsys):
         lines = ["  [n/a] creation words: no Fibonacci pair and no fermion type in this model"]
     else:
         count, res = words
-        lines = [f"  [{_status(res, tolerance)}] {count}/{count} states reconstructed by "
+        lines = [f"  [pass] {count}/{count} states reconstructed by "
                  f"creation words: residual={res}"]
     lines.append("  [pass] joint annihilator kernel dimension = 1 (expect 1)")
     want = _report("fock", lines)
     code = main(["verify", "--model", model, "--modes", str(modes), "--suite", "fock", *tolerance])
     assert capsys.readouterr().out == want
-    assert code == (1 if "[FAIL]" in want else 0)
+    assert code == 0
+
+
+@pytest.mark.parametrize("model, modes", sorted(FOCK_STDOUT))
+def test_verify_relations_at_tolerance_zero_matches_the_default(model, modes, capsys):
+    """Every relation residual of a builtin is rounding (see ``test_rounding``),
+    so at ``--tolerance 0`` only the tolerance header differs."""
+    argv = ["verify", "--model", model, "--modes", str(modes), "--suite", "relations"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--tolerance", "0"]) == 0
+    assert capsys.readouterr().out == default.replace(
+        "tolerance: 1.000e-10", "tolerance: 0.000e+00"
+    )
+
+
+def test_verify_fock_kernel_line_reads_the_tolerance(capsys):
+    """A tolerance above every singular value of the stacked annihilators
+    leaves them rank 0: the joint kernel is the whole space."""
+    code = main(["verify", "--model", "fibonacci", "--modes", "2", "--suite", "fock",
+                 "--tolerance", "10"])
+    assert capsys.readouterr().out == (
+        "suite: fock\n"
+        "  [pass] 5/5 states reconstructed by creation words: residual=5.551e-17\n"
+        "  [FAIL] joint annihilator kernel dimension = 5 (expect 1)\n"
+        "result: FAIL\n"
+    )
+    assert code == 1
 
 
 def test_verify_closure_grows_the_span_when_the_commutant_is_not_trivial(monkeypatch, capsys):
@@ -293,6 +340,18 @@ def test_decompose_fixture(capsys, tmp_path):
     payload = json.loads(out_file.read_text())
     assert isinstance(payload, list) and payload
     assert all({"coeff", "word"} <= set(term) for term in payload)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_decompose_fixture_at_tolerance_zero_matches_the_default(name, capsys, tmp_path):
+    """Each fixture's residuals are rounding: at ``--tolerance 0`` it still
+    decomposes, with the stdout and the file of the default tolerance."""
+    runs = []
+    for tag, tolerance in (("default", []), ("tol0", ["--tolerance", "0"])):
+        out_file = tmp_path / f"{tag}.json"
+        assert main(["decompose", "--fixture", name, "--out", str(out_file), *tolerance]) == 0
+        runs.append((capsys.readouterr().out.replace(str(out_file), "OUT"), out_file.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_decompose_fixture_acts_on_modes_one_and_two_only(capsys):
