@@ -156,22 +156,15 @@ def _pair_symbol(family: str, mode: int, dagger: bool) -> GeneratorSymbol:
     return GeneratorSymbol(mode, "pair", family, 0, dagger)
 
 
-def _check_indexing(spec: LatticeSpec, params: HubbardParams) -> None:
-    if params.indexing != spec.indexing:
-        raise ValueError(
-            f"params request {params.indexing!r} indexing but the lattice was "
-            f"built with {spec.indexing!r}"
-        )
-
-
-def hamiltonian_polynomial(spec: LatticeSpec, params: HubbardParams) -> LadderPolynomial:
-    """The Hamiltonian as a ladder polynomial in the pair symbols.
+def hamiltonian_polynomial(n_rungs: int, params: HubbardParams) -> LadderPolynomial:
+    """The Hamiltonian on ``n_rungs`` rungs as a ladder polynomial in the
+    pair symbols, on the lattice ``build_lattice(n_rungs, params.indexing)``.
 
     Evaluating it with the pair resolver must agree entrywise with
     :func:`build_hamiltonian`; the two construction paths cross-check each
     other.
     """
-    _check_indexing(spec, params)
+    spec = build_lattice(n_rungs, params.indexing)
     parts = []
     for i in range(1, spec.n_modes + 1):
         for family in ("alpha", "beta"):
@@ -185,19 +178,18 @@ def hamiltonian_polynomial(spec: LatticeSpec, params: HubbardParams) -> LadderPo
     return LadderPolynomial.sum(parts)
 
 
-def build_hamiltonian(spec: LatticeSpec, params: HubbardParams, pair: FibonacciPair) -> SparseOperator:
+def build_hamiltonian(params: HubbardParams, pair: FibonacciPair) -> SparseOperator:
     """Assemble the Hamiltonian directly from the matrices of ``pair``.
 
-    H acts on the pair's column basis: the full canonical basis, or one
+    The lattice is ``build_lattice(pair.n_modes // 2, params.indexing)``;
+    a pair on an odd number of modes fits no ladder and is refused.  H acts
+    on the pair's column basis: the full canonical basis, or one
     total-charge sector for a pair built on that sector, where H is the
     full H's sector block with the same CSR bytes.
     """
-    _check_indexing(spec, params)
-    if pair.n_modes != spec.n_modes:
-        raise ValueError(
-            f"pair operators cover {pair.n_modes} modes, lattice has {spec.n_modes}"
-        )
-
+    if pair.n_modes % 2:
+        raise ValueError(f"a ladder needs an even number of modes, the pair has {pair.n_modes}")
+    spec = build_lattice(pair.n_modes // 2, params.indexing)
     basis = pair.alpha[1].col_basis
     # A family of zero operators (beta on sector e) adds nothing.
     families = [(family, {i: op.dagger() for i, op in family.items()})
@@ -225,7 +217,7 @@ def hubbard_hamiltonian(
     spec = build_lattice(n_rungs, params.indexing)
     model = builtin("fibonacci") if model is None else model
     pair = _shared_pair(model, spec.n_modes, sector)
-    return spec, build_hamiltonian(spec, params, pair)
+    return spec, build_hamiltonian(params, pair)
 
 
 # ---------------------------------------------------------------------------

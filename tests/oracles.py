@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from anyonladder.model import dump_model
+from anyonladder.model import AnyonModel, dump_model
 
 # ---------------------------------------------------------------------------
 # Path counting
@@ -276,6 +276,68 @@ def generator_commutant_dimension(mats: list[np.ndarray], tol: float = 1e-10) ->
     ])
     svals = np.linalg.svd(system, compute_uv=False)
     return d * d - int(np.sum(svals > tol * max(1.0, svals.max())))
+
+
+# ---------------------------------------------------------------------------
+# Theories from closed-form data
+# ---------------------------------------------------------------------------
+
+
+def z_n(n: int) -> AnyonModel:
+    """Z_N through the public constructor: labels ``"0"`` .. ``"N-1"``,
+    a x b = a + b mod N, every F = 1 and R^{ab} = exp(2 pi i ab / N).  The
+    dual of a is -a mod N, so the theory is not self-dual for N > 2."""
+    nonvac = range(1, n)
+    return AnyonModel(
+        name=f"Z{n}",
+        labels=[str(a) for a in range(n)],
+        vacuum="0",
+        dual={str(a): str(-a % n) for a in range(n)},
+        triples=[(str(a), str(b), str((a + b) % n)) for a in range(n) for b in range(n)],
+        f_symbols={
+            (str(a), str(b), str(c), str((a + b + c) % n)): np.ones((1, 1), dtype=complex)
+            for a, b, c in itertools.product(nonvac, repeat=3)
+        },
+        r_symbols={
+            (str(a), str(b), str((a + b) % n)): np.exp(2j * np.pi * a * b / n)
+            for a, b in itertools.product(nonvac, repeat=2)
+        },
+    )
+
+
+def vertex_gauge(model, seed: int, gauge_r: bool = True) -> AnyonModel:
+    """``model`` under a random vertex gauge transform, through the public
+    constructor: with a unit phase u^{ab}_c on every vertex (1 where a or b
+    is the vacuum),
+
+        F'^{abc}_d[e, f] = u^{ab}_e u^{ec}_d / (u^{bc}_f u^{af}_d) F^{abc}_d[e, f],
+        R'^{ab}_c = u^{ba}_c / u^{ab}_c R^{ab}_c.
+
+    The result describes the same theory.  ``gauge_r=False`` keeps R as it
+    was, which breaks the hexagon wherever u^{ba}_c != u^{ab}_c."""
+    n = model.n_labels
+    u = np.exp(2j * np.pi * np.random.default_rng(seed).random((n, n, n)))
+    u[model.vacuum] = u[:, model.vacuum] = 1.0
+    lab = model.labels
+    f_symbols = {}
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        block = f_block(model, a, b, c, d)
+        if block is None or model.vacuum in (a, b, c):
+            continue
+        rows, cols, mat = block
+        e, f = np.ix_(rows, cols)
+        f_symbols[lab[a], lab[b], lab[c], lab[d]] = (
+            u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d]) * mat
+        )
+    r_symbols = {
+        (lab[a], lab[b], lab[c]): (u[b, a, c] / u[a, b, c] if gauge_r else 1.0) * model.R[a, b, c]
+        for a, b, c in zip(*np.nonzero(model.fusion))
+        if model.vacuum not in (a, b)
+    }
+    doc = dump_model(model)
+    return AnyonModel(
+        model.name, lab, doc["vacuum"], doc["dual"], doc["fusion"], f_symbols, r_symbols
+    )
 
 
 # ---------------------------------------------------------------------------

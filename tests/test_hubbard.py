@@ -72,11 +72,8 @@ def test_params_validation():
         HubbardParams(t=float("nan"), mu=0.0)
     with pytest.raises(ValueError):
         HubbardParams(t=1.0, mu=0.0, indexing="bogus")
-    with pytest.raises(ValueError):
-        build_hamiltonian(build_lattice(1), HubbardParams(1.0, 0.0, "paper"),
-                          _shared_pair(builtin("fibonacci"), 2))
-    with pytest.raises(ValueError, match="indexing"):
-        hamiltonian_polynomial(build_lattice(2), HubbardParams(1.0, 0.0, "paper"))
+    with pytest.raises(ValueError, match="even number of modes"):
+        build_hamiltonian(HubbardParams(1.0, 0.0), _shared_pair(builtin("fibonacci"), 3))
 
 
 def test_hamiltonian_invariants():
@@ -91,17 +88,12 @@ def test_hamiltonian_invariants():
 
 
 def test_polynomial_route_matches_direct():
-    spec = build_lattice(2)
     params = HubbardParams(t=1.1, mu=-0.4)
-    from anyonladder.model import builtin
-    from anyonladder.basis import SparseOperator
-
     model = builtin("fibonacci")
-    pair = fibonacci_pair(model, spec.n_modes)
-    direct = build_hamiltonian(spec, params, pair)
-    poly = hamiltonian_polynomial(spec, params)
+    direct = build_hamiltonian(params, fibonacci_pair(model, 4))
+    poly = hamiltonian_polynomial(2, params)
     resolved = poly.evaluate_with_identity(
-        resolver(model, spec.n_modes), SparseOperator.identity(FusionTreeBasis(model, spec.n_modes))
+        resolver(model, 4), SparseOperator.identity(FusionTreeBasis(model, 4))
     )
     assert (direct - resolved).norm_max() < 1e-12
 
@@ -109,11 +101,10 @@ def test_polynomial_route_matches_direct():
 @pytest.mark.parametrize("indexing", INDEXINGS)
 @pytest.mark.parametrize("n_rungs", [1, 2, 3])
 def test_hamiltonian_polynomial_words_match_recursive_evaluation(n_rungs, indexing):
-    spec = build_lattice(n_rungs, indexing)
-    poly = hamiltonian_polynomial(spec, HubbardParams(t=1.1, mu=-0.4, indexing=indexing))
+    poly = hamiltonian_polynomial(n_rungs, HubbardParams(t=1.1, mu=-0.4, indexing=indexing))
     model = builtin("fibonacci")
-    resolve = resolver(model, spec.n_modes)
-    identity = SparseOperator.identity(FusionTreeBasis(model, spec.n_modes))
+    resolve = resolver(model, 2 * n_rungs)
+    identity = SparseOperator.identity(FusionTreeBasis(model, 2 * n_rungs))
     batched, recursive = {}, {}
     got = poly.evaluate_with_identity(resolve, identity, cache=batched)
     want = orc.evaluate_recursively(poly, resolve, recursive, identity)
