@@ -37,7 +37,9 @@ class FusionTreeBasis:
     """Ordered basis of fusion-tree labelings for a fixed shape.
 
     ``shape=None`` means the canonical left comb.  ``sector`` optionally
-    restricts to states of one total charge (a label or an index).
+    restricts to states of one total charge (a label or an index); its
+    states are then rows ``offset .. offset + dim`` of the shape's full
+    label table (``offset`` is 0 without a sector).
     """
 
     def __init__(self, model: AnyonModel, n_modes: int, sector: str | int | None = None,
@@ -53,11 +55,13 @@ class FusionTreeBasis:
         self.sector = None if sector is None else model.charge(sector)
         table = _label_table(model, self.shape)
         self.root_span = (0, n_modes - 1)
+        self.offset = 0
         if self.sector is not None:
             # The root charge is the codes' most significant digit, so a
             # sector is a range of rows: a read-only view of the shared table.
             lo, hi = np.searchsorted(table.column(self.root_span), [self.sector, self.sector + 1])
             table = table._replace(rows=table.rows[lo:hi], codes=table.codes[lo:hi])
+            self.offset = int(lo)
         self.table: trees.LabelTable = table
 
     @property
@@ -476,80 +480,73 @@ def _conjugate(w: SparseOperator, rows, cols, vals, owner, count: int) -> _CSRBl
 
 
 @_memo
-def _braid_tensors(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of every adjacent braid, as ``(first, later)`` tensors.
+def _braid_tensors(model: AnyonModel) -> np.ndarray:
+    """The entries of every adjacent braid, as one tensor ``T``.
 
-    For modes ``k, k+1`` with ``k >= 2``, a canonical state with charges
-    ``p`` on modes ``1..k-1``, ``a, b`` on leaves ``k, k+1``, ``x`` on modes
-    ``1..k`` and ``q`` on modes ``1..k+1`` has the entry ``later[p, a, b, q,
-    x, z]`` in the column of the state with the leaves swapped and ``z`` on
-    modes ``1..k``:
+    For modes ``k, k+1``, a canonical state with charges ``p`` on modes
+    ``1..k-1`` (the vacuum for ``k = 1``), ``a, b`` on leaves ``k, k+1``,
+    ``x`` on modes ``1..k`` and ``q`` on modes ``1..k+1`` has the entry
+    ``T[p, a, b, q, x, z]`` in the column of the state with the leaves
+    swapped and ``z`` on modes ``1..k``:
 
         sum_y  F^{pab}_q[x, y] R^{ba}_y conj(F^{pba}_q[z, y]),
 
     the braid ``W^dagger (P R) W`` through the one F-move ``W`` that folds
-    the pair.  Each entry has the bits of those sparse products: every
-    complex product part by part, each F-move entry summed from zero after
-    its product with the identity, the ``DROP_TOLERANCE`` drops of each
-    product, and the sum over ``y`` ascending from zero.  ``first[a, b, q]``
-    is the entry for ``k = 1``, where ``W`` is the identity and ``q`` the pair
-    charge.  A loop over ``y`` keeps every array at ``n_labels ** 6``.
+    the pair; a vacuum ``p`` has identity F-moves.  Each entry has the bits
+    of those sparse products: every complex product part by part, each
+    F-move entry summed from zero after its product with the identity, the
+    ``DROP_TOLERANCE`` drops of each product, and the sum over ``y``
+    ascending from zero.  A loop over ``y`` keeps every array at
+    ``n_labels ** 6``.
     """
     one = np.complex128(1.0)
     r = model.R.transpose(1, 0, 2)  # r[a, b, y] = R^{ba}_y
-    half = 0.0 + _times(one, r)  # the identity's W^dagger times P R
-    first = np.where(np.abs(half) > DROP_TOLERANCE, 0.0 + _times(half, np.conj(one)), 0.0)
     g = 0.0 + _times(model.F, one)  # the F-move's overlap entries
     g = np.where(np.abs(g) > DROP_TOLERANCE, g, 0.0)
-    later = np.zeros(g.shape, complex)
+    tensor = np.zeros(g.shape, complex)
     for y in range(model.n_labels):
         half = 0.0 + _times(g[..., y], r[None, :, :, None, None, y])
         half[np.abs(half) <= DROP_TOLERANCE] = 0.0
         w = np.conj(g[..., y].transpose(0, 2, 1, 3, 4))  # conj F^{pba}_q[z, y]
         terms = _times(half[..., :, None], w[..., None, :])
         stored = (half != 0)[..., :, None] & (w != 0)[..., None, :]
-        later = np.where(stored, later + terms, later)
-    for tensor in (first, later):
-        tensor.flags.writeable = False
-    return first, later
+        tensor = np.where(stored, tensor + terms, tensor)
+    tensor.flags.writeable = False
+    return tensor
 
 
 @_memo
-def braid_adjacent(
-    model: AnyonModel, n_modes: int, k: int, sense: str = "over", sector: str | int | None = None
-) -> SparseOperator:
+def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over") -> SparseOperator:
     """Unitary braid exchanging modes ``k`` and ``k+1`` (1-based) on the canonical basis.
 
     ``over`` applies the stored R-symbols ``R^{a_k a_{k+1}}_c`` for a
     counterclockwise exchange; ``under`` is its adjoint.  Each row takes its
-    entries from :func:`_braid_tensors`; its columns are the row's state with
-    leaves ``k, k+1`` swapped and each charge ``z`` on modes ``1..k``, found
-    by their labeling codes.  With a total-charge ``sector`` (a label or an
-    index) both bases keep that charge only: braids keep the total charge, so
-    the result is the full braid's block of that sector, bit for bit.
+    entries from :func:`_braid_tensors`, with ``p`` the vacuum and ``x`` leaf
+    ``k`` when ``k = 1``; its columns are the row's state with leaves ``k,
+    k+1`` swapped and each charge ``z`` on modes ``1..k``, found by their
+    labeling codes.  Braids keep the total charge, so a sector's block is
+    rows and columns ``offset .. offset + dim`` of the sector basis.
     """
     if not 1 <= k <= n_modes - 1:
         raise ValueError(f"braid index k={k} out of range for {n_modes} modes")
     if sense not in ("over", "under"):
         raise ValueError(f"unknown braid sense {sense!r}")
     if sense == "under":
-        return braid_adjacent(model, n_modes, k, "over", sector).dagger()
+        return braid_adjacent(model, n_modes, k, "over").dagger()
 
-    basis = FusionTreeBasis(model, n_modes, sector)
+    basis = FusionTreeBasis(model, n_modes)
     table = basis.table
     i, j = k - 1, k  # 0-based pair
     leaf_i, leaf_j = table.spans.index((i, i)), table.spans.index((j, j))
-    a, b, q = table.rows[:, leaf_i], table.rows[:, leaf_j], table.column((0, j))
+    a, b, q, x = (table.column(s) for s in ((i, i), (j, j), (0, j), (0, i)))
+    p = table.column((0, i - 1)) if k > 1 else model.vacuum
+    vals = _braid_tensors(model)[p, a, b, q, x]
     swapped = table.codes + (b - a) * (table.place[leaf_i] - table.place[leaf_j])
-    first, later = _braid_tensors(model)
-    if k == 1:
-        vals, codes = first[a, b, q][:, None], swapped[:, None]
-    else:
-        x_digit = table.spans.index((0, i))
-        x = table.rows[:, x_digit]
-        vals = later[table.column((0, i - 1)), a, b, q, x]
-        z = np.arange(model.n_labels)
-        codes = swapped[:, None] + (z - x[:, None]) * table.place[x_digit]
+    # Each column replaces the charge on modes 1..k, as it stands after the
+    # swap (``b`` when k = 1), by one ``z``.
+    place = table.place[table.spans.index((0, i))]
+    after = swapped // place % table.radix
+    codes = swapped[:, None] + (np.arange(model.n_labels) - after[:, None]) * place
     # Rows ascending, each row's columns ascending with z: canonical CSR.
     row, col = np.nonzero(np.abs(vals) > DROP_TOLERANCE)
     indptr = np.searchsorted(row, np.arange(basis.dim + 1))

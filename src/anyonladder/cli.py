@@ -270,8 +270,8 @@ def cmd_decompose(args) -> int:
             op = fixture(args.fixture)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-        if sites not in (None, (1, 2)):
-            raise ValueError("fixtures act on modes 1,2; --sites must be 1,2 or left out")
+        if sites is not None and sorted(sites) != [1, 2]:
+            raise ValueError("fixtures act on modes 1,2; --sites must name both or be left out")
         sites = (1, 2)
     else:
         model = _resolve_model(args.model)

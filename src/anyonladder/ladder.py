@@ -63,13 +63,15 @@ def rest_charges(model: AnyonModel, n_modes: int) -> tuple[int, ...]:
 def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]:
     """A mode-1 operator on modes ``1..last_mode``, each transported from the one before.
 
-    The columns of ``op`` may be one total-charge sector of the canonical
-    basis.  Braids keep the total charge, so each transport multiplies by the
-    ``under`` braid of that sector alone, and each row sector by its own
-    ``over`` braid (none for a sector without rows); every stored entry sums
-    the terms of the full-basis product in their order: the result is the
-    full transport's sector columns, bit for bit.  A zero ``op`` stays zero
-    and is returned for every mode.
+    ``family[k] = over @ family[k-1] @ under`` with ``over`` the full braid
+    of modes ``k-1, k``.  The columns of ``op`` may be one total-charge
+    sector of the canonical basis; ``under`` is then the adjoint of
+    ``over``'s block on that sector, built here and not cached, and
+    otherwise the full ``under`` braid.  Braids keep the total charge, so
+    that block is the full ``under`` braid's sector block, and each row of
+    ``over @ family[k-1]`` sums its terms as the sector products do: the
+    result is the full transport's sector columns, bit for bit.  A zero
+    ``op`` stays zero and is returned for every mode.
     """
     model = op.row_basis.model
     n = op.row_basis.n_modes
@@ -77,20 +79,16 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
         raise ValueError(f"mode {last_mode} out of range for {n} modes")
     if op.nnz == 0:
         return dict.fromkeys(range(1, last_mode + 1), op)
-    sector = op.col_basis.sector
-    # The canonical rows of each total charge, a range since charge sorts first.
-    bounds = np.searchsorted(op.row_basis.totals(), np.arange(model.n_labels + 1))
+    cols = op.col_basis
+    block = slice(cols.offset, cols.offset + cols.dim)
     family = {1: op}
     for k in range(2, last_mode + 1):
-        moved = family[k - 1]
-        if sector is None:
-            moved = braid_adjacent(model, n, k - 1, "over") @ moved
+        over = braid_adjacent(model, n, k - 1, "over")
+        if cols.sector is None:
+            under = braid_adjacent(model, n, k - 1, "under")
         else:
-            parts = [moved.matrix[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-            parts = [braid_adjacent(model, n, k - 1, "over", g).matrix @ part if part.nnz else part
-                     for g, part in enumerate(parts)]
-            moved = SparseOperator(op.row_basis, op.col_basis, sp.vstack(parts, format="csr")).drop()
-        family[k] = moved @ braid_adjacent(model, n, k - 1, "under", sector)
+            under = SparseOperator(cols, cols, over.matrix[block, block]).dagger()
+        family[k] = over @ family[k - 1] @ under
     return family
 
 

@@ -305,6 +305,95 @@ def z_n(n: int) -> AnyonModel:
     )
 
 
+def su2_k(k: int) -> AnyonModel:
+    """SU(2)_k through the public constructor.  Label ``"jm"`` is spin m/2,
+    the abelian j0 and jk first, then j1 .. j(k-1).  In units of half a spin,
+    a x b runs over c = |a - b|, |a - b| + 2, .. up to min(a + b, 2k - a - b).
+
+    With q = exp(2 pi i / (k + 2)) and [n] = sin(pi n / (k + 2)) / sin(pi / (k + 2)),
+    in spins (Bonderson, PhD thesis, Caltech 2007, with the q-6j symbol of
+    Kirillov & Reshetikhin 1989):
+
+        [F^{abc}_d]_{ef} = (-1)^{a+b+c+d} sqrt([2e+1] [2f+1]) {a b e; c d f}_q,
+        R^{ab}_c = (-1)^{c-a-b} q^{(c(c+1) - a(a+1) - b(b+1)) / 2},
+
+    the 6j symbol by the Racah sum over q-factorials."""
+    order = [0, k, *range(1, k)]  # twice the spin of each label, in label order
+    name = {m: f"j{m}" for m in order}
+
+    def qn(n):
+        return np.sin(np.pi * n / (k + 2)) / np.sin(np.pi / (k + 2))
+
+    def fact(n):  # [n]!
+        return float(np.prod([qn(i) for i in range(1, n + 1)]))
+
+    def fuses(a, b):  # in half-spin units, in label order
+        return sorted(range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2), key=order.index)
+
+    def delta(a, b, c):
+        return np.sqrt(fact((a + b - c) // 2) * fact((a - b + c) // 2) * fact((b + c - a) // 2)
+                       / fact((a + b + c) // 2 + 1))
+
+    def six_j(a, b, e, c, d, f):  # {a b e; c d f}_q
+        triads = [(a + b + e) // 2, (a + d + f) // 2, (c + b + f) // 2, (c + d + e) // 2]
+        quads = [(a + b + c + d) // 2, (a + c + e + f) // 2, (b + d + e + f) // 2]
+        racah = sum(
+            (-1) ** z * fact(z + 1)
+            / np.prod([fact(z - t) for t in triads] + [fact(p - z) for p in quads])
+            for z in range(max(triads), min(quads) + 1)
+        )
+        return delta(a, b, e) * delta(a, d, f) * delta(c, b, f) * delta(c, d, e) * racah
+
+    f_symbols = {}
+    for a, b, c, d in itertools.product(order[1:], order[1:], order[1:], order):
+        rows = [e for e in fuses(a, b) if d in fuses(e, c)]
+        cols = [f for f in fuses(b, c) if d in fuses(a, f)]
+        if rows:
+            sign = (-1) ** ((a + b + c + d) // 2)
+            f_symbols[name[a], name[b], name[c], name[d]] = np.array(
+                [[sign * np.sqrt(qn(e + 1) * qn(f + 1)) * six_j(a, b, e, c, d, f) for f in cols]
+                 for e in rows]
+            )
+    q = np.exp(2j * np.pi / (k + 2))
+    r_symbols = {
+        (name[a], name[b], name[c]):
+            (-1) ** ((c - a - b) // 2) * q ** ((c * (c + 2) - a * (a + 2) - b * (b + 2)) / 8)
+        for a, b in itertools.product(order[1:], repeat=2) for c in fuses(a, b)
+    }
+    return AnyonModel(
+        name=f"SU2_{k}",
+        labels=list(name.values()),
+        vacuum="j0",
+        dual={label: label for label in name.values()},
+        triples=[(name[a], name[b], name[c]) for a in order for b in order for c in fuses(a, b)],
+        f_symbols=f_symbols,
+        r_symbols=r_symbols,
+    )
+
+
+def subtheory(model, labels) -> AnyonModel:
+    """The theory of ``labels`` alone, through the public constructor: the
+    fusion rules, F- and R-symbols of ``model`` on those labels, which must
+    include the vacuum and be closed under fusion."""
+    idx = [model.labels.index(label) for label in labels]
+    lab = model.labels
+    f_symbols = {}
+    for a, b, c, d in itertools.product(idx, repeat=4):
+        block = f_block(model, a, b, c, d)
+        if block is not None and model.vacuum not in (a, b, c):
+            f_symbols[lab[a], lab[b], lab[c], lab[d]] = block[2]
+    fused = [(a, b, c) for a, b, c in zip(*np.nonzero(model.fusion)) if a in idx and b in idx]
+    r_symbols = {(lab[a], lab[b], lab[c]): model.R[a, b, c]
+                 for a, b, c in fused if model.vacuum not in (a, b)}
+    return AnyonModel(
+        f"{model.name}_{'_'.join(labels)}", labels, lab[model.vacuum],
+        {lab[a]: lab[model.dual[a]] for a in idx},
+        [(lab[a], lab[b], lab[c]) for a, b, c in fused],
+        f_symbols,
+        r_symbols,
+    )
+
+
 def vertex_gauge(model, seed: int, gauge_r: bool = True) -> AnyonModel:
     """``model`` under a random vertex gauge transform, through the public
     constructor: with a unit phase u^{ab}_c on every vertex (1 where a or b

@@ -115,20 +115,41 @@ def test_sector_recoupling_is_the_full_one_sliced_byte_for_byte(fib, fermion, is
                     assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, shape, g)
 
 
-def test_sector_braid_is_the_full_one_sliced_byte_for_byte(fib, fermion, ising):
-    """On a sector, ``braid_adjacent`` gives the full braid's block of that
-    sector, with its CSR bytes, for every pair, both senses and every sector."""
+def test_sector_under_block_is_the_adjoint_of_the_over_block_byte_for_byte(fib, fermion, ising):
+    """The adjoint of the full ``over`` braid's block on a sector's rows
+    ``offset .. offset + dim`` has the CSR bytes of the full ``under``
+    braid's block of that sector, for every pair and every sector: the
+    ``under`` factor a sector transport builds."""
     for model, n_max in ((fib, 6), (fermion, 6), (ising, 5)):
         for n in range(2, n_max + 1):
             for k in range(1, n):
-                for sense in ("over", "under"):
-                    full = braid_adjacent(model, n, k, sense)
-                    for g in range(model.n_labels):
-                        got = braid_adjacent(model, n, k, sense, sector=g)
-                        assert got.row_basis.sector == got.col_basis.sector == g
-                        idx = full.row_basis.sector_indices(g)
-                        want = SparseOperator(got.row_basis, got.col_basis, full.matrix[idx][:, idx])
-                        assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, k, sense, g)
+                over = braid_adjacent(model, n, k, "over")
+                under = braid_adjacent(model, n, k, "under")
+                for g in range(model.n_labels):
+                    sector = FusionTreeBasis(model, n, sector=g)
+                    block = slice(sector.offset, sector.offset + sector.dim)
+                    got = SparseOperator(sector, sector, over.matrix[block, block]).dagger()
+                    idx = under.row_basis.sector_indices(g)
+                    want = SparseOperator(sector, sector, under.matrix[idx][:, idx])
+                    assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, k, g)
+
+
+def test_sector_rows_are_the_full_rows_from_their_offset(fib, fermion, ising):
+    """Each sector table is the full table's rows ``offset .. offset + dim``,
+    and the sectors, in charge order, tile the full table."""
+    for model in (fib, fermion, ising):
+        for n in range(1, 7):
+            for shape in (left_comb(0, n - 1), right_comb(0, n - 1)):
+                full = FusionTreeBasis(model, n, shape=shape)
+                assert full.offset == 0
+                end = 0
+                for g in range(model.n_labels):
+                    sector = FusionTreeBasis(model, n, sector=g, shape=shape)
+                    assert sector.offset == end
+                    rows = full.table.rows[sector.offset:sector.offset + sector.dim]
+                    assert np.array_equal(sector.table.rows, rows)
+                    end += sector.dim
+                assert end == full.dim
 
 
 def test_sector_tables_are_views_of_the_shared_table(fib, fermion, ising):
@@ -682,7 +703,7 @@ def test_memo_keys_calls_by_bound_arguments(fib):
     assert len(fib._op_cache) == size
     raw = braid_adjacent.__wrapped__
     keys = [key[1:] for key in fib._op_cache if key[0] is raw and key[1:3] == (4, 2)]
-    assert [key for key in keys if key[2] != "under"] == [(4, 2, "over", None)]
+    assert [key for key in keys if key[2] != "under"] == [(4, 2, "over")]
 
 
 def test_memo_stores_nothing_for_a_raising_call(fib):

@@ -359,11 +359,21 @@ def test_decompose_fixture_acts_on_modes_one_and_two_only(capsys):
     plain = capsys.readouterr().out
     assert main(["decompose", "--fixture", "n1", "--sites", "1,2"]) == 0
     assert capsys.readouterr().out == plain
-    for sites in ("3", "2,3"):
+    for sites in ("3", "2,3", "1,1,2"):
         code = main(["decompose", "--fixture", "n1", "--sites", sites])
         err = capsys.readouterr().err
         assert code == 2
         assert "--sites" in err
+
+
+def test_decompose_fixture_sites_in_either_order_give_the_same_bytes(capsys, tmp_path):
+    """``--sites 2,1`` names the region ``1,2``, as it does with ``--op``."""
+    runs = []
+    for sites in ("1,2", "2,1"):
+        out_file = tmp_path / f"{sites}.json"
+        assert main(["decompose", "--fixture", "n1", "--sites", sites, "--out", str(out_file)]) == 0
+        runs.append((capsys.readouterr().out.replace(str(out_file), "OUT"), out_file.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("model", ["ising", "nonexistent.json"])
