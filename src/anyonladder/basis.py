@@ -72,9 +72,6 @@ class FusionTreeBasis:
         """Total charge per state, as a read-only column of ``table``."""
         return self.table.column(self.root_span)
 
-    def sector_indices(self, g: int) -> np.ndarray:
-        return np.flatnonzero(self.totals() == g)
-
     def state_label(self, i: int) -> str:
         """Human-readable ``(a_1 .. a_n; d_1 .. d_{n-1})`` string."""
         names = self.model.labels
@@ -568,8 +565,20 @@ def braid_word(model: AnyonModel, n_modes: int, word) -> SparseOperator:
     return result
 
 
+def _sector_block(op: SparseOperator, sector: FusionTreeBasis) -> SparseOperator:
+    """The block of the charge-keeping ``op`` on ``sector`` (one total-charge
+    sector of its basis, or all of it): ``op``'s rows ``offset .. offset +
+    dim`` as stored, columns shifted, ``data`` a view (scipy copies a view of
+    under half of ``op``'s entries)."""
+    mat, lo = op.matrix, sector.offset - op.row_basis.offset
+    ptr = mat.indptr[lo:lo + sector.dim + 1]
+    data, cols = mat.data[ptr[0]:ptr[-1]], mat.indices[ptr[0]:ptr[-1]] - lo
+    return SparseOperator(sector, sector, sp.csr_matrix((data, cols, ptr - ptr[0]), shape=(sector.dim,) * 2))
+
+
 def total_charge_projector(model: AnyonModel, n_modes: int, g: str) -> SparseOperator:
-    """Diagonal projector onto total charge ``g`` on the canonical basis."""
+    """Diagonal projector onto total charge ``g``: the identity on its rows."""
     basis = FusionTreeBasis(model, n_modes)
-    entries = {(i, i): 1.0 for i in basis.sector_indices(model.index(g))}
-    return SparseOperator.from_entries(basis, basis, entries)
+    sector = FusionTreeBasis(model, n_modes, model.index(g))
+    rows = np.arange(sector.offset, sector.offset + sector.dim)
+    return SparseOperator.from_entries(basis, basis, (rows, rows, np.ones(sector.dim)))

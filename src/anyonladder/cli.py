@@ -259,7 +259,10 @@ def cmd_decompose(args) -> int:
         return EXIT_OK
     if (args.op is None) == (args.fixture is None):
         raise ValueError("exactly one of --op or --fixture is required")
-    sites = None if args.sites is None else tuple(int(s) for s in args.sites.split(","))
+    try:
+        sites = None if args.sites is None else tuple(int(s) for s in args.sites.split(","))
+    except ValueError:
+        raise ValueError(f"--sites must be comma-separated mode numbers, got {args.sites!r}") from None
     if args.fixture is not None:
         if args.model != "fibonacci":
             raise ValueError(

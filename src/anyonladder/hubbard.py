@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse.linalg import eigsh
 
-from .basis import SparseOperator
+from .basis import FusionTreeBasis, SparseOperator, _sector_block
 # fibonacci_pair stays a module attribute: the benchmark's tracer rebinds it
 # here (perfbench/test_perfbench.py::test_tracer_rebinds_every_copy_and_restores).
 from .ladder import FibonacciPair, _shared_pair, fibonacci_pair  # noqa: F401
@@ -232,9 +232,7 @@ class Spectrum:
     ``method`` records the solver: ``dense`` returns the full sector
     spectrum, with the bits of ``np.linalg.eigh``, ``iterative`` only the
     lowest few eigenvalues.  The ground state, when requested, lives in the
-    basis of the diagonalized operator:
-    embedded into the full canonical basis for a full operator, on the
-    sector basis for an operator built on one sector.
+    basis of the diagonalized operator, zero off the sector's rows.
     """
 
     sector: str
@@ -257,7 +255,8 @@ def diagonalize(
 ) -> Spectrum:
     """Eigenvalues of one total-charge block of a Hermitian operator.
 
-    The sector block is sliced straight from the CSR matrix and symmetrised
+    The block, of a full operator and a sector operator alike, is the
+    sector's CSR rows ``offset .. offset + dim`` of ``h``, symmetrised
     there; the full operator is never densified, and the Hermiticity check
     runs on the sparse difference ``h - h^dagger``.  An operator on a sector
     basis is its own block and can only be solved for that sector.
@@ -285,24 +284,20 @@ def diagonalize(
         raise ValueError("operator is not Hermitian; cannot diagonalize")
     if not h.is_charge_diagonal():
         raise ValueError("operator mixes total-charge sectors")
-    idx = basis.sector_indices(g)
-    if len(idx) == 0:
-        raise ValueError(
-            f"sector {model.labels[g]} is empty for {basis.n_modes} modes"
-        )
-    block = h.matrix if basis.sector is not None else h.matrix[idx][:, idx]
+    rows = FusionTreeBasis(model, basis.n_modes, g, shape=basis.shape)
+    block = _sector_block(h, rows).matrix
     block = (block + block.conj().T) / 2.0
 
     if method is None:
-        method = "dense" if len(idx) <= DENSE_CUTOFF else "iterative"
-    if len(idx) <= k_extremal + 1:
+        method = "dense" if rows.dim <= DENSE_CUTOFF else "iterative"
+    if rows.dim <= k_extremal + 1:
         method = "dense"
     if method == "dense":
         vals, ground = _dense_solve(block, want_vector)
     else:
         # A seeded start vector, uniform on (-1, 1) in both parts as ARPACK
         # draws its own, makes the result a function of the block alone.
-        start = np.random.default_rng(0).uniform(-1.0, 1.0, (2, len(idx)))
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, (2, rows.dim))
         vals, vecs = eigsh(block, k=k_extremal, which="SA", v0=start[0] + 1j * start[1])
         order = np.argsort(vals)
         vals = vals[order]
@@ -311,8 +306,8 @@ def diagonalize(
     vector = None
     if want_vector:
         vector = np.zeros(basis.dim, dtype=complex)
-        vector[idx] = ground
-    return Spectrum(model.labels[g], len(idx), method, np.real(vals), vector)
+        vector[rows.offset - basis.offset + np.arange(rows.dim)] = ground
+    return Spectrum(model.labels[g], rows.dim, method, np.real(vals), vector)
 
 
 # zheevd hands blocks of at most this dimension (LAPACK's SMLSIZ) to zsteqr

@@ -26,7 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import trees
-from .basis import FusionTreeBasis, SparseOperator, braid_adjacent, _factored_states, _label_table, _memo
+from .basis import (
+    FusionTreeBasis, SparseOperator, braid_adjacent, _factored_states, _label_table, _memo, _sector_block,
+)
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol
 
@@ -64,14 +66,10 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
     """A mode-1 operator on modes ``1..last_mode``, each transported from the one before.
 
     ``family[k] = over @ family[k-1] @ under`` with ``over`` the full braid
-    of modes ``k-1, k``.  The columns of ``op`` may be one total-charge
-    sector of the canonical basis; ``under`` is then the adjoint of
-    ``over``'s block on that sector, built here and not cached, and
-    otherwise the full ``under`` braid.  Braids keep the total charge, so
-    that block is the full ``under`` braid's sector block, and each row of
-    ``over @ family[k-1]`` sums its terms as the sector products do: the
-    result is the full transport's sector columns, bit for bit.  A zero
-    ``op`` stays zero and is returned for every mode.
+    of modes ``k-1, k`` and ``under`` the adjoint of ``over``'s block on the
+    columns of ``op``, all of the canonical basis or one total-charge sector.
+    Braids keep the total charge, so a sector's family is the full family's
+    sector columns, bit for bit.  A zero ``op`` stays zero for every mode.
     """
     model = op.row_basis.model
     n = op.row_basis.n_modes
@@ -79,16 +77,10 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
         raise ValueError(f"mode {last_mode} out of range for {n} modes")
     if op.nnz == 0:
         return dict.fromkeys(range(1, last_mode + 1), op)
-    cols = op.col_basis
-    block = slice(cols.offset, cols.offset + cols.dim)
     family = {1: op}
     for k in range(2, last_mode + 1):
         over = braid_adjacent(model, n, k - 1, "over")
-        if cols.sector is None:
-            under = braid_adjacent(model, n, k - 1, "under")
-        else:
-            under = SparseOperator(cols, cols, over.matrix[block, block]).dagger()
-        family[k] = over @ family[k - 1] @ under
+        family[k] = over @ family[k - 1] @ _sector_block(over, op.col_basis).dagger()
     return family
 
 

@@ -606,7 +606,7 @@ def element_family_loop(model, n_modes: int, a: int, terms, last_mode: int, sect
     if sector is None:
         return family
     cols = FusionTreeBasis(model, n_modes, sector)
-    idx = op.row_basis.sector_indices(sector)
+    idx = np.flatnonzero(op.row_basis.totals() == sector)
     return {k: SparseOperator(op.row_basis, cols, op.matrix[:, idx]) for k, op in family.items()}
 
 

@@ -18,6 +18,7 @@ from anyonladder.basis import (
     _move_matrix,
     _pairs,
     _recouple,
+    _sector_block,
     braid_adjacent,
     braid_word,
     recouple,
@@ -47,16 +48,6 @@ def test_dimensions_match_path_counting(fib, fermion, ising):
 def test_fibonacci_dimension_sequence(fib):
     dims = [FusionTreeBasis(fib, n).dim for n in range(1, 7)]
     assert dims == [2, 5, 13, 34, 89, 233]
-
-
-def test_sector_indices_partition(fib):
-    basis = FusionTreeBasis(fib, 4)
-    sizes = [len(basis.sector_indices(g)) for g in range(fib.n_labels)]
-    assert sizes == [13, 21]
-    together = np.sort(np.concatenate([basis.sector_indices(g) for g in (0, 1)]))
-    assert np.array_equal(together, np.arange(basis.dim))
-    counts = orc.path_counts(fib, 4)
-    assert sizes == [counts[0], counts[1]]
 
 
 def test_state_label_format(fib):
@@ -110,7 +101,8 @@ def test_sector_recoupling_is_the_full_one_sliced_byte_for_byte(fib, fermion, is
                     got = recouple(FusionTreeBasis(model, n, sector=g), shape)
                     assert got.row_basis.sector == got.col_basis.sector == g
                     assert got.row_basis.shape == shape
-                    rows, cols = full.row_basis.sector_indices(g), full.col_basis.sector_indices(g)
+                    rows = np.flatnonzero(full.row_basis.totals() == g)
+                    cols = np.flatnonzero(full.col_basis.totals() == g)
                     want = SparseOperator(got.row_basis, got.col_basis, full.matrix[rows][:, cols])
                     assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, shape, g)
 
@@ -119,19 +111,34 @@ def test_sector_under_block_is_the_adjoint_of_the_over_block_byte_for_byte(fib, 
     """The adjoint of the full ``over`` braid's block on a sector's rows
     ``offset .. offset + dim`` has the CSR bytes of the full ``under``
     braid's block of that sector, for every pair and every sector: the
-    ``under`` factor a sector transport builds."""
+    ``under`` factor a sector transport builds.  On the whole basis the
+    block is ``over`` itself, and its adjoint the full ``under`` braid."""
     for model, n_max in ((fib, 6), (fermion, 6), (ising, 5)):
         for n in range(2, n_max + 1):
             for k in range(1, n):
                 over = braid_adjacent(model, n, k, "over")
                 under = braid_adjacent(model, n, k, "under")
+                assert orc.csr_bytes(_sector_block(over, over.row_basis).dagger()) == orc.csr_bytes(under)
                 for g in range(model.n_labels):
                     sector = FusionTreeBasis(model, n, sector=g)
-                    block = slice(sector.offset, sector.offset + sector.dim)
-                    got = SparseOperator(sector, sector, over.matrix[block, block]).dagger()
-                    idx = under.row_basis.sector_indices(g)
+                    got = _sector_block(over, sector).dagger()
+                    assert got.row_basis is got.col_basis is sector
+                    idx = np.flatnonzero(under.row_basis.totals() == g)
                     want = SparseOperator(sector, sector, under.matrix[idx][:, idx])
                     assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, k, g)
+
+
+def test_sector_block_of_every_row_is_a_view(fib, ising):
+    """A block of all of an operator's rows, as the whole basis's block and
+    a sector operator's own block are, keeps the operator's values rather
+    than a copy, and has its CSR bytes."""
+    for model in (fib, ising):
+        over = braid_adjacent(model, 4, 2)
+        sectors = [FusionTreeBasis(model, 4, sector=g) for g in range(model.n_labels)]
+        for op, basis in [(over, over.row_basis)] + [(_sector_block(over, s), s) for s in sectors]:
+            whole = _sector_block(op, basis)
+            assert np.shares_memory(whole.matrix.data, op.matrix.data)
+            assert orc.csr_bytes(whole) == orc.csr_bytes(op)
 
 
 def test_sector_rows_are_the_full_rows_from_their_offset(fib, fermion, ising):
@@ -226,15 +233,21 @@ def test_braid_word_composition(fib):
     assert np.allclose(w.to_dense(), direct.to_dense(), atol=1e-12)
 
 
-def test_total_charge_projectors(fib):
-    basis = FusionTreeBasis(fib, 3)
-    projs = [total_charge_projector(fib, 3, g) for g in fib.labels]
-    acc = sum(p.to_dense() for p in projs)
-    assert np.allclose(acc, np.eye(basis.dim))
-    for p in projs:
-        d = p.to_dense()
-        assert np.allclose(d @ d, d)
-    assert np.allclose((projs[0] @ projs[1]).to_dense(), 0.0)
+def test_total_charge_projectors(fib, fermion, ising):
+    """Each projector, the identity on its sector's rows, has the CSR bytes
+    of the projector built from the states of that total charge, and the
+    projectors sum to the identity."""
+    for model in (fib, fermion, ising):
+        for n in range(1, 6):
+            basis = FusionTreeBasis(model, n)
+            total = SparseOperator.zero(basis)
+            for g, label in enumerate(model.labels):
+                got = total_charge_projector(model, n, label)
+                idx = np.flatnonzero(basis.totals() == g)
+                want = SparseOperator.from_entries(basis, basis, {(i, i): 1.0 for i in idx})
+                assert orc.csr_bytes(got) == orc.csr_bytes(want), (model.labels, n, label)
+                total = total + got
+            assert orc.csr_bytes(total) == orc.csr_bytes(SparseOperator.identity(basis)), (model.labels, n)
 
 
 def test_sparse_operator_algebra(fib):
@@ -449,7 +462,7 @@ def test_vectorised_charge_helpers_match_loops(fib, ising):
         assert np.array_equal(basis.totals(), _loop_totals(basis))
         for g in range(model.n_labels):
             want = np.array([i for i, t in enumerate(_loop_totals(basis)) if t == g])
-            assert np.array_equal(basis.sector_indices(g), want.astype(int))
+            assert np.array_equal(np.flatnonzero(basis.totals() == g), want.astype(int))
         sectored = FusionTreeBasis(model, 4, sector=model.labels[1])
         assert np.array_equal(sectored.totals(), _loop_totals(sectored))
         ops = [braid_adjacent(model, 4, 2), SparseOperator.zero(basis)]

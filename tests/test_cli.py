@@ -366,6 +366,20 @@ def test_decompose_fixture_acts_on_modes_one_and_two_only(capsys):
         assert "--sites" in err
 
 
+@pytest.mark.parametrize("sites", ["1,x", "", "1,,2"])
+def test_decompose_names_the_sites_option_for_a_non_number(capsys, tmp_path, sites):
+    """A ``--sites`` entry that is not a mode number is a usage error that
+    names the option, with ``--fixture`` and with ``--op`` alike."""
+    fib = builtin("fibonacci")
+    path = tmp_path / "op.triplets"
+    path.write_text(dump_operator(SparseOperator.identity(FusionTreeBasis(fib, 2))))
+    for subject in (["--fixture", "n1"], ["--op", str(path), "--model", "fibonacci"]):
+        code = main(["decompose", *subject, "--sites", sites])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"--sites must be comma-separated mode numbers, got {sites!r}" in captured.err
+
+
 def test_decompose_fixture_sites_in_either_order_give_the_same_bytes(capsys, tmp_path):
     """``--sites 2,1`` names the region ``1,2``, as it does with ``--op``."""
     runs = []
