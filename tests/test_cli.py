@@ -323,6 +323,23 @@ def test_ladder_exports_match_their_pinned_sha256(tmp_path, capsys):
     assert got == want
 
 
+def test_decompose_fixtures_match_their_pinned_sha256(tmp_path, monkeypatch, capsys):
+    """``decompose --fixture F --out F.json``, run from one directory, writes
+    ``F.json`` and prints ``F.txt`` with the digests of
+    ``tests/data/decompose-sha256.txt`` (the CI checks the same list with
+    ``sha256sum -c``)."""
+    pins = (Path(__file__).parent / "data" / "decompose-sha256.txt").read_text().splitlines()
+    want = {name: digest for digest, name in (line.split("  ", 1) for line in pins)}
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name in fixture_names():
+        assert main(["decompose", "--fixture", name, "--out", f"{name}.json"]) == 0
+        for suffix, data in ((".txt", capsys.readouterr().out.encode()),
+                             (".json", (tmp_path / f"{name}.json").read_bytes())):
+            got[name + suffix] = hashlib.sha256(data).hexdigest()
+    assert got == want
+
+
 def test_decompose_list_fixtures(capsys):
     code = main(["decompose", "--list-fixtures"])
     out = capsys.readouterr().out
