@@ -39,7 +39,7 @@ from .ladder import (
     transport_to_mode,
 )
 from .model import AnyonModel, ModelDataError, ValidationReport, rounding_cut
-from .polynomial import GeneratorSymbol, LadderPolynomial, _fill_cache, _letter
+from .polynomial import GeneratorSymbol, LadderPolynomial, _PolynomialFrame, _fill_cache, _letter
 
 __all__ = [
     "RegionState",
@@ -592,16 +592,19 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
 
 
 @_memo
-def _region_polys(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> list[LadderPolynomial]:
+def _region_frame(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> _PolynomialFrame:
     """The polynomials of ``_product_frame(model, n_modes, len(s))``, their
-    modes ``1..M`` relabelled to the region ``s``.
+    modes ``1..M`` relabelled to the region ``s``, compiled once into a
+    ``polynomial._PolynomialFrame`` over the shared word cache.
 
     Frame polynomials hold no mode above ``M``, so the relabelling is one to
     one on words, and a weighted sum of these equals the sum of the frame
     polynomials relabelled afterwards.
     """
     mode_map = {k + 1: mode for k, mode in enumerate(s)}
-    return [poly.relabel_modes(mode_map) for poly in _product_frame(model, n_modes, len(s))[1]]
+    polys = [poly.relabel_modes(mode_map) for poly in _product_frame(model, n_modes, len(s))[1]]
+    identity = SparseOperator.identity(FusionTreeBasis(model, n_modes))
+    return _PolynomialFrame(polys, resolver(model, n_modes), _word_cache(model, n_modes), identity)
 
 
 def decompose_observable(
@@ -661,18 +664,17 @@ def decompose_observable(
             f"(span residual {span_residual:.3e})"
         )
 
-    parts = []
-    coefficients: dict[tuple[str, str, str], complex] = {}
-    for c, (x, xp, variant), poly in zip(coeffs, entries, _region_polys(model, n, s)):
-        if abs(c) <= 1e-13:
-            continue
-        parts.append((complex(c), poly))
-        coefficients[(x.label(model), xp.label(model), variant)] = complex(c)
-    polynomial = LadderPolynomial.sum(parts)
-
-    evaluated = polynomial.evaluate_with_identity(
-        resolver(model, n), SparseOperator.identity(basis), cache=_word_cache(model, n)
-    )
+    # The weighted sum and its evaluation, on the region's compiled frame,
+    # built by the first fit that passes the span check.
+    frame = _region_frame(model, n, s)
+    kept = np.flatnonzero(np.abs(coeffs) > 1e-13)
+    coefficients = {}
+    for i in kept.tolist():
+        x, xp, variant = entries[i]
+        coefficients[(x.label(model), xp.label(model), variant)] = complex(coeffs[i])
+    terms = frame.weighted_sum(kept, coeffs[kept])
+    polynomial = frame.polynomial(*terms)
+    evaluated = frame.evaluate(*terms)
     eval_residual = float((evaluated - op).norm_max())
     return Decomposition(s, polynomial, coefficients, span_residual, eval_residual)
 

@@ -24,7 +24,12 @@ those of the full H sliced to the sector, and so are its eigenvalues.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,7 +273,9 @@ def diagonalize(
     The dense solve runs LAPACK zheevd's steps but back-transforms only the
     ground vector, and none without ``want_vector``; its eigenvalues and
     ground vector have the bits of ``np.linalg.eigh`` (see
-    ``_dense_solve``).
+    ``_dense_solve``).  Either solve runs with every loaded OpenBLAS on one
+    thread (``_one_blas_thread``), so its bits do not depend on the BLAS
+    thread count.
     """
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}; expected dense or iterative")
@@ -293,12 +300,14 @@ def diagonalize(
     if rows.dim <= k_extremal + 1:
         method = "dense"
     if method == "dense":
-        vals, ground = _dense_solve(block, want_vector)
+        with _one_blas_thread():
+            vals, ground = _dense_solve(block, want_vector)
     else:
         # A seeded start vector, uniform on (-1, 1) in both parts as ARPACK
         # draws its own, makes the result a function of the block alone.
         start = np.random.default_rng(0).uniform(-1.0, 1.0, (2, rows.dim))
-        vals, vecs = eigsh(block, k=k_extremal, which="SA", v0=start[0] + 1j * start[1])
+        with _one_blas_thread():
+            vals, vecs = eigsh(block, k=k_extremal, which="SA", v0=start[0] + 1j * start[1])
         order = np.argsort(vals)
         vals = vals[order]
         ground = vecs[:, order[0]]
@@ -308,6 +317,76 @@ def diagonalize(
         vector = np.zeros(basis.dim, dtype=complex)
         vector[rows.offset - basis.offset + np.arange(rows.dim)] = ground
     return Spectrum(model.labels[g], rows.dim, method, np.real(vals), vector)
+
+
+# The thread-count calls of an OpenBLAS, by the symbols that numpy's wheels
+# (64-bit integers), scipy's wheels and a plain build export.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+class _PhdrInfo(ctypes.Structure):  # the head of glibc's struct dl_phdr_info
+    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+
+_VISIT = ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
+)
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """``(get, set)`` of the thread count of every OpenBLAS loaded in this
+    process, found by listing its shared objects with ``dl_iterate_phdr``;
+    none where the C library has no such call."""
+    paths = []
+
+    @_VISIT
+    def visit(info, _size, _data):
+        paths.append(info.contents.name)
+        return 0
+
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except AttributeError:
+        return ()
+    iterate.argtypes, iterate.restype = [_VISIT, ctypes.c_void_p], ctypes.c_int
+    iterate(visit, None)
+    calls = []
+    for path in filter(None, paths):
+        if b"openblas" in os.path.basename(path).lower():
+            lib = ctypes.CDLL(os.fsdecode(path))
+            for get, put in _OPENBLAS_THREAD_CALLS:
+                if hasattr(lib, get) and hasattr(lib, put):
+                    get, put = getattr(lib, get), getattr(lib, put)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    calls.append((get, put))
+                    break
+    return tuple(calls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then give each
+    its old count back.  A threaded BLAS rounds by its thread count, so the
+    sector solves, and the ``hubbard --out`` files, would depend on it.  The
+    count is the process's, so one thread at a time holds it."""
+    calls = _openblas_threads()
+    with _BLAS_THREADS_LOCK:
+        counts = [get() for get, _put in calls]
+        for _get, put in calls:
+            put(1)
+        try:
+            yield
+        finally:
+            for (_get, put), count in zip(calls, counts):
+                put(count)
 
 
 # zheevd hands blocks of at most this dimension (LAPACK's SMLSIZ) to zsteqr
@@ -376,17 +455,18 @@ def occupation_profile(state: np.ndarray, pair: FibonacciPair) -> np.ndarray:
     Unnormalized input is rescaled with a warning.
     """
     state = np.asarray(state, dtype=complex)
-    norm = float(np.linalg.norm(state))
-    if norm == 0.0:
-        raise ValueError("cannot profile the zero vector")
-    if abs(norm - 1.0) > 1e-9:
-        warnings.warn(f"state norm {norm:.6g} != 1; rescaling", stacklevel=2)
-        state = state / norm
-    densities = np.empty(pair.n_modes)
-    for i in range(1, pair.n_modes + 1):
-        acc = 0.0
-        for family in (pair.alpha, pair.beta):
-            vec = family[i].apply(state)
-            acc += float(np.real(np.vdot(vec, vec)))
-        densities[i - 1] = acc
+    with _one_blas_thread():  # the BLAS threads the norm and the dot products of long vectors
+        norm = float(np.linalg.norm(state))
+        if norm == 0.0:
+            raise ValueError("cannot profile the zero vector")
+        if abs(norm - 1.0) > 1e-9:
+            warnings.warn(f"state norm {norm:.6g} != 1; rescaling", stacklevel=2)
+            state = state / norm
+        densities = np.empty(pair.n_modes)
+        for i in range(1, pair.n_modes + 1):
+            acc = 0.0
+            for family in (pair.alpha, pair.beta):
+                vec = family[i].apply(state)
+                acc += float(np.real(np.vdot(vec, vec)))
+            densities[i - 1] = acc
     return densities

@@ -20,14 +20,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import DROP_TOLERANCE, SparseOperator, _CSRBlock, _gather, _matmul_batch
+from .basis import (
+    DROP_TOLERANCE, SparseOperator, _CSRBlock, _gather, _matmul_batch, _ranges, _times,
+)
 
 __all__ = ["GeneratorSymbol", "LadderPolynomial", "MERGE_TOLERANCE"]
 
 MERGE_TOLERANCE = 1e-12
-# Entries of the term-by-support product matrix folded at once by an
-# evaluation (512 KB), so that memory stays bounded for any term count.
-_FOLD_CHUNK = 1 << 15
 
 
 class GeneratorSymbol(NamedTuple):
@@ -121,34 +120,161 @@ def _fill_cache(words: Sequence[Word], resolver, cache: dict, identity) -> None:
         cache.update(zip(batch, zip(repeat(block), range(len(batch)))))
 
 
+def _cells(owner: np.ndarray, flat: np.ndarray, vals: np.ndarray):
+    """Each owner's matrix at its stored positions, as ``to_dense`` makes it:
+    one value per owner and flat position, its entries there added to zero
+    in stored order.  Returns ``(owner, flat, value)``, sorted by owner, then
+    position."""
+    span = np.int64(flat.max() + 1 if len(flat) else 1)
+    cells, inverse = np.unique(owner * span + flat, return_inverse=True)
+    dense = np.zeros(len(cells), complex)
+    np.add.at(dense, inverse, vals)
+    owner, flat = np.divmod(cells, span)
+    return owner, flat, dense
+
+
+def _minus_zero(x: np.ndarray) -> np.ndarray:
+    return (x == 0) & np.signbit(x)
+
+
 def _fold(coeffs: np.ndarray, owner: np.ndarray, pos: np.ndarray, vals: np.ndarray,
           width: int) -> np.ndarray:
     """The sum of ``coeffs[t] * M_t`` over the terms ``t`` in order, on
     ``width`` positions; ``M_t`` holds the ``vals`` whose ``owner`` is ``t``
-    at their positions ``pos`` (``owner`` ascending).
+    at their positions ``pos`` (``owner`` ascending, one value per term and
+    position, as :func:`_cells` makes them).
 
     It has the bits of the dense fold ``dense = c_0 * M_0; dense += c_t *
-    M_t`` at those positions (elsewhere that fold is a signed zero, which
-    evaluation drops): each ``M_t`` is its entries added to zero in stored
-    order, as ``to_dense`` makes it; the products are numpy's complex
-    multiply, as in that fold (it may fuse multiply and add); and
-    ``np.add.accumulate`` adds down the term axis one row at a time, where
-    ``np.add.reduce`` may add pairwise.  At most ``_FOLD_CHUNK`` entries are
-    folded at once, the running sum added into the first row of each chunk.
+    M_t`` wherever that fold is not zero in both parts (such a position is
+    dropped by evaluation): the products are numpy's complex multiply, as in
+    that fold (it may fuse multiply and add), and the unbuffered
+    ``np.add.at`` adds each position's products one at a time in term order,
+    from zero.  A term with no entry at a position adds ``c_t * 0`` there in
+    the dense fold; that moves no sum, only the sign of a zero part, which is
+    ``-0.0`` exactly when every term's product there is ``-0.0``.
     """
-    size = max(1, _FOLD_CHUNK // max(width, 1))
-    bounds = np.searchsorted(owner, np.arange(0, len(coeffs) + size, size))
-    total = None
-    for k, lo in enumerate(range(0, len(coeffs), size)):
-        hi = min(lo + size, len(coeffs))
-        mats = np.zeros((hi - lo, width), complex)
-        entries = slice(bounds[k], bounds[k + 1])
-        np.add.at(mats, (owner[entries] - lo, pos[entries]), vals[entries])
-        mats = coeffs[lo:hi, None] * mats
-        if total is not None:
-            mats[0] += total
-        total = np.add.accumulate(mats, axis=0, out=mats)[-1]
+    products = coeffs[owner] * vals
+    total = np.zeros(width, complex)
+    np.add.at(total, pos, products)
+    lone = (total.real == 0) != (total.imag == 0)  # one zero part, whose sign shows
+    if lone.any():
+        missing = coeffs * 0j  # what a term adds where it has no entry
+        for part in ("real", "imag"):
+            # Terms whose product is not -0.0 in this part: those with an
+            # entry at each position, then those without one.
+            unsigned = ~_minus_zero(getattr(missing, part))
+            plus = (np.bincount(pos, ~_minus_zero(getattr(products, part)), width)
+                    + unsigned.sum() - np.bincount(pos, unsigned[owner], width))
+            out = getattr(total, part)
+            out[lone & (out == 0) & (plus == 0)] = -0.0
     return total
+
+
+def _operator(row_basis, col_basis, flat: np.ndarray, folded: np.ndarray) -> SparseOperator:
+    """The operator with the values ``folded`` at the ascending flat
+    positions ``flat``: the entries ``drop`` would keep, stored as ``drop``
+    stores them."""
+    keep = np.flatnonzero(np.abs(folded) > DROP_TOLERANCE)
+    rows, cols = np.divmod(flat[keep], col_basis.dim)
+    return SparseOperator.from_entries(row_basis, col_basis, (rows, cols, folded[keep]))
+
+
+class _PolynomialFrame:
+    """Polynomials compiled to arrays over their union word table, so that a
+    weighted sum of them is merged and evaluated without hashing a word.
+
+    ``words`` holds every word of ``polys`` once.  Term ``k`` of the
+    polynomials, one after the other and each in its term order, is word
+    ``word[k]`` with coefficient ``coeff[k]``; polynomial ``i`` holds terms
+    ``bounds[i] .. bounds[i + 1]``.  Word ``w``'s matrix is held as its
+    :func:`_cells`, ``vals[ptr[w]:ptr[w + 1]]`` at positions ``pos`` into
+    ``support``, the sorted flat positions of all the words' entries.  The
+    word matrices are built into ``cache`` and gathered once, here.
+    """
+
+    def __init__(self, polys, resolver, cache: dict, identity: SparseOperator):
+        index: dict[Word, int] = {}
+        ids = [index.setdefault(w, len(index)) for poly in polys for w in poly._terms]
+        self.words = list(index)
+        self.word = np.array(ids, dtype=np.intp)
+        self.coeff = np.fromiter(
+            (c for poly in polys for c in poly._terms.values()), complex, len(ids)
+        )
+        self.bounds = np.cumsum([0] + [poly.n_terms for poly in polys])
+        self.basis = identity.row_basis
+        _fill_cache([w for w in self.words if w not in cache], resolver, cache, identity)
+        _base, owner, rows, cols, vals = _gather([cache[w] for w in self.words])
+        owner, flat, self.vals = _cells(owner, rows * np.int64(self.basis.dim) + cols, vals)
+        self.support, self.pos = np.unique(flat, return_inverse=True)
+        self.ptr = np.searchsorted(owner, np.arange(len(self.words) + 1))
+
+    def weighted_sum(self, parts: np.ndarray, weights: np.ndarray):
+        """``LadderPolynomial.sum`` of ``(weights[i], polys[parts[i]])`` as
+        ``(word ids, coefficients)`` in its term order, with its bits.
+
+        As there, a product ``term coefficient * weight`` (Python's complex
+        multiply, :func:`basis._times`) at or below ``MERGE_TOLERANCE`` is
+        left out, a word comes in at its first product with its running sum
+        from zero, and a running sum at or below the tolerance removes it.
+        The products are laid out word by part after a zero column, and one
+        ``np.add.accumulate`` along the parts gives every running sum.  A word
+        removed at its last product stays out; one removed before it is
+        summed again in Python, coming back at the product after the removal,
+        as in the dict.
+        """
+        starts = self.bounds[parts]
+        lengths = self.bounds[parts + 1] - starts
+        terms = _ranges(starts, lengths)
+        products = _times(self.coeff[terms], np.repeat(weights, lengths))
+        kept = np.abs(products) > MERGE_TOLERANCE
+        word, products = self.word[terms][kept], products[kept]
+        column = np.repeat(np.arange(1, len(parts) + 1), lengths)[kept]
+        table = np.zeros((len(self.words), len(parts) + 1), complex)
+        table[word, column] = products
+        running = np.add.accumulate(table, axis=1)
+        k = np.arange(len(word))
+        first, last = np.full(len(self.words), len(word)), np.full(len(self.words), -1)
+        np.minimum.at(first, word, k)
+        np.maximum.at(last, word, k)
+        removed = np.abs(running[word, column]) <= MERGE_TOLERANCE
+        gone = np.zeros(len(self.words), bool)
+        gone[word[removed]] = True
+        redo = np.zeros(len(self.words), bool)
+        redo[word[removed & (k < last[word])]] = True
+        ids = np.flatnonzero((last >= 0) & ~gone)
+        keys, values = first[ids].tolist(), running[ids, -1].tolist()
+        ids = ids.tolist()
+        for w in np.flatnonzero(redo).tolist():
+            total = None
+            at = np.flatnonzero(word == w)
+            for key, c in zip(at.tolist(), products[at].tolist()):
+                if total is None:
+                    total, start = 0.0 + c, key
+                else:
+                    total += c
+                if abs(total) <= MERGE_TOLERANCE:
+                    total = None
+            if total is not None:
+                ids.append(w)
+                keys.append(start)
+                values.append(total)
+        order = np.argsort(keys)
+        return np.array(ids, dtype=np.intp)[order], np.array(values, dtype=complex)[order]
+
+    def polynomial(self, ids: np.ndarray, coeffs: np.ndarray) -> "LadderPolynomial":
+        """The polynomial of the terms ``coeffs[i] * words[ids[i]]``, in that order."""
+        out = LadderPolynomial()
+        out._terms = dict(zip(map(self.words.__getitem__, ids.tolist()), coeffs.tolist()))
+        return out
+
+    def evaluate(self, ids: np.ndarray, coeffs: np.ndarray) -> SparseOperator:
+        """:meth:`LadderPolynomial.evaluate_with_identity` of
+        ``polynomial(ids, coeffs)``, with its bits, from the frame's cells."""
+        lengths = self.ptr[ids + 1] - self.ptr[ids]
+        cells = _ranges(self.ptr[ids], lengths)
+        owner = np.repeat(np.arange(len(ids)), lengths)
+        folded = _fold(coeffs, owner, self.pos[cells], self.vals[cells], len(self.support))
+        return _operator(self.basis, self.basis, self.support, folded)
 
 
 class LadderPolynomial:
@@ -312,18 +438,14 @@ class LadderPolynomial:
                 raise ValueError(
                     "cannot evaluate an empty polynomial without a basis"
                 )
-            row_basis, col_basis = identity.row_basis, identity.col_basis
-            flat, folded = np.zeros(0, int), np.zeros(0, complex)
-        else:
-            base, owner, rows, cols, vals = _gather(refs)
-            row_basis, col_basis = base.row_basis, base.col_basis
-            flat, pos = np.unique(rows * np.int64(col_basis.dim) + cols, return_inverse=True)
-            coeffs = np.fromiter(self._terms.values(), complex, len(refs))
-            folded = _fold(coeffs, owner, pos, vals, len(flat))
-        # The entries ``drop`` would keep, stored as ``drop`` stores them.
-        keep = np.flatnonzero(np.abs(folded) > DROP_TOLERANCE)
-        rows, cols = np.divmod(flat[keep], col_basis.dim)
-        return SparseOperator.from_entries(row_basis, col_basis, (rows, cols, folded[keep]))
+            return _operator(identity.row_basis, identity.col_basis, np.zeros(0, int),
+                             np.zeros(0, complex))
+        base, owner, rows, cols, vals = _gather(refs)
+        owner, flat, vals = _cells(owner, rows * np.int64(base.col_basis.dim) + cols, vals)
+        flat, pos = np.unique(flat, return_inverse=True)
+        coeffs = np.fromiter(self._terms.values(), complex, len(refs))
+        folded = _fold(coeffs, owner, pos, vals, len(flat))
+        return _operator(base.row_basis, base.col_basis, flat, folded)
 
     def signature(self) -> tuple:
         """Hashable canonical form: words with coefficients rounded.

@@ -478,6 +478,31 @@ def fold_sum(pairs):
     return total
 
 
+def decompose_by_sum(op, modes):
+    """``decompose_observable``'s weighted sum and evaluation by the path it
+    took before the region frame: the fit's weights above ``1e-13``, in frame
+    order, as Python complex numbers; ``LadderPolynomial.sum`` of the frame
+    polynomials relabelled to the region; and ``evaluate_with_identity`` on
+    the shared word cache.  Returns ``(polynomial, eval_residual)``."""
+    from anyonladder.algebra import _product_frame, _region, _to_front, _word_cache
+    from anyonladder.basis import SparseOperator
+    from anyonladder.ladder import resolver
+    from anyonladder.polynomial import LadderPolynomial
+
+    basis = op.row_basis
+    model, n = basis.model, basis.n_modes
+    s = _region(modes, n)
+    _entries, polys, stack = _product_frame(model, n, len(s))
+    coeffs = np.linalg.lstsq(stack, _to_front(op, s).to_dense().ravel(), rcond=None)[0]
+    mode_map = {k + 1: mode for k, mode in enumerate(s)}
+    parts = [(complex(c), poly) for c, poly in zip(coeffs, polys) if abs(c) > 1e-13]
+    polynomial = LadderPolynomial.sum((c, poly.relabel_modes(mode_map)) for c, poly in parts)
+    evaluated = polynomial.evaluate_with_identity(
+        resolver(model, n), SparseOperator.identity(basis), cache=_word_cache(model, n)
+    )
+    return polynomial, float((evaluated - op).norm_max())
+
+
 def conjugate_factored(w, entries):
     """``W^dagger M W`` by the two sparse products, for ``M`` given by its
     entries in the shape of ``w.row_basis``, whatever ``W`` is."""

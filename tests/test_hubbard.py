@@ -435,20 +435,14 @@ def test_rungs5_sector_e_ground_energy():
     assert abs(spectrum.ground_energy - (-9.7006651521)) < 1e-9
 
 
-def _run_on_one_blas_thread(*args: str) -> str:
-    """stdout of ``python *args`` run with the BLAS on one thread.
-
-    numpy's ``eigh`` back-transforms every eigenvector, and a multi-threaded
-    BLAS rounds column 0 of that product differently from the one-column
-    product of the dense solve, so ground-vector bits are compared on one
-    thread, as the benchmark runs.
-    """
+def _run_on_blas_threads(threads: int, *args: str) -> str:
+    """stdout of ``python *args`` run with the BLAS on ``threads`` threads."""
     paths = [Path(anyonladder.__file__).parents[1], Path(__file__).parent]
     env = {
         **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "1",
-        "MKL_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "OMP_NUM_THREADS": str(threads),
+        "MKL_NUM_THREADS": str(threads),
         "PYTHONPATH": os.pathsep.join(
             filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")])
         ),
@@ -492,10 +486,30 @@ def _eigh_oracle_mismatches() -> list[str]:
 
 
 def test_dense_solve_has_the_bits_of_eigh():
-    out = _run_on_one_blas_thread(
-        "-c", "import test_hubbard as t; print(t._eigh_oracle_mismatches())"
+    """numpy's ``eigh`` back-transforms every eigenvector, and a
+    multi-threaded BLAS rounds column 0 of that product differently from the
+    one-column product of the dense solve, so both run on one thread, as
+    ``diagonalize`` runs the dense solve."""
+    out = _run_on_blas_threads(
+        1, "-c", "import test_hubbard as t; print(t._eigh_oracle_mismatches())"
     )
     assert out.strip() == "[]"
+
+
+def test_hubbard_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``hubbard --out`` at rungs 4 (dense solves) and 5 (``eigsh``) writes
+    the same bytes with the BLAS on one thread and on two."""
+    script = (
+        "import sys; from anyonladder.cli import main; "
+        "sys.exit(max(main(['hubbard', '--rungs', n, '--out', sys.argv[1] + '/' + n]) "
+        "for n in ('4', '5')))"
+    )
+    files = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        _run_on_blas_threads(threads, "-c", script, str(out))
+        files.append({p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*.csv")})
+    assert len(files[0]) == 4 and files[0] == files[1]
 
 
 @pytest.mark.parametrize("indexing", INDEXINGS)
@@ -585,8 +599,8 @@ def test_dense_solve_raises_on_a_lapack_failure(monkeypatch):
 def test_hubbard_files_at_extreme_magnitudes_keep_their_bytes(
     tmp_path, t, mu, spectrum_sha256, occupation_sha256
 ):
-    _run_on_one_blas_thread(
-        "-m", "anyonladder.cli", "hubbard", "--rungs", "3", "--t", t, "--mu", mu,
+    _run_on_blas_threads(
+        1, "-m", "anyonladder.cli", "hubbard", "--rungs", "3", "--t", t, "--mu", mu,
         "--out", str(tmp_path),
     )
     for name, want in (("spectrum.csv", spectrum_sha256), ("occupation.csv", occupation_sha256)):

@@ -14,12 +14,14 @@ from anyonladder.algebra import (
     mode_relabel_unitary,
     observable_basis,
 )
-from anyonladder.basis import FusionTreeBasis, SparseOperator
+from anyonladder.basis import DROP_TOLERANCE, FusionTreeBasis, SparseOperator, _gather
 from anyonladder.fixtures import fixture, fixture_names
 from anyonladder.ladder import ladder_set, resolver
 from anyonladder.model import builtin
 from anyonladder.polynomial import MERGE_TOLERANCE, GeneratorSymbol, LadderPolynomial
-from oracles import cached_word, csr_bytes, dense_fold, evaluate_recursively, fold_sum
+from oracles import (
+    cached_word, csr_bytes, decompose_by_sum, dense_fold, evaluate_recursively, fold_sum,
+)
 
 symbols = st.builds(
     GeneratorSymbol,
@@ -384,14 +386,62 @@ def test_evaluation_matches_the_dense_fold_on_fixtures(name):
     _assert_folds_agree(dec.polynomial, basis.model, basis.n_modes)
 
 
-def test_evaluation_fold_chunks_keep_the_bits(fib, monkeypatch):
-    """Folding a chunk of one term, or of a few, at a time carries the running
-    sum across chunks with the bits of one pass."""
+def _fold_inputs(poly, cache):
+    """The arguments of ``polynomial._fold`` for ``poly``, as evaluation makes
+    them from the word matrices in ``cache``, and the flat positions."""
+    base, owner, rows, cols, vals = _gather([cache[w] for w in poly._terms])
+    owner, flat, vals = polynomial._cells(owner, rows * np.int64(base.col_basis.dim) + cols, vals)
+    flat, pos = np.unique(flat, return_inverse=True)
+    return np.array(list(poly._terms.values())), owner, pos, vals, flat
+
+
+def test_fold_bits_do_not_depend_on_how_many_entries_one_call_folds(fib):
+    """Folding the entries of one position, or of a few, per call gives the
+    bits of one call on every entry: ``np.add.at`` adds each entry on its
+    own, in term order, however many one call holds."""
     dec = decompose_observable(fixture("ge-Pee"), (1, 2))
     want = _assert_folds_agree(dec.polynomial, fib, 3)
-    for chunk in (1, 40, 1000):
-        monkeypatch.setattr(polynomial, "_FOLD_CHUNK", chunk)
-        assert csr_bytes(_assert_folds_agree(dec.polynomial, fib, 3)) == csr_bytes(want)
+    coeffs, owner, pos, vals, flat = _fold_inputs(dec.polynomial, _word_cache(fib, 3))
+    whole = polynomial._fold(coeffs, owner, pos, vals, len(flat))
+    keep = np.abs(whole) > DROP_TOLERANCE
+    assert whole[keep].tobytes() == want.matrix.data.tobytes()
+    for size in (1, 7, 40):
+        for lo in range(0, len(flat), size):
+            sel = (pos >= lo) & (pos < lo + size)
+            width = min(size, len(flat) - lo)
+            part = polynomial._fold(coeffs, owner[sel], pos[sel] - lo, vals[sel], width)
+            assert part.tobytes() == whole[lo:lo + size].tobytes(), (size, lo)
+
+
+def test_fold_signs_a_zero_part_as_the_dense_fold(fib):
+    """Single-letter terms whose products are ``-0.0`` in one part, at
+    positions where other terms have no entry: the zero part keeps the sign
+    of the dense fold, in which every term adds ``c * M`` everywhere.  One
+    letter repeats entries, which the dense fold adds before the product."""
+    b3 = FusionTreeBasis(fib, 3)
+    rng = np.random.default_rng(3)
+    values = [1j, -1j, 1.0, -1.0, complex(-0.0, 2.0), complex(3.0, -0.0), 0.5 + 0.5j]
+    coeffs = [1.0, -1.0, 1j, -1j, 2.0 - 1j,
+              complex(-1.0, -0.0), complex(-0.0, -1.0), complex(-0.0, 1.0)]
+    letters = {}
+    for k in range(1, 4):
+        rows, cols = rng.integers(b3.dim, size=(2, 6))
+        mat = sp.csr_matrix((rng.choice(values, 6), (rows, cols)), shape=(b3.dim, b3.dim))
+        mat.sum_duplicates()
+        letters[GeneratorSymbol(k, "std", "tau", 0, False)] = SparseOperator(b3, b3, mat)
+    repeats = sp.csr_matrix(([0.1, 0.2, 1j, 0.3j], [0, 0, 2, 2], [0, 2, 4] + [4] * (b3.dim - 2)),
+                            shape=(b3.dim, b3.dim))
+    letters[GeneratorSymbol(4, "std", "tau", 0, False)] = SparseOperator(b3, b3, repeats)
+    syms, signed = list(letters), 0
+    for _ in range(300):
+        chosen = rng.choice(len(syms), int(rng.integers(1, 5)), replace=False)
+        poly = LadderPolynomial([(coeffs[rng.integers(len(coeffs))], (syms[i],)) for i in chosen])
+        cache = {}
+        got = poly.evaluate(letters.__getitem__, cache)
+        assert csr_bytes(got) == csr_bytes(dense_fold(poly, cache))
+        data = got.matrix.data
+        signed += bool(polynomial._minus_zero(np.concatenate([data.real, data.imag])).any())
+    assert signed > 0  # the -0.0 rule was exercised
 
 
 def test_evaluation_on_a_one_column_support_adds_sequentially(fib):
@@ -437,3 +487,111 @@ def test_evaluation_of_an_empty_polynomial_with_an_identity(fib):
     got = LadderPolynomial().evaluate_with_identity(resolver(fib, 3), ident)
     assert got.nnz == 0 and got.matrix.shape == (ident.row_basis.dim,) * 2
     assert csr_bytes(got) == csr_bytes(dense_fold(LadderPolynomial(), {}, ident))
+
+
+# -- the region frame: array merge and evaluation -----------------------------
+
+_POOL = [
+    GeneratorSymbol(k, "std", "tau", j, d) for k in (1, 2) for j in (0, 1) for d in (False, True)
+]
+
+
+def _frame(polys):
+    fib = builtin("fibonacci")
+    ident = SparseOperator.identity(FusionTreeBasis(fib, 2))
+    return polynomial._PolynomialFrame(polys, resolver(fib, 2), {}, ident)
+
+
+def _frame_sum(frame, pairs):
+    """The frame's weighted sum of ``(weight, polynomial index)`` pairs."""
+    weights, parts = zip(*pairs)
+    terms = frame.weighted_sum(np.array(parts), np.array(weights, dtype=complex))
+    return frame.polynomial(*terms), terms
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frame_weighted_sum_is_the_left_fold(seed):
+    """Random polynomials, with tiny weights whose products all fall at or
+    below ``MERGE_TOLERANCE``: the array merge has the term order and the
+    coefficient bits of the left fold of ``+``, and its evaluation has the
+    CSR bytes of the dense fold of that polynomial."""
+    rng = np.random.default_rng(seed)
+    polys = [_random_polynomial(rng, _POOL, int(rng.integers(1, 30))) for _ in range(12)]
+    weights = [complex(rng.normal(), rng.normal()) for _ in polys]
+    weights[:4] = [1.0, -1.0, 1e-13, complex(-5e-14, 1e-14)]
+    frame = _frame(polys)
+    for parts in (range(12), [11, 0, 5, 2, 2], [3]):
+        pairs = [(weights[i], i) for i in parts]
+        got, terms = _frame_sum(frame, pairs)
+        want = fold_sum([(w, polys[i]) for w, i in pairs])
+        assert _exact(got) == _exact(want)
+        if not got.is_zero():
+            cache = {}
+            fib = builtin("fibonacci")
+            ident = SparseOperator.identity(FusionTreeBasis(fib, 2))
+            want_op = want.evaluate_with_identity(resolver(fib, 2), ident, cache)
+            assert csr_bytes(frame.evaluate(*terms)) == csr_bytes(dense_fold(want, cache, ident))
+            assert csr_bytes(frame.evaluate(*terms)) == csr_bytes(want_op)
+    assert _frame_sum(frame, [(1e-13, 1), (complex(-5e-14, 1e-14), 4)])[0].is_zero()
+
+
+def test_frame_weighted_sum_restarts_a_word_after_a_cancel():
+    """A word that gets ``+x``, then ``-x`` up to rounding, then ``+y``
+    leaves the sum at the cancel and comes back last with ``0.0 + y``, not
+    with the rounding left over; a word cancelled by its last product stays
+    out; a first product with a ``-0.0`` part is added to ``0.0``."""
+    w1, w2, w3, w4 = ((sym,) for sym in _POOL[:4])
+    x, y = 0.75 + 0.25j, -2.0 + 1.0j
+    polys = [
+        LadderPolynomial([(x, w1), (1.0, w2), (2.0, w4)]),
+        LadderPolynomial([(1.0, w3), (-(x - 4e-13), w1), (-2.0, w4)]),
+        LadderPolynomial([(y, w1), (complex(-1.0, -0.0), w4)]),
+        LadderPolynomial([(-y, w1), (1.0, w2)]),
+        LadderPolynomial([(x, w1)]),
+    ]
+    frame = _frame(polys)
+    got, _ = _frame_sum(frame, [(1.0, 0), (1.0, 1), (1.0, 2)])
+    want = fold_sum([(1.0, p) for p in polys[:3]])
+    assert _exact(got) == _exact(want)
+    assert list(got._terms) == [w2, w3, w1, w4]
+    assert got._terms[w1] == y and (y + 4e-13) != y  # restarted from zero
+    assert np.signbit(got._terms[w4].imag) == np.signbit((0.0 + complex(-1.0, -0.0)).imag) == False
+    # w1 cancelled by its last product, then cancelled twice and back last
+    for parts, order in (([0, 1, 2, 3], [w2, w3, w4]), ([0, 1, 2, 3, 4], [w2, w3, w4, w1])):
+        pairs = [(1.0, i) for i in parts]
+        got, _ = _frame_sum(frame, pairs)
+        assert _exact(got) == _exact(fold_sum([(1.0, polys[i]) for i in parts]))
+        assert list(got._terms) == order
+
+
+def _assert_matches_the_sum_path(op, modes):
+    dec = decompose_observable(op, modes)
+    want, residual = decompose_by_sum(op, modes)
+    assert _exact(dec.polynomial) == _exact(want)  # term order and coefficient bits
+    assert dec.eval_residual == residual
+    return dec
+
+
+@pytest.mark.parametrize("name, n, region", BENCHMARK_REGIONS)
+def test_region_frame_decomposes_as_the_sum_path_on_benchmark_regions(name, n, region):
+    """The frame's merge and evaluation give the terms, bits and evaluation
+    residual of ``LadderPolynomial.sum`` and ``evaluate_with_identity``; a
+    region whose fit fails compiles no frame."""
+    model = builtin(name)
+    rng = np.random.default_rng(17)
+    key = (algebra._region_frame.__wrapped__, n, region)  # its entry in the model's cache
+    for _ in range(3):
+        op = _region_observable(model, n, region, rng)
+        try:
+            _assert_matches_the_sum_path(op, region)
+        except ValueError as exc:  # Ising {1,2}: local, but outside the realised span
+            assert "outside the span" in str(exc)
+            assert key not in model._op_cache
+        else:
+            assert key in model._op_cache
+
+
+@pytest.mark.parametrize("sites", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("name", fixture_names())
+def test_region_frame_decomposes_as_the_sum_path_on_fixtures(name, sites):
+    _assert_matches_the_sum_path(fixture(name), sites)
