@@ -421,22 +421,22 @@ def _recouple(model: AnyonModel, n_modes: int, target_shape, sector: int | None 
 
 
 @_memo
-def _factored_states(model: AnyonModel, n_modes: int, m: int, sector: int | None = None):
+def _factored_states(model: AnyonModel, n_modes: int, m: int):
     """The canonical states of ``n_modes`` modes factored as (modes 1..m) x (the rest).
 
-    Returns ``(w, b0, y, x, g)``.  ``w`` recouples the canonical basis, or the
-    total-charge ``sector`` of it, to the shape (left comb of modes 1..m, left
-    comb of modes m+1..n), the canonical shape itself when ``m == n_modes``.
-    The integer arrays run over the states of ``w.row_basis``: rest charge
-    ``b0`` (the vacuum when ``m == n_modes``), rest-labeling id ``y`` (equal
-    exactly for equal rest labelings), region labeling ``x`` as a position in
-    the ``m``-mode canonical basis, and total charge ``g``.
+    Returns ``(w, b0, y, x, g)``.  ``w`` recouples the canonical basis to the
+    shape (left comb of modes 1..m, left comb of modes m+1..n), the canonical
+    shape itself when ``m == n_modes``.  The integer arrays run over the states
+    of ``w.row_basis``: rest charge ``b0`` (the vacuum when ``m == n_modes``),
+    rest-labeling id ``y`` (equal exactly for equal rest labelings), region
+    labeling ``x`` as a position in the ``m``-mode canonical basis, and total
+    charge ``g``.
     """
     if not 1 <= m <= n_modes:
         raise ValueError(f"region size {m} out of range")
     region = trees.left_comb(0, m - 1)
     shape = region if m == n_modes else (region, trees.left_comb(m, n_modes - 1))
-    w = recouple(FusionTreeBasis(model, n_modes, sector), shape)
+    w = recouple(FusionTreeBasis(model, n_modes), shape)
     fact = w.row_basis.table
     in_region = [p for p, s in enumerate(fact.spans) if s[1] < m]
     in_rest = [p for p, s in enumerate(fact.spans) if s[0] >= m]
@@ -522,7 +522,8 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
     ``k`` when ``k = 1``; its columns are the row's state with leaves ``k,
     k+1`` swapped and each charge ``z`` on modes ``1..k``, found by their
     labeling codes.  Braids keep the total charge, so a sector's block is
-    rows and columns ``offset .. offset + dim`` of the sector basis.
+    rows and columns ``offset .. offset + dim`` of the sector basis, which
+    :func:`_braid_block` builds from those rows alone.
     """
     if not 1 <= k <= n_modes - 1:
         raise ValueError(f"braid index k={k} out of range for {n_modes} modes")
@@ -530,8 +531,14 @@ def braid_adjacent(model: AnyonModel, n_modes: int, k: int, sense: str = "over")
         raise ValueError(f"unknown braid sense {sense!r}")
     if sense == "under":
         return braid_adjacent(model, n_modes, k, "over").dagger()
+    return _braid_block(model, n_modes, k, None)
 
-    basis = FusionTreeBasis(model, n_modes)
+
+def _braid_block(model: AnyonModel, n_modes: int, k: int, sector: int | None) -> SparseOperator:
+    """The ``over`` braid of :func:`braid_adjacent` on one total-charge
+    ``sector`` (None: every state), built from that sector's rows alone: the
+    full braid's block, bit for bit."""
+    basis = FusionTreeBasis(model, n_modes, sector)
     table = basis.table
     i, j = k - 1, k  # 0-based pair
     leaf_i, leaf_j = table.spans.index((i, i)), table.spans.index((j, j))

@@ -4,9 +4,11 @@ The mode-1 annihilating element ``a^{b0,c0}_1`` sends the particle ``a`` in
 mode 1 to the vacuum while the remaining modes carry total charge ``b0``:
 in the factored shape ``(mode 1) x (rest)`` it is
 ``sum_y |e, y; b0><a, y; c0|`` with ``y`` running over the rest labelings of
-charge ``b0`` and ``c0`` a channel of ``a x b0``.  Elements for mode ``k``
-are defined by braid transport behind the intermediate modes:
-``a_k = B_{k-1,k} a_{k-1} B_{k-1,k}^dagger``.
+charge ``b0`` and ``c0`` a channel of ``a x b0``.  On the canonical basis
+each of its entries is one fusion path: one product of F-symbols, read off
+the model's ``F`` array path by path with no recoupling of the basis.
+Elements for mode ``k`` are defined by braid transport behind the
+intermediate modes: ``a_k = B_{k-1,k} a_{k-1} B_{k-1,k}^dagger``.
 
 Annihilation operators are 0/1-weighted sums of annihilating elements,
 one term per rest charge ``b0``; the coefficient tables picking the fusion
@@ -27,7 +29,8 @@ import scipy.sparse as sp
 
 from . import trees
 from .basis import (
-    FusionTreeBasis, SparseOperator, braid_adjacent, _factored_states, _label_table, _memo, _sector_block,
+    DROP_TOLERANCE, FusionTreeBasis, SparseOperator, braid_adjacent, _braid_block, _label_table, _memo, _ranges,
+    _times,
 )
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol
@@ -62,14 +65,57 @@ def rest_charges(model: AnyonModel, n_modes: int) -> tuple[int, ...]:
     return tuple(int(g) for g in np.unique(rest.column((0, n_modes - 2))))
 
 
+def _under(model: AnyonModel, n_modes: int, k: int, sector: int | None) -> SparseOperator:
+    """The adjoint of braid ``k``'s block on one total-charge ``sector``: the
+    memoised ``under`` braid on the whole basis (None), else the memoised
+    adjoint of the block built from the sector's rows."""
+    if sector is None:
+        return braid_adjacent(model, n_modes, k, "under")
+    return _sector_under(model, n_modes, k, sector)
+
+
+@_memo
+def _sector_under(model: AnyonModel, n_modes: int, k: int, sector: int) -> SparseOperator:
+    return _braid_block(model, n_modes, k, sector).dagger()
+
+
+def _over(op: SparseOperator, k: int) -> SparseOperator:
+    """``braid_adjacent(model, n, k) @ op``.
+
+    Where every stored row of ``op`` has the vacuum on leaf ``k``, as every
+    transported element has, the braid only moves that vacuum to leaf
+    ``k + 1``, with amplitude exactly 1 (F- and R-symbols with a vacuum index
+    are 1): the product is ``op``'s rows moved to their relabelled states as
+    stored, with the bits the product gives them, and no braid is built.
+    """
+    model, table, mat = op.row_basis.model, op.row_basis.table, op.matrix
+    lengths = np.diff(mat.indptr)
+    src = np.flatnonzero(lengths)
+    leaf, place = table.column((k - 1, k - 1))[src], dict(zip(table.spans, table.place.tolist()))
+    if (leaf != model.vacuum).any():
+        return braid_adjacent(model, op.row_basis.n_modes, k) @ op
+    code = table.codes[src] + (table.column((k, k))[src] - leaf) * (place[(k - 1, k - 1)] - place[(k, k)])
+    if k > 1:  # modes 1..k now fuse to the charge of modes 1..k+1
+        code += (table.column((0, k))[src] - table.column((0, k - 1))[src]) * place[(0, k - 1)]
+    dest = np.searchsorted(table.codes, code)
+    order = np.argsort(dest)
+    src, dest = src[order], dest[order]
+    indptr = np.zeros(len(lengths) + 1, np.int64)
+    indptr[dest + 1] = lengths[src]
+    take = _ranges(mat.indptr[src], lengths[src])
+    moved = sp.csr_matrix((mat.data[take], mat.indices[take], np.cumsum(indptr)), shape=mat.shape)
+    return SparseOperator(op.row_basis, op.col_basis, moved)
+
+
 def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]:
     """A mode-1 operator on modes ``1..last_mode``, each transported from the one before.
 
-    ``family[k] = over @ family[k-1] @ under`` with ``over`` the full braid
-    of modes ``k-1, k`` and ``under`` the adjoint of ``over``'s block on the
-    columns of ``op``, all of the canonical basis or one total-charge sector.
-    Braids keep the total charge, so a sector's family is the full family's
-    sector columns, bit for bit.  A zero ``op`` stays zero for every mode.
+    ``family[k] = over @ family[k-1] @ under`` with ``over`` the braid of
+    modes ``k-1, k`` (:func:`_over`) and ``under`` the adjoint of its block on
+    the columns of ``op``, all of the canonical basis or one total-charge
+    sector.  Braids keep the total charge, so a sector's family is the full
+    family's sector columns, bit for bit.  A zero ``op`` stays zero for every
+    mode.
     """
     model = op.row_basis.model
     n = op.row_basis.n_modes
@@ -79,8 +125,7 @@ def _transports(op: SparseOperator, last_mode: int) -> dict[int, SparseOperator]
         return dict.fromkeys(range(1, last_mode + 1), op)
     family = {1: op}
     for k in range(2, last_mode + 1):
-        over = braid_adjacent(model, n, k - 1, "over")
-        family[k] = over @ family[k - 1] @ _sector_block(over, op.col_basis).dagger()
+        family[k] = _over(family[k - 1], k - 1) @ _under(model, n, k - 1, op.col_basis.sector)
     return family
 
 
@@ -91,26 +136,68 @@ def _element_family(
     on one total-charge ``sector``'s columns (None: all), transported to modes
     ``1..last_mode``.
 
-    ``W`` sends each canonical state ``(e, y; b0)`` to its factored state with
-    amplitude exactly 1, so the mode-1 sum is ``S @ W``: ``S`` puts each row
-    ``(a, y; c0)`` of ``W`` at the row ``(e, y; b0)``, times the weight of
-    ``(b0, c0)``.  Rows of distinct ``c0`` share no column, so each stored entry
-    is one weight times one ``W`` entry.  A term with an unreachable rest
-    charge, or a ``c0`` outside ``a x b0`` or the sector, selects no row.
+    Each stored entry of the mode-1 sum is one fusion path.  Its column is a
+    canonical state with ``a`` on mode 1, charge ``X_q`` on modes ``1..q+1``
+    and ``l_q`` on mode ``q+1``; its row is that state with the vacuum on
+    mode 1 and charges ``R_q`` of modes ``2..q+1`` on the spans ``(0, q)``,
+    ``R_1 = l_1`` and ``R_{n-1} = b0``.  Its value is the weight of ``(b0, X_{n-1})``
+    times the conjugate of ``prod_{q=n-1..2} F^{a, R_{q-1}, l_q}_{X_q}[X_{q-1},
+    R_q]``: the entry of the recoupling to (mode 1, rest), whose one path
+    through the F-moves at spans ``(0, n-1) .. (0, 2)`` this is.  The paths
+    are expanded from ``b0`` down, one array per quantity, and the string is
+    multiplied in that order, each complex product formed as scipy's sparse
+    product forms it, then dropped, conjugated and weighted as the recoupling
+    and the weight's product would be, so every entry keeps its bits.  A term
+    with an unreachable rest charge, or a ``c0`` outside ``a x b0`` or the
+    sector, has no path.
     """
-    weights = np.zeros((model.n_labels, model.n_labels), complex)
+    return _transports(_mode1_sum(model, n_modes, a, terms, sector), last_mode)
+
+
+def _mode1_sum(model: AnyonModel, n_modes: int, a: int, terms, sector: int | None) -> SparseOperator:
+    """The mode-1 sum of :func:`_element_family`, path by path (a function of
+    its own, so that its path arrays are freed before the transport)."""
+    n_labels = model.n_labels
+    weights = np.zeros((n_labels, n_labels), complex)
     for b0, c0, weight in terms:
         weights[b0, c0] = weight
-    w, b, _y, _x, g = _factored_states(model, n_modes, 1, sector)
-    fact, canonical = w.row_basis.table, FusionTreeBasis(model, n_modes)
-    src = np.flatnonzero((fact.column((0, 0)) == a) & (weights[b, g] != 0))
-    # Relabel to (e, y; b0): span (0, k) takes the rest's (1, k), leaf 1 the vacuum.
-    spans = [(1, hi) if lo == 0 < hi else (lo, hi) for lo, hi in canonical.table.spans]
-    labels = fact.rows[src][:, [fact.spans.index(s) for s in spans]]
-    labels[:, canonical.table.spans.index((0, 0))] = model.vacuum
-    select = sp.csr_matrix((weights[b[src], g[src]], (canonical.table.find(labels), src)),
-                           shape=(canonical.dim, w.row_basis.dim))
-    return _transports(SparseOperator(canonical, w.col_basis, select @ w.matrix).drop(), last_mode)
+    canonical, cols = FusionTreeBasis(model, n_modes), FusionTreeBasis(model, n_modes, sector)
+    table, top = cols.table, (0, n_modes - 1)
+    start = np.flatnonzero(table.column((0, 0)) == a)
+    start = start[(weights[:, table.column(top)[start]] != 0).any(axis=0)]
+    charge = dict(zip(table.spans, table.rows[start].T))
+    place = dict(zip(table.spans, table.place.tolist()))
+    allowed = weights[:, charge[top]].T != 0  # by start state and rest charge b0
+    if n_modes <= 2:  # the rest is leaf 2, or no mode
+        rest = charge[(1, 1)] if n_modes == 2 else np.full(len(start), model.vacuum)
+        allowed &= np.arange(n_labels) == rest[:, None]
+    i, rest = np.nonzero(allowed)
+    # Row codes: the vacuum on leaf 1, each span (0, q) added with its R_q.
+    code = table.codes[start] + (model.vacuum - a) * place[(0, 0)]
+    for q in range(1, n_modes):
+        code -= charge[(0, q)] * place[(0, q)]
+    code = code[i] + (rest * place[top] if n_modes > 1 else 0)
+    path = np.ones(len(i), complex)
+    # f[((l_q * L + X_q) * L + X_{q-1}) * L + R_q, R_{q-1}] for L labels, 0 where a move drops it.
+    f = model.F[a].transpose(1, 2, 3, 4, 0).reshape(-1, n_labels)
+    f = np.where(np.abs(f) > DROP_TOLERANCE, f, 0.0)
+    for q in range(n_modes - 1, 1, -1):
+        key = ((charge[(q, q)] * n_labels + charge[(0, q)]) * n_labels + charge[(0, q - 1)]) * n_labels
+        amps = f[key[i] + rest]
+        found = amps != 0
+        if q == 2:  # R_1 is leaf 2
+            found &= np.arange(n_labels) == charge[(1, 1)][i, None]
+        keep, rest = np.nonzero(found)
+        i, amps = i[keep], amps[keep, rest]
+        code = code[keep] + rest * place[(0, q - 1)]
+        path = 0.0 + _times(amps, path[keep])
+    keep = np.abs(path) > DROP_TOLERANCE
+    i, code = i[keep], code[keep]
+    b0 = code // place[top]  # the root charge is the codes' leading digit
+    vals = 0.0 + _times(weights[b0, charge[top][i]], np.conj(path[keep]))
+    keep = np.abs(vals) > DROP_TOLERANCE
+    rows = np.searchsorted(canonical.table.codes, code[keep])
+    return SparseOperator.from_entries(canonical, cols, (rows, start[i[keep]], vals[keep]))
 
 
 def transport_to_mode(op: SparseOperator, k: int) -> SparseOperator:

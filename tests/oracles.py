@@ -279,6 +279,82 @@ def generator_commutant_dimension(mats: list[np.ndarray], tol: float = 1e-10) ->
 
 
 # ---------------------------------------------------------------------------
+# Ladder operators in closed form
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _comb_states(model, n_modes: int):
+    """:func:`labelings` of the canonical left comb: the charge tuples in
+    basis order, each tuple's position, and the position of each span."""
+    spans, states = labelings(model, comb_shape(n_modes))
+    return states, {st: i for i, st in enumerate(states)}, {s: p for p, s in enumerate(spans)}
+
+
+def ladder_closed_form(model, n_modes: int, a: int, terms, mode: int, sector=None):
+    """``sum weight * a^{b0,c0}_mode`` over ``terms = [(b0, c0, weight), ...]``
+    as a head table times an F-string, by one plain loop over the canonical
+    states; a scipy CSR matrix with rows on every canonical state and columns
+    on the total-charge ``sector`` (None: every state).
+
+    Write ``X_q`` for the charge of modes ``1..q+1`` of a column state and
+    ``l_q`` for its leaf ``q + 1`` (0-based spans, ``X_{-1}`` the vacuum), with
+    ``a`` on leaf ``k = mode``.  Its rows are the states with the vacuum on
+    leaf ``k``, every other leaf and every ``X_q`` with ``q < k - 1`` kept,
+    ``X'_{k-1} = X_{k-2}``, and rest charges ``X'_q`` in ``X'_{q-1} x l_q`` for
+    ``q >= k``; ``b0 = X'_{n-1}``, ``c0 = X_{n-1}``.  Each row's entry is
+
+        h(X_{k-2}, X_{k-1}, X'_{k-1}; b0, c0)
+            * conj(prod_{q=k-1}^{n-2} F^{a, X'_q, l_{q+1}}_{X_{q+1}}[X_q, X'_{q+1}]),
+
+    with the head ``h = weight(b0, c0) * conj(R^{a X_{k-2}}_{X_{k-1}})``: the
+    ``under`` braids take ``a`` past the modes before it as one charge
+    ``X_{k-2}``, the F-string recouples it off the comb, and the element
+    removes it with the weight of its rest charge and channel.  For mode 1 the
+    head is the weight alone and the string starts at a vacuum F-move.
+    """
+    from scipy import sparse
+
+    states, index, pos = _comb_states(model, n_modes)
+    weights = {}
+    for b0, c0, weight in terms:
+        weights[(b0, c0)] = weight
+    k = mode - 1  # the leaf span (k, k)
+    vac = model.vacuum
+    col_states = [i for i, st in enumerate(states)
+                  if sector is None or st[pos[(0, n_modes - 1)]] == sector]
+    col_of = {i: j for j, i in enumerate(col_states)}
+    entries = {}
+    for i in col_states:
+        st = states[i]
+        if st[pos[(k, k)]] != a:
+            continue
+        x = [st[pos[(0, q)]] for q in range(n_modes)]
+        leaf = [st[pos[(q, q)]] for q in range(n_modes)]
+        below = x[k - 1] if k > 0 else vac
+        head = np.conj(model.R[a, below, x[k]])
+        paths = [((below,), 1.0 + 0j)]  # (X'_{k-1} .. X'_q, F-string so far)
+        for q in range(k, n_modes - 1):
+            paths = [
+                (rest + (r,), amp * model.F[a, rest[-1], leaf[q + 1], x[q + 1], x[q], r])
+                for rest, amp in paths
+                for r in model.fuse(rest[-1], leaf[q + 1])
+            ]
+        for rest, amp in paths:
+            weight = weights.get((rest[-1], x[-1]), 0.0)
+            if weight == 0.0 or amp == 0.0:
+                continue
+            row = list(st)
+            row[pos[(k, k)]] = vac
+            for q, charge in enumerate(rest, start=k):
+                row[pos[(0, q)]] = charge
+            entries[(index[tuple(row)], col_of[i])] = weight * head * np.conj(amp)
+    keys = np.array(list(entries), dtype=int).reshape(-1, 2)
+    return sparse.csr_matrix((np.array(list(entries.values()), dtype=complex), (keys[:, 0], keys[:, 1])),
+                             shape=(len(states), len(col_states)))
+
+
+# ---------------------------------------------------------------------------
 # Theories from closed-form data
 # ---------------------------------------------------------------------------
 

@@ -11,7 +11,9 @@ from anyonladder.ladder import (
     annihilating_element,
     coefficient_tables,
     fermion_annihilator,
+    fermion_type,
     fibonacci_pair,
+    fibonacci_type,
     identity_ladder,
     j_count,
     j_lower_bound,
@@ -118,6 +120,184 @@ def test_element_families_match_the_term_by_term_sum(fib, fermion, ising):
                 want = orc.element_family_loop(model, n, a, [(b0, c0, 1.0)], n)
                 for k, op in want.items():
                     same(annihilating_element(model, n, la, lb, lc, mode=k), op)
+
+
+@pytest.mark.parametrize("name, n_max", [
+    ("fibonacci", 8), ("ising", 6), ("fermion", 8), ("z3", 4), ("su2_3", 4), ("gauged fibonacci", 4),
+])
+def test_every_mode_matches_the_closed_form(name, n_max):
+    """Every mode of every ladder set, identity ladder, fermion annihilator and
+    Fibonacci pair sector is ``oracles.ladder_closed_form``'s head table times
+    F-string to 1e-14: no recoupling, braid or package gather is involved.  The
+    gauged theory has complex F- and R-symbols, so it also checks that the
+    string and the head are conjugated."""
+    from anyonladder.model import builtin
+
+    model = {"z3": lambda: orc.z_n(3), "su2_3": lambda: orc.su2_k(3),
+             "gauged fibonacci": lambda: orc.vertex_gauge(builtin("fibonacci"), 3)}.get(name, lambda: builtin(name))()
+    e = model.vacuum
+
+    def close(got, a, terms, k, sector=None):
+        want = orc.ladder_closed_form(model, n, a, terms, k, sector)
+        assert got.matrix.shape == want.shape
+        diff = got.matrix - want
+        assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-14, (name, n, a, terms, k, sector)
+
+    for n in range(1, n_max + 1):
+        for a in range(model.n_labels):
+            if a == e:
+                continue
+            ladders = ladder_set(model, n, model.labels[a])
+            for table in ladders.tables:
+                terms = [(model.index(b0), model.index(c0), coeff)
+                         for (b0, c0), coeff in table.entries.items() if coeff != 0.0]
+                for k in range(1, n + 1):
+                    close(ladders.op(k, table.j), a, terms, k)
+        for k in range(1, n + 1):
+            close(identity_ladder(model, n, k), e, [(b, b, 1.0) for b in range(model.n_labels)], k)
+        if fermion_type(model) is not None:
+            psi = fermion_type(model)
+            for k in range(1, n + 1):
+                close(fermion_annihilator(model, n, k), psi, [(e, psi, 1.0), (psi, e, -1.0)], k)
+        if fibonacci_type(model) is not None:
+            tau, r = fibonacci_type(model), 1.0 / np.sqrt(2.0)
+            for sector in (None, e, tau):
+                pair = fibonacci_pair(model, n, sector)
+                for ops, terms in ((pair.alpha, [(e, tau, r), (tau, e, 1.0)]),
+                                   (pair.beta, [(e, tau, r), (tau, tau, 1.0)])):
+                    for k, op in ops.items():
+                        close(op, tau, terms, k, sector)
+
+
+def test_ladder_builds_call_no_recoupling(monkeypatch):
+    """On a fresh model, no ladder-set, pair, identity-ladder, fermion or
+    element build recouples the basis: the mode-1 sums are gathered."""
+    import anyonladder
+    from anyonladder.model import builtin, dump_model, load_model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ladder path recoupled the basis")
+
+    for module in vars(anyonladder).values():
+        for name in ("recouple", "_recouple", "_factored_states"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for name in ("fibonacci", "ising", "fermion"):
+        model = load_model(dump_model(builtin(name)))
+        e = model.labels[model.vacuum]
+        for n in range(1, 6):
+            for particle in model.labels:
+                if particle != e:
+                    ladder_set(model, n, particle)
+                    annihilating_element(model, n, particle, e, particle, mode=n)
+            identity_ladder(model, n, n)
+            if fermion_type(model) is not None:
+                fermion_annihilator(model, n, n)
+            if fibonacci_type(model) is not None:
+                for sector in (None, "e", "tau"):
+                    fibonacci_pair(model, n, sector)
+
+
+def test_over_factor_is_the_braid_product(fib, ising):
+    """``_over`` has the CSR bytes of ``braid_adjacent(model, n, k) @ op``,
+    both where it relabels (a ladder operator of mode ``k``, whose rows hold
+    the vacuum on leaf ``k``) and where it multiplies (any other mode, and
+    the adjoints)."""
+    from anyonladder.basis import braid_adjacent
+    from anyonladder.ladder import _over
+
+    n = 4
+    for model in (fib, ising):
+        for particle in model.labels[1:]:
+            for op in ladder_set(model, n, particle).ops.values():
+                for x in (op, op.dagger()):
+                    for k in range(1, n):
+                        assert orc.csr_bytes(_over(x, k)) == orc.csr_bytes(braid_adjacent(model, n, k) @ x)
+
+
+def test_under_blocks_are_memoised_adjoints(fib):
+    """The transport's ``under`` factor is the memoised ``under`` braid on the
+    whole basis, and one memoised adjoint of the ``over`` braid's block per
+    sector, built from the sector's rows with the full braid's block bytes."""
+    from anyonladder.basis import _sector_block, braid_adjacent
+    from anyonladder.ladder import _under
+
+    n = 5
+    for k in range(1, n):
+        assert _under(fib, n, k, None) is braid_adjacent(fib, n, k, "under")
+        for g in range(fib.n_labels):
+            got = _under(fib, n, k, g)
+            assert got is _under(fib, n, k, g)
+            want = _sector_block(braid_adjacent(fib, n, k), FusionTreeBasis(fib, n, g)).dagger()
+            assert got.row_basis.is_compatible(want.row_basis)
+            assert orc.csr_bytes(got) == orc.csr_bytes(want)
+
+
+def _relabel_residual(model, n):
+    """Largest entry of ``U^dagger a_k U - a_{s_k}`` over every region ``S``
+    of ``n`` modes, every ladder-set operator and every ``k <= |S|``, with
+    ``U = mode_relabel_unitary(model, n, S)``: the under-crossings that pull
+    ``S`` to the front relabel the braid-transported family."""
+    from anyonladder.algebra import mode_relabel_unitary
+
+    ops = [ladder_set(model, n, p).ops for p in model.labels if p != model.labels[model.vacuum]]
+    worst = 0.0
+    for m in range(1, n + 1):
+        for region in itertools.combinations(range(1, n + 1), m):
+            u = mode_relabel_unitary(model, n, region)
+            for family in ops:
+                for (k, j), op in family.items():
+                    if k <= m:
+                        moved = (u.dagger() @ op @ u - family[(region[k - 1], j)]).norm_max()
+                        worst = max(worst, moved)
+    return worst
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
+def test_mode_relabelling_moves_every_ladder_operator(name):
+    from anyonladder.model import builtin
+
+    model = builtin(name)
+    for n in range(1, 5):
+        assert _relabel_residual(model, n) <= 1e-12, (name, n)
+
+
+def test_a_one_sense_braid_mutant_fails_the_braid_checks(monkeypatch):
+    """R conjugated in the ``over`` braids only, the ``under`` braids built from
+    the true R (conjugating both senses gives the mirror theory, which no check
+    can tell apart).  ``over @ under`` is then no identity and ``over`` leaves
+    the state-loop oracle, on Fibonacci and Ising.  The ladder families do not
+    move: each ``over`` of the transport braids the vacuum that the element
+    left on the moved leaf, so only the true ``under`` acts on a particle."""
+    from anyonladder import basis, ladder
+    from anyonladder.model import builtin, dump_model, load_model
+
+    true_braid = basis.braid_adjacent
+    mirrors = {}
+
+    def mutant(model, n, k, sense="over"):
+        if sense == "under":
+            return true_braid(model, n, k, "over").dagger()
+        mat = true_braid(mirrors[id(model)], n, k, "over").matrix
+        return SparseOperator(FusionTreeBasis(model, n), FusionTreeBasis(model, n), mat)
+
+    monkeypatch.setattr(basis, "braid_adjacent", mutant)
+    monkeypatch.setattr(ladder, "braid_adjacent", mutant)
+    n = 3
+    for name in ("fibonacci", "ising"):
+        doc = dump_model(builtin(name))
+        model = load_model(doc)
+        doc["r_symbols"] = {key: [re, -im] for key, (re, im) in doc["r_symbols"].items()}
+        mirrors[id(model)] = load_model(doc)
+        eye = SparseOperator.identity(FusionTreeBasis(model, n))
+        for k in range(1, n):
+            assert (basis.braid_word(model, n, [(k, "over"), (k, "under")]) - eye).norm_max() > 0.1
+            assert (mutant(model, n, k) - orc.braid_adjacent_loop(model, n, k)).norm_max() > 0.1
+        for particle in model.labels[1:]:
+            true_ops = ladder_set(builtin(name), n, particle).ops
+            for key, op in ladder_set(model, n, particle).ops.items():
+                assert orc.csr_bytes(op) == orc.csr_bytes(true_ops[key]), (name, particle, key)
+        assert _relabel_residual(model, n) <= 1e-12
 
 
 def test_mode2_elements_match_oracle(fib):
