@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from anyonladder.ladder import (
 )
 from anyonladder.model import ModelDataError, builtin, dump_model, load_model
 from anyonladder.polynomial import LadderPolynomial
+from anyonladder.serialize import dump_polynomial
 
 
 def _rank(ops, tol=1e-10):
@@ -546,6 +549,60 @@ def test_decompose_occupation_operator(fib):
     ).drop()
     dec = decompose_observable(num, (1,))
     assert dec.eval_residual < 1e-10
+
+
+# Seeded observables on regions away from the front and on larger systems:
+# the SHA-256 of each decomposition's polynomial file, summary, coefficients
+# and residual bits, three observables per region.
+DECOMPOSE_PINS = {
+    ("fibonacci", 3, (2, 3)):
+        "dd12188cdb8a0ff4f8f9d02df19a6361e20891697293dddc8b11d2f87c319af4",
+    ("fibonacci", 3, (1, 3)):
+        "6d6e24e3943226123e59bfb1f95619cb3e533a09672fbcea096785dcf4412fe6",
+    ("fibonacci", 4, (1, 2)):
+        "8f1e2e4fdea1908e6182920d0c8e870f5dfab0141ab83772c16a903ab3ed3589",
+    ("fibonacci", 4, (2, 3)):
+        "a66a9f5aee4a51762137f3b98050ffc3cdbdac0a55990e7ba737d18f7904dde7",
+    ("fibonacci", 5, (3,)):
+        "cd5bccde47a23c7a7c1d3ae557737083b32382612945b113789b32b23441283f",
+    ("ising", 3, (2,)):
+        "b207ab42fcc9a92676536e60f22f312cc8fd086b393f56b8ad397f3cc180617f",
+    ("fermion", 4, (1, 2)):
+        "67238f28efba9daef47c4a827bdc13486f089fec8e20178ac1d5b51a01fea9e2",
+}
+
+
+def _pinned_observables(name, n, region):
+    model = builtin(name)
+    rng = np.random.default_rng(n * 100 + sum(region))
+    u = mode_relabel_unitary(model, n, region)
+    for _ in range(3):
+        yield (u.dagger() @ _random_local_observable(model, n, len(region), rng) @ u).drop()
+
+
+@pytest.mark.parametrize("name, n, region", list(DECOMPOSE_PINS))
+def test_decompositions_match_their_pinned_sha256(name, n, region):
+    digest = hashlib.sha256()
+    for op in _pinned_observables(name, n, region):
+        dec = decompose_observable(op, region)
+        digest.update(dump_polynomial(dec.polynomial).encode())
+        digest.update(dec.summary().encode())
+        digest.update(repr(list(dec.coefficients.items())).encode())
+        digest.update(f"{dec.span_residual.hex()} {dec.eval_residual.hex()}".encode())
+    assert digest.hexdigest() == DECOMPOSE_PINS[(name, n, region)]
+
+
+def test_pinned_ising_pair_region_keeps_its_message():
+    messages = []
+    for op in _pinned_observables("ising", 3, (1, 2)):
+        with pytest.raises(ValueError) as info:
+            decompose_observable(op, (1, 2))
+        messages.append(str(info.value))
+    assert messages == [
+        "operator is local on modes [1, 2] but outside the span realised by ladder "
+        f"polynomials (span residual {residual})"
+        for residual in ("1.929e+00", "1.399e+00", "2.399e+00")
+    ]
 
 
 # ---------------------------------------------------------------------------
