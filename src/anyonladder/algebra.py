@@ -26,8 +26,8 @@ from scipy.linalg import eigh
 
 from . import trees
 from .basis import (
-    FusionTreeBasis, SparseOperator, braid_word, _conjugate, _CSRBlock, _factored_states,
-    _memo, _pairs,
+    DROP_TOLERANCE, FusionTreeBasis, SparseOperator, braid_word, _conjugate, _CSRBlock,
+    _factored_states, _memo, _pairs,
 )
 from .ladder import (
     _shared_pair,
@@ -194,7 +194,7 @@ def _span_residual(op: SparseOperator, s: tuple[int, ...], span) -> float:
     orthogonal, so each coefficient is an overlap over a squared norm."""
     basis = op.row_basis
     owner, rows, cols, vals, norms = _span_entries(basis.model, basis.n_modes, len(s), span)
-    target = _to_front(op, s).to_dense()
+    target = _front_dense(op, s)
     overlap = target[rows, cols] * vals.conj()
     coeffs = (np.bincount(owner, overlap.real, len(norms))
               + 1j * np.bincount(owner, overlap.imag, len(norms))) / norms
@@ -242,6 +242,36 @@ def _to_front(op: SparseOperator, s: tuple[int, ...]) -> SparseOperator:
     return u @ op @ u_dagger
 
 
+def _front_dense(op: SparseOperator, s: tuple[int, ...]) -> np.ndarray:
+    """``_to_front(op, s).to_dense()``, bit for bit.
+
+    A region ``(1 .. M)`` is at the front already: its braid word is empty,
+    so ``U`` is the identity and its two products only drop the entries of
+    magnitude ``DROP_TOLERANCE`` or less.  Each entry of such a product is a
+    sum from zero, as each entry of ``to_dense`` is, so the result is
+    ``op.to_dense()`` with those entries zeroed, formed here without the
+    products.
+    """
+    if s != tuple(range(1, len(s) + 1)):
+        return _to_front(op, s).to_dense()
+    dense = op.to_dense()
+    dense[np.abs(dense) <= DROP_TOLERANCE] = 0.0
+    return dense
+
+
+def _require_finite(op: SparseOperator) -> None:
+    """Raise ``ValueError`` naming the first stored entry of ``op`` that is
+    not finite, in either part."""
+    mat = op.matrix
+    bad = np.flatnonzero(~np.isfinite(mat.data))
+    if len(bad):
+        k = int(bad[0])
+        row = int(np.searchsorted(mat.indptr, k, side="right")) - 1
+        raise ValueError(
+            f"non-finite value {complex(mat.data[k])} at entry ({row}, {int(mat.indices[k])})"
+        )
+
+
 def _canonical_basis(op: SparseOperator) -> FusionTreeBasis:
     """The basis ``op`` acts on, after checking that its rows and its columns
     are both over the one unsectored left-comb basis."""
@@ -263,18 +293,21 @@ def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     The region is braided to the front and ``op`` is projected onto the
     rest-charge-resolved spanning set (which contains all ladder operators of
     the region, including total-charge changing ones).  Returns
-    ``(flag, residual)`` with ``residual`` the largest entry the projection
-    leaves, zero up to :func:`rounding_cut` over ``dim`` and ``op``'s largest
-    entry.  The span equals the commutant of the observables local on the
-    complement, charge-changing elements included; projecting onto it avoids
-    forming that commutant.  The span's elements have disjoint 0/1 entries
-    in the factored basis, so they are mutually orthogonal and the
-    least-squares fit has a closed form: each coefficient is the element's
-    overlap with ``op`` over its squared norm.  No dense frame is formed.
+    ``(flag, residual)``, a ``bool`` and a ``float``, with ``residual`` the
+    largest entry the projection leaves, zero up to :func:`rounding_cut` over
+    ``dim`` and ``op``'s largest entry.  The span equals the commutant of the
+    observables local on the complement, charge-changing elements included;
+    projecting onto it avoids forming that commutant.  The span's elements
+    have disjoint 0/1 entries in the factored basis, so they are mutually
+    orthogonal and the least-squares fit has a closed form: each coefficient
+    is the element's overlap with ``op`` over its squared norm.  No dense
+    frame is formed.  An ``op`` with a non-finite entry raises
+    ``ValueError`` before any other check.
     """
+    _require_finite(op)
     basis = _canonical_basis(op)
     residual = _span_residual(op, _region(modes, basis.n_modes), local_candidate_span)
-    return residual <= rounding_cut(tol, basis.dim, op.norm_max()), residual
+    return bool(residual <= rounding_cut(tol, basis.dim, op.norm_max())), residual
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +560,8 @@ class Decomposition:
 def _product_frame(model: AnyonModel, n_modes: int, m: int):
     """Evaluated products ``sum_g P_{x,g}^dagger P_{x',g}`` per observable pair.
 
-    Returns ``(entries, polys, stack)``: ``entries[i]`` is
-    ``(x, x', variant)``, ``polys[i]`` the ladder polynomial on modes
+    Returns ``(entries, polys, stack)``: ``entries[i]`` is the coefficient
+    key ``(x label, x' label, variant)``, ``polys[i]`` the ladder polynomial on modes
     ``1..M`` and ``stack[:, i]`` its evaluated dense matrix, flattened.
     Coefficients are fitted against these evaluated matrices, so
     decompositions evaluate back exactly even when the polynomials differ
@@ -579,7 +612,7 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
         if duplicates:
             variants.append(("distinct", LadderPolynomial.sum(distinct)))
         for variant, poly in variants:
-            entries.append((x, xp, variant))
+            entries.append((x.label(model), xp.label(model), variant))
             polys.append(poly)
     # Every word the frame lacks, built in one batched product per length.
     missing = [w for poly in polys for w in poly._terms if w not in word_cache]
@@ -614,10 +647,13 @@ def decompose_observable(
 
     ``op`` must act on the canonical basis, preserve the total charge and be
     supported on the local-observable span of the (behind-bipartition) region
-    ``modes``; otherwise a ``ValueError`` reports the violation.  The returned
-    polynomial evaluates back to ``op`` (the residual is recorded on the
-    result).  Residuals are zero up to :func:`rounding_cut` of ``tolerance``.
+    ``modes``; otherwise a ``ValueError`` reports the violation.  A
+    non-finite entry of ``op`` is reported before any other check.  The
+    returned polynomial evaluates back to ``op`` (the residual is recorded on
+    the result).  Residuals are zero up to :func:`rounding_cut` of
+    ``tolerance``.
     """
+    _require_finite(op)
     basis = _canonical_basis(op)
     model = basis.model
     n = basis.n_modes
@@ -645,7 +681,7 @@ def decompose_observable(
         return Decomposition(s, LadderPolynomial.constant(lam), {}, 0.0, 0.0)
 
     entries, _polys, stack = _product_frame(model, n, m)
-    target = _to_front(op, s).to_dense().ravel()
+    target = _front_dense(op, s).ravel()
     coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
     span_residual = float(np.abs(stack @ coeffs - target).max())
     if span_residual > cut:
@@ -668,14 +704,10 @@ def decompose_observable(
     # built by the first fit that passes the span check.
     frame = _region_frame(model, n, s)
     kept = np.flatnonzero(np.abs(coeffs) > 1e-13)
-    coefficients = {}
-    for i in kept.tolist():
-        x, xp, variant = entries[i]
-        coefficients[(x.label(model), xp.label(model), variant)] = complex(coeffs[i])
+    coefficients = dict(zip(map(entries.__getitem__, kept.tolist()), coeffs[kept].tolist()))
     terms = frame.weighted_sum(kept, coeffs[kept])
     polynomial = frame.polynomial(*terms)
-    evaluated = frame.evaluate(*terms)
-    eval_residual = float((evaluated - op).norm_max())
+    eval_residual = frame.residual(*terms, dense)
     return Decomposition(s, polynomial, coefficients, span_residual, eval_residual)
 
 

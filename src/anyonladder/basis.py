@@ -178,8 +178,9 @@ class SparseOperator:
 
     def is_charge_diagonal(self) -> bool:
         """Whether every stored entry joins states of one total charge."""
-        mat = self.matrix.tocoo()
-        return bool(np.array_equal(self.row_basis.totals()[mat.row], self.col_basis.totals()[mat.col]))
+        mat = self.matrix
+        rows = np.repeat(self.row_basis.totals(), np.diff(mat.indptr))
+        return bool(np.array_equal(rows, self.col_basis.totals()[mat.indices]))
 
 
 def _drop(mat: sp.csr_matrix, tol: float = DROP_TOLERANCE) -> sp.csr_matrix:
@@ -337,18 +338,26 @@ def _memo(fn):
 
     The key is ``fn`` with its bound arguments, defaults filled in, so every
     spelling of one call shares one entry; a call that raises stores
-    nothing.  Results are shared by every caller and must be treated as
-    read-only.
+    nothing.  A call that passes every parameter by position is keyed by its
+    arguments as they stand, which are its bound arguments; any other
+    spelling is bound to the signature first.  Results are shared by every
+    caller and must be treated as read-only.
     """
     signature = inspect.signature(fn)
+    plain = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    width = len(signature.parameters)
+    if any(p.kind not in plain for p in signature.parameters.values()):
+        width = -1  # a variadic signature is always bound
 
     @functools.wraps(fn)
     def memoised(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        model, *rest = bound.arguments.values()
-        cache = vars(model).setdefault("_op_cache", {})
-        key = (fn, *rest)
+        bound = args
+        if kwargs or len(args) != width:
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            bound = tuple(call.arguments.values())
+        cache = vars(bound[0]).setdefault("_op_cache", {})
+        key = (fn, *bound[1:])
         if key not in cache:
             cache[key] = fn(*args, **kwargs)
         return cache[key]

@@ -267,14 +267,27 @@ class _PolynomialFrame:
         out._terms = dict(zip(map(self.words.__getitem__, ids.tolist()), coeffs.tolist()))
         return out
 
-    def evaluate(self, ids: np.ndarray, coeffs: np.ndarray) -> SparseOperator:
-        """:meth:`LadderPolynomial.evaluate_with_identity` of
-        ``polynomial(ids, coeffs)``, with its bits, from the frame's cells."""
+    def fold(self, ids: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The :func:`_fold` of ``polynomial(ids, coeffs)`` from the frame's
+        cells, as ``(flat positions, values)``: ``_operator`` of it is that
+        polynomial's :meth:`LadderPolynomial.evaluate_with_identity`, with its
+        bits."""
         lengths = self.ptr[ids + 1] - self.ptr[ids]
         cells = _ranges(self.ptr[ids], lengths)
         owner = np.repeat(np.arange(len(ids)), lengths)
-        folded = _fold(coeffs, owner, self.pos[cells], self.vals[cells], len(self.support))
-        return _operator(self.basis, self.basis, self.support, folded)
+        return self.support, _fold(coeffs, owner, self.pos[cells], self.vals[cells], len(self.support))
+
+    def residual(self, ids: np.ndarray, coeffs: np.ndarray, target: np.ndarray) -> float:
+        """The largest entry of ``polynomial(ids, coeffs)``'s evaluation minus
+        the dense matrix ``target``, with the bits of ``(evaluated - op).
+        norm_max()`` for an ``op`` whose ``to_dense`` is ``target``: the same
+        subtraction at each position, where a dropped or absent entry is
+        zero."""
+        flat, folded = self.fold(ids, coeffs)
+        gap = np.abs(target).ravel()
+        kept = np.where(np.abs(folded) > DROP_TOLERANCE, folded, 0.0)
+        gap[flat] = np.abs(kept - target.ravel()[flat])
+        return float(gap.max())
 
 
 class LadderPolynomial:

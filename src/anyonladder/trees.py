@@ -134,20 +134,30 @@ def moves_to_left_comb(shape) -> list[tuple[int, int]]:
 
 
 def _label_table(model, shape) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Spans of ``shape`` and one row of their charges per valid labeling.
+    """The sorted spans of ``shape`` and one row of their charges per valid
+    labeling.
 
     A node's table joins every row of its left child's table with every row
     of its right child's, once per channel of the two child charges in
-    ``model.fusion``; the node's own span is the last column.
+    ``model.fusion``.  Each column is gathered straight into its place in
+    span order, one at a time, so the join holds no other copy of the table;
+    the tables are column-major, so each gather reads one contiguous column.
     """
     if is_leaf(shape):
         return [(shape, shape)], np.arange(model.n_labels).reshape(-1, 1)
     left_spans, left = _label_table(model, shape[0])
     right_spans, right = _label_table(model, shape[1])
     li, ri = np.indices((len(left), len(right))).reshape(2, -1)
-    pair, charge = np.nonzero(model.fusion[left[li, -1], right[ri, -1]])
-    table = np.hstack([left[li[pair]], right[ri[pair]], charge[:, None]])
-    return left_spans + right_spans + [span(shape)], table
+    left_root = left[li, left_spans.index(span(shape[0]))]
+    right_root = right[ri, right_spans.index(span(shape[1]))]
+    pair, charge = np.nonzero(model.fusion[left_root, right_root])
+    spans = sorted(left_spans + right_spans + [span(shape)])
+    table = np.empty((len(pair), len(spans)), dtype=charge.dtype, order="F")
+    for child, rows, child_spans in ((left, li[pair], left_spans), (right, ri[pair], right_spans)):
+        for c, s in enumerate(child_spans):
+            table[:, spans.index(s)] = child[rows, c]
+    table[:, spans.index(span(shape))] = charge
+    return spans, table
 
 
 class LabelTable(NamedTuple):
@@ -213,7 +223,5 @@ def enumerate_labelings(model, shape) -> LabelTable:
     internal charges by span).  Raises ``ValueError`` when the codes of the
     shape would not fit in int64.
     """
-    spans = all_spans(shape)
-    code_place(spans, model.n_labels)  # refuse an overflowing shape before the join
-    found, table = _label_table(model, shape)
-    return table_of(spans, table[:, [found.index(s) for s in spans]], model.n_labels)
+    code_place(all_spans(shape), model.n_labels)  # refuse an overflowing shape before the join
+    return table_of(*_label_table(model, shape), model.n_labels)

@@ -966,6 +966,44 @@ def cached_word(cache: dict, word):
     return block.operator(i)
 
 
+def untidy_operator(basis, rng, nnz: int = 60):
+    """A random operator on ``basis`` stored as untidily as scipy's CSR allows:
+    columns unsorted within a row, repeated positions (some cancelling to an
+    exact zero), stored exact zeros, entries of magnitude at and below
+    ``DROP_TOLERANCE`` and just above it, and -0.0 real or imaginary parts."""
+    import scipy.sparse as sp
+
+    from anyonladder.basis import SparseOperator
+
+    dim = basis.dim
+    rows = rng.integers(0, dim, nnz)
+    cols = rng.integers(0, dim, nnz)
+    vals = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    kind = rng.integers(0, 8, nnz)
+    vals[kind == 1] = 0.0
+    vals[kind == 2] *= rng.uniform(0.1, 1.0, (kind == 2).sum()) * 1e-14 / np.abs(vals[kind == 2])
+    vals[kind == 3] *= 1e-14 / np.abs(vals[kind == 3])
+    vals[kind == 4] = np.nextafter(1e-14, 1.0)
+    vals.real[kind == 5] = -0.0
+    vals.imag[kind == 6] = -0.0
+    vals[kind == 7] = complex(-0.0, -0.0)
+    # Each row once more, cancelling its first entry exactly.
+    first = np.unique(rows, return_index=True)[1]
+    rows = np.concatenate([rows, rows[first]])
+    cols = np.concatenate([cols, cols[first]])
+    vals = np.concatenate([vals, -vals[first]])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(dim + 1))
+    mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
+    return SparseOperator(basis, basis, mat)
+
+
+def is_charge_diagonal_coo(op) -> bool:
+    """``SparseOperator.is_charge_diagonal`` through a COO copy of the matrix."""
+    mat = op.matrix.tocoo()
+    return bool(np.array_equal(op.row_basis.totals()[mat.row], op.col_basis.totals()[mat.col]))
+
+
 def csr_bytes(op):
     """The dtype and raw bytes of each CSR array of ``op``: equal exactly when
     two operators store the same entries in the same order, bit for bit."""

@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 import oracles as orc
 from anyonladder.algebra import (
+    _front_dense,
     _product_frame,
+    _to_front,
     _word_cache,
     abelian_sum_polynomial,
     algebra_closure,
@@ -221,6 +224,21 @@ def test_mode_relabel_unitary_validation(fib):
         mode_relabel_unitary(fib, 3, (1, 1))
     with pytest.raises(ValueError):
         mode_relabel_unitary(fib, 3, (0, 2))
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
+def test_front_dense_is_the_braided_operator_densified(name):
+    """``_front_dense`` has the bytes of ``_to_front(op, s).to_dense()`` on
+    untidy operators, for every region of three modes, the front regions
+    (1), (1, 2) and (1, 2, 3) included."""
+    model = builtin(name)
+    basis = FusionTreeBasis(model, 3)
+    rng = np.random.default_rng(7)
+    ops = [orc.untidy_operator(basis, rng, nnz) for nnz in (0, 8, 80, 400)]
+    for m in (1, 2, 3):
+        for s in itertools.combinations(range(1, 4), m):
+            for op in ops:
+                assert _front_dense(op, s).tobytes() == _to_front(op, s).to_dense().tobytes()
 
 
 def test_mode_relabel_unitary_accepts_any_spelling_of_the_region(fib):
@@ -509,6 +527,38 @@ def test_decompose_names_candidate_local_projectors(fib, charge):
         match=r"operator is candidate-local on modes \[1\] but not an observable of them ",
     ):
         decompose_observable(proj, (1,))
+
+
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf),
+              complex(0.5, -np.inf), complex(np.nan, np.inf)],
+)
+def test_non_finite_entries_are_rejected_first(fib, value):
+    """A NaN or infinite part anywhere in ``op`` is named, entry and value,
+    before the region or anything else is looked at; a later non-finite
+    entry is not the one named."""
+    rng = np.random.default_rng(3)
+    op = _random_local_observable(fib, 3, 2, rng)
+    mat = op.matrix.copy()
+    k = mat.nnz // 2
+    mat.data[k] = value
+    mat.data[-1] = np.inf
+    row = int(np.searchsorted(mat.indptr, k, side="right")) - 1
+    bad = SparseOperator(op.row_basis, op.col_basis, mat)
+    message = f"non-finite value {complex(value)} at entry ({row}, {mat.indices[k]})"
+    for modes in ((1, 2), (2, 3), (1, 1)):
+        for check in (decompose_observable, is_local_candidate):
+            with pytest.raises(ValueError) as info:
+                check(bad, modes)
+            assert str(info.value) == message
+
+
+def test_is_local_candidate_returns_a_bool_and_a_float(fib):
+    """Also where the rounding cut, not the tolerance, is the larger."""
+    for op in (total_charge_projector(fib, 3, "tau"), braid_adjacent(fib, 3, 2)):
+        for tol in (1e-10, 0.0):
+            flag, residual = is_local_candidate(op, (1,), tol)
+            assert type(flag) is bool and type(residual) is float
 
 
 def test_decompose_rejects_repeated_modes(fib):

@@ -274,6 +274,27 @@ def test_charge_diagonality_detection(fib):
     assert keeping.is_charge_diagonal()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_charge_check_reads_untidy_csr_as_its_coo_copy(fib, ising, seed):
+    """The check over ``indptr`` agrees with the one over a COO copy on CSR
+    with unsorted columns and repeated positions, charge-keeping or not."""
+    rng = np.random.default_rng(seed)
+    for model in (fib, ising):
+        basis = FusionTreeBasis(model, 4)
+        totals = basis.totals()
+        op = orc.untidy_operator(basis, rng)
+        mat = op.matrix
+        rows = np.repeat(np.arange(basis.dim), np.diff(mat.indptr))
+        keep = totals[rows] == totals[mat.indices]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[mat.indptr]
+        kept = SparseOperator(basis, basis, sp.csr_matrix(
+            (mat.data[keep], mat.indices[keep], indptr), shape=mat.shape))
+        assert not kept.matrix.has_canonical_format
+        for case in (op, kept):
+            assert case.is_charge_diagonal() == orc.is_charge_diagonal_coo(case)
+        assert kept.is_charge_diagonal() and not op.is_charge_diagonal()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=3), st.sampled_from(["over", "under"]))
 def test_braid_preserves_total_charge(k, sense):
@@ -337,7 +358,7 @@ def _assert_same_table(got, want):
     for attr in ("rows", "codes", "place"):
         mine, theirs = getattr(got, attr), getattr(want, attr)
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-        assert not mine.flags.writeable
+        assert not mine.flags.writeable and mine.flags.c_contiguous
 
 
 def test_cached_labelings_match_fresh_enumeration(fib, fermion, ising):

@@ -461,7 +461,11 @@ def test_decompose_charge_changing_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("bad, problem", [
     ("1 1 0.5 0", "line 8: repeated entry (1, 1)"),
     ("0 1 nan 0", "line 8: non-finite value"),
+    ("0 1 0 nan", "line 8: non-finite value"),
+    ("0 1 inf 0", "line 8: non-finite value"),
+    ("0 1 -inf 0", "line 8: non-finite value"),
     ("0 1 0 inf", "line 8: non-finite value"),
+    ("0 1 0 -inf", "line 8: non-finite value"),
 ])
 def test_decompose_rejects_a_bad_triplet_line(tmp_path, capsys, bad, problem):
     fib = builtin("fibonacci")

@@ -21,6 +21,7 @@ from anyonladder.model import builtin
 from anyonladder.polynomial import MERGE_TOLERANCE, GeneratorSymbol, LadderPolynomial
 from oracles import (
     cached_word, csr_bytes, decompose_by_sum, dense_fold, evaluate_recursively, fold_sum,
+    untidy_operator,
 )
 
 symbols = st.builds(
@@ -502,6 +503,11 @@ def _frame(polys):
     return polynomial._PolynomialFrame(polys, resolver(fib, 2), {}, ident)
 
 
+def _frame_operator(frame, terms):
+    """The operator of the frame's fold of ``terms``."""
+    return polynomial._operator(frame.basis, frame.basis, *frame.fold(*terms))
+
+
 def _frame_sum(frame, pairs):
     """The frame's weighted sum of ``(weight, polynomial index)`` pairs."""
     weights, parts = zip(*pairs)
@@ -530,9 +536,29 @@ def test_frame_weighted_sum_is_the_left_fold(seed):
             fib = builtin("fibonacci")
             ident = SparseOperator.identity(FusionTreeBasis(fib, 2))
             want_op = want.evaluate_with_identity(resolver(fib, 2), ident, cache)
-            assert csr_bytes(frame.evaluate(*terms)) == csr_bytes(dense_fold(want, cache, ident))
-            assert csr_bytes(frame.evaluate(*terms)) == csr_bytes(want_op)
+            assert csr_bytes(_frame_operator(frame, terms)) == csr_bytes(dense_fold(want, cache, ident))
+            assert csr_bytes(_frame_operator(frame, terms)) == csr_bytes(want_op)
     assert _frame_sum(frame, [(1e-13, 1), (complex(-5e-14, 1e-14), 4)])[0].is_zero()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frame_residual_is_the_norm_of_the_operator_difference(seed):
+    """``residual`` against ``op.to_dense()`` has the bits of the evaluated
+    operator minus ``op``, for ``op`` the evaluation itself, the evaluation
+    with a few entries moved by rounding, and untidy random operators."""
+    rng = np.random.default_rng(seed)
+    polys = [_random_polynomial(rng, _POOL, int(rng.integers(1, 30))) for _ in range(8)]
+    frame = _frame(polys)
+    weights = np.array([complex(rng.normal(), rng.normal()) for _ in polys])
+    terms = frame.weighted_sum(np.arange(len(polys)), weights)
+    evaluated = _frame_operator(frame, terms)
+    nudged = evaluated.matrix.copy()
+    nudged.data[::3] += 1e-15
+    ops = [evaluated, SparseOperator(frame.basis, frame.basis, nudged)]
+    ops += [untidy_operator(frame.basis, rng, nnz) for nnz in (0, 5, 40)]
+    for op in ops:
+        want = (evaluated - op).norm_max()
+        assert frame.residual(*terms, op.to_dense()).hex() == want.hex()
 
 
 def test_frame_weighted_sum_restarts_a_word_after_a_cancel():
