@@ -39,7 +39,7 @@ from .ladder import (
     transport_to_mode,
 )
 from .model import AnyonModel, ModelDataError, ValidationReport, rounding_cut
-from .polynomial import GeneratorSymbol, LadderPolynomial, _PolynomialFrame, _fill_cache, _letter
+from .polynomial import GeneratorSymbol, LadderPolynomial, _PolynomialFrame, _letter
 
 __all__ = [
     "RegionState",
@@ -562,7 +562,8 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
 
     Returns ``(entries, polys, stack)``: ``entries[i]`` is the coefficient
     key ``(x label, x' label, variant)``, ``polys[i]`` the ladder polynomial on modes
-    ``1..M`` and ``stack[:, i]`` its evaluated dense matrix, flattened.
+    ``1..M`` and ``stack[:, i]`` its evaluated dense matrix, flattened, read
+    from one ``polynomial._PolynomialFrame`` of all the polynomials.
     Coefficients are fitted against these evaluated matrices, so
     decompositions evaluate back exactly even when the polynomials differ
     from the strict master-equation operators by abelian-sum terms.
@@ -574,9 +575,6 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
     """
     pairs, _ops = observable_basis(model, n_modes, m)
     states = region_states(model, m)
-    resolve = resolver(model, n_modes)
-    identity = SparseOperator.identity(FusionTreeBasis(model, n_modes))
-    word_cache = _word_cache(model, n_modes)
 
     factor_polys: dict[tuple[int, int], LadderPolynomial] = {}
     for x in states:
@@ -614,13 +612,9 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
         for variant, poly in variants:
             entries.append((x.label(model), xp.label(model), variant))
             polys.append(poly)
-    # Every word the frame lacks, built in one batched product per length.
-    missing = [w for poly in polys for w in poly._terms if w not in word_cache]
-    _fill_cache(missing, resolve, word_cache, identity)
-    columns = [
-        poly.evaluate_with_identity(resolve, identity, cache=word_cache).to_dense().ravel()
-        for poly in polys
-    ]
+    identity = SparseOperator.identity(FusionTreeBasis(model, n_modes))
+    frame = _PolynomialFrame(polys, resolver(model, n_modes), _word_cache(model, n_modes), identity)
+    columns = [frame.evaluate(i).to_dense().ravel() for i in range(len(polys))]
     return entries, polys, np.stack(columns, axis=1)
 
 

@@ -45,6 +45,7 @@ from .polynomial import GeneratorSymbol, LadderPolynomial
 
 __all__ = [
     "DENSE_CUTOFF",
+    "K_EXTREMAL",
     "HERMITICITY_TOLERANCE",
     "INDEXINGS",
     "LatticeSpec",
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 DENSE_CUTOFF = 2048
+K_EXTREMAL = 6  # eigenvalues an iterative sector solve finds
 HERMITICITY_TOLERANCE = 1e-10
 INDEXINGS = ("geometric", "paper")
 
@@ -256,7 +258,6 @@ def diagonalize(
     sector,
     method: str | None = None,
     want_vector: bool = True,
-    k_extremal: int = 6,
 ) -> Spectrum:
     """Eigenvalues of one total-charge block of a Hermitian operator.
 
@@ -267,8 +268,8 @@ def diagonalize(
     basis is its own block and can only be solved for that sector.
     ``method`` defaults to a dense solve of the block for block dimension
     up to ``DENSE_CUTOFF`` and an iterative extremal solve (lowest
-    ``k_extremal`` eigenvalues, sparse ``eigsh``) above it.  Blocks of
-    dimension at most ``k_extremal + 1`` are too small for ``eigsh`` and are
+    ``K_EXTREMAL`` eigenvalues, sparse ``eigsh``) above it.  Blocks of
+    dimension at most ``K_EXTREMAL + 1`` are too small for ``eigsh`` and are
     always solved densely; the returned ``method`` says which solver ran.
     The dense solve runs LAPACK zheevd's steps but back-transforms only the
     ground vector, and none without ``want_vector``; its eigenvalues and
@@ -297,7 +298,7 @@ def diagonalize(
 
     if method is None:
         method = "dense" if rows.dim <= DENSE_CUTOFF else "iterative"
-    if rows.dim <= k_extremal + 1:
+    if rows.dim <= K_EXTREMAL + 1:
         method = "dense"
     if method == "dense":
         with _one_blas_thread():
@@ -307,7 +308,7 @@ def diagonalize(
         # draws its own, makes the result a function of the block alone.
         start = np.random.default_rng(0).uniform(-1.0, 1.0, (2, rows.dim))
         with _one_blas_thread():
-            vals, vecs = eigsh(block, k=k_extremal, which="SA", v0=start[0] + 1j * start[1])
+            vals, vecs = eigsh(block, k=K_EXTREMAL, which="SA", v0=start[0] + 1j * start[1])
         order = np.argsort(vals)
         vals = vals[order]
         ground = vecs[:, order[0]]
@@ -455,6 +456,12 @@ def occupation_profile(state: np.ndarray, pair: FibonacciPair) -> np.ndarray:
     Unnormalized input is rescaled with a warning.
     """
     state = np.asarray(state, dtype=complex)
+    columns = pair.alpha[1].col_basis.dim
+    if state.shape != (columns,):
+        raise ValueError(
+            f"state has length {state.size}, but the pair's column dimension is "
+            f"{columns}; a sector state needs that sector's pair"
+        )
     with _one_blas_thread():  # the BLAS threads the norm and the dot products of long vectors
         norm = float(np.linalg.norm(state))
         if norm == 0.0:

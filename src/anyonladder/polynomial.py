@@ -189,10 +189,12 @@ class _PolynomialFrame:
     ``bounds[i] .. bounds[i + 1]``.  Word ``w``'s matrix is held as its
     :func:`_cells`, ``vals[ptr[w]:ptr[w + 1]]`` at positions ``pos`` into
     ``support``, the sorted flat positions of all the words' entries.  The
-    word matrices are built into ``cache`` and gathered once, here.
+    word matrices are built into ``cache`` and gathered once, here; their
+    bases are the frame's.  ``identity`` is the empty word's matrix, and
+    gives the bases when no polynomial has a word.
     """
 
-    def __init__(self, polys, resolver, cache: dict, identity: SparseOperator):
+    def __init__(self, polys, resolver, cache: dict, identity: SparseOperator | None):
         index: dict[Word, int] = {}
         ids = [index.setdefault(w, len(index)) for poly in polys for w in poly._terms]
         self.words = list(index)
@@ -201,12 +203,21 @@ class _PolynomialFrame:
             (c for poly in polys for c in poly._terms.values()), complex, len(ids)
         )
         self.bounds = np.cumsum([0] + [poly.n_terms for poly in polys])
-        self.basis = identity.row_basis
         _fill_cache([w for w in self.words if w not in cache], resolver, cache, identity)
-        _base, owner, rows, cols, vals = _gather([cache[w] for w in self.words])
-        owner, flat, self.vals = _cells(owner, rows * np.int64(self.basis.dim) + cols, vals)
+        if self.words:
+            base, owner, rows, cols, vals = _gather([cache[w] for w in self.words])
+        else:  # every polynomial is zero
+            base, owner, rows, cols, vals = identity, *np.zeros((4, 0), np.intp)
+        self.basis, self.col_basis = base.row_basis, base.col_basis
+        owner, flat, self.vals = _cells(owner, rows * np.int64(self.col_basis.dim) + cols, vals)
         self.support, self.pos = np.unique(flat, return_inverse=True)
         self.ptr = np.searchsorted(owner, np.arange(len(self.words) + 1))
+
+    def evaluate(self, i: int) -> SparseOperator:
+        """Polynomial ``i``'s evaluation: the ``_operator`` of its :meth:`fold`."""
+        terms = slice(self.bounds[i], self.bounds[i + 1])
+        flat, folded = self.fold(self.word[terms], self.coeff[terms])
+        return _operator(self.basis, self.col_basis, flat, folded)
 
     def weighted_sum(self, parts: np.ndarray, weights: np.ndarray):
         """``LadderPolynomial.sum`` of ``(weights[i], polys[parts[i]])`` as
@@ -270,8 +281,7 @@ class _PolynomialFrame:
     def fold(self, ids: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The :func:`_fold` of ``polynomial(ids, coeffs)`` from the frame's
         cells, as ``(flat positions, values)``: ``_operator`` of it is that
-        polynomial's :meth:`LadderPolynomial.evaluate_with_identity`, with its
-        bits."""
+        polynomial's evaluation."""
         lengths = self.ptr[ids + 1] - self.ptr[ids]
         cells = _ranges(self.ptr[ids], lengths)
         owner = np.repeat(np.arange(len(ids)), lengths)
@@ -409,19 +419,12 @@ class LadderPolynomial:
         ``resolver`` never sees a daggered symbol.  ``cache`` is shared
         across calls to reuse word products; it maps each word to a
         ``(block, i)`` reference, matrix ``i`` of a ``basis._CSRBlock``
-        (``block.operator(i)`` makes it a ``SparseOperator``).  A missing
-        word is ``letter @ rest``, with its uncached suffixes and their
-        letters added too, so common suffixes are computed once; the missing
-        words of one length are multiplied in one scipy product over the
-        stacked operands (``basis._matmul_batch``), shortest first, into one
-        block, and each gets the CSR bytes that ``SparseOperator.__matmul__``
-        would give it.  The result is the dense sum of the terms in term
-        order, with the bits of a sum of ``coeff * matrix.to_dense()``.
+        (``block.operator(i)`` makes it a ``SparseOperator``).  The
+        polynomial is compiled to a one-polynomial :class:`_PolynomialFrame`,
+        which builds its missing words (:func:`_fill_cache`) and evaluates
+        it.  The result is the dense sum of the terms in term order, with the
+        bits of a sum of ``coeff * matrix.to_dense()``.
         """
-        if cache is None:
-            cache = {}
-        if not self._terms:
-            raise ValueError("cannot evaluate an empty polynomial without a basis")
         if any(len(w) == 0 for w in self._terms):
             raise ValueError(
                 "constant terms need an explicit identity; "
@@ -436,29 +439,13 @@ class LadderPolynomial:
         cache: dict | None = None,
     ) -> SparseOperator:
         """Like :meth:`evaluate` but supports constant (empty-word) terms."""
-        if cache is None:
-            cache = {}
         return self._accumulate(resolver, cache, identity)
 
-    def _accumulate(self, resolver, cache: dict, identity) -> SparseOperator:
-        refs = list(map(cache.get, self._terms))
-        if None in refs:
-            missing = [w for w, ref in zip(self._terms, refs) if ref is None]
-            _fill_cache(missing, resolver, cache, identity)
-            refs = list(map(cache.__getitem__, self._terms))
-        if not refs:
-            if identity is None:
-                raise ValueError(
-                    "cannot evaluate an empty polynomial without a basis"
-                )
-            return _operator(identity.row_basis, identity.col_basis, np.zeros(0, int),
-                             np.zeros(0, complex))
-        base, owner, rows, cols, vals = _gather(refs)
-        owner, flat, vals = _cells(owner, rows * np.int64(base.col_basis.dim) + cols, vals)
-        flat, pos = np.unique(flat, return_inverse=True)
-        coeffs = np.fromiter(self._terms.values(), complex, len(refs))
-        folded = _fold(coeffs, owner, pos, vals, len(flat))
-        return _operator(base.row_basis, base.col_basis, flat, folded)
+    def _accumulate(self, resolver, cache: dict | None, identity) -> SparseOperator:
+        if not self._terms and identity is None:
+            raise ValueError("cannot evaluate an empty polynomial without a basis")
+        frame = _PolynomialFrame([self], resolver, {} if cache is None else cache, identity)
+        return frame.evaluate(0)
 
     def signature(self) -> tuple:
         """Hashable canonical form: words with coefficients rounded.

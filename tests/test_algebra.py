@@ -475,6 +475,35 @@ def test_product_frame_words_match_recursive_evaluation(name, n, m):
     assert np.stack(columns, axis=1).tobytes() == stack.tobytes()
 
 
+def test_product_frame_and_evaluate_each_compile_one_frame(monkeypatch):
+    """A cold Fibonacci n = 3 {1,2} product frame compiles its polynomials
+    once, so their word matrices are gathered into cells once, not once per
+    polynomial; a plain ``evaluate`` compiles exactly one frame."""
+    from anyonladder import polynomial
+
+    model = load_model(dump_model(builtin("fibonacci")))  # a copy with empty caches
+    frames, cells = [], []
+    init, make_cells = polynomial._PolynomialFrame.__init__, polynomial._cells
+
+    def counting_init(self, *args, **kwargs):
+        frames.append(None)
+        init(self, *args, **kwargs)
+
+    def counting_cells(*args):
+        cells.append(None)
+        return make_cells(*args)
+
+    monkeypatch.setattr(polynomial._PolynomialFrame, "__init__", counting_init)
+    monkeypatch.setattr(polynomial, "_cells", counting_cells)
+    _entries, polys, _stack = _product_frame(model, 3, 2)
+    assert len(polys) > 1 and (len(frames), len(cells)) == (1, 1)
+    frames.clear()
+    cells.clear()
+    poly = LadderPolynomial([(1.0, w) for w in list(polys[0]._terms)[:3] if w])
+    poly.evaluate(resolver(model, 3))
+    assert (len(frames), len(cells)) == (1, 1)
+
+
 def test_decompose_identity_short_circuit(fib):
     op = 2.5 * _identity(fib, 3)
     dec = decompose_observable(op, (1, 2))

@@ -333,6 +333,20 @@ def test_occupation_profile_normalizes_with_warning():
         occupation_profile(np.zeros(basis.dim, dtype=complex), pair)
 
 
+def test_occupation_profile_names_a_state_of_the_wrong_basis():
+    """A full-basis state with a sector pair, and a sector state with the
+    full pair, are refused with both lengths named, not by numpy's matmul."""
+    model = builtin("fibonacci")
+    sector_pair, full_pair = fibonacci_pair(model, 4, "e"), fibonacci_pair(model, 4)
+    full_state = np.zeros(34, dtype=complex)
+    full_state[0] = 1.0
+    with pytest.raises(ValueError, match=r"length 34.* 13; a sector state needs that sector's pair"):
+        occupation_profile(full_state, sector_pair)
+    with pytest.raises(ValueError, match=r"length 13.* 34; a sector state needs that sector's pair"):
+        occupation_profile(full_state[:13], full_pair)
+    assert occupation_profile(full_state, full_pair).shape == (4,)
+
+
 def test_indexing_conventions_same_spectrum_when_edges_coincide():
     # one rung: both conventions give the single edge (1, 2)
     params_pairs = [(0.6, 0.1), (1.0, 0.0), (0.3, -0.7)]
@@ -369,7 +383,7 @@ def test_construction_is_deterministic():
     assert (h1 - h2).norm_max() == 0.0
 
 
-def test_iterative_request_on_tiny_blocks_solves_densely():
+def test_iterative_request_on_tiny_blocks_solves_densely(monkeypatch):
     one = diagonalize(
         SparseOperator.identity(FusionTreeBasis(builtin("fibonacci"), 1)), "e",
         method="iterative",
@@ -377,7 +391,8 @@ def test_iterative_request_on_tiny_blocks_solves_densely():
     assert one.method == "dense" and np.array_equal(one.eigenvalues, [1.0])
     _, h = hubbard_hamiltonian(2, HubbardParams(t=1.0, mu=0.3))  # blocks 13 and 21
     for k_extremal, method in ((12, "dense"), (11, "iterative")):
-        sp = diagonalize(h, "e", method="iterative", k_extremal=k_extremal)
+        monkeypatch.setattr(hubbard, "K_EXTREMAL", k_extremal)
+        sp = diagonalize(h, "e", method="iterative")
         assert sp.method == method
         full = diagonalize(h, "e", method="dense").eigenvalues
         assert np.allclose(sp.eigenvalues[:k_extremal], full[:k_extremal], atol=1e-10)
