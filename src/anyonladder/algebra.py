@@ -27,7 +27,7 @@ from scipy.linalg import eigh
 from . import trees
 from .basis import (
     DROP_TOLERANCE, FusionTreeBasis, SparseOperator, braid_word, _conjugate, _CSRBlock,
-    _factored_states, _memo, _pairs,
+    _factored_states, _memo, _pairs, _require_finite,
 )
 from .ladder import (
     _shared_pair,
@@ -257,19 +257,6 @@ def _front_dense(op: SparseOperator, s: tuple[int, ...]) -> np.ndarray:
     dense = op.to_dense()
     dense[np.abs(dense) <= DROP_TOLERANCE] = 0.0
     return dense
-
-
-def _require_finite(op: SparseOperator) -> None:
-    """Raise ``ValueError`` naming the first stored entry of ``op`` that is
-    not finite, in either part."""
-    mat = op.matrix
-    bad = np.flatnonzero(~np.isfinite(mat.data))
-    if len(bad):
-        k = int(bad[0])
-        row = int(np.searchsorted(mat.indptr, k, side="right")) - 1
-        raise ValueError(
-            f"non-finite value {complex(mat.data[k])} at entry ({row}, {int(mat.indices[k])})"
-        )
 
 
 def _canonical_basis(op: SparseOperator) -> FusionTreeBasis:
@@ -956,7 +943,8 @@ def commutant_is_trivial(generators, tol: float = 1e-10) -> bool:
     system += np.kron(eye, a.T)
     system += np.kron(a, eye)
     scale = 4.0 * sum(np.linalg.norm(g, 2) ** 2 for g in gens)
-    cut = rounding_cut(tol * scale, dim * dim, scale)
+    # rounding_cut(tol * scale, dim * dim, scale) bit for bit, checking tol itself
+    cut = scale * rounding_cut(tol, dim * dim, 1.0)
     return bool(eigh(system, eigvals_only=True, subset_by_index=[0, 1])[1] > cut)
 
 

@@ -194,6 +194,19 @@ def _drop(mat: sp.csr_matrix, tol: float = DROP_TOLERANCE) -> sp.csr_matrix:
     return out
 
 
+def _require_finite(op: SparseOperator) -> None:
+    """Raise ``ValueError`` naming the first stored entry of ``op`` that is
+    not finite, in either part."""
+    mat = op.matrix
+    bad = np.flatnonzero(~np.isfinite(mat.data))
+    if len(bad):
+        k = int(bad[0])
+        row = int(np.searchsorted(mat.indptr, k, side="right")) - 1
+        raise ValueError(
+            f"non-finite value {complex(mat.data[k])} at entry ({row}, {int(mat.indices[k])})"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class _CSRBlock:
     """Equal-shape matrices between two bases, stacked row-wise in one CSR.

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse.linalg import eigsh
 
-from .basis import FusionTreeBasis, SparseOperator, _sector_block
+from .basis import FusionTreeBasis, SparseOperator, _require_finite, _sector_block
 # fibonacci_pair stays a module attribute: the benchmark's tracer rebinds it
 # here (perfbench/test_perfbench.py::test_tracer_rebinds_every_copy_and_restores).
 from .ladder import FibonacciPair, _shared_pair, fibonacci_pair  # noqa: F401
@@ -264,7 +264,8 @@ def diagonalize(
     The block, of a full operator and a sector operator alike, is the
     sector's CSR rows ``offset .. offset + dim`` of ``h``, symmetrised
     there; the full operator is never densified, and the Hermiticity check
-    runs on the sparse difference ``h - h^dagger``.  An operator on a sector
+    runs on the sparse difference ``h - h^dagger``, after a non-finite entry
+    of ``h`` is refused with ``ValueError``.  An operator on a sector
     basis is its own block and can only be solved for that sector.
     ``method`` defaults to a dense solve of the block for block dimension
     up to ``DENSE_CUTOFF`` and an iterative extremal solve (lowest
@@ -288,6 +289,7 @@ def diagonalize(
             f"operator is restricted to sector {model.labels[basis.sector]}; "
             f"cannot diagonalize sector {model.labels[g]}"
         )
+    _require_finite(h)
     if (h + (-1.0) * h.dagger()).norm_max() > HERMITICITY_TOLERANCE:
         raise ValueError("operator is not Hermitian; cannot diagonalize")
     if not h.is_charge_diagonal():
@@ -453,7 +455,8 @@ def occupation_profile(state: np.ndarray, pair: FibonacciPair) -> np.ndarray:
     ``n_i`` is the projector onto states whose mode ``i`` is occupied, so
     every density lies in [0, 1].  ``state`` lives in the pair's column basis,
     so a sector ground state takes the pair built on that sector.
-    Unnormalized input is rescaled with a warning.
+    Unnormalized input is rescaled with a warning; a non-finite entry raises
+    ``ValueError``.
     """
     state = np.asarray(state, dtype=complex)
     columns = pair.alpha[1].col_basis.dim
@@ -462,6 +465,10 @@ def occupation_profile(state: np.ndarray, pair: FibonacciPair) -> np.ndarray:
             f"state has length {state.size}, but the pair's column dimension is "
             f"{columns}; a sector state needs that sector's pair"
         )
+    bad = np.flatnonzero(~np.isfinite(state))
+    if len(bad):
+        k = int(bad[0])
+        raise ValueError(f"non-finite value {complex(state[k])} at entry {k} of the state")
     with _one_blas_thread():  # the BLAS threads the norm and the dot products of long vectors
         norm = float(np.linalg.norm(state))
         if norm == 0.0:

@@ -535,7 +535,10 @@ def _f_blocks(model: AnyonModel):
 
 def rounding_cut(tol: float, size: int, scale: float) -> float:
     """The largest residual that counts as zero: ``tol``, never below the rounding
-    level ``eps * size * scale`` of ``size`` terms of operands up to ``scale``."""
+    level ``eps * size * scale`` of ``size`` terms of operands up to ``scale``.
+    A ``tol`` that is not finite and non-negative raises ``ValueError``."""
+    if not 0.0 <= tol < np.inf:  # NaN fails this too
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     return max(tol, np.finfo(float).eps * size * scale)
 
 

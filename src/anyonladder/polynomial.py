@@ -133,10 +133,6 @@ def _cells(owner: np.ndarray, flat: np.ndarray, vals: np.ndarray):
     return owner, flat, dense
 
 
-def _minus_zero(x: np.ndarray) -> np.ndarray:
-    return (x == 0) & np.signbit(x)
-
-
 def _fold(coeffs: np.ndarray, owner: np.ndarray, pos: np.ndarray, vals: np.ndarray,
           width: int) -> np.ndarray:
     """The sum of ``coeffs[t] * M_t`` over the terms ``t`` in order, on
@@ -145,28 +141,15 @@ def _fold(coeffs: np.ndarray, owner: np.ndarray, pos: np.ndarray, vals: np.ndarr
     position, as :func:`_cells` makes them).
 
     It has the bits of the dense fold ``dense = c_0 * M_0; dense += c_t *
-    M_t`` wherever that fold is not zero in both parts (such a position is
-    dropped by evaluation): the products are numpy's complex multiply, as in
-    that fold (it may fuse multiply and add), and the unbuffered
-    ``np.add.at`` adds each position's products one at a time in term order,
-    from zero.  A term with no entry at a position adds ``c_t * 0`` there in
-    the dense fold; that moves no sum, only the sign of a zero part, which is
-    ``-0.0`` exactly when every term's product there is ``-0.0``.
+    M_t``, except that every zero part is ``+0.0``: the products are numpy's
+    complex multiply, as in that fold (it may fuse multiply and add), and
+    the unbuffered ``np.add.at`` adds each position's products one at a time
+    in term order, from zero.  A term with no entry at a position adds ``c_t
+    * 0`` there in the dense fold, which moves no sum, only the sign of a
+    zero part; a sum from ``+0.0`` has no ``-0.0`` part.
     """
-    products = coeffs[owner] * vals
     total = np.zeros(width, complex)
-    np.add.at(total, pos, products)
-    lone = (total.real == 0) != (total.imag == 0)  # one zero part, whose sign shows
-    if lone.any():
-        missing = coeffs * 0j  # what a term adds where it has no entry
-        for part in ("real", "imag"):
-            # Terms whose product is not -0.0 in this part: those with an
-            # entry at each position, then those without one.
-            unsigned = ~_minus_zero(getattr(missing, part))
-            plus = (np.bincount(pos, ~_minus_zero(getattr(products, part)), width)
-                    + unsigned.sum() - np.bincount(pos, unsigned[owner], width))
-            out = getattr(total, part)
-            out[lone & (out == 0) & (plus == 0)] = -0.0
+    np.add.at(total, pos, coeffs[owner] * vals)
     return total
 
 
@@ -191,7 +174,8 @@ class _PolynomialFrame:
     ``support``, the sorted flat positions of all the words' entries.  The
     word matrices are built into ``cache`` and gathered once, here; their
     bases are the frame's.  ``identity`` is the empty word's matrix, and
-    gives the bases when no polynomial has a word.
+    gives the bases when no polynomial has a word.  A weighted sum of the
+    words is evaluated by :func:`_fold`, one fold from zero.
     """
 
     def __init__(self, polys, resolver, cache: dict, identity: SparseOperator | None):
@@ -423,7 +407,8 @@ class LadderPolynomial:
         polynomial is compiled to a one-polynomial :class:`_PolynomialFrame`,
         which builds its missing words (:func:`_fill_cache`) and evaluates
         it.  The result is the dense sum of the terms in term order, with the
-        bits of a sum of ``coeff * matrix.to_dense()``.
+        bits of a sum of ``coeff * matrix.to_dense()`` except that no stored
+        real or imaginary part is ``-0.0``: the sum starts from zero.
         """
         if any(len(w) == 0 for w in self._terms):
             raise ValueError(
@@ -438,7 +423,8 @@ class LadderPolynomial:
         identity: SparseOperator,
         cache: dict | None = None,
     ) -> SparseOperator:
-        """Like :meth:`evaluate` but supports constant (empty-word) terms."""
+        """Like :meth:`evaluate` but supports constant (empty-word) terms,
+        ``identity`` being the empty word's matrix."""
         return self._accumulate(resolver, cache, identity)
 
     def _accumulate(self, resolver, cache: dict | None, identity) -> SparseOperator:

@@ -204,6 +204,30 @@ def test_diagonalize_validation():
         diagonalize(bad, "e")
 
 
+def test_diagonalize_refuses_a_non_finite_entry():
+    """An infinite entry would pass the Hermiticity check as NaN and solve to
+    NaN eigenvalues, and a NaN entry would reach LAPACK; both are refused
+    first, naming the entry."""
+    _, h = hubbard_hamiltonian(2, HubbardParams(t=1.0, mu=0.5))
+    for value in (np.inf, np.nan, complex(0.0, -np.inf)):
+        mat = h.matrix.copy()
+        mat.data[3] = value
+        row = int(np.searchsorted(mat.indptr, 3, side="right")) - 1
+        bad = SparseOperator(h.row_basis, h.col_basis, mat)
+        for sector in ("e", "tau"):
+            with pytest.raises(ValueError, match=rf"non-finite value .* at entry \({row}, "):
+                diagonalize(bad, sector)
+
+
+def test_hubbard_cli_refuses_an_overflowing_hamiltonian(capsys):
+    """``--t 1e308 --mu 1e308`` overflows H; the CLI names the non-finite
+    entry and exits 2, not with LAPACK's convergence error."""
+    from anyonladder.cli import main
+
+    assert main(["hubbard", "--rungs", "2", "--t", "1e308", "--mu", "1e308"]) == 2
+    assert "error: non-finite value" in capsys.readouterr().err
+
+
 def _restricted(op, g, rows=True):
     """``op`` with its columns, and its rows unless ``rows`` is false, cut to sector ``g``."""
     model = op.row_basis.model
@@ -331,6 +355,17 @@ def test_occupation_profile_normalizes_with_warning():
     assert profile.min() >= -1e-12
     with pytest.raises(ValueError):
         occupation_profile(np.zeros(basis.dim, dtype=complex), pair)
+
+
+def test_occupation_profile_refuses_a_non_finite_state():
+    """An all-NaN state would give NaN densities without a warning."""
+    pair = fibonacci_pair(builtin("fibonacci"), 4, "e")
+    with pytest.raises(ValueError, match=r"non-finite value \(nan\+0j\) at entry 0 of the state"):
+        occupation_profile(np.full(13, np.nan, dtype=complex), pair)
+    state = np.zeros(13, dtype=complex)
+    state[0], state[5] = 1.0, complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="non-finite value .* at entry 5 of the state"):
+        occupation_profile(state, pair)
 
 
 def test_occupation_profile_names_a_state_of_the_wrong_basis():

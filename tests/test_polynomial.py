@@ -414,11 +414,19 @@ def test_fold_bits_do_not_depend_on_how_many_entries_one_call_folds(fib):
             assert part.tobytes() == whole[lo:lo + size].tobytes(), (size, lo)
 
 
-def test_fold_signs_a_zero_part_as_the_dense_fold(fib):
+def _minus_zero(data: np.ndarray) -> bool:
+    """Whether a stored real or imaginary part of ``data`` is ``-0.0``."""
+    parts = np.concatenate([data.real, data.imag])
+    return bool(((parts == 0) & np.signbit(parts)).any())
+
+
+def test_evaluation_stores_no_negative_zero(fib):
     """Single-letter terms whose products are ``-0.0`` in one part, at
-    positions where other terms have no entry: the zero part keeps the sign
-    of the dense fold, in which every term adds ``c * M`` everywhere.  One
-    letter repeats entries, which the dense fold adds before the product."""
+    positions where other terms have no entry: the dense fold, in which every
+    term adds ``c * M`` everywhere, can leave a zero part ``-0.0`` there, and
+    evaluation, a fold from zero, stores it as ``+0.0`` with every other bit
+    the dense fold's.  One letter repeats entries, which the dense fold adds
+    before the product."""
     b3 = FusionTreeBasis(fib, 3)
     rng = np.random.default_rng(3)
     values = [1j, -1j, 1.0, -1.0, complex(-0.0, 2.0), complex(3.0, -0.0), 0.5 + 0.5j]
@@ -439,10 +447,12 @@ def test_fold_signs_a_zero_part_as_the_dense_fold(fib):
         poly = LadderPolynomial([(coeffs[rng.integers(len(coeffs))], (syms[i],)) for i in chosen])
         cache = {}
         got = poly.evaluate(letters.__getitem__, cache)
-        assert csr_bytes(got) == csr_bytes(dense_fold(poly, cache))
-        data = got.matrix.data
-        signed += bool(polynomial._minus_zero(np.concatenate([data.real, data.imag])).any())
-    assert signed > 0  # the -0.0 rule was exercised
+        want = dense_fold(poly, cache)
+        signed += _minus_zero(want.matrix.data)
+        want.matrix.data += 0.0
+        assert csr_bytes(got) == csr_bytes(want)
+        assert not _minus_zero(got.matrix.data)
+    assert signed > 0  # the dense fold left a -0.0 part in some case
 
 
 def test_evaluation_on_a_one_column_support_adds_sequentially(fib):

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 import oracles_exact as ox
-from anyonladder.algebra import decompose_observable, is_local_candidate, verify_relations
+from anyonladder.algebra import (
+    algebra_closure, commutant_is_trivial, decompose_observable, is_local_candidate,
+    kernel_dimension, verify_relations,
+)
 from anyonladder.basis import FusionTreeBasis, braid_adjacent, total_charge_projector
-from anyonladder.ladder import _shared_pair
-from anyonladder.model import pentagon_residual, rounding_cut
+from anyonladder.ladder import _shared_pair, ladder_set
+from anyonladder.model import pentagon_residual, rounding_cut, validate_model
 
 EPS = np.finfo(float).eps
 
@@ -25,6 +28,35 @@ def test_rounding_cut_is_the_tolerance_or_the_rounding_level():
     assert rounding_cut(0.0, 34, 2.0) == 68 * EPS
     assert rounding_cut(1e-20, 5, 1.0) == 5 * EPS
     assert rounding_cut(0.0, 0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-3])
+def test_every_zero_test_refuses_a_tolerance_that_is_not_finite_and_non_negative(fib, tol):
+    """A NaN tolerance passes nothing and an infinite one passes everything,
+    so each is refused where the cut is taken, as the CLI refuses it; at the
+    default 1e-10 ``B + B^+`` is not local on mode 1 and is on modes 1, 2."""
+    braid = braid_adjacent(fib, 3, 1)
+    op = braid + braid.dagger()
+    gens = list(ladder_set(fib, 2, "tau").ops.values())
+    calls = {
+        "decompose_observable": lambda: decompose_observable(op, (1,), tolerance=tol),
+        "is_local_candidate": lambda: is_local_candidate(op, (1, 2), tol=tol),
+        "kernel_dimension": lambda: kernel_dimension(fib, 3, tol),
+        "algebra_closure": lambda: algebra_closure(gens, tol=tol),
+        "commutant_is_trivial": lambda: commutant_is_trivial(gens, tol=tol),
+        "verify_relations": lambda: verify_relations(fib, 3, tolerance=tol),
+        "validate_model": lambda: validate_model(fib, tolerance=tol),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except ValueError as exc:
+            assert f"tolerance must be finite and non-negative, got {tol}" in str(exc), name
+        else:
+            pytest.fail(f"{name} accepted tolerance {tol}")
+    with pytest.raises(ValueError, match="not local"):
+        decompose_observable(op, (1,))
+    assert is_local_candidate(op, (1, 2)) == (True, 0.0)
 
 
 def test_the_pentagon_residual_of_the_builtin_fibonacci_is_rounding(fib):
