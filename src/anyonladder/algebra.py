@@ -27,7 +27,7 @@ from scipy.linalg import eigh
 from . import trees
 from .basis import (
     DROP_TOLERANCE, FusionTreeBasis, SparseOperator, braid_word, _conjugate, _CSRBlock,
-    _factored_states, _memo, _pairs, _require_finite,
+    _entries, _factored_states, _memo, _pairs, _require_finite, _values_at,
 )
 from .ladder import (
     _shared_pair,
@@ -106,7 +106,21 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
     pairs of equal charge and ``ops`` the corresponding canonical-basis
     operators.
     """
+    pairs, block = _observable_block(model, n_modes, tuple(range(1, m + 1)))
+    return pairs, [block.operator(k) for k in range(len(pairs))]
+
+
+@_memo
+def _observable_block(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
+    """``(pairs, block)``: the pairs of :func:`observable_basis` and its
+    operators moved onto the sorted region ``s``, ``U^dagger E U`` with ``U``
+    the region's relabel unitary, as one ``_CSRBlock``.  ``E = W^dagger M W``
+    for the factored-shape recoupling ``W``, so the moved operators are
+    ``(W U)^dagger M (W U)``, one ``_conjugate`` like the unmoved ones."""
+    m = len(s)
     w, _b0, y, x, g = _factored_states(model, n_modes, m)
+    if s != tuple(range(1, m + 1)):
+        w = w @ _mode_relabel_unitaries(model, n_modes, s)[0]
     states = region_states(model, m)
     pairs = [(r, rp) for r in states for rp in states if r.charge == rp.charge]
     slot = np.full((len(states), len(states)), -1)
@@ -116,8 +130,37 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
     rows, cols = _pairs(y * model.n_labels + g)
     owner = slot[x[rows], x[cols]]
     keep = owner >= 0
-    block = _conjugate(w, rows[keep], cols[keep], np.ones(keep.sum()), owner[keep], len(pairs))
-    return pairs, [block.operator(k) for k in range(len(pairs))]
+    return pairs, _conjugate(w, rows[keep], cols[keep], np.ones(keep.sum()), owner[keep], len(pairs))
+
+
+@_memo
+def _coordinate_entries(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
+    """The operators of ``_observable_block(model, n_modes, s)`` as entry
+    lists over their union support: ``(owner, pos, vals, support, norms)``,
+    entry ``k`` being ``vals[k]`` of operator ``owner[k]`` at the flat
+    position ``support[pos[k]]``, and ``norms`` each operator's squared
+    norm."""
+    pairs, block = _observable_block(model, n_modes, s)
+    dim = block.row_basis.dim
+    owner = np.repeat(np.arange(len(pairs)), np.diff(block.indptr[::dim]))
+    support, pos = np.unique(block.rows * np.int64(dim) + block.indices, return_inverse=True)
+    norms = np.bincount(owner, np.abs(block.data) ** 2, len(pairs))
+    return owner, pos, block.data, support, norms
+
+
+def _coordinates(entries, basis: FusionTreeBasis, s: tuple[int, ...]):
+    """``(y, residual)`` for the operator whose :func:`basis._entries` are
+    ``entries``: its coordinates ``y_p = <E_p, op> / |E_p|^2`` on the
+    observable basis moved onto ``s``, whose operators are mutually
+    orthogonal, and the largest entry of ``op - sum_p y_p E_p``."""
+    owner, pos, vals, support, norms = _coordinate_entries(basis.model, basis.n_modes, s)
+    at, rest = _values_at(entries, support)
+    overlap = at[pos] * vals.conj()
+    y = (np.bincount(owner, overlap.real, len(norms))
+         + 1j * np.bincount(owner, overlap.imag, len(norms))) / norms
+    share = y[owner] * vals
+    fit = np.bincount(pos, share.real, len(support)) + 1j * np.bincount(pos, share.imag, len(support))
+    return y, float(max(np.abs(at - fit).max(initial=0.0), np.abs(rest).max(initial=0.0)))
 
 
 def candidate_local_basis(model: AnyonModel, n_modes: int, mode: int = 1):
@@ -525,6 +568,9 @@ class Decomposition:
     weight of that realizable product column; ``variant`` is ``"sum"`` for
     the total-charge sum and ``"distinct"`` for its deduplicated form (only
     present when abelian-rest realizations repeat across charges).
+    ``span_residual`` is the larger of the largest entry the observable
+    coordinates leave of the operator and the largest the realised span
+    misses of them.
     """
 
     modes: tuple[int, ...]
@@ -545,15 +591,16 @@ class Decomposition:
 
 @_memo
 def _product_frame(model: AnyonModel, n_modes: int, m: int):
-    """Evaluated products ``sum_g P_{x,g}^dagger P_{x',g}`` per observable pair.
+    """The symbolic product frame ``sum_g P_{x,g}^dagger P_{x',g}`` per observable pair.
 
-    Returns ``(entries, polys, stack)``: ``entries[i]`` is the coefficient
-    key ``(x label, x' label, variant)``, ``polys[i]`` the ladder polynomial on modes
-    ``1..M`` and ``stack[:, i]`` its evaluated dense matrix, flattened, read
-    from one ``polynomial._PolynomialFrame`` of all the polynomials.
-    Coefficients are fitted against these evaluated matrices, so
-    decompositions evaluate back exactly even when the polynomials differ
-    from the strict master-equation operators by abelian-sum terms.
+    Returns ``(entries, polys)``: ``entries[i]`` is the coefficient key ``(x
+    label, x' label, variant)`` and ``polys[i]`` the ladder polynomial on
+    modes ``1..M``.  Coefficients are fitted against these polynomials'
+    evaluations (:func:`_coordinate_map`), so decompositions evaluate back
+    exactly even when the polynomials differ from the strict master-equation
+    operators by abelian-sum terms.  ``n_modes`` enters only through the rest
+    charges of ``n_modes - 1`` modes, which are every label once ``n_modes``
+    is 2 or more, so the frame is one for all those ``n_modes``.
 
     Abelian-rest realizations can coincide for several total charges ``g``;
     the plain g-sum then over-counts sectors, so for such pairs a second
@@ -599,26 +646,91 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
         for variant, poly in variants:
             entries.append((x.label(model), xp.label(model), variant))
             polys.append(poly)
+    return entries, polys
+
+
+def _map_modes(n_modes: int, m: int) -> int:
+    """The mode count ``n0`` the coordinate map of an ``m``-mode region of
+    ``n_modes`` modes is fitted at: ``m + 1``, the fewest modes whose rest
+    takes every charge, or ``n_modes`` itself when the region is every
+    mode and the rest is empty."""
+    return n_modes if n_modes == m else m + 1
+
+
+def _compile(model: AnyonModel, n_modes: int, polys) -> _PolynomialFrame:
+    """``polys`` compiled into one ``_PolynomialFrame`` on ``n_modes`` modes, over the shared word cache."""
     identity = SparseOperator.identity(FusionTreeBasis(model, n_modes))
-    frame = _PolynomialFrame(polys, resolver(model, n_modes), _word_cache(model, n_modes), identity)
-    columns = [frame.evaluate(i).to_dense().ravel() for i in range(len(polys))]
-    return entries, polys, np.stack(columns, axis=1)
+    return _PolynomialFrame(polys, resolver(model, n_modes), _word_cache(model, n_modes), identity)
+
+
+@_memo
+def _coordinate_map(model: AnyonModel, n_modes: int, m: int):
+    """The fit of the product frame as a fixed linear map from observable
+    coordinates to frame weights, at ``n_modes`` (a :func:`_map_modes`).
+
+    Returns ``(weights, unrealised, misses, frame)``.  ``frame`` is the
+    product frame of modes ``1..M`` compiled on ``n_modes`` modes, and the
+    stack holds its evaluations, flattened, as columns: ``weights[:, p] =
+    lstsq(stack, vec E_p)`` for each operator ``E_p`` of
+    :func:`observable_basis`.  An observable ``sum_p y_p E_p`` then has the
+    frame weights ``weights @ y``, the least-squares fit of the whole stack.
+    ``unrealised`` lists the ``p`` whose fit leaves an entry above the
+    default cut, the pairs the realised span misses, and ``misses`` holds
+    what their fits leave, one column each.
+
+    The evaluated frame and the observable basis are rest-charge blocks,
+    recoupled, each block repeated once per rest labeling.  Once the rest
+    takes every charge, at ``m + 1`` modes, a larger system only repeats the
+    blocks more often, which moves no exact solution, so the map fitted there
+    holds on every larger system (an unrealised pair's least-squares weights
+    do move; its fit fails either way).  The stack, ``dim**2`` by the frame
+    size, is formed only here.
+    """
+    _entries, polys = _product_frame(model, n_modes, m)
+    frame = _compile(model, n_modes, polys)
+    stack = np.stack([frame.evaluate(i).to_dense().ravel() for i in range(len(polys))], axis=1)
+    _pairs, ops = observable_basis(model, n_modes, m)
+    targets = np.stack([op.to_dense().ravel() for op in ops], axis=1)
+    weights = np.linalg.lstsq(stack, targets, rcond=None)[0]
+    misses = stack @ weights - targets
+    unrealised = np.flatnonzero(np.abs(misses).max(axis=0) > rounding_cut(1e-10, len(stack), 1.0))
+    return weights, unrealised, misses[:, unrealised], frame
 
 
 @_memo
 def _region_frame(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> _PolynomialFrame:
-    """The polynomials of ``_product_frame(model, n_modes, len(s))``, their
-    modes ``1..M`` relabelled to the region ``s``, compiled once into a
-    ``polynomial._PolynomialFrame`` over the shared word cache.
+    """The product frame's polynomials with modes ``1..M`` relabelled to the
+    region ``s``, compiled once into a ``polynomial._PolynomialFrame`` over
+    the shared word cache; the front region at the map's own mode count is
+    the coordinate map's frame, so its words are compiled once.
 
     Frame polynomials hold no mode above ``M``, so the relabelling is one to
     one on words, and a weighted sum of these equals the sum of the frame
     polynomials relabelled afterwards.
     """
-    mode_map = {k + 1: mode for k, mode in enumerate(s)}
-    polys = [poly.relabel_modes(mode_map) for poly in _product_frame(model, n_modes, len(s))[1]]
-    identity = SparseOperator.identity(FusionTreeBasis(model, n_modes))
-    return _PolynomialFrame(polys, resolver(model, n_modes), _word_cache(model, n_modes), identity)
+    m = len(s)
+    n0 = _map_modes(n_modes, m)
+    front = s == tuple(range(1, m + 1))
+    if front and n_modes == n0:
+        return _coordinate_map(model, n0, m)[3]
+    polys = _product_frame(model, n0, m)[1]
+    if not front:
+        mode_map = {k + 1: mode for k, mode in enumerate(s)}
+        polys = [poly.relabel_modes(mode_map) for poly in polys]
+    return _compile(model, n_modes, polys)
+
+
+def _identity_part(entries, dim: int) -> tuple[complex, float]:
+    """``(lam, gap)`` for the operator whose :func:`basis._entries` are
+    ``entries``: ``lam`` its trace over ``dim`` and ``gap`` the largest entry
+    of ``op - lam * id``, with the bits of the dense ``np.trace`` and
+    subtraction."""
+    flat, vals = entries
+    on_diagonal = flat % (dim + 1) == 0
+    diagonal = np.zeros(dim, complex)
+    diagonal[flat[on_diagonal] // (dim + 1)] = vals[on_diagonal]
+    lam = diagonal.sum() / dim
+    return lam, float(max(np.abs(diagonal - lam).max(), np.abs(vals[~on_diagonal]).max(initial=0.0)))
 
 
 def decompose_observable(
@@ -633,6 +745,15 @@ def decompose_observable(
     returned polynomial evaluates back to ``op`` (the residual is recorded on
     the result).  Residuals are zero up to :func:`rounding_cut` of
     ``tolerance``.
+
+    The fit goes through coordinates: ``op``'s overlaps with the observable
+    basis moved onto the region give its coordinates ``y``, and the frame
+    weights are ``weights @ y`` from :func:`_coordinate_map`, fitted once per
+    model and region size at ``m + 1`` modes.  The span residual is the
+    larger of what the coordinates leave of ``op`` and what the realised
+    span misses of them.  A call reads ``op``'s stored entries and forms
+    nothing of size ``dim**2``; only a failing call fronts ``op`` densely to
+    tell a candidate-local operator from one that is not local.
     """
     _require_finite(op)
     basis = _canonical_basis(op)
@@ -655,40 +776,49 @@ def decompose_observable(
         )
 
     cut = rounding_cut(tolerance, basis.dim, op.norm_max())
+    entries_of_op = _entries(op)
     # Identity component short-circuit: lambda * id is the constant polynomial.
-    dense = op.to_dense()
-    lam = np.trace(dense) / basis.dim
-    if np.abs(dense - lam * np.eye(basis.dim)).max() <= cut:
+    lam, gap = _identity_part(entries_of_op, basis.dim)
+    if gap <= cut:
         return Decomposition(s, LadderPolynomial.constant(lam), {}, 0.0, 0.0)
 
-    entries, _polys, stack = _product_frame(model, n, m)
-    target = _front_dense(op, s).ravel()
-    coeffs, *_ = np.linalg.lstsq(stack, target, rcond=None)
-    span_residual = float(np.abs(stack @ coeffs - target).max())
+    n0 = _map_modes(n, m)
+    weights, unrealised, misses, _frame = _coordinate_map(model, n0, m)
+    y, outside = _coordinates(entries_of_op, basis, s)
+    missed = float(np.abs(misses @ y[unrealised]).max(initial=0.0))
+    span_residual = max(outside, missed)
     if span_residual > cut:
-        if _span_residual(op, s, observable_basis) <= cut:
-            raise ValueError(
-                f"operator is local on modes {list(s)} but outside the span "
-                f"realised by ladder polynomials (span residual {span_residual:.3e})"
-            )
-        if _span_residual(op, s, local_candidate_span) <= cut:
-            raise ValueError(
-                f"operator is candidate-local on modes {list(s)} but not an "
-                f"observable of them (span residual {span_residual:.3e})"
-            )
+        figure = f"(span residual {span_residual:.3e})"
+        if outside > cut:
+            if _span_residual(op, s, local_candidate_span) <= cut:
+                raise ValueError(
+                    f"operator is candidate-local on modes {list(s)} but not an "
+                    f"observable of them {figure}"
+                )
+            raise ValueError(f"operator is not local on modes {list(s)} {figure}")
+        # Each unrealised pair's share bounds its part of the miss, so one
+        # share of a miss above the cut exceeds the cut over their number.
+        share = np.abs(y[unrealised]) * np.abs(misses).max(axis=0)
+        pairs = observable_basis(model, n0, m)[0]
+        named = ", ".join(
+            f"|{pairs[p][0].label(model)}><{pairs[p][1].label(model)}|"
+            for p in unrealised[share * len(unrealised) > cut].tolist()
+        )
         raise ValueError(
-            f"operator is not local on modes {list(s)} "
-            f"(span residual {span_residual:.3e})"
+            f"operator is local on modes {list(s)} but outside the span realised by "
+            f"ladder polynomials, which miss its parts on {named} {figure}"
         )
 
     # The weighted sum and its evaluation, on the region's compiled frame,
-    # built by the first fit that passes the span check.
+    # built by the first call on the region that passes the span check.
+    coeffs = weights @ y
+    entries = _product_frame(model, n0, m)[0]
     frame = _region_frame(model, n, s)
     kept = np.flatnonzero(np.abs(coeffs) > 1e-13)
     coefficients = dict(zip(map(entries.__getitem__, kept.tolist()), coeffs[kept].tolist()))
     terms = frame.weighted_sum(kept, coeffs[kept])
     polynomial = frame.polynomial(*terms)
-    eval_residual = frame.residual(*terms, dense)
+    eval_residual = frame.residual(*terms, entries_of_op)
     return Decomposition(s, polynomial, coefficients, span_residual, eval_residual)
 
 

@@ -207,6 +207,34 @@ def _require_finite(op: SparseOperator) -> None:
         )
 
 
+def _entries(op: SparseOperator) -> tuple[np.ndarray, np.ndarray]:
+    """``op``'s stored entries as ``to_dense`` reads them: the distinct flat
+    positions ``row * dim + col`` that hold one, and the value at each, a
+    repeated position's entries added from zero in stored order."""
+    mat = op.matrix
+    flat = np.repeat(np.arange(mat.shape[0], dtype=np.int64) * mat.shape[1], np.diff(mat.indptr))
+    flat += mat.indices
+    if mat.has_canonical_format:
+        return flat, mat.data
+    flat, inverse = np.unique(flat, return_inverse=True)
+    vals = np.zeros(len(flat), complex)
+    np.add.at(vals, inverse, mat.data)
+    return flat, vals
+
+
+def _values_at(entries, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ``entries`` from :func:`_entries` and ascending flat positions
+    ``support``: the value at each position of ``support`` (zero where none
+    is stored), and the values stored anywhere else."""
+    flat, vals = entries
+    loc = np.searchsorted(support, flat)
+    hit = loc < len(support)
+    hit[hit] = support[loc[hit]] == flat[hit]
+    at = np.zeros(len(support), complex)
+    at[loc[hit]] = vals[hit]
+    return at, vals[~hit]
+
+
 @dataclass(frozen=True, eq=False)
 class _CSRBlock:
     """Equal-shape matrices between two bases, stacked row-wise in one CSR.

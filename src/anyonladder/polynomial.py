@@ -22,6 +22,7 @@ import numpy as np
 
 from .basis import (
     DROP_TOLERANCE, SparseOperator, _CSRBlock, _gather, _matmul_batch, _ranges, _times,
+    _values_at,
 )
 
 __all__ = ["GeneratorSymbol", "LadderPolynomial", "MERGE_TOLERANCE"]
@@ -237,8 +238,8 @@ class _PolynomialFrame:
         redo = np.zeros(len(self.words), bool)
         redo[word[removed & (k < last[word])]] = True
         ids = np.flatnonzero((last >= 0) & ~gone)
-        keys, values = first[ids].tolist(), running[ids, -1].tolist()
-        ids = ids.tolist()
+        keys, values = first[ids], running[ids, -1]
+        back = []  # (word, key, value) of the words summed again
         for w in np.flatnonzero(redo).tolist():
             total = None
             at = np.flatnonzero(word == w)
@@ -250,11 +251,14 @@ class _PolynomialFrame:
                 if abs(total) <= MERGE_TOLERANCE:
                     total = None
             if total is not None:
-                ids.append(w)
-                keys.append(start)
-                values.append(total)
+                back.append((w, start, total))
+        if back:
+            more_ids, more_keys, more_values = zip(*back)
+            ids = np.concatenate([ids, np.array(more_ids, dtype=np.intp)])
+            keys = np.concatenate([keys, more_keys])
+            values = np.concatenate([values, np.array(more_values, dtype=complex)])
         order = np.argsort(keys)
-        return np.array(ids, dtype=np.intp)[order], np.array(values, dtype=complex)[order]
+        return ids[order], values[order]
 
     def polynomial(self, ids: np.ndarray, coeffs: np.ndarray) -> "LadderPolynomial":
         """The polynomial of the terms ``coeffs[i] * words[ids[i]]``, in that order."""
@@ -271,17 +275,16 @@ class _PolynomialFrame:
         owner = np.repeat(np.arange(len(ids)), lengths)
         return self.support, _fold(coeffs, owner, self.pos[cells], self.vals[cells], len(self.support))
 
-    def residual(self, ids: np.ndarray, coeffs: np.ndarray, target: np.ndarray) -> float:
+    def residual(self, ids: np.ndarray, coeffs: np.ndarray, entries) -> float:
         """The largest entry of ``polynomial(ids, coeffs)``'s evaluation minus
-        the dense matrix ``target``, with the bits of ``(evaluated - op).
-        norm_max()`` for an ``op`` whose ``to_dense`` is ``target``: the same
-        subtraction at each position, where a dropped or absent entry is
-        zero."""
+        the operator ``op`` whose :func:`basis._entries` are ``entries``, with
+        the bits of ``(evaluated - op).norm_max()``: the same subtraction at
+        each position, where a dropped or absent entry is zero.  Nothing of
+        the size of the dense matrix is formed."""
         flat, folded = self.fold(ids, coeffs)
-        gap = np.abs(target).ravel()
+        at, rest = _values_at(entries, flat)
         kept = np.where(np.abs(folded) > DROP_TOLERANCE, folded, 0.0)
-        gap[flat] = np.abs(kept - target.ravel()[flat])
-        return float(gap.max())
+        return float(max(np.abs(kept - at).max(initial=0.0), np.abs(rest).max(initial=0.0)))
 
 
 class LadderPolynomial:

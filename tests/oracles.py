@@ -554,12 +554,19 @@ def fold_sum(pairs):
     return total
 
 
-def decompose_by_sum(op, modes):
-    """``decompose_observable``'s weighted sum and evaluation by the path it
-    took before the region frame: the fit's weights above ``1e-13``, in frame
-    order, as Python complex numbers; ``LadderPolynomial.sum`` of the frame
-    polynomials relabelled to the region; and ``evaluate_with_identity`` on
-    the shared word cache.  Returns ``(polynomial, eval_residual)``."""
+def decompose_by_sum(op, modes, coefficients=None):
+    """``decompose_observable``'s fit, weighted sum and evaluation by the path
+    it took before the coordinate map and the region frame.
+
+    The fit is one ``lstsq`` of the fronted, densified ``op`` on the stack of
+    the frame polynomials' evaluations at ``op``'s own mode count, each
+    evaluated on its own; ``coefficients``, keyed like
+    ``Decomposition.coefficients``, replaces it when given.  The weights
+    above ``1e-13``, in frame order, as Python complex numbers, are summed by
+    ``LadderPolynomial.sum`` over the frame polynomials relabelled to the
+    region, and the sum is evaluated by ``evaluate_with_identity`` on the
+    shared word cache.  Returns ``(polynomial, eval_residual, fitted)``,
+    ``fitted`` the weights above ``1e-13`` keyed like ``coefficients``."""
     from anyonladder.algebra import _product_frame, _region, _to_front, _word_cache
     from anyonladder.basis import SparseOperator
     from anyonladder.ladder import resolver
@@ -568,15 +575,23 @@ def decompose_by_sum(op, modes):
     basis = op.row_basis
     model, n = basis.model, basis.n_modes
     s = _region(modes, n)
-    _entries, polys, stack = _product_frame(model, n, len(s))
-    coeffs = np.linalg.lstsq(stack, _to_front(op, s).to_dense().ravel(), rcond=None)[0]
+    entries, polys = _product_frame(model, n, len(s))
+    resolve, cache = resolver(model, n), _word_cache(model, n)
+    identity = SparseOperator.identity(basis)
+    if coefficients is None:
+        stack = np.stack([
+            poly.evaluate_with_identity(resolve, identity, cache=cache).to_dense().ravel()
+            for poly in polys
+        ], axis=1)
+        coeffs = np.linalg.lstsq(stack, _to_front(op, s).to_dense().ravel(), rcond=None)[0]
+    else:
+        coeffs = np.array([coefficients.get(key, 0.0) for key in entries], dtype=complex)
     mode_map = {k + 1: mode for k, mode in enumerate(s)}
-    parts = [(complex(c), poly) for c, poly in zip(coeffs, polys) if abs(c) > 1e-13]
-    polynomial = LadderPolynomial.sum((c, poly.relabel_modes(mode_map)) for c, poly in parts)
-    evaluated = polynomial.evaluate_with_identity(
-        resolver(model, n), SparseOperator.identity(basis), cache=_word_cache(model, n)
-    )
-    return polynomial, float((evaluated - op).norm_max())
+    parts = [(key, complex(c), poly) for key, c, poly in zip(entries, coeffs, polys) if abs(c) > 1e-13]
+    polynomial = LadderPolynomial.sum((c, poly.relabel_modes(mode_map)) for _key, c, poly in parts)
+    evaluated = polynomial.evaluate_with_identity(resolve, identity, cache=cache)
+    fitted = {key: c for key, c, _poly in parts}
+    return polynomial, float((evaluated - op).norm_max()), fitted
 
 
 def conjugate_factored(w, entries):

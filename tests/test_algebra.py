@@ -6,8 +6,10 @@ import pytest
 
 import oracles as orc
 from anyonladder.algebra import (
+    _coordinate_map,
     _front_dense,
     _product_frame,
+    _region_frame,
     _to_front,
     _word_cache,
     abelian_sum_polynomial,
@@ -434,8 +436,9 @@ def test_cold_frame_makes_no_scipy_matrix_per_word(monkeypatch):
 
     monkeypatch.setattr(polynomial, "_matmul_batch", counting_kernel)
     monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
-    _entries, polys, _stack = _product_frame(model, 3, 2)
+    _coordinate_map(model, 3, 2)
     monkeypatch.undo()
+    polys = _product_frame(model, 3, 2)[1]
     longest = max(len(w) for poly in polys for _c, w in poly.terms)
     assert len(batches) == longest - 1
     assert len(_word_cache(model, 3)) > 10 * (len(batches) + len(polys))
@@ -456,11 +459,14 @@ def test_cold_frame_makes_no_scipy_matrix_per_word(monkeypatch):
     ],
 )
 def test_product_frame_words_match_recursive_evaluation(name, n, m):
-    """A cold frame build fills the shared word cache with the keys and CSR
-    bytes of the word-by-word recursion, and its stack has the bytes of the
-    recursion's evaluations."""
+    """A cold front-region frame fills the shared word cache with the keys
+    and CSR bytes of the word-by-word recursion, and its evaluations have
+    the bytes of the recursion's; at ``n = m + 1``, or ``n = m``, it is the
+    coordinate map's frame, and otherwise its polynomials are the map's."""
     model = load_model(dump_model(builtin(name)))  # a copy with empty caches
-    _entries, polys, stack = _product_frame(model, n, m)
+    frame = _region_frame(model, n, tuple(range(1, m + 1)))
+    polys = _product_frame(model, n, m)[1]
+    stack = np.stack([frame.evaluate(i).to_dense().ravel() for i in range(len(polys))], axis=1)
     resolve, identity = resolver(model, n), _identity(model, n)
     recursive = {}
     columns = [
@@ -476,9 +482,10 @@ def test_product_frame_words_match_recursive_evaluation(name, n, m):
 
 
 def test_product_frame_and_evaluate_each_compile_one_frame(monkeypatch):
-    """A cold Fibonacci n = 3 {1,2} product frame compiles its polynomials
-    once, so their word matrices are gathered into cells once, not once per
-    polynomial; a plain ``evaluate`` compiles exactly one frame."""
+    """A cold Fibonacci n = 3 {1,2} coordinate map compiles its frame's
+    polynomials once, so their word matrices are gathered into cells once,
+    not once per polynomial; a plain ``evaluate`` compiles exactly one
+    frame."""
     from anyonladder import polynomial
 
     model = load_model(dump_model(builtin("fibonacci")))  # a copy with empty caches
@@ -495,7 +502,8 @@ def test_product_frame_and_evaluate_each_compile_one_frame(monkeypatch):
 
     monkeypatch.setattr(polynomial._PolynomialFrame, "__init__", counting_init)
     monkeypatch.setattr(polynomial, "_cells", counting_cells)
-    _entries, polys, _stack = _product_frame(model, 3, 2)
+    _coordinate_map(model, 3, 2)
+    polys = _product_frame(model, 3, 2)[1]
     assert len(polys) > 1 and (len(frames), len(cells)) == (1, 1)
     frames.clear()
     cells.clear()
@@ -635,19 +643,19 @@ def test_decompose_occupation_operator(fib):
 # and residual bits, three observables per region.
 DECOMPOSE_PINS = {
     ("fibonacci", 3, (2, 3)):
-        "dd12188cdb8a0ff4f8f9d02df19a6361e20891697293dddc8b11d2f87c319af4",
+        "a86bed8946282e40c49fe93d7b2552a9bcf10ba604a384810bf8353d38e44e5c",
     ("fibonacci", 3, (1, 3)):
-        "6d6e24e3943226123e59bfb1f95619cb3e533a09672fbcea096785dcf4412fe6",
+        "67c3e4e460c9b3b7fbb49fe6bd09c4490e2a9859e404346a0300ba2e91cfc20a",
     ("fibonacci", 4, (1, 2)):
-        "8f1e2e4fdea1908e6182920d0c8e870f5dfab0141ab83772c16a903ab3ed3589",
+        "4eb70437c7db2b1e82ae1f3dd9ea9f6b39e1ea99f9cc146f82b6055bc9759a74",
     ("fibonacci", 4, (2, 3)):
-        "a66a9f5aee4a51762137f3b98050ffc3cdbdac0a55990e7ba737d18f7904dde7",
+        "fa721f862d6a8aecba0761bde8de62542e3dd1651845d75989260ba671291904",
     ("fibonacci", 5, (3,)):
-        "cd5bccde47a23c7a7c1d3ae557737083b32382612945b113789b32b23441283f",
+        "8e49f67e42364151a8448a3201cb28c67812c5038c12f92e3b9ddd77c0db3e79",
     ("ising", 3, (2,)):
-        "b207ab42fcc9a92676536e60f22f312cc8fd086b393f56b8ad397f3cc180617f",
+        "a2064879fba07547965aa07e94fb38b3af94df1e9637612e2084d075fb86c26b",
     ("fermion", 4, (1, 2)):
-        "67238f28efba9daef47c4a827bdc13486f089fec8e20178ac1d5b51a01fea9e2",
+        "1cd4439bdb3c20aad96321f0af38cd4dea30ec1c07e56e6a43cf4d6bb320f287",
 }
 
 
@@ -671,7 +679,24 @@ def test_decompositions_match_their_pinned_sha256(name, n, region):
     assert digest.hexdigest() == DECOMPOSE_PINS[(name, n, region)]
 
 
+# The 17 observable-basis pairs of two Ising modes that no ladder
+# polynomial realises, in observable-basis order.
+ISING_UNREALISED_PAIRS = (
+    "|(e,e;e)><(sigma,sigma;e)|, |(psi,psi;e)><(sigma,sigma;e)|, "
+    "|(sigma,sigma;e)><(e,e;e)|, |(sigma,sigma;e)><(psi,psi;e)|, "
+    "|(sigma,sigma;e)><(sigma,sigma;e)|, |(e,psi;psi)><(sigma,sigma;psi)|, "
+    "|(psi,e;psi)><(sigma,sigma;psi)|, |(sigma,sigma;psi)><(e,psi;psi)|, "
+    "|(sigma,sigma;psi)><(psi,e;psi)|, |(sigma,sigma;psi)><(sigma,sigma;psi)|, "
+    "|(e,sigma;sigma)><(psi,sigma;sigma)|, |(psi,sigma;sigma)><(e,sigma;sigma)|, "
+    "|(psi,sigma;sigma)><(psi,sigma;sigma)|, |(psi,sigma;sigma)><(sigma,e;sigma)|, "
+    "|(psi,sigma;sigma)><(sigma,psi;sigma)|, |(sigma,e;sigma)><(psi,sigma;sigma)|, "
+    "|(sigma,psi;sigma)><(psi,sigma;sigma)|"
+)
+
+
 def test_pinned_ising_pair_region_keeps_its_message():
+    """Each seeded observable weights every unrealised pair, and the message
+    names them all."""
     messages = []
     for op in _pinned_observables("ising", 3, (1, 2)):
         with pytest.raises(ValueError) as info:
@@ -679,7 +704,8 @@ def test_pinned_ising_pair_region_keeps_its_message():
         messages.append(str(info.value))
     assert messages == [
         "operator is local on modes [1, 2] but outside the span realised by ladder "
-        f"polynomials (span residual {residual})"
+        f"polynomials, which miss its parts on {ISING_UNREALISED_PAIRS} "
+        f"(span residual {residual})"
         for residual in ("1.929e+00", "1.399e+00", "2.399e+00")
     ]
 

@@ -1,11 +1,12 @@
 """Locality as a closed-form projection onto orthogonal span elements.
 
-``is_local_candidate`` and the "local but unrealised" test of
-``decompose_observable`` project a target onto ``local_candidate_span`` or
-``observable_basis`` by overlaps over squared norms, which is the
-least-squares fit only because the elements of each span are mutually
-orthogonal.  These tests pin that orthogonality and compare the projection
-with a dense least-squares fit over every region of the small systems.
+``is_local_candidate`` and ``decompose_observable``'s candidate-span test
+project a target onto ``local_candidate_span`` by overlaps over squared
+norms, as ``decompose_observable`` reads its coordinates on
+``observable_basis``; that is the least-squares fit only because the
+elements of each span are mutually orthogonal.  These tests pin that
+orthogonality and compare the projection with a dense least-squares fit
+over every region of the small systems.
 """
 
 import itertools

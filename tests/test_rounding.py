@@ -109,7 +109,9 @@ def test_an_operator_1e_12_outside_the_span_is_not_local_at_tolerance_zero(fib):
     "k, message",
     [
         (1, "operator is local on modes [1, 2] but outside the span realised by ladder "
-            "polynomials (span residual 1.000e+00)"),
+            "polynomials, which miss its parts on |(sigma,sigma;e)><(sigma,sigma;e)|, "
+            "|(sigma,sigma;psi)><(sigma,sigma;psi)|, |(psi,sigma;sigma)><(sigma,psi;sigma)|, "
+            "|(sigma,psi;sigma)><(psi,sigma;sigma)| (span residual 1.000e+00)"),
         (2, "operator is not local on modes [1, 2] (span residual 1.000e+00)"),
     ],
 )
