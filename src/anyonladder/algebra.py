@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,9 +259,15 @@ def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperat
 
 
 def _region(modes, n_modes: int) -> tuple[int, ...]:
-    """``modes`` as a sorted tuple, after checking that it names one or more
-    distinct modes of ``1..n_modes``."""
-    s = tuple(sorted(modes))
+    """``modes`` as a sorted tuple of ``int``, after checking that it names
+    one or more distinct modes of ``1..n_modes``; a bool or a mode of no
+    integer type is refused."""
+    s = []
+    for mode in modes:
+        if isinstance(mode, bool) or not isinstance(mode, numbers.Integral):
+            raise ValueError(f"invalid mode {mode!r}: not an integer")
+        s.append(int(mode))
+    s = tuple(sorted(s))
     if not s or s[0] < 1 or s[-1] > n_modes or len(set(s)) != len(s):
         raise ValueError(f"invalid region {s} for {n_modes} modes")
     return s
@@ -720,19 +727,6 @@ def _region_frame(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> _Polyn
     return _compile(model, n_modes, polys)
 
 
-def _identity_part(entries, dim: int) -> tuple[complex, float]:
-    """``(lam, gap)`` for the operator whose :func:`basis._entries` are
-    ``entries``: ``lam`` its trace over ``dim`` and ``gap`` the largest entry
-    of ``op - lam * id``, with the bits of the dense ``np.trace`` and
-    subtraction."""
-    flat, vals = entries
-    on_diagonal = flat % (dim + 1) == 0
-    diagonal = np.zeros(dim, complex)
-    diagonal[flat[on_diagonal] // (dim + 1)] = vals[on_diagonal]
-    lam = diagonal.sum() / dim
-    return lam, float(max(np.abs(diagonal - lam).max(), np.abs(vals[~on_diagonal]).max(initial=0.0)))
-
-
 def decompose_observable(
     op: SparseOperator, modes, tolerance: float = 1e-10
 ) -> Decomposition:
@@ -755,20 +749,19 @@ def decompose_observable(
     nothing of size ``dim**2``; only a failing call fronts ``op`` densely to
     tell a candidate-local operator from one that is not local.
     """
-    _require_finite(op)
+    entries_of_op = flat, vals = _entries(op)
+    _require_finite(op, entries_of_op)
     basis = _canonical_basis(op)
     model = basis.model
     n = basis.n_modes
     s = _region(modes, n)
     m = len(s)
 
-    if not op.is_charge_diagonal():
-        totals = basis.totals()
-        row, col = next(
-            (int(r), int(c))
-            for (r, c) in zip(*op.matrix.nonzero())
-            if totals[r] != totals[c]
-        )
+    rows, cols = np.divmod(flat, basis.dim)
+    totals = basis.totals()
+    changing = np.flatnonzero((totals[rows] != totals[cols]) & (vals != 0))
+    if len(changing):
+        row, col = rows[changing[0]], cols[changing[0]]
         raise ValueError(
             "operator changes the total charge "
             f"({model.labels[totals[col]]} -> {model.labels[totals[row]]}); "
@@ -776,10 +769,13 @@ def decompose_observable(
         )
 
     cut = rounding_cut(tolerance, basis.dim, op.norm_max())
-    entries_of_op = _entries(op)
-    # Identity component short-circuit: lambda * id is the constant polynomial.
-    lam, gap = _identity_part(entries_of_op, basis.dim)
-    if gap <= cut:
+    # Identity component short-circuit: lambda * id is the constant polynomial,
+    # lambda the trace over dim, with the bits of the dense trace and subtraction.
+    on_diagonal = rows == cols
+    diagonal = np.zeros(basis.dim, complex)
+    diagonal[rows[on_diagonal]] = vals[on_diagonal]
+    lam = diagonal.sum() / basis.dim
+    if max(np.abs(diagonal - lam).max(), np.abs(vals[~on_diagonal]).max(initial=0.0)) <= cut:
         return Decomposition(s, LadderPolynomial.constant(lam), {}, 0.0, 0.0)
 
     n0 = _map_modes(n, m)
@@ -814,9 +810,9 @@ def decompose_observable(
     coeffs = weights @ y
     entries = _product_frame(model, n0, m)[0]
     frame = _region_frame(model, n, s)
-    kept = np.flatnonzero(np.abs(coeffs) > 1e-13)
-    coefficients = dict(zip(map(entries.__getitem__, kept.tolist()), coeffs[kept].tolist()))
-    terms = frame.weighted_sum(kept, coeffs[kept])
+    kept = np.abs(coeffs) > 1e-13
+    coefficients = dict(zip(itertools.compress(entries, kept), coeffs[kept].tolist()))
+    terms = frame.weighted_sum(np.where(kept, coeffs, 0.0))
     polynomial = frame.polynomial(*terms)
     eval_residual = frame.residual(*terms, entries_of_op)
     return Decomposition(s, polynomial, coefficients, span_residual, eval_residual)

@@ -15,6 +15,7 @@ callback, so the same polynomial can be evaluated on any mode count.
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -71,6 +72,21 @@ class GeneratorSymbol(NamedTuple):
 
 
 Word = tuple[GeneratorSymbol, ...]
+
+
+class _Word(tuple):
+    """A word that computes its tuple hash once, so that keying a dict by it
+    hashes no symbol.  It equals, and hashes as, the plain tuple, and it
+    pickles as one: string hashes differ between processes."""
+
+    def __init__(self, _word):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 def _word_sort_key(word: Word):
@@ -170,7 +186,8 @@ class _PolynomialFrame:
     ``words`` holds every word of ``polys`` once.  Term ``k`` of the
     polynomials, one after the other and each in its term order, is word
     ``word[k]`` with coefficient ``coeff[k]``; polynomial ``i`` holds terms
-    ``bounds[i] .. bounds[i + 1]``.  Word ``w``'s matrix is held as its
+    ``bounds[i] .. bounds[i + 1]``, and term ``k`` is of polynomial
+    ``poly[k]``.  Word ``w``'s matrix is held as its
     :func:`_cells`, ``vals[ptr[w]:ptr[w + 1]]`` at positions ``pos`` into
     ``support``, the sorted flat positions of all the words' entries.  The
     word matrices are built into ``cache`` and gathered once, here; their
@@ -188,6 +205,18 @@ class _PolynomialFrame:
             (c for poly in polys for c in poly._terms.values()), complex, len(ids)
         )
         self.bounds = np.cumsum([0] + [poly.n_terms for poly in polys])
+        self.poly = np.repeat(np.arange(len(polys)), np.diff(self.bounds))
+        # The term layout of weighted_sum: the terms that are their word's
+        # only term, and for the other words, most terms first, rank r holding
+        # each one's term r in frame order, so rank r's words are a prefix.
+        counts = np.bincount(self.word, minlength=len(self.words))
+        self.single = counts[self.word] == 1
+        by_word = np.argsort(self.word, kind="stable")
+        shared = np.flatnonzero(counts > 1)
+        shared = shared[np.argsort(-counts[shared], kind="stable")]
+        first = np.cumsum(counts) - counts
+        self.ranks = [by_word[first[shared[counts[shared] > r]] + r]
+                      for r in range(counts[shared].max(initial=0))]
         _fill_cache([w for w in self.words if w not in cache], resolver, cache, identity)
         if self.words:
             base, owner, rows, cols, vals = _gather([cache[w] for w in self.words])
@@ -204,66 +233,50 @@ class _PolynomialFrame:
         flat, folded = self.fold(self.word[terms], self.coeff[terms])
         return _operator(self.basis, self.col_basis, flat, folded)
 
-    def weighted_sum(self, parts: np.ndarray, weights: np.ndarray):
-        """``LadderPolynomial.sum`` of ``(weights[i], polys[parts[i]])`` as
-        ``(word ids, coefficients)`` in its term order, with its bits.
+    def weighted_sum(self, weights: np.ndarray):
+        """``LadderPolynomial.sum`` of ``(weights[i], polys[i])`` over the
+        polynomials ``i`` of nonzero weight, in frame order, as ``(word ids,
+        coefficients)`` in its term order, with its bits.
 
         As there, a product ``term coefficient * weight`` (Python's complex
         multiply, :func:`basis._times`) at or below ``MERGE_TOLERANCE`` is
-        left out, a word comes in at its first product with its running sum
-        from zero, and a running sum at or below the tolerance removes it.
-        The products are laid out word by part after a zero column, and one
-        ``np.add.accumulate`` along the parts gives every running sum.  A word
-        removed at its last product stays out; one removed before it is
-        summed again in Python, coming back at the product after the removal,
-        as in the dict.
+        left out, so a zero weight leaves its polynomial out; a word comes in
+        at its first product with its running sum from zero, and a running
+        sum at or below the tolerance removes it.  A word of one term is
+        ``0.0 + product``.  The words of several terms are summed rank by
+        rank over ``ranks``, where a cancel removes the word and its next
+        product restarts it from zero.  A word's place is the term it came
+        in at, so the kept terms, read in frame order, are the dict's order.
         """
-        starts = self.bounds[parts]
-        lengths = self.bounds[parts + 1] - starts
-        terms = _ranges(starts, lengths)
-        products = _times(self.coeff[terms], np.repeat(weights, lengths))
+        products = _times(self.coeff, weights[self.poly])
         kept = np.abs(products) > MERGE_TOLERANCE
-        word, products = self.word[terms][kept], products[kept]
-        column = np.repeat(np.arange(1, len(parts) + 1), lengths)[kept]
-        table = np.zeros((len(self.words), len(parts) + 1), complex)
-        table[word, column] = products
-        running = np.add.accumulate(table, axis=1)
-        k = np.arange(len(word))
-        first, last = np.full(len(self.words), len(word)), np.full(len(self.words), -1)
-        np.minimum.at(first, word, k)
-        np.maximum.at(last, word, k)
-        removed = np.abs(running[word, column]) <= MERGE_TOLERANCE
-        gone = np.zeros(len(self.words), bool)
-        gone[word[removed]] = True
-        redo = np.zeros(len(self.words), bool)
-        redo[word[removed & (k < last[word])]] = True
-        ids = np.flatnonzero((last >= 0) & ~gone)
-        keys, values = first[ids], running[ids, -1]
-        back = []  # (word, key, value) of the words summed again
-        for w in np.flatnonzero(redo).tolist():
-            total = None
-            at = np.flatnonzero(word == w)
-            for key, c in zip(at.tolist(), products[at].tolist()):
-                if total is None:
-                    total, start = 0.0 + c, key
-                else:
-                    total += c
-                if abs(total) <= MERGE_TOLERANCE:
-                    total = None
-            if total is not None:
-                back.append((w, start, total))
-        if back:
-            more_ids, more_keys, more_values = zip(*back)
-            ids = np.concatenate([ids, np.array(more_ids, dtype=np.intp)])
-            keys = np.concatenate([keys, more_keys])
-            values = np.concatenate([values, np.array(more_values, dtype=complex)])
-        order = np.argsort(keys)
-        return ids[order], values[order]
+        total = np.zeros(len(self.ranks[0]) if self.ranks else 0, complex)
+        start = np.full(len(total), -1)  # the term a word came in at, -1 while out
+        for terms in self.ranks:
+            rows = np.flatnonzero(kept[terms])
+            at = terms[rows]
+            on = start[rows] >= 0
+            running = np.where(on, total[rows], 0.0) + products[at]
+            total[rows] = running
+            start[rows] = np.where(np.abs(running) > MERGE_TOLERANCE, np.where(on, start[rows], at), -1)
+        live = start >= 0
+        present = kept & self.single
+        present[start[live]] = True
+        sums = 0.0 + products
+        sums[start[live]] = total[live]
+        keys = np.flatnonzero(present)
+        return self.word[keys], sums[keys]
+
+    @functools.cached_property
+    def _keys(self) -> list["_Word"]:
+        """``words`` as :class:`_Word`, built at the first :meth:`polynomial`."""
+        return list(map(_Word, self.words))
 
     def polynomial(self, ids: np.ndarray, coeffs: np.ndarray) -> "LadderPolynomial":
-        """The polynomial of the terms ``coeffs[i] * words[ids[i]]``, in that order."""
+        """The polynomial of the terms ``coeffs[i] * words[ids[i]]``, in that
+        order, keyed by words that hash once per frame."""
         out = LadderPolynomial()
-        out._terms = dict(zip(map(self.words.__getitem__, ids.tolist()), coeffs.tolist()))
+        out._terms = dict(zip(map(self._keys.__getitem__, ids.tolist()), coeffs.tolist()))
         return out
 
     def fold(self, ids: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

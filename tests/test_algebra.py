@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles as orc
 from anyonladder.algebra import (
@@ -607,6 +609,57 @@ def test_decompose_rejects_charge_changing(fib):
     pair = fibonacci_pair(fib, 3)
     with pytest.raises(ValueError, match="not an observable"):
         decompose_observable(pair.alpha[1], (1,))
+
+
+def test_decompose_reads_a_stored_zero_across_charges_as_no_entry(fib):
+    """An explicit zero joining two total charges changes no charge: the
+    operator decomposes as it does without that entry."""
+    op = _random_local_observable(fib, 3, 2, np.random.default_rng(6))
+    totals = op.row_basis.totals()
+    row, col = 0, int(np.flatnonzero(totals != totals[0])[0])
+    coo = op.matrix.tocoo()
+    mat = sp.csr_matrix(
+        (np.append(coo.data, 0.0), (np.append(coo.row, row), np.append(coo.col, col))), coo.shape
+    )
+    zeroed = SparseOperator(op.row_basis, op.col_basis, mat)
+    assert zeroed.nnz == op.nnz + 1 and not zeroed.is_charge_diagonal()
+    got, want = decompose_observable(zeroed, (1, 2)), decompose_observable(op, (1, 2))
+    assert got.polynomial.to_payload() == want.polynomial.to_payload()
+    assert got.eval_residual == want.eval_residual
+
+
+@pytest.mark.parametrize("modes, value", [((1.0, 2.0), 1.0), ((True, 2), True), ((1.5, 2), 1.5)])
+def test_region_refuses_modes_of_no_integer_type(fib, modes, value):
+    """Floats, integral or not, and bools are refused by every reader of a
+    region, naming the value."""
+    op = _random_local_observable(fib, 3, 2, np.random.default_rng(2))
+    calls = (decompose_observable, is_local_candidate,
+             lambda op, modes: mode_relabel_unitary(fib, 3, modes))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^invalid mode {value!r}: not an integer$"):
+            call(op, modes)
+
+
+def test_region_reads_numpy_integers_as_int(fib):
+    op = _random_local_observable(fib, 3, 2, np.random.default_rng(2))
+    dec = decompose_observable(op, (np.int64(2), np.int32(1)))
+    assert dec.modes == (1, 2) and {type(k) for k in dec.modes} == {int}
+    assert is_local_candidate(op, np.array([1, 2]))[0] is True
+    assert mode_relabel_unitary(fib, 3, np.array([3, 1])) is mode_relabel_unitary(fib, 3, (1, 3))
+
+
+def test_warm_three_mode_decompose_allocates_under_16_mb(fib):
+    """A warm Fibonacci n = 4 {1,2,3} decomposition (26348 result words)
+    allocates no table of frame words by frame polynomials."""
+    op = _random_local_observable(fib, 4, 3, np.random.default_rng(9))
+    decompose_observable(op, (1, 2, 3))
+    tracemalloc.start()
+    try:
+        decompose_observable(op, (1, 2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_decompose_and_locality_reject_non_canonical_bases(fib):

@@ -518,11 +518,20 @@ def _frame_operator(frame, terms):
     return polynomial._operator(frame.basis, frame.basis, *frame.fold(*terms))
 
 
-def _frame_sum(frame, pairs):
-    """The frame's weighted sum of ``(weight, polynomial index)`` pairs."""
-    weights, parts = zip(*pairs)
-    terms = frame.weighted_sum(np.array(parts), np.array(weights, dtype=complex))
+def _frame_sum(frame, weights):
+    """The frame's weighted sum, one weight per frame polynomial, as a
+    polynomial and as ``(word ids, coefficients)``."""
+    terms = frame.weighted_sum(np.array(weights, dtype=complex))
     return frame.polynomial(*terms), terms
+
+
+def _weights_of(frame, pairs):
+    """One weight per frame polynomial from ``(weight, polynomial index)``
+    pairs over ascending distinct indices, zero for the polynomials left out."""
+    weights = np.zeros(len(frame.bounds) - 1, complex)
+    for weight, i in pairs:
+        weights[i] = weight
+    return weights
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -535,12 +544,15 @@ def test_frame_weighted_sum_is_the_left_fold(seed):
     polys = [_random_polynomial(rng, _POOL, int(rng.integers(1, 30))) for _ in range(12)]
     weights = [complex(rng.normal(), rng.normal()) for _ in polys]
     weights[:4] = [1.0, -1.0, 1e-13, complex(-5e-14, 1e-14)]
-    frame = _frame(polys)
-    for parts in (range(12), [11, 0, 5, 2, 2], [3]):
+    whole = _frame(polys)
+    for parts in (range(12), [11, 0, 5, 2, 2], [3], [0, 3, 7]):
         pairs = [(weights[i], i) for i in parts]
-        got, terms = _frame_sum(frame, pairs)
+        frame = _frame([polys[i] for i in parts])
+        got, terms = _frame_sum(frame, [weights[i] for i in parts])
         want = fold_sum([(w, polys[i]) for w, i in pairs])
         assert _exact(got) == _exact(want)
+        if list(parts) == sorted(set(parts)):  # the others left out by a zero weight
+            assert _exact(_frame_sum(whole, _weights_of(whole, pairs))[0]) == _exact(want)
         if not got.is_zero():
             cache = {}
             fib = builtin("fibonacci")
@@ -548,7 +560,7 @@ def test_frame_weighted_sum_is_the_left_fold(seed):
             want_op = want.evaluate_with_identity(resolver(fib, 2), ident, cache)
             assert csr_bytes(_frame_operator(frame, terms)) == csr_bytes(dense_fold(want, cache, ident))
             assert csr_bytes(_frame_operator(frame, terms)) == csr_bytes(want_op)
-    assert _frame_sum(frame, [(1e-13, 1), (complex(-5e-14, 1e-14), 4)])[0].is_zero()
+    assert _frame_sum(whole, _weights_of(whole, [(1e-13, 1), (complex(-5e-14, 1e-14), 4)]))[0].is_zero()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -560,7 +572,7 @@ def test_frame_residual_is_the_norm_of_the_operator_difference(seed):
     polys = [_random_polynomial(rng, _POOL, int(rng.integers(1, 30))) for _ in range(8)]
     frame = _frame(polys)
     weights = np.array([complex(rng.normal(), rng.normal()) for _ in polys])
-    terms = frame.weighted_sum(np.arange(len(polys)), weights)
+    terms = frame.weighted_sum(weights)
     evaluated = _frame_operator(frame, terms)
     nudged = evaluated.matrix.copy()
     nudged.data[::3] += 1e-15
@@ -586,7 +598,7 @@ def test_frame_weighted_sum_restarts_a_word_after_a_cancel():
         LadderPolynomial([(x, w1)]),
     ]
     frame = _frame(polys)
-    got, _ = _frame_sum(frame, [(1.0, 0), (1.0, 1), (1.0, 2)])
+    got, _ = _frame_sum(frame, [1.0, 1.0, 1.0, 0.0, 0.0])
     want = fold_sum([(1.0, p) for p in polys[:3]])
     assert _exact(got) == _exact(want)
     assert list(got._terms) == [w2, w3, w1, w4]
@@ -594,10 +606,99 @@ def test_frame_weighted_sum_restarts_a_word_after_a_cancel():
     assert np.signbit(got._terms[w4].imag) == np.signbit((0.0 + complex(-1.0, -0.0)).imag) == False
     # w1 cancelled by its last product, then cancelled twice and back last
     for parts, order in (([0, 1, 2, 3], [w2, w3, w4]), ([0, 1, 2, 3, 4], [w2, w3, w4, w1])):
-        pairs = [(1.0, i) for i in parts]
-        got, _ = _frame_sum(frame, pairs)
+        got, _ = _frame_sum(frame, _weights_of(frame, [(1.0, i) for i in parts]))
         assert _exact(got) == _exact(fold_sum([(1.0, polys[i]) for i in parts]))
         assert list(got._terms) == order
+
+
+def test_frame_weighted_sum_keeps_the_dict_rules_on_every_term_layout():
+    """Words of one, two and several frame terms; exact cancels, at the last
+    product and before a restart; a running sum cancelled to exactly
+    ``MERGE_TOLERANCE``; products exactly at the tolerance; a zero weight;
+    and ``-0.0`` parts, on single words and on restarts.  The merge has the
+    term order and bits of the left fold of ``+``."""
+    w = [(sym,) for sym in _POOL[:8]]
+    x, y = 0.75 + 0.25j, -2.0 + 1.0j
+    near = 2.25e-12
+    assert near + (MERGE_TOLERANCE - near) == MERGE_TOLERANCE
+    polys = [
+        LadderPolynomial([(complex(-0.0, 1.0), w[0]), (x, w[1]), (x, w[2]), (near, w[3])]),
+        LadderPolynomial([(-x, w[1]), (-x, w[2]), (MERGE_TOLERANCE - near, w[3])]),
+        LadderPolynomial([(2 * y, w[2]), (6.0, w[3]), (2e-12, w[4])]),
+        LadderPolynomial([(1.0, w[2]), (1.0, w[5]), (1.0, w[3])]),
+        LadderPolynomial([(2.0, w[3]), (4.0, w[6]), (2.0, w[7])]),
+        LadderPolynomial([(complex(-1.0, -0.0), w[3]), (complex(1.0, -0.0), w[7]),
+                          (complex(-2.0, -0.0), w[1])]),
+    ]
+    weights = [1.0, 1.0, 0.5, 0.0, 5e-13, 1.0]
+    frame = _frame(polys)
+    counts = [sum(word in poly._terms for poly in polys) for word in frame.words]
+    assert sorted(counts) == [1, 1, 1, 1, 2, 3, 4, 6]
+    assert [len(terms) for terms in frame.ranks] == [4, 4, 3, 2, 1, 1]
+    got, _ = _frame_sum(frame, weights)
+    want = fold_sum(list(zip(weights, polys)))
+    assert _exact(got) == _exact(want)
+    assert _exact(got) == _exact(LadderPolynomial.sum(zip(weights, polys)))
+    # w2 restarts at y, w3 at 3.0 after it cancels to the tolerance, w1 at -2.0
+    assert list(got._terms) == [w[0], w[2], w[3], w[6], w[7], w[1]]
+    assert got._terms[w[2]] == y and got._terms[w[3]] == 2.0 and got._terms[w[1]] == -2.0
+    parts = [part for c in got._terms.values() for part in (c.real, c.imag)]
+    assert 0.0 in parts and not any(part == 0.0 and np.signbit(part) for part in parts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_frame_weighted_sum_is_the_left_fold_on_exact_values(seed):
+    """Coefficients and weights of few bits, so that sums cancel exactly and
+    words come back; words of up to two letters from eight, so that most
+    words have several terms; zero weights, products at the tolerance and
+    signed zeros throughout."""
+    rng = np.random.default_rng(seed)
+    values = [1.0, -1.0, 2.0, -0.5, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0),
+              complex(0.5, 0.5)]
+    scales = [0.0, 1.0, -1.0, 0.5, 5e-13, MERGE_TOLERANCE, complex(-0.0, 1.0), complex(1.0, -0.0)]
+    polys = []
+    for _ in range(16):
+        terms = []
+        for _ in range(int(rng.integers(1, 20))):
+            word = tuple(_POOL[int(i)] for i in rng.integers(len(_POOL), size=int(rng.integers(0, 3))))
+            terms.append((values[int(rng.integers(len(values)))], word))
+        polys.append(LadderPolynomial(terms))
+    frame = _frame(polys)
+    for _ in range(4):
+        weights = [scales[int(i)] for i in rng.integers(len(scales), size=len(polys))]
+        got, _ = _frame_sum(frame, weights)
+        assert _exact(got) == _exact(fold_sum(list(zip(weights, polys))))
+
+
+@pytest.mark.parametrize("name, m", [("fibonacci", 1), ("fibonacci", 2), ("fibonacci", 3),
+                                     ("ising", 1), ("ising", 2),
+                                     ("fermion", 1), ("fermion", 2), ("fermion", 3)])
+def test_frame_weighted_sum_is_the_left_fold_on_product_frames(name, m):
+    """The product frame of each region size, with random weights, a fifth
+    of them zero: the merge has the bits of the left fold of ``+``."""
+    model = builtin(name)
+    polys = _product_frame(model, m + 1, m)[1]
+    frame = algebra._compile(model, m + 1, polys)
+    rng = np.random.default_rng(m)
+    weights = rng.normal(size=len(polys)) + 1j * rng.normal(size=len(polys))
+    weights[rng.random(len(polys)) < 0.2] = 0.0
+    got, _ = _frame_sum(frame, weights)
+    assert _exact(got) == _exact(fold_sum(list(zip(weights.tolist(), polys))))
+
+
+def test_returned_words_hash_once_and_pickle_as_plain_tuples(fib):
+    """A decomposition's words hash as their plain tuples, a plain tuple
+    finds its term, and a pickled result loads with plain-tuple words: a
+    cached string hash would not hold in another process."""
+    dec = decompose_observable(_region_observable(fib, 3, (2, 3), np.random.default_rng(8)), (2, 3))
+    words = list(dec.polynomial._terms)
+    assert {type(w) for w in words} == {polynomial._Word}
+    assert all(hash(w) == hash(tuple(w)) and w == tuple(w) for w in words)
+    assert all(dec.polynomial._terms[tuple(w)] == c for w, c in dec.polynomial._terms.items())
+    back = pickle.loads(pickle.dumps(dec))
+    assert {type(w) for w in back.polynomial._terms} == {tuple}
+    assert _exact(back.polynomial) == _exact(dec.polynomial)
+    assert back.polynomial.to_payload() == dec.polynomial.to_payload()
 
 
 def _assert_matches_the_sum_path(op, modes):
