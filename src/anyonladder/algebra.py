@@ -749,8 +749,8 @@ def decompose_observable(
     nothing of size ``dim**2``; only a failing call fronts ``op`` densely to
     tell a candidate-local operator from one that is not local.
     """
+    _require_finite(op)
     entries_of_op = flat, vals = _entries(op)
-    _require_finite(op, entries_of_op)
     basis = _canonical_basis(op)
     model = basis.model
     n = basis.n_modes
@@ -759,7 +759,8 @@ def decompose_observable(
 
     rows, cols = np.divmod(flat, basis.dim)
     totals = basis.totals()
-    changing = np.flatnonzero((totals[rows] != totals[cols]) & (vals != 0))
+    # Every stored entry counts, a zero too, as in SparseOperator.is_charge_diagonal.
+    changing = np.flatnonzero(totals[rows] != totals[cols])
     if len(changing):
         row, col = rows[changing[0]], cols[changing[0]]
         raise ValueError(

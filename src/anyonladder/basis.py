@@ -194,19 +194,17 @@ def _drop(mat: sp.csr_matrix, tol: float = DROP_TOLERANCE) -> sp.csr_matrix:
     return out
 
 
-def _require_finite(op: SparseOperator, entries=None) -> None:
+def _require_finite(op: SparseOperator) -> None:
     """Raise ``ValueError`` naming the first stored entry of ``op`` that is
-    not finite, in either part; of ``entries``, ``op``'s :func:`_entries`,
-    when they are given."""
+    not finite, in either part."""
     mat = op.matrix
-    bad = np.flatnonzero(~np.isfinite(mat.data if entries is None else entries[1]))
+    bad = np.flatnonzero(~np.isfinite(mat.data))
     if len(bad):
         k = int(bad[0])
-        if entries is None:
-            row, col, value = np.searchsorted(mat.indptr, k, "right") - 1, mat.indices[k], mat.data[k]
-        else:
-            (row, col), value = divmod(entries[0][k], mat.shape[1]), entries[1][k]
-        raise ValueError(f"non-finite value {complex(value)} at entry ({int(row)}, {int(col)})")
+        row = int(np.searchsorted(mat.indptr, k, side="right")) - 1
+        raise ValueError(
+            f"non-finite value {complex(mat.data[k])} at entry ({row}, {int(mat.indices[k])})"
+        )
 
 
 def _entries(op: SparseOperator) -> tuple[np.ndarray, np.ndarray]:

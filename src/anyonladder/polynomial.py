@@ -186,8 +186,7 @@ class _PolynomialFrame:
     ``words`` holds every word of ``polys`` once.  Term ``k`` of the
     polynomials, one after the other and each in its term order, is word
     ``word[k]`` with coefficient ``coeff[k]``; polynomial ``i`` holds terms
-    ``bounds[i] .. bounds[i + 1]``, and term ``k`` is of polynomial
-    ``poly[k]``.  Word ``w``'s matrix is held as its
+    ``bounds[i] .. bounds[i + 1]``.  Word ``w``'s matrix is held as its
     :func:`_cells`, ``vals[ptr[w]:ptr[w + 1]]`` at positions ``pos`` into
     ``support``, the sorted flat positions of all the words' entries.  The
     word matrices are built into ``cache`` and gathered once, here; their
@@ -205,18 +204,6 @@ class _PolynomialFrame:
             (c for poly in polys for c in poly._terms.values()), complex, len(ids)
         )
         self.bounds = np.cumsum([0] + [poly.n_terms for poly in polys])
-        self.poly = np.repeat(np.arange(len(polys)), np.diff(self.bounds))
-        # The term layout of weighted_sum: the terms that are their word's
-        # only term, and for the other words, most terms first, rank r holding
-        # each one's term r in frame order, so rank r's words are a prefix.
-        counts = np.bincount(self.word, minlength=len(self.words))
-        self.single = counts[self.word] == 1
-        by_word = np.argsort(self.word, kind="stable")
-        shared = np.flatnonzero(counts > 1)
-        shared = shared[np.argsort(-counts[shared], kind="stable")]
-        first = np.cumsum(counts) - counts
-        self.ranks = [by_word[first[shared[counts[shared] > r]] + r]
-                      for r in range(counts[shared].max(initial=0))]
         _fill_cache([w for w in self.words if w not in cache], resolver, cache, identity)
         if self.words:
             base, owner, rows, cols, vals = _gather([cache[w] for w in self.words])
@@ -248,11 +235,12 @@ class _PolynomialFrame:
         product restarts it from zero.  A word's place is the term it came
         in at, so the kept terms, read in frame order, are the dict's order.
         """
-        products = _times(self.coeff, weights[self.poly])
+        poly, single, ranks = self._layout
+        products = _times(self.coeff, weights[poly])
         kept = np.abs(products) > MERGE_TOLERANCE
-        total = np.zeros(len(self.ranks[0]) if self.ranks else 0, complex)
+        total = np.zeros(len(ranks[0]) if ranks else 0, complex)
         start = np.full(len(total), -1)  # the term a word came in at, -1 while out
-        for terms in self.ranks:
+        for terms in ranks:
             rows = np.flatnonzero(kept[terms])
             at = terms[rows]
             on = start[rows] >= 0
@@ -260,12 +248,28 @@ class _PolynomialFrame:
             total[rows] = running
             start[rows] = np.where(np.abs(running) > MERGE_TOLERANCE, np.where(on, start[rows], at), -1)
         live = start >= 0
-        present = kept & self.single
+        present = kept & single
         present[start[live]] = True
         sums = 0.0 + products
         sums[start[live]] = total[live]
         keys = np.flatnonzero(present)
         return self.word[keys], sums[keys]
+
+    @functools.cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The term layout of :meth:`weighted_sum`, built at its first call:
+        each term's polynomial, whether it is its word's only term, and for
+        the other words, most terms first, rank ``r`` holding each one's term
+        ``r`` in frame order, so rank ``r``'s words are a prefix."""
+        poly = np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
+        counts = np.bincount(self.word, minlength=len(self.words))
+        by_word = np.argsort(self.word, kind="stable")
+        shared = np.flatnonzero(counts > 1)
+        shared = shared[np.argsort(-counts[shared], kind="stable")]
+        first = np.cumsum(counts) - counts
+        ranks = [by_word[first[shared[counts[shared] > r]] + r]
+                 for r in range(counts[shared].max(initial=0))]
+        return poly, counts[self.word] == 1, ranks
 
     @functools.cached_property
     def _keys(self) -> list["_Word"]:

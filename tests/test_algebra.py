@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -611,9 +612,10 @@ def test_decompose_rejects_charge_changing(fib):
         decompose_observable(pair.alpha[1], (1,))
 
 
-def test_decompose_reads_a_stored_zero_across_charges_as_no_entry(fib):
-    """An explicit zero joining two total charges changes no charge: the
-    operator decomposes as it does without that entry."""
+def test_decompose_refuses_a_stored_zero_across_charges(fib):
+    """An explicit zero joining two total charges is refused as
+    ``SparseOperator.is_charge_diagonal`` and ``hubbard.diagonalize`` refuse
+    it, with the charges of that entry named."""
     op = _random_local_observable(fib, 3, 2, np.random.default_rng(6))
     totals = op.row_basis.totals()
     row, col = 0, int(np.flatnonzero(totals != totals[0])[0])
@@ -623,9 +625,10 @@ def test_decompose_reads_a_stored_zero_across_charges_as_no_entry(fib):
     )
     zeroed = SparseOperator(op.row_basis, op.col_basis, mat)
     assert zeroed.nnz == op.nnz + 1 and not zeroed.is_charge_diagonal()
-    got, want = decompose_observable(zeroed, (1, 2)), decompose_observable(op, (1, 2))
-    assert got.polynomial.to_payload() == want.polynomial.to_payload()
-    assert got.eval_residual == want.eval_residual
+    labels = fib.labels
+    charges = f"({labels[totals[col]]} -> {labels[totals[row]]})"
+    with pytest.raises(ValueError, match=re.escape(charges) + "; not an observable$"):
+        decompose_observable(zeroed, (1, 2))
 
 
 @pytest.mark.parametrize("modes, value", [((1.0, 2.0), 1.0), ((True, 2), True), ((1.5, 2), 1.5)])

@@ -634,7 +634,7 @@ def test_frame_weighted_sum_keeps_the_dict_rules_on_every_term_layout():
     frame = _frame(polys)
     counts = [sum(word in poly._terms for poly in polys) for word in frame.words]
     assert sorted(counts) == [1, 1, 1, 1, 2, 3, 4, 6]
-    assert [len(terms) for terms in frame.ranks] == [4, 4, 3, 2, 1, 1]
+    assert [len(terms) for terms in frame._layout[2]] == [4, 4, 3, 2, 1, 1]
     got, _ = _frame_sum(frame, weights)
     want = fold_sum(list(zip(weights, polys)))
     assert _exact(got) == _exact(want)
