@@ -44,7 +44,11 @@ def _fmt(x: float) -> str:
 
 
 def dump_operator(op: SparseOperator, name: str = "") -> str:
-    """Coordinate-triplet text: header lines, then ``row col re im`` rows."""
+    """Coordinate-triplet text: header lines, then ``row col re im`` rows.
+
+    Each distinct index and each distinct real or imaginary part is formatted
+    once, with the bytes one ``%.17g`` per part gives; parts are told apart by
+    their bits, so ``-0.0`` still prints ``-0``."""
     basis = op.row_basis
     lines = [
         f"# anyonladder operator v{FORMAT_VERSION}",
@@ -55,20 +59,46 @@ def dump_operator(op: SparseOperator, name: str = "") -> str:
     ]
     if name:
         lines.insert(1, f"# name: {name}")
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    data = coo.data[order]
-    # One %-format pass over every triplet; "%.17g" prints as ``_fmt`` does.
-    values = [None] * (4 * len(order))
-    values[0::4] = coo.row[order].tolist()
-    values[1::4] = coo.col[order].tolist()
-    values[2::4] = data.real.tolist()
-    values[3::4] = data.imag.tolist()
-    return "\n".join(lines) + "\n" + ("%d %d %.17g %.17g\n" * len(order)) % tuple(values)
+    mat = op.matrix
+    nnz = mat.nnz
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    cols, data = mat.indices[:nnz], mat.data[:nnz]
+    # Columns strictly increasing within each row: the stored order is already
+    # (row, col) order.  Any other CSR takes the stable sort of its COO form.
+    if np.any((np.diff(cols) <= 0) & (np.diff(rows) == 0)):
+        coo = mat.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        rows, cols, data = coo.row[order], coo.col[order], coo.data[order]
+    parts = np.concatenate((data.real, data.imag), dtype=np.float64)
+    bits, which = np.unique(parts.view(np.int64), return_inverse=True)
+    distinct = [_fmt(v) for v in bits.view(np.float64).tolist()]
+    # A sector operator has fewer columns than rows.
+    index = np.array([f"{i} " for i in range(max(mat.shape))], dtype=object)
+    fields = np.empty((nnz, 4), dtype=object)
+    fields[:, 0] = index[rows]
+    fields[:, 1] = index[cols]
+    fields[:, 2] = np.array([f"{s} " for s in distinct], dtype=object)[which[:nnz]]
+    fields[:, 3] = np.array([f"{s}\n" for s in distinct], dtype=object)[which[nnz:]]
+    return "\n".join(lines) + "\n" + "".join(fields.ravel().tolist())
+
+
+def _header_ints(header: dict[str, str], key: str, count: int) -> tuple[int, ...]:
+    """The ``count`` integers of header line ``# key:``, or a ValueError naming it."""
+    try:
+        values = tuple(int(v) for v in header[key].split())
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise ValueError(
+            f"'# {key}:' header expects {count} integer(s), got {header[key]!r}"
+        )
+    return values
 
 
 def load_operator(text: str, model: AnyonModel) -> SparseOperator:
-    """Parse the triplet format back into a SparseOperator on ``model``."""
+    """Parse the triplet format back into a SparseOperator on ``model``.
+
+    Only square operators on the canonical basis of ``model`` load."""
     header: dict[str, str] = {}
     triplets: dict[tuple[int, int], complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -86,8 +116,14 @@ def load_operator(text: str, model: AnyonModel) -> SparseOperator:
             raise ValueError(
                 f"line {lineno}: expected 'row col re im', got {line!r}"
             )
-        r, c = int(parts[0]), int(parts[1])
-        v = complex(float(parts[2]), float(parts[3]))
+        try:
+            r, c = int(parts[0]), int(parts[1])
+            v = complex(float(parts[2]), float(parts[3]))
+        except ValueError as exc:
+            raise ValueError(
+                f"line {lineno}: expected integer row and col and real re and im, "
+                f"got {line!r} ({exc})"
+            ) from None
         if (r, c) in triplets:
             raise ValueError(f"line {lineno}: repeated entry ({r}, {c})")
         if not np.isfinite(v):
@@ -100,9 +136,15 @@ def load_operator(text: str, model: AnyonModel) -> SparseOperator:
             f"operator was written for model {header['model']!r}, "
             f"loading under {model.name!r}"
         )
-    basis = FusionTreeBasis(model, int(header["n_modes"]))
+    (n_modes,) = _header_ints(header, "n_modes", 1)
+    basis = FusionTreeBasis(model, n_modes)
     if "dim" in header:
-        declared = tuple(int(v) for v in header["dim"].split())
+        declared = _header_ints(header, "dim", 2)
+        if declared[0] != declared[1]:
+            raise ValueError(
+                f"declared dim {declared} is not square: only square operators "
+                "on the canonical basis load"
+            )
         if declared != (basis.dim, basis.dim):
             raise ValueError(
                 f"declared dim {declared} does not match basis dim {basis.dim}"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import oracles as orc
 from anyonladder.basis import FusionTreeBasis, SparseOperator
 from anyonladder.hubbard import HubbardParams, diagonalize, hubbard_hamiltonian
 from anyonladder.ladder import fibonacci_pair, ladder_set
+from anyonladder.model import builtin
 from anyonladder.polynomial import GeneratorSymbol, LadderPolynomial
 from anyonladder.serialize import (
     dump_operator,
@@ -101,6 +104,12 @@ def test_occupation_csv_layout():
     assert np.isclose(float(lines[1].split(",")[1]), 0.25)
 
 
+def _assert_triplets_match_per_line_formatting(operator):
+    text = dump_operator(operator, name="x")
+    header = "".join(line + "\n" for line in text.splitlines() if line.startswith("#"))
+    assert text == header + orc.dump_triplets(operator)
+
+
 def test_operator_triplets_match_per_line_formatting(fib):
     """The one-pass triplet formatting prints what one f-string per entry
     prints: signed zeros, subnormal, huge and unsorted entries included."""
@@ -109,9 +118,57 @@ def test_operator_triplets_match_per_line_formatting(fib):
     op = SparseOperator.from_entries(basis, basis, ([4, 0, 0, 12, 7], [1, 3, 0, 12, 2], values))
     pair = fibonacci_pair(fib, 3)
     for operator in (op, pair.alpha[2], SparseOperator.zero(basis)):
-        text = dump_operator(operator, name="x")
-        header = "".join(line + "\n" for line in text.splitlines() if line.startswith("#"))
-        assert text == header + orc.dump_triplets(operator)
+        _assert_triplets_match_per_line_formatting(operator)
+
+
+@pytest.mark.parametrize(
+    "case", ["untidy-0", "untidy-1", "untidy-2", "untidy-3", "sector-columns", "signed-zeros"]
+)
+def test_operator_triplets_match_per_line_formatting_on_untidy_and_sector_operators(fib, case):
+    """Repeated positions, stored zeros and unsorted columns of an untidy CSR
+    (with -0.0 parts), a sector operator with fewer columns than rows, and
+    stored 0.0 and -0.0 parts beside values and their negatives."""
+    if case.startswith("untidy-"):
+        operator = orc.untidy_operator(FusionTreeBasis(fib, 4), np.random.default_rng(int(case[7:])))
+        assert not operator.matrix.has_sorted_indices
+    elif case == "sector-columns":
+        operator = fibonacci_pair(fib, 4, "tau").alpha[1]
+        assert operator.matrix.shape == (34, 21)
+    else:
+        basis = FusionTreeBasis(fib, 3)
+        values = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), 0.7, -0.7, complex(0.7, -0.7)]
+        operator = SparseOperator.from_entries(basis, basis, (range(7), [3, 1, 4, 1, 5, 9, 2], values))
+        assert operator.nnz == len(values)
+    _assert_triplets_match_per_line_formatting(operator)
+
+
+@pytest.mark.parametrize("name, modes", [("fibonacci", 8), ("ising", 6), ("fermion", 10)])
+def test_pinned_ladder_exports_match_per_line_formatting(name, modes):
+    """Every operator that ``ladder --out`` writes for the pinned exports."""
+    model = builtin(name)
+    for particle in (lab for i, lab in enumerate(model.labels) if i != model.vacuum):
+        for op in ladder_set(model, modes, particle).ops.values():
+            _assert_triplets_match_per_line_formatting(op)
+
+
+@pytest.mark.parametrize("row", ["0.5 0 1 0", "0 x 1 0", "0 0 one 0", "0 0 1 i"])
+def test_operator_loader_names_the_line_of_a_bad_number(fib, row):
+    text = "# n_modes: 2\n\n" + row + "\n"
+    with pytest.raises(ValueError, match="^line 3: .*" + re.escape(repr(row))):
+        load_operator(text, fib)
+
+
+def test_operator_loader_names_a_bad_header(fib):
+    text = dump_operator(fibonacci_pair(fib, 3).alpha[1])
+    assert "# n_modes: 3\n" in text and "# dim: 13 13\n" in text
+    with pytest.raises(ValueError, match="'# n_modes:' header .*'two'"):
+        load_operator(text.replace("# n_modes: 3", "# n_modes: two"), fib)
+    with pytest.raises(ValueError, match="'# dim:' header .*'5'"):
+        load_operator(text.replace("# dim: 13 13", "# dim: 5"), fib)
+    rectangular = dump_operator(fibonacci_pair(fib, 4, "tau").alpha[1])
+    assert "# dim: 34 21\n" in rectangular
+    with pytest.raises(ValueError, match="not square: only square operators"):
+        load_operator(rectangular, fib)
 
 
 def test_loaded_operator_is_canonical_csr_whatever_the_line_order(fib):
