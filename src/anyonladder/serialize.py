@@ -63,12 +63,8 @@ def dump_operator(op: SparseOperator, name: str = "") -> str:
     nnz = mat.nnz
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     cols, data = mat.indices[:nnz], mat.data[:nnz]
-    # Columns strictly increasing within each row: the stored order is already
-    # (row, col) order.  Any other CSR takes the stable sort of its COO form.
-    if np.any((np.diff(cols) <= 0) & (np.diff(rows) == 0)):
-        coo = mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        rows, cols, data = coo.row[order], coo.col[order], coo.data[order]
+    order = np.lexsort((cols, rows))
+    rows, cols, data = rows[order], cols[order], data[order]
     parts = np.concatenate((data.real, data.imag), dtype=np.float64)
     bits, which = np.unique(parts.view(np.int64), return_inverse=True)
     distinct = [_fmt(v) for v in bits.view(np.float64).tolist()]
