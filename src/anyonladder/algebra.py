@@ -27,8 +27,8 @@ from scipy.linalg import eigh
 
 from . import trees
 from .basis import (
-    DROP_TOLERANCE, FusionTreeBasis, SparseOperator, braid_word, _conjugate, _CSRBlock,
-    _entries, _factored_states, _memo, _pairs, _require_finite, _values_at,
+    FusionTreeBasis, SparseOperator, braid_word, _conjugate, _entries, _factored_states, _memo,
+    _pairs, _require_finite, _values_at,
 )
 from .ladder import (
     _shared_pair,
@@ -111,18 +111,26 @@ def observable_basis(model: AnyonModel, n_modes: int, m: int):
     return pairs, [block.operator(k) for k in range(len(pairs))]
 
 
+def _moved_states(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
+    """:func:`basis._factored_states` of the sorted region ``s``, its
+    recoupling ``W`` moved onto the region as ``W U``, ``U`` the region's
+    relabel unitary: ``(W U)^dagger M (W U) = U^dagger (W^dagger M W) U``,
+    so one ``_conjugate`` by it gives an operator of the front region moved
+    onto ``s``.  A front region keeps ``W`` itself."""
+    w, *labels = _factored_states(model, n_modes, len(s))
+    if s != tuple(range(1, len(s) + 1)):
+        w = w @ _mode_relabel_unitaries(model, n_modes, s)[0]
+    return (w, *labels)
+
+
 @_memo
 def _observable_block(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
     """``(pairs, block)``: the pairs of :func:`observable_basis` and its
-    operators moved onto the sorted region ``s``, ``U^dagger E U`` with ``U``
-    the region's relabel unitary, as one ``_CSRBlock``.  ``E = W^dagger M W``
-    for the factored-shape recoupling ``W``, so the moved operators are
-    ``(W U)^dagger M (W U)``, one ``_conjugate`` like the unmoved ones."""
-    m = len(s)
-    w, _b0, y, x, g = _factored_states(model, n_modes, m)
-    if s != tuple(range(1, m + 1)):
-        w = w @ _mode_relabel_unitaries(model, n_modes, s)[0]
-    states = region_states(model, m)
+    operators ``E = W^dagger M W`` moved onto the sorted region ``s``,
+    ``U^dagger E U`` with ``U`` the region's relabel unitary, as one
+    ``_CSRBlock`` conjugated by :func:`_moved_states`."""
+    w, _b0, y, x, g = _moved_states(model, n_modes, s)
+    states = region_states(model, len(s))
     pairs = [(r, rp) for r in states for rp in states if r.charge == rp.charge]
     slot = np.full((len(states), len(states)), -1)
     for k, (r, rp) in enumerate(pairs):
@@ -135,26 +143,29 @@ def _observable_block(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
 
 
 @_memo
-def _coordinate_entries(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
-    """The operators of ``_observable_block(model, n_modes, s)`` as entry
-    lists over their union support: ``(owner, pos, vals, support, norms)``,
-    entry ``k`` being ``vals[k]`` of operator ``owner[k]`` at the flat
-    position ``support[pos[k]]``, and ``norms`` each operator's squared
-    norm."""
-    pairs, block = _observable_block(model, n_modes, s)
+def _coordinate_entries(model: AnyonModel, n_modes: int, s: tuple[int, ...], span_block):
+    """The operators of ``span_block(model, n_modes, s)``, which returns
+    ``(labels, block)``, as entry lists over their union support: ``(owner,
+    pos, vals, support, norms)``, entry ``k`` being ``vals[k]`` of operator
+    ``owner[k]`` at the flat position ``support[pos[k]]``, and ``norms``
+    each operator's squared norm."""
+    labels, block = span_block(model, n_modes, s)
     dim = block.row_basis.dim
-    owner = np.repeat(np.arange(len(pairs)), np.diff(block.indptr[::dim]))
+    owner = np.repeat(np.arange(len(labels)), np.diff(block.indptr[::dim]))
     support, pos = np.unique(block.rows * np.int64(dim) + block.indices, return_inverse=True)
-    norms = np.bincount(owner, np.abs(block.data) ** 2, len(pairs))
+    norms = np.bincount(owner, np.abs(block.data) ** 2, len(labels))
     return owner, pos, block.data, support, norms
 
 
-def _coordinates(entries, basis: FusionTreeBasis, s: tuple[int, ...]):
+def _coordinates(entries, basis: FusionTreeBasis, s: tuple[int, ...], span_block):
     """``(y, residual)`` for the operator whose :func:`basis._entries` are
     ``entries``: its coordinates ``y_p = <E_p, op> / |E_p|^2`` on the
-    observable basis moved onto ``s``, whose operators are mutually
-    orthogonal, and the largest entry of ``op - sum_p y_p E_p``."""
-    owner, pos, vals, support, norms = _coordinate_entries(basis.model, basis.n_modes, s)
+    operators ``E_p`` of ``span_block`` (:func:`_observable_block` or
+    :func:`_candidate_block`) moved onto ``s``, which are mutually
+    orthogonal, and the largest entry of ``op - sum_p y_p E_p``.  Both are
+    read on entry lists in ``op``'s own frame; nothing is braided or made
+    dense."""
+    owner, pos, vals, support, norms = _coordinate_entries(basis.model, basis.n_modes, s, span_block)
     at, rest = _values_at(entries, support)
     overlap = at[pos] * vals.conj()
     y = (np.bincount(owner, overlap.real, len(norms))
@@ -172,10 +183,13 @@ def candidate_local_basis(model: AnyonModel, n_modes: int, mode: int = 1):
     with ``y`` running over rest labelings of charge ``b0``, ``d`` a channel
     of ``a x b0`` and ``d'`` of ``a' x b0``.  These include total-charge
     changing elements (d != d'); for a Fibonacci mode with rest charges
-    {e, tau} there are 13 of them.  ``mode > 1`` braids the basis into place.
-    The package itself reads :func:`local_candidate_span`; this labelled
-    form is public API, and ``perfbench/spans.py`` traces it.
+    {e, tau} there are 13 of them.  ``mode > 1`` braids the basis into place;
+    a bool or a ``mode`` of no integer type raises ``ValueError``, as a mode
+    outside ``1..n_modes`` does.  The package itself reads
+    :func:`local_candidate_span`; this labelled form is public API, and
+    ``perfbench/spans.py`` traces it.
     """
+    (mode,) = _region((mode,), n_modes)
     labels = model.labels
     metas, ops = local_candidate_span(model, n_modes, 1)
     return [
@@ -200,10 +214,20 @@ def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
     Elements ``A = sum_{y: b0} |x,y;G><x',y;G'|`` resolve the rest charge
     ``b0`` and may change the total charge (``x, x'`` of any charges).  The
     single-mode case reproduces the 13-element Fibonacci set; ``m == n``
-    gives the full matrix algebra.
+    gives the full matrix algebra.  Returns ``(metas, ops)``, the front
+    region's :func:`_candidate_block` as operators.
     """
-    w, b0, y, x, g = _factored_states(model, n_modes, m)
-    region = FusionTreeBasis(model, m).table.rows
+    metas, block = _candidate_block(model, n_modes, tuple(range(1, m + 1)))
+    return metas, [block.operator(k) for k in range(len(metas))]
+
+
+@_memo
+def _candidate_block(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
+    """``(metas, block)``: the elements of :func:`local_candidate_span`,
+    keyed by ``metas``, moved onto the sorted region ``s`` as one
+    ``_CSRBlock`` conjugated by :func:`_moved_states`."""
+    w, b0, y, x, g = _moved_states(model, n_modes, s)
+    region = FusionTreeBasis(model, len(s)).table.rows
     order = np.lexsort(region.T[::-1])  # region labelings in tuple order
     rank = np.argsort(order)
     # sum_{y: b0} |x,y;G><x',y;G'| for every (b0, x, G, x', G') with support,
@@ -218,32 +242,7 @@ def local_candidate_span(model: AnyonModel, n_modes: int, m: int):
         {"b0": model.labels[b], "x": labelings[r], "G": G, "xp": labelings[rp], "Gp": Gp}
         for b, r, G, rp, Gp in zip(*(part.tolist() for part in np.unravel_index(keys, dims)))
     ]
-    return metas, [block.operator(k) for k in range(len(keys))]
-
-
-@_memo
-def _span_entries(model: AnyonModel, n_modes: int, m: int, span):
-    """The stored entries of the operators of ``span(model, n_modes, m)`` as
-    ``(owner, rows, cols, vals)``, then each operator's squared norm."""
-    _, ops = span(model, n_modes, m)
-    block = _CSRBlock.pack(ops)
-    owner = np.repeat(np.arange(len(ops)), [op.nnz for op in ops])
-    norms = np.bincount(owner, np.abs(block.data) ** 2, len(ops))
-    return owner, block.rows, block.indices, block.data, norms
-
-
-def _span_residual(op: SparseOperator, s: tuple[int, ...], span) -> float:
-    """The largest entry of ``op``, region ``s`` brought to the front, left by
-    its least-squares fit over the operators of ``span``: these are mutually
-    orthogonal, so each coefficient is an overlap over a squared norm."""
-    basis = op.row_basis
-    owner, rows, cols, vals, norms = _span_entries(basis.model, basis.n_modes, len(s), span)
-    target = _front_dense(op, s)
-    overlap = target[rows, cols] * vals.conj()
-    coeffs = (np.bincount(owner, overlap.real, len(norms))
-              + 1j * np.bincount(owner, overlap.imag, len(norms))) / norms
-    np.subtract.at(target, (rows, cols), coeffs[owner] * vals)
-    return float(np.abs(target).max())
+    return metas, block
 
 
 def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperator:
@@ -286,29 +285,6 @@ def _mode_relabel_unitaries(model: AnyonModel, n_modes: int, s: tuple[int, ...])
     return u, u.dagger()
 
 
-def _to_front(op: SparseOperator, s: tuple[int, ...]) -> SparseOperator:
-    """``U op U^dagger``: ``op`` with the sorted region ``s`` braided to the front."""
-    u, u_dagger = _mode_relabel_unitaries(op.row_basis.model, op.row_basis.n_modes, s)
-    return u @ op @ u_dagger
-
-
-def _front_dense(op: SparseOperator, s: tuple[int, ...]) -> np.ndarray:
-    """``_to_front(op, s).to_dense()``, bit for bit.
-
-    A region ``(1 .. M)`` is at the front already: its braid word is empty,
-    so ``U`` is the identity and its two products only drop the entries of
-    magnitude ``DROP_TOLERANCE`` or less.  Each entry of such a product is a
-    sum from zero, as each entry of ``to_dense`` is, so the result is
-    ``op.to_dense()`` with those entries zeroed, formed here without the
-    products.
-    """
-    if s != tuple(range(1, len(s) + 1)):
-        return _to_front(op, s).to_dense()
-    dense = op.to_dense()
-    dense[np.abs(dense) <= DROP_TOLERANCE] = 0.0
-    return dense
-
-
 def _canonical_basis(op: SparseOperator) -> FusionTreeBasis:
     """The basis ``op`` acts on, after checking that its rows and its columns
     are both over the one unsectored left-comb basis."""
@@ -327,23 +303,25 @@ def _canonical_basis(op: SparseOperator) -> FusionTreeBasis:
 def is_local_candidate(op: SparseOperator, modes, tol: float = 1e-10):
     """Whether ``op`` lies in the candidate-local span of the region ``modes``.
 
-    The region is braided to the front and ``op`` is projected onto the
-    rest-charge-resolved spanning set (which contains all ladder operators of
-    the region, including total-charge changing ones).  Returns
-    ``(flag, residual)``, a ``bool`` and a ``float``, with ``residual`` the
-    largest entry the projection leaves, zero up to :func:`rounding_cut` over
-    ``dim`` and ``op``'s largest entry.  The span equals the commutant of the
-    observables local on the complement, charge-changing elements included;
-    projecting onto it avoids forming that commutant.  The span's elements
-    have disjoint 0/1 entries in the factored basis, so they are mutually
-    orthogonal and the least-squares fit has a closed form: each coefficient
-    is the element's overlap with ``op`` over its squared norm.  No dense
-    frame is formed.  An ``op`` with a non-finite entry raises
-    ``ValueError`` before any other check.
+    ``op`` is projected onto the rest-charge-resolved spanning set (which
+    contains all ladder operators of the region, including total-charge
+    changing ones) moved onto the region, as :func:`decompose_observable`
+    reads its observable coordinates.  Returns ``(flag, residual)``, a
+    ``bool`` and a ``float``, with ``residual`` the largest entry the
+    projection leaves in ``op``'s own frame, zero up to :func:`rounding_cut`
+    over ``dim`` and ``op``'s largest entry.  The span equals the commutant
+    of the observables local on the complement, charge-changing elements
+    included; projecting onto it avoids forming that commutant.  The span's
+    elements have disjoint 0/1 entries in the factored basis, so they are
+    mutually orthogonal and the least-squares fit has a closed form: each
+    coefficient is the element's overlap with ``op`` over its squared norm,
+    read from ``op``'s stored entries.  No dense array is formed.  An ``op``
+    with a non-finite entry raises ``ValueError`` before any other check.
     """
     _require_finite(op)
     basis = _canonical_basis(op)
-    residual = _span_residual(op, _region(modes, basis.n_modes), local_candidate_span)
+    s = _region(modes, basis.n_modes)
+    residual = _coordinates(_entries(op), basis, s, _candidate_block)[1]
     return bool(residual <= rounding_cut(tol, basis.dim, op.norm_max())), residual
 
 
@@ -746,8 +724,9 @@ def decompose_observable(
     model and region size at ``m + 1`` modes.  The span residual is the
     larger of what the coordinates leave of ``op`` and what the realised
     span misses of them.  A call reads ``op``'s stored entries and forms
-    nothing of size ``dim**2``; only a failing call fronts ``op`` densely to
-    tell a candidate-local operator from one that is not local.
+    nothing of size ``dim**2``; a failing call projects them onto the
+    candidate-local span the same way, to tell a candidate-local operator
+    from one that is not local.
     """
     _require_finite(op)
     entries_of_op = flat, vals = _entries(op)
@@ -781,13 +760,13 @@ def decompose_observable(
 
     n0 = _map_modes(n, m)
     weights, unrealised, misses, _frame = _coordinate_map(model, n0, m)
-    y, outside = _coordinates(entries_of_op, basis, s)
+    y, outside = _coordinates(entries_of_op, basis, s, _observable_block)
     missed = float(np.abs(misses @ y[unrealised]).max(initial=0.0))
     span_residual = max(outside, missed)
     if span_residual > cut:
         figure = f"(span residual {span_residual:.3e})"
         if outside > cut:
-            if _span_residual(op, s, local_candidate_span) <= cut:
+            if _coordinates(entries_of_op, basis, s, _candidate_block)[1] <= cut:
                 raise ValueError(
                     f"operator is candidate-local on modes {list(s)} but not an "
                     f"observable of them {figure}"
@@ -964,17 +943,20 @@ def fock_words(model: AnyonModel, n_modes: int):
 def fock_word(model: AnyonModel, n_modes: int, state) -> tuple[complex, tuple]:
     """Creation word for one canonical state: ``|state> = scalar * word |0>``.
 
-    ``state`` is a basis index or a labeling tuple; any other value raises
-    ``ValueError``.  Every canonical state is reachable for the bundled
-    models; an unreachable state would mean the breadth-first construction
-    itself is broken, hence the hard error.
+    ``state`` is a basis index or a labeling tuple; any other value, a bool
+    or a scalar of no integer type among them, raises ``ValueError``.  Every
+    canonical state is reachable for the bundled models; an unreachable
+    state would mean the breadth-first construction itself is broken, hence
+    the hard error.
     """
     basis = FusionTreeBasis(model, n_modes)
-    if isinstance(state, (int, np.integer)):
-        idx = int(state) if 0 <= state < basis.dim else -1
-    else:
-        ints = len(state) == len(basis.table.spans) and np.issubdtype(np.asarray(state).dtype, np.integer)
-        idx = int(basis.table.find([tuple(state)])[0]) if ints else -1
+    idx = -1
+    if isinstance(state, numbers.Integral):
+        if not isinstance(state, bool) and 0 <= state < basis.dim:
+            idx = int(state)
+    elif np.ndim(state) == 1 and len(state) == len(basis.table.spans):
+        if np.issubdtype(np.asarray(state).dtype, np.integer):
+            idx = int(basis.table.find([tuple(state)])[0])
     if idx < 0:
         raise ValueError(f"{state!r} is neither a state index nor a labeling of {n_modes} modes")
     words = fock_words(model, n_modes)

@@ -567,7 +567,7 @@ def decompose_by_sum(op, modes, coefficients=None):
     region, and the sum is evaluated by ``evaluate_with_identity`` on the
     shared word cache.  Returns ``(polynomial, eval_residual, fitted)``,
     ``fitted`` the weights above ``1e-13`` keyed like ``coefficients``."""
-    from anyonladder.algebra import _product_frame, _region, _to_front, _word_cache
+    from anyonladder.algebra import _product_frame, _region, _word_cache, mode_relabel_unitary
     from anyonladder.basis import SparseOperator
     from anyonladder.ladder import resolver
     from anyonladder.polynomial import LadderPolynomial
@@ -583,7 +583,8 @@ def decompose_by_sum(op, modes, coefficients=None):
             poly.evaluate_with_identity(resolve, identity, cache=cache).to_dense().ravel()
             for poly in polys
         ], axis=1)
-        coeffs = np.linalg.lstsq(stack, _to_front(op, s).to_dense().ravel(), rcond=None)[0]
+        u = mode_relabel_unitary(model, n, s)
+        coeffs = np.linalg.lstsq(stack, (u @ op @ u.dagger()).to_dense().ravel(), rcond=None)[0]
     else:
         coeffs = np.array([coefficients.get(key, 0.0) for key in entries], dtype=complex)
     mode_map = {k + 1: mode for k, mode in enumerate(s)}
@@ -1029,17 +1030,18 @@ def csr_bytes(op):
 
 
 def span_residuals_dense(ops, modes, span):
-    """Largest unfitted entry of each operator of ``ops``, region ``modes``
-    braided to the front, after a dense least-squares fit over the flattened
-    operators of ``span(model, n_modes, len(modes))``: the (D^2, K) frame and
-    one ``lstsq`` for all targets, with no use of the span's orthogonality."""
+    """Largest unfitted entry of each operator of ``ops`` after a dense
+    least-squares fit over the flattened operators of ``span(model, n_modes,
+    len(modes))`` moved onto the region, ``U^dagger A U`` with ``U`` its
+    relabel unitary, in each operator's own frame: the (D^2, K) frame and one
+    ``lstsq`` for all targets, with no use of the span's orthogonality."""
     from anyonladder.algebra import mode_relabel_unitary
 
     basis = ops[0].row_basis
     s = tuple(sorted(modes))
     _, elements = span(basis.model, basis.n_modes, len(s))
-    frame = np.stack([el.to_dense().ravel() for el in elements], axis=1)
     u = mode_relabel_unitary(basis.model, basis.n_modes, s)
-    targets = np.stack([(u @ op @ u.dagger()).to_dense().ravel() for op in ops], axis=1)
+    frame = np.stack([(u.dagger() @ el @ u).to_dense().ravel() for el in elements], axis=1)
+    targets = np.stack([op.to_dense().ravel() for op in ops], axis=1)
     coeffs, *_ = np.linalg.lstsq(frame, targets, rcond=None)
     return np.abs(frame @ coeffs - targets).max(axis=0)

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import re
 import tracemalloc
 
@@ -10,10 +9,8 @@ import scipy.sparse as sp
 import oracles as orc
 from anyonladder.algebra import (
     _coordinate_map,
-    _front_dense,
     _product_frame,
     _region_frame,
-    _to_front,
     _word_cache,
     abelian_sum_polynomial,
     algebra_closure,
@@ -215,6 +212,24 @@ def test_is_local_candidate_flags(fib):
     assert not ok
 
 
+def test_warm_locality_on_eight_modes_forms_no_dense_array(fib):
+    """A warm ``is_local_candidate`` on Fibonacci n = 8 (D = 1597), on an
+    off-front and a front region, reads entry lists: it traces less than
+    half of one dense D x D complex array."""
+    proj = total_charge_projector(fib, 8, "tau")
+    regions = ((4, 5), (1, 2))
+    for region in regions:
+        is_local_candidate(proj, region)
+    tracemalloc.start()
+    try:
+        flags = [is_local_candidate(proj, region)[0] for region in regions]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flags == [True, True]
+    assert peak < proj.row_basis.dim ** 2 * 16 / 2
+
+
 def test_mode_relabel_unitary_pulls_region_forward(fib):
     u = mode_relabel_unitary(fib, 3, (1, 3))
     for b0, c0 in (("tau", "tau"), ("e", "tau"), ("tau", "e")):
@@ -229,21 +244,6 @@ def test_mode_relabel_unitary_validation(fib):
         mode_relabel_unitary(fib, 3, (1, 1))
     with pytest.raises(ValueError):
         mode_relabel_unitary(fib, 3, (0, 2))
-
-
-@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
-def test_front_dense_is_the_braided_operator_densified(name):
-    """``_front_dense`` has the bytes of ``_to_front(op, s).to_dense()`` on
-    untidy operators, for every region of three modes, the front regions
-    (1), (1, 2) and (1, 2, 3) included."""
-    model = builtin(name)
-    basis = FusionTreeBasis(model, 3)
-    rng = np.random.default_rng(7)
-    ops = [orc.untidy_operator(basis, rng, nnz) for nnz in (0, 8, 80, 400)]
-    for m in (1, 2, 3):
-        for s in itertools.combinations(range(1, 4), m):
-            for op in ops:
-                assert _front_dense(op, s).tobytes() == _to_front(op, s).to_dense().tobytes()
 
 
 def test_mode_relabel_unitary_accepts_any_spelling_of_the_region(fib):
@@ -634,10 +634,11 @@ def test_decompose_refuses_a_stored_zero_across_charges(fib):
 @pytest.mark.parametrize("modes, value", [((1.0, 2.0), 1.0), ((True, 2), True), ((1.5, 2), 1.5)])
 def test_region_refuses_modes_of_no_integer_type(fib, modes, value):
     """Floats, integral or not, and bools are refused by every reader of a
-    region, naming the value."""
+    region or a mode, naming the value."""
     op = _random_local_observable(fib, 3, 2, np.random.default_rng(2))
     calls = (decompose_observable, is_local_candidate,
-             lambda op, modes: mode_relabel_unitary(fib, 3, modes))
+             lambda op, modes: mode_relabel_unitary(fib, 3, modes),
+             lambda op, modes: candidate_local_basis(fib, 3, modes[0]))
     for call in calls:
         with pytest.raises(ValueError, match=f"^invalid mode {value!r}: not an integer$"):
             call(op, modes)
@@ -831,12 +832,13 @@ def test_fock_word_single_state_accessor(fib):
 
 
 def test_fock_word_rejects_bad_indices_and_labelings(fib):
-    """A bad index or a labeling that is no canonical state is named in a
-    ValueError, not mistaken for an incomplete word search."""
+    """A bad index, a bool, a scalar of no integer type or a labeling that
+    is no canonical state is named in a ValueError, not mistaken for an
+    incomplete word search."""
     basis = FusionTreeBasis(fib, 3)
     message = "is neither a state index nor a labeling of 3 modes"
-    for bad in (-1, basis.dim, 99):
-        with pytest.raises(ValueError, match=f"^{bad} {message}"):
+    for bad in (-1, basis.dim, 99, True, False, np.True_, 2.0, 1.5, np.float64(3.0), 1j):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} {message}"):
             fock_word(fib, 3, bad)
     tau, e = fib.index("tau"), fib.vacuum
     spans, states = orc.labelings(fib, orc.comb_shape(3))

@@ -1,12 +1,14 @@
 """Locality as a closed-form projection onto orthogonal span elements.
 
-``is_local_candidate`` and ``decompose_observable``'s candidate-span test
-project a target onto ``local_candidate_span`` by overlaps over squared
-norms, as ``decompose_observable`` reads its coordinates on
-``observable_basis``; that is the least-squares fit only because the
-elements of each span are mutually orthogonal.  These tests pin that
-orthogonality and compare the projection with a dense least-squares fit
-over every region of the small systems.
+Both spans are read one way, by ``algebra._coordinates``: a target's entry
+lists are projected onto the span's elements moved onto the region, by
+overlaps over squared norms, in the target's own frame.  On
+``local_candidate_span`` that is ``is_local_candidate`` and
+``decompose_observable``'s candidate-span test; on ``observable_basis`` it
+is ``decompose_observable``'s coordinates.  That is the least-squares fit
+only because the elements of each span are mutually orthogonal.  These
+tests pin that orthogonality and compare the projection with a dense
+least-squares fit over every region of the small systems.
 """
 
 import itertools
@@ -17,12 +19,13 @@ import scipy.sparse as sp
 
 import oracles as orc
 from anyonladder.algebra import (
-    _span_residual,
+    _coordinates,
+    _observable_block,
     is_local_candidate,
     local_candidate_span,
     observable_basis,
 )
-from anyonladder.basis import braid_adjacent, total_charge_projector
+from anyonladder.basis import _entries, braid_adjacent, total_charge_projector
 from anyonladder.ladder import ladder_set
 from anyonladder.model import builtin
 
@@ -77,7 +80,10 @@ def test_projection_matches_the_dense_fit(name, n):
                 if span is local_candidate_span:
                     flags, got = zip(*(is_local_candidate(op, region) for op in ops))
                 else:
-                    got = [_span_residual(op, region, span) for op in ops]
+                    got = [
+                        _coordinates(_entries(op), op.row_basis, region, _observable_block)[1]
+                        for op in ops
+                    ]
                     flags = [r <= TOL for r in got]
                 got = np.array(got)
                 assert list(flags) == list(want <= TOL), (region, span.__name__)
