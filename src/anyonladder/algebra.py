@@ -119,7 +119,7 @@ def _moved_states(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
     onto ``s``.  A front region keeps ``W`` itself."""
     w, *labels = _factored_states(model, n_modes, len(s))
     if s != tuple(range(1, len(s) + 1)):
-        w = w @ _mode_relabel_unitaries(model, n_modes, s)[0]
+        w = w @ _mode_relabel_unitaries(model, n_modes, s)
     return (w, *labels)
 
 
@@ -254,7 +254,7 @@ def mode_relabel_unitary(model: AnyonModel, n_modes: int, modes) -> SparseOperat
     to those of mode ``s_k``.  ``modes`` is any iterable of mode numbers; the
     result is kept per sorted region and shared, so it must not be modified.
     """
-    return _mode_relabel_unitaries(model, n_modes, _region(modes, n_modes))[0]
+    return _mode_relabel_unitaries(model, n_modes, _region(modes, n_modes))
 
 
 def _region(modes, n_modes: int) -> tuple[int, ...]:
@@ -274,15 +274,14 @@ def _region(modes, n_modes: int) -> tuple[int, ...]:
 
 @_memo
 def _mode_relabel_unitaries(model: AnyonModel, n_modes: int, s: tuple[int, ...]):
-    """``(U, U^dagger)`` of :func:`mode_relabel_unitary` for the sorted region ``s``."""
+    """``U`` of :func:`mode_relabel_unitary` for the sorted region ``s``."""
     m = len(s)
     word = []
     for i in range(m):
         target = s[m - 1 - i]
         for j in range(m - i + 1, target + 1):
             word.append((j - 1, "under"))
-    u = braid_word(model, n_modes, word)
-    return u, u.dagger()
+    return braid_word(model, n_modes, word)
 
 
 def _canonical_basis(op: SparseOperator) -> FusionTreeBasis:
@@ -592,7 +591,7 @@ def _product_frame(model: AnyonModel, n_modes: int, m: int):
     ``distinct`` variant summing each distinct realization pair once is
     added to the frame.
     """
-    pairs, _ops = observable_basis(model, n_modes, m)
+    pairs = _observable_block(model, n_modes, tuple(range(1, m + 1)))[0]
     states = region_states(model, m)
 
     factor_polys: dict[tuple[int, int], LadderPolynomial] = {}
@@ -642,26 +641,20 @@ def _map_modes(n_modes: int, m: int) -> int:
     return n_modes if n_modes == m else m + 1
 
 
-def _compile(model: AnyonModel, n_modes: int, polys) -> _PolynomialFrame:
-    """``polys`` compiled into one ``_PolynomialFrame`` on ``n_modes`` modes, over the shared word cache."""
-    identity = SparseOperator.identity(FusionTreeBasis(model, n_modes))
-    return _PolynomialFrame(polys, resolver(model, n_modes), _word_cache(model, n_modes), identity)
-
-
 @_memo
 def _coordinate_map(model: AnyonModel, n_modes: int, m: int):
     """The fit of the product frame as a fixed linear map from observable
     coordinates to frame weights, at ``n_modes`` (a :func:`_map_modes`).
 
-    Returns ``(weights, unrealised, misses, frame)``.  ``frame`` is the
-    product frame of modes ``1..M`` compiled on ``n_modes`` modes, and the
-    stack holds its evaluations, flattened, as columns: ``weights[:, p] =
-    lstsq(stack, vec E_p)`` for each operator ``E_p`` of
-    :func:`observable_basis`.  An observable ``sum_p y_p E_p`` then has the
-    frame weights ``weights @ y``, the least-squares fit of the whole stack.
-    ``unrealised`` lists the ``p`` whose fit leaves an entry above the
-    default cut, the pairs the realised span misses, and ``misses`` holds
-    what their fits leave, one column each.
+    Returns ``(weights, unrealised, misses)``.  The stack holds the
+    evaluations of the front region's :func:`_region_frame`, flattened, as
+    columns: ``weights[:, p] = lstsq(stack, vec E_p)`` for each operator
+    ``E_p`` of the front region's :func:`_observable_block`, made dense from
+    its :func:`_coordinate_entries`.  An observable ``sum_p y_p E_p`` then
+    has the frame weights ``weights @ y``, the least-squares fit of the
+    whole stack.  ``unrealised`` lists the ``p`` whose fit leaves an entry
+    above the default cut, the pairs the realised span misses, and
+    ``misses`` holds what their fits leave, one column each.
 
     The evaluated frame and the observable basis are rest-charge blocks,
     recoupled, each block repeated once per rest labeling.  Once the rest
@@ -671,38 +664,39 @@ def _coordinate_map(model: AnyonModel, n_modes: int, m: int):
     do move; its fit fails either way).  The stack, ``dim**2`` by the frame
     size, is formed only here.
     """
-    _entries, polys = _product_frame(model, n_modes, m)
-    frame = _compile(model, n_modes, polys)
-    stack = np.stack([frame.evaluate(i).to_dense().ravel() for i in range(len(polys))], axis=1)
-    _pairs, ops = observable_basis(model, n_modes, m)
-    targets = np.stack([op.to_dense().ravel() for op in ops], axis=1)
+    front = tuple(range(1, m + 1))
+    frame = _region_frame(model, n_modes, front)
+    columns = range(len(frame.bounds) - 1)  # one per frame polynomial
+    stack = np.stack([frame.evaluate(i).to_dense().ravel() for i in columns], axis=1)
+    owner, pos, vals, support, norms = _coordinate_entries(model, n_modes, front, _observable_block)
+    targets = np.zeros((len(stack), len(norms)), complex)
+    targets[support[pos], owner] = vals
     weights = np.linalg.lstsq(stack, targets, rcond=None)[0]
     misses = stack @ weights - targets
     unrealised = np.flatnonzero(np.abs(misses).max(axis=0) > rounding_cut(1e-10, len(stack), 1.0))
-    return weights, unrealised, misses[:, unrealised], frame
+    return weights, unrealised, misses[:, unrealised]
 
 
 @_memo
 def _region_frame(model: AnyonModel, n_modes: int, s: tuple[int, ...]) -> _PolynomialFrame:
     """The product frame's polynomials with modes ``1..M`` relabelled to the
     region ``s``, compiled once into a ``polynomial._PolynomialFrame`` over
-    the shared word cache; the front region at the map's own mode count is
-    the coordinate map's frame, so its words are compiled once.
+    the shared word cache.  This is the only place a product frame is
+    compiled: :func:`_coordinate_map` reads the front region's frame at its
+    own mode count from here, so a decomposition there compiles its words
+    once.
 
     Frame polynomials hold no mode above ``M``, so the relabelling is one to
     one on words, and a weighted sum of these equals the sum of the frame
     polynomials relabelled afterwards.
     """
     m = len(s)
-    n0 = _map_modes(n_modes, m)
-    front = s == tuple(range(1, m + 1))
-    if front and n_modes == n0:
-        return _coordinate_map(model, n0, m)[3]
-    polys = _product_frame(model, n0, m)[1]
-    if not front:
+    polys = _product_frame(model, _map_modes(n_modes, m), m)[1]
+    if s != tuple(range(1, m + 1)):
         mode_map = {k + 1: mode for k, mode in enumerate(s)}
         polys = [poly.relabel_modes(mode_map) for poly in polys]
-    return _compile(model, n_modes, polys)
+    identity = SparseOperator.identity(FusionTreeBasis(model, n_modes))
+    return _PolynomialFrame(polys, resolver(model, n_modes), _word_cache(model, n_modes), identity)
 
 
 def decompose_observable(
@@ -759,7 +753,7 @@ def decompose_observable(
         return Decomposition(s, LadderPolynomial.constant(lam), {}, 0.0, 0.0)
 
     n0 = _map_modes(n, m)
-    weights, unrealised, misses, _frame = _coordinate_map(model, n0, m)
+    weights, unrealised, misses = _coordinate_map(model, n0, m)
     y, outside = _coordinates(entries_of_op, basis, s, _observable_block)
     missed = float(np.abs(misses @ y[unrealised]).max(initial=0.0))
     span_residual = max(outside, missed)
@@ -775,7 +769,7 @@ def decompose_observable(
         # Each unrealised pair's share bounds its part of the miss, so one
         # share of a miss above the cut exceeds the cut over their number.
         share = np.abs(y[unrealised]) * np.abs(misses).max(axis=0)
-        pairs = observable_basis(model, n0, m)[0]
+        pairs = _observable_block(model, n0, tuple(range(1, m + 1)))[0]
         named = ", ".join(
             f"|{pairs[p][0].label(model)}><{pairs[p][1].label(model)}|"
             for p in unrealised[share * len(unrealised) > cut].tolist()
@@ -954,9 +948,13 @@ def fock_word(model: AnyonModel, n_modes: int, state) -> tuple[complex, tuple]:
     if isinstance(state, numbers.Integral):
         if not isinstance(state, bool) and 0 <= state < basis.dim:
             idx = int(state)
-    elif np.ndim(state) == 1 and len(state) == len(basis.table.spans):
-        if np.issubdtype(np.asarray(state).dtype, np.integer):
-            idx = int(basis.table.find([tuple(state)])[0])
+    else:
+        try:
+            labeling = np.asarray(state)
+        except ValueError:  # a ragged sequence
+            labeling = np.empty(0)
+        if labeling.shape == (len(basis.table.spans),) and np.issubdtype(labeling.dtype, np.integer):
+            idx = int(basis.table.find([labeling])[0])
     if idx < 0:
         raise ValueError(f"{state!r} is neither a state index nor a labeling of {n_modes} modes")
     words = fock_words(model, n_modes)

@@ -633,9 +633,10 @@ def _sector_block(op: SparseOperator, sector: FusionTreeBasis) -> SparseOperator
     return SparseOperator(sector, sector, sp.csr_matrix((data, cols, ptr - ptr[0]), shape=(sector.dim,) * 2))
 
 
-def total_charge_projector(model: AnyonModel, n_modes: int, g: str) -> SparseOperator:
-    """Diagonal projector onto total charge ``g``: the identity on its rows."""
+def total_charge_projector(model: AnyonModel, n_modes: int, g) -> SparseOperator:
+    """Diagonal projector onto total charge ``g``, a label or a charge index:
+    the identity on its rows."""
     basis = FusionTreeBasis(model, n_modes)
-    sector = FusionTreeBasis(model, n_modes, model.index(g))
+    sector = FusionTreeBasis(model, n_modes, model.charge(g))
     rows = np.arange(sector.offset, sector.offset + sector.dim)
     return SparseOperator.from_entries(basis, basis, (rows, rows, np.ones(sector.dim)))

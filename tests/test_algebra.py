@@ -832,9 +832,9 @@ def test_fock_word_single_state_accessor(fib):
 
 
 def test_fock_word_rejects_bad_indices_and_labelings(fib):
-    """A bad index, a bool, a scalar of no integer type or a labeling that
-    is no canonical state is named in a ValueError, not mistaken for an
-    incomplete word search."""
+    """A bad index, a bool, a scalar of no integer type, a ragged sequence or
+    a labeling that is no canonical state is named in a ValueError, not
+    mistaken for an incomplete word search."""
     basis = FusionTreeBasis(fib, 3)
     message = "is neither a state index nor a labeling of 3 modes"
     for bad in (-1, basis.dim, 99, True, False, np.True_, 2.0, 1.5, np.float64(3.0), 1j):
@@ -844,7 +844,8 @@ def test_fock_word_rejects_bad_indices_and_labelings(fib):
     spans, states = orc.labelings(fib, orc.comb_shape(3))
     forbidden = [e] * len(spans)
     forbidden[spans.index((0, 2))] = tau  # vacuum leaves fusing to tau
-    for labeling in (forbidden, (e, e), (e,) * (len(spans) - 1) + (2,), (0.0,) * 5):
+    ragged = [(1, 2), 3, 0, 0, 0]
+    for labeling in (forbidden, (e, e), (e,) * (len(spans) - 1) + (2,), (0.0,) * 5, ragged):
         with pytest.raises(ValueError, match=message):
             fock_word(fib, 3, labeling)
     assert fock_word(fib, 3, states[-1]) == fock_word(fib, 3, basis.dim - 1)

@@ -250,6 +250,18 @@ def test_total_charge_projectors(fib, fermion, ising):
             assert orc.csr_bytes(total) == orc.csr_bytes(SparseOperator.identity(basis)), (model.labels, n)
 
 
+def test_total_charge_projector_takes_a_charge_index(fib, fermion, ising):
+    """A charge index gives the label's projector to the CSR bytes, as it
+    does for every other sector reader; an index out of range is refused."""
+    for model in (fib, fermion, ising):
+        for g, label in enumerate(model.labels):
+            got = total_charge_projector(model, 3, g)
+            assert orc.csr_bytes(got) == orc.csr_bytes(total_charge_projector(model, 3, label))
+        for bad in (-1, model.n_labels):
+            with pytest.raises(ValueError, match=f"charge index {bad} out of range"):
+                total_charge_projector(model, 3, bad)
+
+
 def test_sparse_operator_algebra(fib):
     basis = FusionTreeBasis(fib, 2)
     a = SparseOperator.from_entries(basis, basis, {(0, 1): 2.0, (1, 0): 1j})

@@ -18,7 +18,6 @@ import pytest
 import oracles as orc
 from anyonladder import algebra, polynomial
 from anyonladder.algebra import (
-    _coordinate_map,
     _map_modes,
     _product_frame,
     _region_frame,
@@ -126,6 +125,30 @@ def test_a_warm_call_runs_no_least_squares_and_densifies_nothing(monkeypatch):
         decompose_observable(unrealised, (1, 2))
 
 
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "fermion"])
+def test_decompose_builds_no_observable_operator_list(name, monkeypatch):
+    """A cold model decomposes on a front region, off the front and at
+    n > n0 with ``observable_basis`` made to fail: the map and the frame
+    read the memoised span block, not its per-element operators.  The Ising
+    pair region still names the pairs the realised span misses."""
+    model = load_model(dump_model(builtin(name)))  # a copy with empty caches
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose built the observable operator list")
+
+    monkeypatch.setattr(algebra, "observable_basis", refuse)
+    rng = np.random.default_rng(31)
+    cases = [(2, (1,)), (3, (2,)), (4, (1,))]  # front at n0, off the front, front at n > n0
+    if name != "ising":  # Ising pair regions lie outside the realised span
+        cases += [(3, (1, 2)), (4, (2, 3))]
+    for n, region in cases:
+        op = _region_observable(model, n, region, rng)
+        assert decompose_observable(op, region).eval_residual <= 1e-12
+    if name == "ising":
+        with pytest.raises(ValueError, match=r"outside the span realised .* miss its parts on \|"):
+            decompose_observable(_region_observable(model, 3, (1, 2), rng), (1, 2))
+
+
 def test_the_oracle_does_not_use_the_map(monkeypatch):
     """``oracles.decompose_by_sum`` names no part of the coordinate map and
     fits a cold model with the map made to fail."""
@@ -145,7 +168,8 @@ def test_the_oracle_does_not_use_the_map(monkeypatch):
 def test_a_cold_front_region_compiles_its_frame_once(monkeypatch):
     """A cold Fibonacci n = 3 {1,2} decomposition fits the map and
     decomposes on one compiled frame, its words gathered into cells once;
-    the region frame is the map's frame, and a warm call compiles nothing."""
+    that frame is the region frame the map reads, and a warm call compiles
+    nothing."""
     model = load_model(dump_model(builtin("fibonacci")))  # a copy with empty caches
     _pairs, ops = observable_basis(model, 3, 2)
     op = ops[0]
@@ -155,7 +179,7 @@ def test_a_cold_front_region_compiles_its_frame_once(monkeypatch):
     init, make_cells = polynomial._PolynomialFrame.__init__, polynomial._cells
 
     def counting_init(self, *args, **kwargs):
-        frames.append(None)
+        frames.append(self)
         init(self, *args, **kwargs)
 
     def counting_cells(*args):
@@ -166,6 +190,6 @@ def test_a_cold_front_region_compiles_its_frame_once(monkeypatch):
     monkeypatch.setattr(polynomial, "_cells", counting_cells)
     assert decompose_observable(op, (1, 2)).eval_residual <= 1e-12
     assert (len(frames), len(cells)) == (1, 1)
-    assert _region_frame(model, 3, (1, 2)) is _coordinate_map(model, 3, 2)[3]
+    assert frames[0] is _region_frame(model, 3, (1, 2))
     decompose_observable(op * 2.0, (1, 2))
     assert (len(frames), len(cells)) == (1, 1)

@@ -17,7 +17,7 @@ from anyonladder.algebra import (
 from anyonladder.basis import DROP_TOLERANCE, FusionTreeBasis, SparseOperator, _entries, _gather
 from anyonladder.fixtures import fixture, fixture_names
 from anyonladder.ladder import ladder_set, resolver
-from anyonladder.model import builtin
+from anyonladder.model import builtin, dump_model, load_model
 from anyonladder.polynomial import MERGE_TOLERANCE, GeneratorSymbol, LadderPolynomial
 from oracles import (
     cached_word, csr_bytes, decompose_by_sum, dense_fold, evaluate_recursively, fold_sum,
@@ -678,7 +678,7 @@ def test_frame_weighted_sum_is_the_left_fold_on_product_frames(name, m):
     of them zero: the merge has the bits of the left fold of ``+``."""
     model = builtin(name)
     polys = _product_frame(model, m + 1, m)[1]
-    frame = algebra._compile(model, m + 1, polys)
+    frame = algebra._region_frame(model, m + 1, tuple(range(1, m + 1)))
     rng = np.random.default_rng(m)
     weights = rng.normal(size=len(polys)) + 1j * rng.normal(size=len(polys))
     weights[rng.random(len(polys)) < 0.2] = 0.0
@@ -709,11 +709,35 @@ def _assert_matches_the_sum_path(op, modes):
     return dec
 
 
+def _assert_fails_on_the_maps_frame_alone(name, n, region, monkeypatch):
+    """On a cold copy of the model, a call that fails compiles one frame,
+    the front region's that its coordinate map reads, and a repeated
+    failing call compiles none."""
+    model = load_model(dump_model(builtin(name)))  # a copy with empty caches
+    op = _region_observable(model, n, region, np.random.default_rng(17))
+    frames, init = [], polynomial._PolynomialFrame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        frames.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(polynomial._PolynomialFrame, "__init__", counting_init)
+    counts = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside the span"):
+            decompose_observable(op, region)
+        counts.append(len(frames))
+    monkeypatch.undo()
+    m = len(region)
+    assert counts == [1, 1]
+    assert frames[0] is algebra._region_frame(model, algebra._map_modes(n, m), tuple(range(1, m + 1)))
+
+
 @pytest.mark.parametrize("name, n, region", BENCHMARK_REGIONS)
-def test_region_frame_decomposes_as_the_sum_path_on_benchmark_regions(name, n, region):
+def test_region_frame_decomposes_as_the_sum_path_on_benchmark_regions(name, n, region, monkeypatch):
     """The frame's merge and evaluation give the terms, bits and evaluation
     residual of ``LadderPolynomial.sum`` and ``evaluate_with_identity``; a
-    region whose fit fails compiles no frame."""
+    region whose fit fails compiles no frame beyond its map's."""
     model = builtin(name)
     rng = np.random.default_rng(17)
     key = (algebra._region_frame.__wrapped__, n, region)  # its entry in the model's cache
@@ -723,7 +747,7 @@ def test_region_frame_decomposes_as_the_sum_path_on_benchmark_regions(name, n, r
             _assert_matches_the_sum_path(op, region)
         except ValueError as exc:  # Ising {1,2}: local, but outside the realised span
             assert "outside the span" in str(exc)
-            assert key not in model._op_cache
+            _assert_fails_on_the_maps_frame_alone(name, n, region, monkeypatch)
         else:
             assert key in model._op_cache
 
