@@ -818,15 +818,16 @@ def verify_relations(
         ald, bed = al.dagger(), be.dagger()
         scale = max(1.0, al.norm_max(), be.norm_max()) ** 3  # bounds products of three
         check = functools.partial(report.check, size=basis.dim, scale=scale)
+        # Each product is formed once and read wherever it occurs, with the
+        # left-to-right association of the relation as written.
+        al_ald, be_bed, al_bed, be_ald = al @ ald, be @ bed, al @ bed, be @ ald
         check(f"alpha_{k}^2 = 0", (al @ al).norm_max())
         check(
             f"alpha_{k} beta_{k} = beta_{k} alpha_{k} = 0",
             max((al @ be).norm_max(), (be @ al).norm_max()),
         )
-        check(
-            f"alpha_{k} alpha_{k}^+ = beta_{k} beta_{k}^+", (al @ ald - be @ bed).norm_max()
-        )
-        chain = [al @ bed @ be, al @ bed @ al, be @ ald @ al, be @ ald @ be]
+        check(f"alpha_{k} alpha_{k}^+ = beta_{k} beta_{k}^+", (al_ald - be_bed).norm_max())
+        chain = [al_bed @ be, al_bed @ al, be_ald @ al, be_ald @ be]
         worst = max(
             (chain[i] - chain[j]).norm_max()
             for i in range(len(chain))
@@ -835,17 +836,18 @@ def verify_relations(
         check(f"mixed third-order chain equalities (mode {k})", worst)
         check(
             f"alpha_{k} alpha_{k}^+ alpha_{k} = alpha_{k} - beta_{k} alpha_{k}^+ alpha_{k}",
-            (al @ ald @ al - (al - be @ ald @ al)).norm_max(),
+            (al_ald @ al - (al - chain[2])).norm_max(),
         )
         check(
             f"beta_{k} beta_{k}^+ beta_{k} = beta_{k} - alpha_{k} beta_{k}^+ beta_{k}",
-            (be @ bed @ be - (be - al @ bed @ be)).norm_max(),
+            (be_bed @ be - (be - chain[0])).norm_max(),
         )
 
-        base = bed @ be + ald @ al + al @ ald
-        printed = base + (al @ bed @ al @ bed)
-        variant_single = base + (al @ bed)
-        variant_scaled = base + 2.0 * (al @ bed @ al @ bed)
+        base = bed @ be + ald @ al + al_ald
+        square = chain[1] @ bed  # alpha beta^+ alpha beta^+
+        printed = base + square
+        variant_single = base + al_bed
+        variant_scaled = base + 2.0 * square
         notes.append(
             f"completeness (mode {k}): "
             "printed residual={:.3e}; +alpha beta^+ residual={:.3e}; "
@@ -882,6 +884,13 @@ def vacuum_index(basis: FusionTreeBasis) -> int:
 
 
 @_memo
+def _word_letter(model: AnyonModel, n_modes: int, sym: GeneratorSymbol) -> SparseOperator:
+    """:func:`_letter` of ``sym`` on ``n_modes`` modes, so the adjoint of a
+    daggered letter is formed once for every creation word that reads it."""
+    return _letter(resolver(model, n_modes), sym)
+
+
+@_memo
 def fock_words(model: AnyonModel, n_modes: int):
     """Creation words reaching every canonical state from the vacuum.
 
@@ -906,8 +915,7 @@ def fock_words(model: AnyonModel, n_modes: int):
             for k in modes
             for name in ("alpha", "beta")
         ]
-    resolve = resolver(model, n_modes)
-    creators = [(sym, _letter(resolve, sym)) for sym in letters]
+    creators = [(sym, _word_letter(model, n_modes, sym)) for sym in letters]
 
     reached: dict[int, tuple[complex, tuple[GeneratorSymbol, ...]]] = {vac: (1.0, ())}
     frontier = [vac]
@@ -969,11 +977,10 @@ def fock_word(model: AnyonModel, n_modes: int, state) -> tuple[complex, tuple]:
 def apply_word(model: AnyonModel, n_modes: int, scalar: complex, word) -> np.ndarray:
     """Apply ``scalar * word`` to the vacuum; returns the dense state vector."""
     basis = FusionTreeBasis(model, n_modes)
-    resolve = resolver(model, n_modes)
     vec = np.zeros(basis.dim, dtype=complex)
     vec[vacuum_index(basis)] = scalar
     for sym in reversed(tuple(word)):
-        vec = _letter(resolve, sym).apply(vec)
+        vec = _word_letter(model, n_modes, sym).apply(vec)
     return vec
 
 

@@ -126,12 +126,14 @@ def _verify_relations(model, n: int, tol: float) -> ValidationReport:
         return report
     ls = ladder_set(model, n, model.labels[psi])
     ops = [ls.op(k, 0) for k in range(1, n + 1)]
+    adjoints = [op.dagger() for op in ops]
+    products = [[fi @ fj for fj in ops] for fi in ops]
     ident = SparseOperator.identity(FusionTreeBasis(model, n))
     worst = 0.0
     for i, fi in enumerate(ops):
-        for j, fj in enumerate(ops):
-            worst = max(worst, (fi @ fj + fj @ fi).norm_max())
-            cross = fi @ fj.dagger() + fj.dagger() @ fi
+        for j, fjd in enumerate(adjoints):
+            worst = max(worst, (products[i][j] + products[j][i]).norm_max())
+            cross = fi @ fjd + fjd @ fi
             if i == j:
                 cross = cross - ident
             worst = max(worst, cross.norm_max())
@@ -165,11 +167,13 @@ def _verify_fock(model, n: int, tol: float) -> ValidationReport:
         report.note("n/a", f"creation words: {_NO_PAIR_OR_FERMION}")
     else:
         words = alg.fock_words(model, n)
-        target = np.eye(dim)
-        worst = max(
-            (float(np.abs(alg.apply_word(model, n, *words[i]) - target[i]).max()) for i in words),
-            default=0.0,
-        )
+
+        def miss(i: int) -> float:  # distance of word i's vector to unit vector i
+            vec = alg.apply_word(model, n, *words[i])
+            vec[i] -= 1.0
+            return float(np.abs(vec).max())
+
+        worst = max(map(miss, words), default=0.0)
         report.verdict(  # each word lands on a unit basis vector
             len(words) == dim and worst <= rounding_cut(tol, dim, 1.0),
             f"{len(words)}/{dim} states reconstructed by creation words: residual={worst:.3e}",

@@ -8,6 +8,7 @@ are exact at double precision.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 
@@ -43,6 +44,16 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _index_strings(size: int) -> np.ndarray:
+    """``"{i} "`` for every index below ``size``: one read-only table per size,
+    shared by every operator written at that size (an export writes all of
+    its operators at one size)."""
+    table = np.array([f"{i} " for i in range(size)], dtype=object)
+    table.flags.writeable = False
+    return table
+
+
 def dump_operator(op: SparseOperator, name: str = "") -> str:
     """Coordinate-triplet text: header lines, then ``row col re im`` rows.
 
@@ -69,7 +80,7 @@ def dump_operator(op: SparseOperator, name: str = "") -> str:
     bits, which = np.unique(parts.view(np.int64), return_inverse=True)
     distinct = [_fmt(v) for v in bits.view(np.float64).tolist()]
     # A sector operator has fewer columns than rows.
-    index = np.array([f"{i} " for i in range(max(mat.shape))], dtype=object)
+    index = _index_strings(max(mat.shape))
     fields = np.empty((nnz, 4), dtype=object)
     fields[:, 0] = index[rows]
     fields[:, 1] = index[cols]

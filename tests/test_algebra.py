@@ -39,6 +39,7 @@ from anyonladder.basis import (
     total_charge_projector,
 )
 from anyonladder.ladder import (
+    _shared_pair,
     annihilating_element,
     fibonacci_pair,
     ladder_set,
@@ -795,6 +796,31 @@ def test_relation_suite_reports_completeness_not_asserts(fib):
     assert "+alpha beta^+ residual=" in text
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of ``SparseOperator.<name>`` from here on."""
+    calls = []
+    method = getattr(SparseOperator, name)
+
+    def counted(*args):
+        calls.append(None)
+        return method(*args)
+
+    monkeypatch.setattr(SparseOperator, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_suite_forms_each_product_once(n, monkeypatch):
+    """Past the pair's own construction, a mode's checks and completeness
+    notes form its 16 distinct products once each, and each ordered pair of
+    modes one product for the support notes."""
+    model = load_model(dump_model(builtin("fibonacci")))  # a copy with empty caches
+    _shared_pair(model, n)
+    products = _counting(monkeypatch, "__matmul__")
+    verify_relations(model, n)
+    assert len(products) == 16 * n + n * (n - 1)
+
+
 # ---------------------------------------------------------------------------
 # Fock construction
 # ---------------------------------------------------------------------------
@@ -810,6 +836,22 @@ def test_fock_words_reconstruct_every_state(fib):
         want = np.zeros(basis.dim, dtype=complex)
         want[idx] = 1.0
         assert np.abs(vec - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("name, letters", [("fibonacci", 6), ("fermion", 3)])
+def test_creation_words_form_each_adjoint_once(name, letters, monkeypatch):
+    """A cold ``fock_words`` on three modes forms the adjoint of each of its
+    creation letters once, and ``apply_word`` of every word then forms none."""
+    words = fock_words(builtin(name), 3)
+    model = load_model(dump_model(builtin(name)))  # a copy with empty caches
+    for sym in {sym.adjoint() for _scalar, word in words.values() for sym in word}:
+        resolver(model, 3)(sym)  # the undaggered letters, built before counting
+    adjoints = _counting(monkeypatch, "dagger")
+    assert fock_words(model, 3) == words
+    assert len(adjoints) == letters
+    for scalar, word in words.values():
+        apply_word(model, 3, scalar, word)
+    assert len(adjoints) == letters
 
 
 def test_fermion_fock_words_use_the_fermion_creators(fermion):

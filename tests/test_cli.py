@@ -323,6 +323,34 @@ def test_ladder_exports_match_their_pinned_sha256(tmp_path, capsys):
     assert got == want
 
 
+def test_verify_relations_stdouts_match_their_pinned_sha256(capsys):
+    """``verify --suite relations`` prints, byte for byte with every residual
+    figure, the stdouts of ``tests/data/relations-sha256.txt`` for Fibonacci
+    n = 2, 3, 4 and fermion n = 3, 4."""
+    pins = (Path(__file__).parent / "data" / "relations-sha256.txt").read_text().splitlines()
+    want = {name: digest for digest, name in (line.split("  ", 1) for line in pins)}
+    got = {}
+    for model, modes in (("fibonacci", 2), ("fibonacci", 3), ("fibonacci", 4),
+                         ("fermion", 3), ("fermion", 4)):
+        assert main(["verify", "--model", model, "--modes", str(modes), "--suite", "relations"]) == 0
+        out = capsys.readouterr().out.encode()
+        got[f"relations-{model}-{modes}.txt"] = hashlib.sha256(out).hexdigest()
+    assert got == want
+
+
+def test_verify_fock_forms_no_dense_identity(monkeypatch, capsys):
+    """Each creation word's vector is compared with its own unit vector, so
+    the fock suite forms no D x D identity."""
+
+    def no_eye(*args, **kwargs):
+        raise AssertionError("np.eye called")
+
+    monkeypatch.setattr(np, "eye", no_eye)
+    code = main(["verify", "--model", "fibonacci", "--modes", "4", "--suite", "fock"])
+    assert "34/34 states reconstructed by creation words: residual=2.776e-16" in capsys.readouterr().out
+    assert code == 0
+
+
 def test_decompose_fixtures_match_their_pinned_sha256(tmp_path, monkeypatch, capsys):
     """``decompose --fixture F --out F.json``, run from one directory, writes
     ``F.json`` and prints ``F.txt`` with the digests of

@@ -175,13 +175,14 @@ def test_daggered_letters_are_built_by_one_rule(fib, monkeypatch):
     cache = {}
     polynomial._fill_cache([(sym,) for sym in daggered], resolve, cache, None)
     creators = {}
+    word_letter = algebra._word_letter
 
-    def recording_letter(resolver, sym):
-        creators[sym] = polynomial._letter(resolver, sym)
+    def recording_letter(model, n_modes, sym):
+        creators[sym] = word_letter(model, n_modes, sym)
         return creators[sym]
 
-    monkeypatch.setattr(algebra, "_letter", recording_letter)
-    algebra.fock_words.__wrapped__(fib, 3)  # unmemoised, so its creators are built here
+    monkeypatch.setattr(algebra, "_word_letter", recording_letter)
+    algebra.fock_words.__wrapped__(fib, 3)  # unmemoised, so it reads its creators here
     assert set(creators) == {sym for sym in daggered if sym.kind == "pair"}
     for sym in daggered:
         want = csr_bytes(resolve(sym.adjoint()).dagger())

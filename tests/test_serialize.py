@@ -142,6 +142,18 @@ def test_operator_triplets_match_per_line_formatting_on_untidy_and_sector_operat
     _assert_triplets_match_per_line_formatting(operator)
 
 
+def test_operator_triplets_of_alternating_sizes_match_per_line_formatting(fib):
+    """Operators of more sizes than the writer keeps index tables for, dumped
+    in alternation and each twice, and a sector operator whose column count
+    (89) is a square operator's size: each prints its own indices."""
+    sector = fibonacci_pair(fib, 6, "e").alpha[2]
+    assert sector.matrix.shape == (233, 89)
+    square = {n: fibonacci_pair(fib, n).alpha[1] for n in range(1, 7)}
+    order = [1, 6, 2, "sector", 5, 3, 4, 6, "sector", 1, 5, 2, 4, 3]
+    for key in order:
+        _assert_triplets_match_per_line_formatting(sector if key == "sector" else square[key])
+
+
 @pytest.mark.parametrize("name, modes", [("fibonacci", 8), ("ising", 6), ("fermion", 10)])
 def test_pinned_ladder_exports_match_per_line_formatting(name, modes):
     """Every operator that ``ladder --out`` writes for the pinned exports."""
