@@ -317,11 +317,10 @@ def cmd_hubbard(args) -> int:
             "(the two differ for N >= 2)"
         )
     spectra = []
-    for g in sectors:
-        sp = hub.diagonalize(h, g)
+    for sp in hub._spectra(h, sectors):
         spectra.append(sp)
         print(
-            f"sector {g}: dimension {sp.block_dim}, ground energy "
+            f"sector {sp.sector}: dimension {sp.block_dim}, ground energy "
             f"{sp.ground_energy:.12g}"
         )
     written: list[str] = []

@@ -29,11 +29,13 @@ import functools
 import os
 import threading
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy.sparse as sp
+from scipy.linalg import cython_lapack
 from scipy.sparse.linalg import eigsh
 
 from .basis import FusionTreeBasis, SparseOperator, _require_finite, _sector_block
@@ -275,51 +277,75 @@ def diagonalize(
     The dense solve runs LAPACK zheevd's steps but back-transforms only the
     ground vector, and none without ``want_vector``; its eigenvalues and
     ground vector have the bits of ``np.linalg.eigh`` (see
-    ``_dense_solve``).  Either solve runs with every loaded OpenBLAS on one
-    thread (``_one_blas_thread``), so its bits do not depend on the BLAS
-    thread count.
+    ``_dense_solve``).  This is the one-sector case of ``_spectra``, with
+    which the CLI solves the dense blocks of all sectors side by side on the
+    usable CPUs (there is no option), each solve on one BLAS thread
+    (``_one_blas_thread``) without the GIL: no bit depends on the CPU count
+    or the BLAS thread count.
     """
+    return next(_spectra(h, [sector], method, want_vector))
+
+
+def _spectra(h: SparseOperator, sectors, method=None, want_vector: bool = True):
+    """Yield ``diagonalize(h, g, method, want_vector)`` for each g of ``sectors``
+    in order, with H checked once and every block solved first: the largest
+    dense one and the iterative ones by the caller, the others on up to
+    ``len(os.sched_getaffinity(0)) - 1`` threads that run only ``_dense_solve``
+    (not the benchmark's traced calls).  A failure raises in its sector's turn."""
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}; expected dense or iterative")
-    basis = h.row_basis
-    model = basis.model
-    g = model.charge(sector)
-    if basis.sector not in (None, g):
-        raise ValueError(
-            f"operator is restricted to sector {model.labels[basis.sector]}; "
-            f"cannot diagonalize sector {model.labels[g]}"
-        )
+    basis, model = h.row_basis, h.row_basis.model
+    charges = [model.charge(sector) for sector in sectors]
+    for g in charges:
+        if basis.sector not in (None, g):
+            raise ValueError(f"operator is restricted to sector {model.labels[basis.sector]}; "
+                             f"cannot diagonalize sector {model.labels[g]}")
     _require_finite(h)
     if (h + (-1.0) * h.dagger()).norm_max() > HERMITICITY_TOLERANCE:
         raise ValueError("operator is not Hermitian; cannot diagonalize")
     if not h.is_charge_diagonal():
         raise ValueError("operator mixes total-charge sectors")
-    rows = FusionTreeBasis(model, basis.n_modes, g, shape=basis.shape)
-    block = _sector_block(h, rows).matrix
-    block = (block + block.conj().T) / 2.0
+    jobs = []
+    for g in charges:
+        rows = FusionTreeBasis(model, basis.n_modes, g, shape=basis.shape)
+        block = _sector_block(h, rows).matrix
+        how = method or ("dense" if rows.dim <= DENSE_CUTOFF else "iterative")
+        how = "dense" if rows.dim <= K_EXTREMAL + 1 else how
+        jobs.append((rows, how, (block + block.conj().T) / 2.0))
+    dense = sorted((i for i, job in enumerate(jobs) if job[1] == "dense"),
+                   key=lambda i: -jobs[i][0].dim)
+    cpus = len(os.sched_getaffinity(0))
+    with _one_blas_thread(), ThreadPoolExecutor(max(cpus - 1, 1)) as pool:
+        solved = {i: pool.submit(_dense_solve, jobs[i][2], want_vector)
+                  for i in (dense[1:] if cpus > 1 else ())}
+        for i, (_rows, how, block) in enumerate(jobs):
+            if i not in solved:
+                solved[i] = _solved(how, block, want_vector)
+    for i, (rows, how, _block) in enumerate(jobs):
+        vals, ground = solved[i].result()
+        vector = None
+        if want_vector:
+            vector = np.zeros(basis.dim, dtype=complex)
+            vector[rows.offset - basis.offset + np.arange(rows.dim)] = ground
+        yield Spectrum(model.labels[rows.sector], rows.dim, how, np.real(vals), vector)
 
-    if method is None:
-        method = "dense" if rows.dim <= DENSE_CUTOFF else "iterative"
-    if rows.dim <= K_EXTREMAL + 1:
-        method = "dense"
-    if method == "dense":
-        with _one_blas_thread():
-            vals, ground = _dense_solve(block, want_vector)
-    else:
+
+def _solved(how: str, block, want_vector: bool) -> Future:
+    """A done future of the solve's eigenvalues and ground vector, or error."""
+    done = Future()
+    try:
+        if how == "dense":
+            done.set_result(_dense_solve(block, want_vector))
+            return done
         # A seeded start vector, uniform on (-1, 1) in both parts as ARPACK
         # draws its own, makes the result a function of the block alone.
-        start = np.random.default_rng(0).uniform(-1.0, 1.0, (2, rows.dim))
-        with _one_blas_thread():
-            vals, vecs = eigsh(block, k=K_EXTREMAL, which="SA", v0=start[0] + 1j * start[1])
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, (2, block.shape[0]))
+        vals, vecs = eigsh(block, k=K_EXTREMAL, which="SA", v0=start[0] + 1j * start[1])
         order = np.argsort(vals)
-        vals = vals[order]
-        ground = vecs[:, order[0]]
-
-    vector = None
-    if want_vector:
-        vector = np.zeros(basis.dim, dtype=complex)
-        vector[rows.offset - basis.offset + np.arange(rows.dim)] = ground
-    return Spectrum(model.labels[g], rows.dim, method, np.real(vals), vector)
+        done.set_result((vals[order], vecs[:, order[0]]))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
 
 
 # The thread-count calls of an OpenBLAS, by the symbols that numpy's wheels
@@ -340,6 +366,7 @@ _VISIT = ctypes.CFUNCTYPE(
     ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
 )
 _BLAS_THREADS_LOCK = threading.Lock()
+_BLAS_PINS = []  # per holder of _one_blas_thread, the counts the last one out restores
 
 
 @functools.cache
@@ -376,19 +403,23 @@ def _openblas_threads() -> tuple:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread, then give each
-    its old count back.  A threaded BLAS rounds by its thread count, so the
-    sector solves, and the ``hubbard --out`` files, would depend on it.  The
-    count is the process's, so one thread at a time holds it."""
+    """Run the block with every loaded OpenBLAS on one thread.  A threaded
+    BLAS rounds by its thread count, so the sector solves, and the ``hubbard
+    --out`` files, would depend on it.  The count is the process's, so the
+    first of the holders in any thread (such as sectors solved side by side)
+    sets it and the last one out gives each OpenBLAS its old count back."""
     calls = _openblas_threads()
     with _BLAS_THREADS_LOCK:
-        counts = [get() for get, _put in calls]
-        for _get, put in calls:
+        first = not _BLAS_PINS
+        _BLAS_PINS.append([get() for get, _put in calls] if first else _BLAS_PINS[0])
+        for _get, put in calls if first else ():
             put(1)
-        try:
-            yield
-        finally:
-            for (_get, put), count in zip(calls, counts):
+    try:
+        yield
+    finally:
+        with _BLAS_THREADS_LOCK:
+            counts = _BLAS_PINS.pop()
+            for (_get, put), count in zip(calls, () if _BLAS_PINS else counts):
                 put(count)
 
 
@@ -402,8 +433,9 @@ _SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
 _RMIN, _RMAX = np.sqrt(_SMLNUM), np.sqrt(1.0 / _SMLNUM)
 
 
-def _unscaled(x: np.ndarray) -> bool:
-    return bool(_RMIN < np.abs(x).max() < _RMAX)
+def _unscaled(x) -> bool:
+    """Whether max |x| (a sparse block's stored values, 0 if none) is in (_RMIN, _RMAX)."""
+    return bool(_RMIN < np.abs(x.data if sp.issparse(x) else x).max(initial=0.0) < _RMAX)
 
 
 def _dense_solve(block, want_vector: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -416,37 +448,56 @@ def _dense_solve(block, want_vector: bool) -> tuple[np.ndarray, np.ndarray | Non
     numpy's zheevd workspace makes it.  Blocks that zheevd solves another way
     (see ``_SMLSIZ``) go to ``eigh``.  The block is densified once, in
     Fortran order, and reduced in place; with dstevd's eigenvectors and
-    workspace (half a copy each) the solve peaks at two dense copies.
+    workspace (half a copy each) the solve peaks at two dense copies.  LAPACK
+    runs without the GIL (``_lapack``); side by side, each solve keeps these bits.
     """
     n = block.shape[0]
-    a = block.toarray(order="F")
-    if n > _SMLSIZ and _unscaled(a):
-        lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
-        a, d, e, tau, info = lapack.zhetrd(a, lower=1, lwork=lwork, overwrite_a=1)
-        _check_info("zhetrd", info)
+    if n > _SMLSIZ and _unscaled(block):
+        a = block.astype(complex, copy=False).toarray(order="F")
+        d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1, complex)
+        work = np.empty(1, complex)
+        _lapack("zhetrd", b"L", n, a, n, d, e, tau, work, -1)  # the workspace query
+        work = np.empty(int(work[0].real), complex)
+        _lapack("zhetrd", b"L", n, a, n, d, e, tau, work, work.size)
         if _unscaled(np.concatenate([d, e])):
             # The vectors are needed either way: without them dstevd runs
             # dsterf, whose eigenvalues differ in the last bits.
-            vals, z, info = lapack.dstevd(d, e, compute_v=1)
-            _check_info("dstevd", info)
+            z, work = np.empty((n, n), order="F"), np.empty(1 + 4 * n + n * n)
+            iwork = np.empty(3 + 5 * n, np.intc)
+            _lapack("dstevd", b"V", n, d, e, z, n, work, work.size, iwork, iwork.size)
             if not want_vector:
-                return vals, None
-            ground = z[:, :1].astype(complex)
-            del z
-            # The Householder vectors from A(2,1) on, with LDA = n, as a view;
-            # the last row of this n x (n-1) matrix is never read.
-            v = a.ravel(order="F")[1:1 + n * (n - 1)].reshape((n, n - 1), order="F")
-            ground[1:], _, info = lapack.zunmqr("L", "N", v, tau, ground[1:], lwork=1)
-            _check_info("zunmqr", info)
-            return vals, ground[:, 0]
-        a = block.toarray()  # zhetrd has overwritten the first copy
-    vals, vecs = np.linalg.eigh(a)
+                return d, None
+            ground = z[:, 0].astype(complex)
+            v = a.ravel(order="F")[1:]  # the Householder vectors from A(2,1) on, LDA = n
+            _lapack("zunmqr", b"L", b"N", n - 1, 1, n - 1, v, n, tau, ground[1:], n - 1,
+                    np.empty(1, complex), 1)
+            return d, ground
+        del a  # zhetrd has overwritten the block's dense copy
+    vals, vecs = np.linalg.eigh(block.toarray())
     return vals, vecs[:, 0]
 
 
-def _check_info(routine: str, info: int) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
+@functools.cache
+def _lapack_routine(name: str):
+    """``cython_lapack.name`` as a ctypes function of pointers (no GIL in the call)."""
+    capsule, api, obj = cython_lapack.__pyx_capi__[name], ctypes.pythonapi, ctypes.py_object
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))(capsule)
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    kind = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))
+    return kind(pointer(capsule, signature))
+
+
+def _lapack(name: str, *args) -> None:
+    """LAPACK's ``name`` on ``args`` and INFO, by reference: bytes as a character, an
+    int as an INTEGER, an array (Fortran-ordered, of its type) by its data."""
+    refs = [np.array(arg, np.intc) if isinstance(arg, int) else arg for arg in (*args, 0)]
+    routine = _lapack_routine(name)
+    arrays = [ref for ref in refs if isinstance(ref, np.ndarray)]
+    if len(refs) != len(routine.argtypes) or not all(a.flags.f_contiguous for a in arrays):
+        raise ValueError(f"LAPACK {name} takes {len(routine.argtypes)} Fortran-ordered arguments")
+    routine(*(ref if isinstance(ref, bytes) else ref.ctypes.data for ref in refs))
+    if refs[-1] != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info={int(refs[-1])}")
 
 
 def occupation_profile(state: np.ndarray, pair: FibonacciPair) -> np.ndarray:

@@ -1,7 +1,10 @@
+import ctypes
+import functools
 import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -602,6 +605,34 @@ def test_dense_solve_falls_back_to_eigh_on_a_fresh_copy(monkeypatch):
     assert ground.tobytes() == want_vecs[:, 0].tobytes()
 
 
+def _patch_lapack(monkeypatch, name, replace):
+    """Route every ``_lapack`` call of routine ``name`` through
+    ``replace(call, *pointers)``, where ``call`` is the real routine."""
+    routine = hubbard._lapack_routine
+
+    def patched(called):
+        call = routine(called)
+        if called != name:
+            return call
+        wrapper = functools.partial(replace, call)
+        wrapper.argtypes = call.argtypes
+        return wrapper
+
+    monkeypatch.setattr(hubbard, "_lapack_routine", patched)
+
+
+def _fail_on(dim):
+    """A replacement that runs the routine, then reports INFO = 3 on a block
+    of dimension ``dim`` (the routine's N, its second argument)."""
+
+    def replace(call, *pointers):
+        call(*pointers)
+        if ctypes.c_int.from_address(pointers[1]).value == dim:
+            ctypes.c_int.from_address(pointers[-1]).value = 3
+
+    return replace
+
+
 def test_dense_solve_without_vector_skips_the_back_transform(monkeypatch):
     _, h = hubbard_hamiltonian(3, HubbardParams(0.9, 0.35))  # blocks 89 and 144
     with_vector = [diagonalize(h, g) for g in ("e", "tau")]
@@ -609,24 +640,128 @@ def test_dense_solve_without_vector_skips_the_back_transform(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("back-transform without a vector request")
 
-    monkeypatch.setattr(hubbard.lapack, "zunmqr", refuse)
+    _patch_lapack(monkeypatch, "zunmqr", refuse)
     for want in with_vector:
         got = diagonalize(h, want.sector, want_vector=False)
         assert got.ground_state is None
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    with pytest.raises(AssertionError, match="back-transform"):
+        diagonalize(h, "tau")  # the patch reaches the routine the solve calls
 
 
 def test_dense_solve_raises_on_a_lapack_failure(monkeypatch):
     _, h = hubbard_hamiltonian(3, HubbardParams(0.9, 0.35))
-    dstevd = hubbard.lapack.dstevd
-
-    def fail(*args, **kwargs):
-        vals, z, _ = dstevd(*args, **kwargs)
-        return vals, z, 3
-
-    monkeypatch.setattr(hubbard.lapack, "dstevd", fail)
+    _patch_lapack(monkeypatch, "dstevd", _fail_on(144))  # the tau block
     with pytest.raises(np.linalg.LinAlgError, match="dstevd"):
         diagonalize(h, "tau")
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _count_thread_starts(monkeypatch) -> list:
+    started, start = [], threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sectors_solved_side_by_side_have_the_bits_of_one_sector_solves(monkeypatch, cpus):
+    """``_spectra`` gives every sector's ``diagonalize`` result bit for bit,
+    on one usable CPU (no thread) and on two (the e block on a worker)."""
+    _usable_cpus(monkeypatch, cpus)
+    started = _count_thread_starts(monkeypatch)
+    for indexing in INDEXINGS:
+        for n_rungs in (1, 2, 3, 4):
+            _, h = hubbard_hamiltonian(n_rungs, HubbardParams(0.9, 0.35, indexing))
+            labels = h.row_basis.model.labels
+            alone = [diagonalize(h, g) for g in labels]
+            assert started == []  # one sector starts no thread
+            together = list(hubbard._spectra(h, labels))
+            assert len(started) == (cpus > 1)
+            started.clear()
+            for want, got in zip(alone, together, strict=True):
+                assert (got.sector, got.block_dim, got.method) == (want.sector, want.block_dim, "dense")
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                assert got.ground_state.tobytes() == want.ground_state.tobytes()
+    together = list(hubbard._spectra(h, labels, method="iterative", want_vector=False))
+    assert started == [] and [sp.method for sp in together] == ["iterative"] * 2
+
+
+def test_one_blas_thread_is_a_counted_pin():
+    """Two threads inside ``_one_blas_thread`` at once both run on one BLAS
+    thread, and the old count comes back only after both have left."""
+    calls = hubbard._openblas_threads()
+    assert calls, "no OpenBLAS found"
+
+    def counts():
+        return [get() for get, _put in calls]
+
+    old = counts()
+    for _get, put in calls:
+        put(2)
+    before = counts()
+    both_in, first_out = threading.Barrier(2, timeout=10), threading.Barrier(2, timeout=10)
+    seen = {}
+
+    def holder(name):
+        with hubbard._one_blas_thread():
+            both_in.wait()
+            seen[name, "both in"] = counts()
+            if name == "stays":
+                first_out.wait()
+                seen[name, "other left"] = counts()
+        if name == "leaves":
+            first_out.wait()
+
+    threads = [threading.Thread(target=holder, args=(name,)) for name in ("stays", "leaves")]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {
+            ("stays", "both in"): [1] * len(calls),
+            ("leaves", "both in"): [1] * len(calls),
+            ("stays", "other left"): [1] * len(calls),
+        }
+        assert counts() == before
+    finally:
+        for (_get, put), count in zip(calls, old):
+            put(count)
+
+
+@pytest.mark.parametrize("failing, dim", [("e", 89), ("tau", 144)])
+def test_a_failed_sector_solve_raises_in_its_turn(monkeypatch, capsys, failing, dim):
+    """On two CPUs the e block is solved on a worker and the tau block by the
+    caller.  A LAPACK failure in either raises the one-sector solve's
+    ``LinAlgError``, and the CLI prints the lines a loop of ``diagonalize``
+    calls printed before it: those of the sectors before the failed one."""
+    from anyonladder.cli import main
+
+    _usable_cpus(monkeypatch, 2)
+    argv = ["hubbard", "--rungs", "3", "--t", "0.9", "--mu", "0.35"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    _, h = hubbard_hamiltonian(3, HubbardParams(0.9, 0.35))
+    _patch_lapack(monkeypatch, "dstevd", _fail_on(dim))
+    message = "LAPACK dstevd failed with info=3"
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        diagonalize(h, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        list(hubbard._spectra(h, ["e", "tau"]))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    turn = next(i for i, line in enumerate(lines) if line.startswith(f"sector {failing}:"))
+    assert out.splitlines() == lines[:turn]
 
 
 @pytest.mark.parametrize(
