@@ -125,8 +125,9 @@ class SparseOperator:
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if not self.col_basis.is_compatible(other.row_basis):
             raise ValueError("operator composition over incompatible bases")
-        out = SparseOperator(self.row_basis, other.col_basis, (self.matrix @ other.matrix).tocsr())
-        return out.drop()
+        product = (self.matrix @ other.matrix).tocsr()
+        product.sort_indices()  # fresh, so sorted in place
+        return SparseOperator(self.row_basis, other.col_basis, _drop(product))
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         self._require_same_bases(other)
@@ -137,6 +138,9 @@ class SparseOperator:
         return SparseOperator(self.row_basis, self.col_basis, (self.matrix - other.matrix).tocsr())
 
     def __mul__(self, scalar: complex) -> "SparseOperator":
+        value = np.asarray(scalar)  # a matrix or an operator is a 0-d object array
+        if value.ndim or value.dtype.kind not in "biufc":
+            raise TypeError("* is by a scalar; use @ for the operator product and apply for a vector")
         return SparseOperator(self.row_basis, self.col_basis, (self.matrix * scalar).tocsr())
 
     __rmul__ = __mul__
@@ -150,7 +154,11 @@ class SparseOperator:
             raise ValueError("operator arithmetic over incompatible bases")
 
     def dagger(self) -> "SparseOperator":
-        return SparseOperator(self.col_basis, self.row_basis, self.matrix.conj().T.tocsr())
+        """The adjoint: one CSR build of the transpose, its fresh data
+        conjugated in place, with the bytes of ``conj().T.tocsr()``."""
+        mat = self.matrix.transpose().tocsr()
+        np.conjugate(mat.data, out=mat.data)
+        return SparseOperator(self.col_basis, self.row_basis, mat)
 
     def drop(self, tol: float = DROP_TOLERANCE) -> "SparseOperator":
         return SparseOperator(self.row_basis, self.col_basis, _drop(self.matrix, tol))
@@ -185,8 +193,12 @@ class SparseOperator:
 
 def _drop(mat: sp.csr_matrix, tol: float = DROP_TOLERANCE) -> sp.csr_matrix:
     """``mat`` without its entries of magnitude ``tol`` or less, in canonical
-    CSR: duplicates summed after the filter, int32 indices where they fit."""
+    CSR: duplicates summed after the filter, int32 indices where they fit;
+    ``mat`` itself, shared, when it is canonical with int32 indices and has
+    nothing to drop.  ``mat`` is never written to."""
     keep = np.abs(mat.data) > tol
+    if keep.all() and mat.indices.dtype == mat.indptr.dtype == np.int32 and mat.has_canonical_format:
+        return mat
     indptr = np.concatenate(([0], np.cumsum(keep)))[mat.indptr]
     out = sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
     if not mat.has_canonical_format:
@@ -359,7 +371,7 @@ def _matmul_batch(lefts, rights) -> _CSRBlock:
     n_rows, n_mid, n_cols = a_base.row_basis.dim, b_base.row_basis.dim, b_base.col_basis.dim
 
     def stacked(rows, cols, vals, n_stacked, width):  # rows ascending, order kept
-        indptr = np.searchsorted(rows, np.arange(n_stacked + 1))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_stacked))))
         return sp.csr_matrix((vals, cols, indptr), shape=(n_stacked, width))
 
     count = len(lefts)

@@ -42,6 +42,7 @@ from .model import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+_COMMANDS = ("validate", "ladder", "verify", "decompose", "hubbard")
 
 
 def _resolve_model(name_or_path: str):
@@ -344,7 +345,11 @@ def cmd_hubbard(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when ``command`` names one, of that
+    one alone, whose top-level usage names it alone (:func:`main` reports a
+    top-level error through the full parser)."""
+    wanted = (command,) if command in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="anyonladder",
         description="Anyonic ladder operators: construction, verification, decomposition, Hamiltonians.",
@@ -358,45 +363,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check model consistency")
-    p.add_argument("--model", required=True, help="builtin name or model JSON path")
-    p.add_argument("--level", choices=("basic", "full"), default="full")
-    p.set_defaults(func=cmd_validate)
+    if "validate" in wanted:
+        p = sub.add_parser("validate", parents=[common], help="check model consistency")
+        p.add_argument("--model", required=True, help="builtin name or model JSON path")
+        p.add_argument("--level", choices=("basic", "full"), default="full")
+        p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("ladder", help="construct and export ladder operators")
-    p.add_argument("--model", required=True)
-    p.add_argument("--modes", type=int, required=True)
-    p.add_argument("--particle", help="restrict to one particle label")
-    p.add_argument("--out", help="directory for triplet/table files")
-    p.set_defaults(func=cmd_ladder)
+    if "ladder" in wanted:
+        p = sub.add_parser("ladder", help="construct and export ladder operators")
+        p.add_argument("--model", required=True)
+        p.add_argument("--modes", type=int, required=True)
+        p.add_argument("--particle", help="restrict to one particle label")
+        p.add_argument("--out", help="directory for triplet/table files")
+        p.set_defaults(func=cmd_ladder)
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
-    p.add_argument("--model", default="fibonacci")
-    p.add_argument("--modes", type=int, required=True)
-    p.add_argument(
-        "--suite",
-        choices=("relations", "locality", "fock", "closure", "all"),
-        default="all",
-    )
-    p.set_defaults(func=cmd_verify)
+    if "verify" in wanted:
+        p = sub.add_parser("verify", parents=[common], help="run verification suites")
+        p.add_argument("--model", default="fibonacci")
+        p.add_argument("--modes", type=int, required=True)
+        p.add_argument(
+            "--suite",
+            choices=("relations", "locality", "fock", "closure", "all"),
+            default="all",
+        )
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decompose", parents=[common], help="decompose a local observable")
-    p.add_argument("--op", help="operator triplet file")
-    p.add_argument("--fixture", help="named corpus observable")
-    p.add_argument("--list-fixtures", action="store_true")
-    p.add_argument("--sites", help="comma-separated mode list, e.g. 1,2")
-    p.add_argument("--model", default="fibonacci")
-    p.add_argument("--out", help="write the polynomial JSON here")
-    p.set_defaults(func=cmd_decompose)
+    if "decompose" in wanted:
+        p = sub.add_parser("decompose", parents=[common], help="decompose a local observable")
+        p.add_argument("--op", help="operator triplet file")
+        p.add_argument("--fixture", help="named corpus observable")
+        p.add_argument("--list-fixtures", action="store_true")
+        p.add_argument("--sites", help="comma-separated mode list, e.g. 1,2")
+        p.add_argument("--model", default="fibonacci")
+        p.add_argument("--out", help="write the polynomial JSON here")
+        p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("hubbard", help="build and diagonalize the lattice Hamiltonian")
-    p.add_argument("--rungs", type=int, required=True)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--indexing", choices=hub.INDEXINGS, default="geometric")
-    p.add_argument("--sector", help="restrict to one total-charge sector")
-    p.add_argument("--out", help="directory for spectrum/occupation CSVs")
-    p.set_defaults(func=cmd_hubbard)
+    if "hubbard" in wanted:
+        p = sub.add_parser("hubbard", help="build and diagonalize the lattice Hamiltonian")
+        p.add_argument("--rungs", type=int, required=True)
+        p.add_argument("--t", type=float, default=1.0)
+        p.add_argument("--mu", type=float, default=0.0)
+        p.add_argument("--indexing", choices=hub.INDEXINGS, default="geometric")
+        p.add_argument("--sector", help="restrict to one total-charge sector")
+        p.add_argument("--out", help="directory for spectrum/occupation CSVs")
+        p.set_defaults(func=cmd_hubbard)
 
     return parser
 
@@ -411,8 +421,10 @@ def _check_arguments(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:  # the full parser prints its usage with the error
+        build_parser().parse_args(argv)
     try:
         _check_arguments(args)
         return args.func(args)

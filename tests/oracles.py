@@ -607,16 +607,61 @@ def conjugate_factored(w, entries):
 def drop_coo(op, tol: float = 1e-14):
     """``SparseOperator.drop`` as a round trip through COO: the entries above
     ``tol`` in stored order, rebuilt as a CSR matrix."""
-    from scipy import sparse
-
     from anyonladder.basis import SparseOperator
 
-    mat = op.matrix.tocoo()
+    return SparseOperator(op.row_basis, op.col_basis, _drop_coo_matrix(op.matrix, tol))
+
+
+def _drop_coo_matrix(mat, tol: float = 1e-14):
+    from scipy import sparse
+
+    mat = mat.tocoo()
     keep = np.abs(mat.data) > tol
-    out = sparse.csr_matrix(
-        (mat.data[keep], (mat.row[keep], mat.col[keep])), shape=mat.shape
-    )
-    return SparseOperator(op.row_basis, op.col_basis, out)
+    return sparse.csr_matrix((mat.data[keep], (mat.row[keep], mat.col[keep])), shape=mat.shape)
+
+
+def matmul_coo(a, b):
+    """``a @ b`` as scipy's product made CSR, then the COO round trip of
+    :func:`drop_coo`."""
+    from anyonladder.basis import SparseOperator
+
+    return drop_coo(SparseOperator(a.row_basis, b.col_basis, (a.matrix @ b.matrix).tocsr()))
+
+
+def dagger_conj_t(op):
+    """``op.dagger()`` as three scipy matrices: the conjugate, its transpose
+    and that transpose made CSR."""
+    from anyonladder.basis import SparseOperator
+
+    return SparseOperator(op.col_basis, op.row_basis, op.matrix.conj().T.tocsr())
+
+
+def matmul_batch_searchsorted(lefts, rights) -> list:
+    """``basis._matmul_batch(lefts, rights)`` as one ``SparseOperator`` per
+    product: the same scipy product, each stacked operand's ``indptr`` found
+    by ``searchsorted`` over its ascending rows, the product dropped through
+    COO and cut into its row blocks."""
+    from scipy import sparse
+
+    from anyonladder.basis import SparseOperator, _gather
+
+    a_base, a_owner, a_rows, a_col, a_val = _gather(lefts)
+    b_base, b_owner, b_rows, b_col, b_val = _gather(rights)
+    n_rows, n_mid, n_cols = a_base.row_basis.dim, b_base.row_basis.dim, b_base.col_basis.dim
+
+    def stacked(rows, cols, vals, n_stacked, width):
+        indptr = np.searchsorted(rows, np.arange(n_stacked + 1))
+        return sparse.csr_matrix((vals, cols, indptr), shape=(n_stacked, width))
+
+    count = len(lefts)
+    a = stacked(a_owner * n_rows + a_rows, a_owner * n_mid + a_col, a_val,
+                count * n_rows, count * n_mid)
+    b = stacked(b_owner * n_mid + b_rows, b_col, b_val, count * n_mid, n_cols)
+    product = _drop_coo_matrix(a @ b)
+    return [
+        SparseOperator(a_base.row_basis, b_base.col_basis, product[i * n_rows:(i + 1) * n_rows])
+        for i in range(count)
+    ]
 
 
 def factored_groups(model, n_modes: int, m: int):

@@ -12,6 +12,7 @@ from anyonladder.basis import (
     SparseOperator,
     _CSRBlock,
     _conjugate,
+    _drop,
     _factored_states,
     _label_table,
     _matmul_batch,
@@ -611,7 +612,8 @@ def test_pairs_joins_equal_keys():
 def test_drop_matches_the_coo_round_trip(fib):
     """``drop`` filters in CSR and gives the bytes of the COO round trip:
     unsorted product output, duplicates, explicit zeros, entries at the
-    tolerance, int64 indices and an empty matrix."""
+    tolerance, int64 indices and an empty matrix.  It hands back its input's
+    matrix exactly when that is canonical, int32 and has nothing to drop."""
     rng = np.random.default_rng(13)
     b3, b4 = FusionTreeBasis(fib, 3), FusionTreeBasis(fib, 4)
     a = _random_operator(rng, b4, b4, 0.3)
@@ -636,14 +638,130 @@ def test_drop_matches_the_coo_round_trip(fib):
     wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
     ops = products + raw + [
         SparseOperator(b4, b4, mat) for mat in (dupes, tiny, wide)
-    ] + [SparseOperator.zero(b3, b4), SparseOperator.from_entries(b3, b3, {(0, 0): 1e-16})]
-    assert ops[-3].matrix.indices.dtype == np.int64
+    ] + [SparseOperator.zero(b3, b4), SparseOperator.from_entries(b3, b3, {(0, 0): 1e-16}), a]
+    assert ops[-4].matrix.indices.dtype == np.int64
     for op in ops:
         got = op.drop()
         want = orc.drop_coo(op)
         assert orc.csr_bytes(got) == orc.csr_bytes(want)
         assert got.matrix.has_canonical_format
+        # Only a canonical, int32-indexed matrix with nothing to drop is shared.
+        shared = any(op is x for x in [a, *products]) or op.nnz == 0
+        assert (got.matrix is op.matrix) == shared
     assert orc.csr_bytes(ops[4].drop(1e-3)) == orc.csr_bytes(orc.drop_coo(ops[4], 1e-3))
+
+
+def _untidy_cases(fib, rng):
+    """Operators stored every way the sparse paths must take: products with
+    unsorted columns, duplicates, explicit +-0, entries at and just above
+    ``DROP_TOLERANCE``, int64 indices, and empty and rectangular operators
+    between total-charge sectors."""
+    b3 = FusionTreeBasis(fib, 3)
+    e4, t4 = FusionTreeBasis(fib, 4, "e"), FusionTreeBasis(fib, 4, "tau")
+    a = _random_operator(rng, b3, b3, 0.4)
+    wide = a.matrix.copy()
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    edge = a.matrix.copy()
+    edge.data[::4] = DROP_TOLERANCE * np.exp(1j * np.arange(len(edge.data[::4])))
+    edge.data[1::4] = np.nextafter(DROP_TOLERANCE, 1.0)
+    edge.data[2::9] = complex(-0.0, 0.0)
+    edge.data[3::9] = complex(0.0, -0.0)
+    cases = [
+        a,
+        SparseOperator(b3, b3, (a.matrix @ a.matrix).tocsr()),  # unsorted columns
+        orc.untidy_operator(b3, rng),
+        SparseOperator(b3, b3, wide),
+        SparseOperator(b3, b3, edge),
+        braid_adjacent(fib, 3, 2),
+        SparseOperator.zero(b3),
+        _random_operator(rng, e4, t4, 0.3),
+        _random_operator(rng, t4, e4, 0.3),
+        _random_operator(rng, t4, t4, 0.2),
+        SparseOperator.zero(e4, t4),
+        SparseOperator.zero(t4, e4),
+    ]
+    assert not cases[1].matrix.has_sorted_indices
+    assert cases[3].matrix.indices.dtype == cases[3].matrix.indptr.dtype == np.int64
+    return cases
+
+
+def test_products_and_adjoints_match_the_scipy_compositions(fib):
+    """``@`` has the CSR bytes of scipy's product made CSR and dropped
+    through COO, and ``dagger`` those of ``conj().T.tocsr()``: dtypes of
+    ``indptr`` and ``indices``, and every data bit, signed zeros included."""
+    cases = _untidy_cases(fib, np.random.default_rng(17))
+    pairs = [(a, b) for a in cases for b in cases if a.col_basis.is_compatible(b.row_basis)]
+    assert len(pairs) > 60
+    for a, b in pairs:
+        assert orc.csr_bytes(a @ b) == orc.csr_bytes(orc.matmul_coo(a, b))
+    for op in cases:
+        assert orc.csr_bytes(op.dagger()) == orc.csr_bytes(orc.dagger_conj_t(op))
+        assert orc.csr_bytes(op.drop()) == orc.csr_bytes(orc.drop_coo(op))
+        assert orc.csr_bytes(op.dagger().dagger().drop()) == orc.csr_bytes(orc.drop_coo(op))
+
+
+def test_scalar_multiplication_refuses_a_non_scalar(fib):
+    """``*`` scales by a number or a 0-d array, with the bytes of scipy's
+    scalar product, and refuses an operator, a sparse matrix or an array."""
+    op = braid_adjacent(fib, 3, 1)
+    for other in (op, op.matrix, op.to_dense(), np.ones(op.row_basis.dim), [2.0]):
+        with pytest.raises(TypeError, match="use @ for the operator product and apply"):
+            op * other
+    for scalar in (2, -0.5, 0.3 - 1.2j, np.float64(3.0), np.complex128(1j), np.array(2.5)):
+        want = orc.csr_bytes(SparseOperator(op.row_basis, op.col_basis, op.matrix * scalar))
+        assert orc.csr_bytes(op * scalar) == want
+        assert orc.csr_bytes(scalar * op) == want
+
+
+def _frozen(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+
+
+def test_operations_leave_read_only_operands_unchanged(fib):
+    """``drop`` may hand back its input's matrix and memoised operators are
+    shared, so no operation may write into an operand: each runs on
+    operands whose CSR arrays are read-only and leaves their bytes as they were."""
+    rng = np.random.default_rng(23)
+    b3 = FusionTreeBasis(fib, 3)
+    w = _factored_states(fib, 3, 1)[0]
+    untidy = orc.untidy_operator(b3, rng)  # not canonical
+    tidy = _random_operator(rng, b3, b3, 0.5)  # canonical, nothing to drop
+    ops = [
+        SparseOperator(op.row_basis, op.col_basis, op.matrix.copy())
+        for op in (untidy, tidy, braid_adjacent(fib, 3, 2), w)
+    ]
+    untidy, tidy, braid, w = ops
+    assert not untidy.matrix.has_canonical_format and tidy.matrix.has_canonical_format
+    block = _CSRBlock.pack([untidy, tidy, braid])
+    rows, cols = np.nonzero(rng.random((b3.dim, b3.dim)) < 0.3)
+    entries = [rows, cols, rng.normal(size=len(rows)) + 0j, rng.integers(0, 2, len(rows))]
+    before = [orc.csr_bytes(op) for op in ops]
+    block_before = [part.tobytes() for part in (block.indptr, block.indices, block.data, block.rows)]
+    entries_before = [part.tobytes() for part in entries]
+    for op in ops:
+        _frozen(op.matrix.data, op.matrix.indices, op.matrix.indptr)
+    _frozen(block.indptr, block.indices, block.data, block.rows, *entries)
+
+    vec = np.ones(b3.dim, complex)
+    calls = [
+        lambda: SparseOperator.from_entries(b3, b3, tuple(entries[:3])),
+        lambda: untidy @ tidy, lambda: tidy @ untidy, lambda: tidy @ braid, lambda: untidy @ untidy,
+        lambda: untidy + tidy, lambda: tidy - untidy, lambda: untidy * 2.0, lambda: 0.5j * tidy,
+        lambda: -untidy, untidy.dagger, tidy.dagger, w.dagger, untidy.drop, tidy.drop,
+        lambda: untidy.drop(1e-3), lambda: untidy.apply(vec), lambda: untidy.nnz,
+        untidy.norm_max, untidy.to_dense, lambda: untidy.allclose(tidy),
+        untidy.is_charge_diagonal, lambda: tidy._require_same_bases(untidy),
+        lambda: _drop(untidy.matrix), lambda: _drop(tidy.matrix), lambda: _drop(tidy.matrix, 1e-3),
+        lambda: _matmul_batch([(block, 0), (block, 1), (block, 2)], [(block, 1), (block, 2), (block, 0)]),
+        lambda: _conjugate(w, *entries, 2),
+    ]
+    for call in calls:
+        call()
+    assert tidy.drop().matrix is tidy.matrix
+    assert [orc.csr_bytes(op) for op in ops] == before
+    assert [part.tobytes() for part in (block.indptr, block.indices, block.data, block.rows)] == block_before
+    assert [part.tobytes() for part in entries] == entries_before
 
 
 def _random_operator(rng, row_basis, col_basis, density):
@@ -698,6 +816,9 @@ def test_matmul_batch_matches_scipy_products_bit_for_bit(fib):
             assert orc.csr_bytes(packed.operator(i)) == orc.csr_bytes(op)
         got = _batch(pairs)
         assert len(got) == len(pairs)
+        lefts, rights = _refs([a for a, _ in pairs]), _refs([b for _, b in pairs])
+        for out, want in zip(got, orc.matmul_batch_searchsorted(lefts, rights)):
+            assert orc.csr_bytes(out) == orc.csr_bytes(want)
         for (a, b), out in zip(pairs, got):
             want = a @ b
             assert out.row_basis is a.row_basis and out.col_basis is b.col_basis

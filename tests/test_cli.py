@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from anyonladder.basis import FusionTreeBasis, SparseOperator
-from anyonladder.cli import main
+from anyonladder.cli import build_parser, main
 from anyonladder.fixtures import fixture_names
 from anyonladder.ladder import ladder_set
 from anyonladder.model import builtin, dump_model
@@ -616,6 +616,39 @@ def test_tolerance_is_rejected_where_nothing_reads_it(command, capsys):
         main([*command, "--tolerance", "1e-300"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+def _parse_text(capsys, parse, argv):
+    """Exit code, stdout and stderr of ``parse(argv)``, which argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--help"], ["validate", "--model", "fibonacci", "--level", "some"],
+        ["ladder", "--help"], ["ladder", "--model", "fibonacci"],
+        ["verify", "--help"], ["verify", "--modes", "two"],
+        ["decompose", "--help"], ["decompose", "--sites"],
+        ["hubbard", "--help"], ["hubbard", "--rungs", "2", "--indexing", "diagonal"],
+        ["verify", "--modes", "2", "ladder"], ["hubbard", "--rungs", "1", "--bogus", "1"],
+        ["--help"], ["mystery"], [], ["--", "verify"],
+    ],
+)
+def test_a_call_parses_with_its_own_sub_parser_and_the_full_parser_text(argv, capsys):
+    """``main`` builds only the sub-parser of the command it runs, and every
+    help, usage and error text, stdout, stderr and exit code, is the one the
+    parser of every subcommand gives."""
+    full = _parse_text(capsys, build_parser().parse_args, argv)
+    assert full[0] in (0, 2) and full[1] + full[2]
+    assert _parse_text(capsys, main, argv) == full
+    commands = ["validate", "ladder", "verify", "decompose", "hubbard"]
+    command = argv[0] if argv else None
+    built = build_parser(command)._subparsers._group_actions[0].choices
+    assert list(built) == ([command] if command in commands else commands)
 
 
 _REPORT_LINE = re.compile(
