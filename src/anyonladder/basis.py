@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import trees
 from .model import AnyonModel
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 DROP_TOLERANCE = 1e-14
+_INT32_MAX = np.iinfo(np.int32).max
+_MAXPRINT = sp.csr_matrix((1, 1)).maxprint
 
 
 class FusionTreeBasis:
@@ -104,44 +107,48 @@ class SparseOperator:
         if isinstance(entries, Mapping):
             keys = np.array(list(entries), dtype=int).reshape(-1, 2)
             entries = keys[:, 0], keys[:, 1], list(entries.values())
-        rows, cols, vals = entries
-        mat = sp.csr_matrix(
-            (np.array(vals, dtype=complex), (rows, cols)),
-            shape=(row_basis.dim, col_basis.dim),
-        )
-        return cls(row_basis, col_basis, mat)
+        rows, cols, vals = (np.asarray(x) for x in entries)
+        shape = (row_basis.dim, col_basis.dim)
+        if not len(rows) == len(cols) == len(vals) or any(
+                len(i) and not 0 <= i.min() <= i.max() < d for i, d in zip((rows, cols), shape)):
+            raise ValueError(f"entries must be equally many, with indices inside the shape {shape}")
+        return cls(row_basis, col_basis, _coo_csr(rows, cols, vals.astype(complex), shape))
 
     @classmethod
     def identity(cls, basis: FusionTreeBasis):
-        return cls(basis, basis, sp.identity(basis.dim, dtype=complex, format="csr"))
+        dim = basis.dim
+        return cls(basis, basis, _csr(np.ones(dim, complex), np.arange(dim), np.arange(dim + 1), (dim, dim)))
 
     @classmethod
     def zero(cls, row_basis: FusionTreeBasis, col_basis: FusionTreeBasis | None = None):
         col_basis = row_basis if col_basis is None else col_basis
-        return cls(row_basis, col_basis, sp.csr_matrix((row_basis.dim, col_basis.dim), dtype=complex))
+        empty, shape = np.zeros(0, int), (row_basis.dim, col_basis.dim)
+        return cls(row_basis, col_basis, _csr(empty + 0j, empty, np.zeros(shape[0] + 1, int), shape))
 
     # -- algebra ---------------------------------------------------------------
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if not self.col_basis.is_compatible(other.row_basis):
             raise ValueError("operator composition over incompatible bases")
-        product = (self.matrix @ other.matrix).tocsr()
-        product.sort_indices()  # fresh, so sorted in place
-        return SparseOperator(self.row_basis, other.col_basis, _drop(product))
+        return SparseOperator(self.row_basis, other.col_basis, _drop(_product(self.matrix, other.matrix)))
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         self._require_same_bases(other)
-        return SparseOperator(self.row_basis, self.col_basis, (self.matrix + other.matrix).tocsr())
+        mat = _sum(_sparsetools.csr_plus_csr, self.matrix, other.matrix)
+        return SparseOperator(self.row_basis, self.col_basis, mat)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         self._require_same_bases(other)
-        return SparseOperator(self.row_basis, self.col_basis, (self.matrix - other.matrix).tocsr())
+        mat = _sum(_sparsetools.csr_minus_csr, self.matrix, other.matrix)
+        return SparseOperator(self.row_basis, self.col_basis, mat)
 
     def __mul__(self, scalar: complex) -> "SparseOperator":
         value = np.asarray(scalar)  # a matrix or an operator is a 0-d object array
         if value.ndim or value.dtype.kind not in "biufc":
             raise TypeError("* is by a scalar; use @ for the operator product and apply for a vector")
-        return SparseOperator(self.row_basis, self.col_basis, (self.matrix * scalar).tocsr())
+        mat = self.matrix  # scipy's scalar product: the data scaled, the index arrays copied
+        scaled = _csr(mat.data * scalar, mat.indices.copy(), mat.indptr.copy(), mat.shape)
+        return SparseOperator(self.row_basis, self.col_basis, scaled)
 
     __rmul__ = __mul__
 
@@ -154,11 +161,16 @@ class SparseOperator:
             raise ValueError("operator arithmetic over incompatible bases")
 
     def dagger(self) -> "SparseOperator":
-        """The adjoint: one CSR build of the transpose, its fresh data
-        conjugated in place, with the bytes of ``conj().T.tocsr()``."""
-        mat = self.matrix.transpose().tocsr()
-        np.conjugate(mat.data, out=mat.data)
-        return SparseOperator(self.col_basis, self.row_basis, mat)
+        """The adjoint: the transpose by scipy's ``csr_tocsc`` kernel into
+        fresh arrays, its data conjugated in place, with the bytes of
+        ``conj().T.tocsr()``."""
+        mat = self.matrix
+        (m, n), nnz = mat.shape, mat.nnz
+        dtype = _index_dtype(m, n, nnz)
+        indptr, indices, data = np.empty(n + 1, dtype), np.empty(nnz, dtype), np.empty(nnz, mat.dtype)
+        _sparsetools.csr_tocsc(m, n, *_indices(dtype, mat), mat.data, indptr, indices, data)
+        np.conjugate(data, out=data)
+        return SparseOperator(self.col_basis, self.row_basis, _csr(data, indices, indptr, (n, m)))
 
     def drop(self, tol: float = DROP_TOLERANCE) -> "SparseOperator":
         return SparseOperator(self.row_basis, self.col_basis, _drop(self.matrix, tol))
@@ -180,8 +192,7 @@ class SparseOperator:
         return self.matrix.toarray()
 
     def allclose(self, other: "SparseOperator", tol: float = 1e-10) -> bool:
-        self._require_same_bases(other)
-        diff = self.matrix - other.matrix
+        diff = (self - other).matrix
         return float(np.abs(diff.data).max()) <= tol if diff.nnz else True
 
     def is_charge_diagonal(self) -> bool:
@@ -200,10 +211,96 @@ def _drop(mat: sp.csr_matrix, tol: float = DROP_TOLERANCE) -> sp.csr_matrix:
     if keep.all() and mat.indices.dtype == mat.indptr.dtype == np.int32 and mat.has_canonical_format:
         return mat
     indptr = np.concatenate(([0], np.cumsum(keep)))[mat.indptr]
-    out = sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
-    if not mat.has_canonical_format:
-        out.sum_duplicates()
-    return out
+    return _canonical(mat.data[keep], mat.indices[keep], indptr, mat.shape)
+
+
+def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
+    """The ``sp.csr_matrix`` that ``sp.csr_matrix((data, indices, indptr),
+    shape=shape)`` builds from arrays that already form a valid CSR matrix,
+    without its checks: ``indices`` and ``data`` cut to ``nnz``, a view of
+    under half of its buffer copied (scipy's ``_prune_array``), and the index
+    arrays int32 where ``max(shape)`` and ``nnz`` fit, int64 otherwise.
+
+    Every sparse result of the package is made by the ``_sparsetools``
+    kernel that scipy calls for it and wrapped here, so it has scipy's bytes.
+    """
+    nnz = int(indptr[-1])
+    dtype = _index_dtype(*shape, nnz)
+    indices, data = indices[:nnz].astype(dtype, copy=False), data[:nnz]
+    mat = sp.csr_matrix.__new__(sp.csr_matrix)
+    vars(mat).update(_shape=shape, maxprint=_MAXPRINT, indices=_pruned(indices),
+                     indptr=np.asarray(indptr, dtype), data=_pruned(data))
+    return mat
+
+
+def _pruned(array: np.ndarray) -> np.ndarray:
+    return array.copy() if array.base is not None and array.size < array.base.size // 2 else array
+
+
+def _index_dtype(*sizes):
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
+
+
+def _indices(dtype, *mats) -> list:
+    """``indptr`` and ``indices`` of each of ``mats``, in ``dtype``."""
+    return [x.astype(dtype, copy=False) for mat in mats for x in (mat.indptr, mat.indices)]
+
+
+def _binop(kernel, a: sp.csr_matrix, b: sp.csr_matrix, shape, nnz: int) -> sp.csr_matrix:
+    """scipy's ``kernel`` on ``a`` and ``b`` into fresh arrays of ``nnz``
+    entries, the bound on the result's."""
+    dtype = _index_dtype(*a.shape, *b.shape, a.nnz, b.nnz, nnz)
+    ap, ai, bp, bi = _indices(dtype, a, b)
+    indptr, indices = np.empty(shape[0] + 1, dtype), np.empty(nnz, dtype)
+    data = np.empty(nnz, np.result_type(a.data, b.data))
+    kernel(*shape, ap, ai, a.data, bp, bi, b.data, indptr, indices, data)
+    return _csr(data, indices, indptr, shape)
+
+
+def _product(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """``a @ b``, its fresh columns sorted in place: the bytes of ``(a @
+    b).tocsr()`` after ``sort_indices``."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
+    shape = (a.shape[0], b.shape[1])
+    nnz = _sparsetools.csr_matmat_maxnnz(*shape, *_indices(_index_dtype(*a.shape, *b.shape, a.nnz, b.nnz), a, b))
+    mat = _binop(_sparsetools.csr_matmat, a, b, shape, nnz)
+    _sparsetools.csr_sort_indices(shape[0], mat.indptr, mat.indices, mat.data)
+    return mat
+
+
+def _sum(kernel, a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """``a + b`` or ``a - b`` by scipy's ``csr_plus_csr`` or ``csr_minus_csr``
+    ``kernel``, which stores no entry that comes to zero."""
+    if a.shape != b.shape:
+        raise ValueError(f"inconsistent shapes {a.shape} and {b.shape}")
+    return _binop(kernel, a, b, a.shape, a.nnz + b.nnz)
+
+
+def _coo_csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """``sp.csr_matrix((vals, (rows, cols)), shape=shape)`` by the kernels of
+    scipy's COO to CSR build: entries in order within each row, then
+    :func:`_canonical`.  The indices must lie inside ``shape``."""
+    (m, n), nnz = shape, len(vals)
+    dtype = _index_dtype(m, n, nnz)
+    indptr, indices, data = np.empty(m + 1, dtype), np.empty(nnz, dtype), np.empty(nnz, vals.dtype)
+    _sparsetools.coo_tocsr(m, n, nnz, rows.astype(dtype, copy=False), cols.astype(dtype, copy=False),
+                           vals, indptr, indices, data)
+    return _canonical(data, indices, indptr, shape)
+
+
+def _canonical(data, indices, indptr, shape) -> sp.csr_matrix:
+    """The CSR arrays, which it may write to, as ``sum_duplicates`` leaves
+    them: columns sorted and repeats summed in stored order by scipy's
+    kernels, only where the arrays are not canonical already."""
+    m, n = shape
+    dtype = _index_dtype(m, n, indptr[-1])
+    indptr, indices = indptr.astype(dtype, copy=False), indices.astype(dtype, copy=False)
+    if not _sparsetools.csr_has_canonical_format(m, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
+            _sparsetools.csr_sort_indices(m, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(m, n, indptr, indices, data)
+    return _csr(data, indices, indptr, shape)
 
 
 def _require_finite(op: SparseOperator) -> None:
@@ -292,8 +389,7 @@ class _CSRBlock:
         n_rows = self.row_basis.dim
         ptr = self.indptr[i * n_rows:(i + 1) * n_rows + 1]
         lo, hi = ptr[0], ptr[-1]
-        mat = sp.csr_matrix((self.data[lo:hi], self.indices[lo:hi], ptr - lo),
-                            shape=(n_rows, self.col_basis.dim))
+        mat = _csr(self.data[lo:hi], self.indices[lo:hi], ptr - lo, (n_rows, self.col_basis.dim))
         return SparseOperator(self.row_basis, self.col_basis, mat)
 
 
@@ -358,11 +454,11 @@ def _gather(refs):
 
 def _matmul_batch(lefts, rights) -> _CSRBlock:
     """The block of ``a @ b`` for the matrices ``a`` of ``lefts`` and ``b`` of
-    ``rights`` (lists of ``(block, i)`` references), in one scipy product:
+    ``rights`` (lists of ``(block, i)`` references), in one product:
     the ``a_i`` placed block-diagonally (rows ``i * R``, columns ``i * M``)
     times the ``b_i`` stacked row-wise, all entries in stored order.  That
     runs the kernel of ``SparseOperator.__matmul__`` on each ``a_i @ b_i``
-    in place, so after ``_drop`` each product has its CSR bytes.
+    in place, so, sorted and dropped as there, each product has its CSR bytes.
     """
     a_base, a_owner, a_rows, a_col, a_val = _gather(lefts)
     b_base, b_owner, b_rows, b_col, b_val = _gather(rights)
@@ -372,13 +468,13 @@ def _matmul_batch(lefts, rights) -> _CSRBlock:
 
     def stacked(rows, cols, vals, n_stacked, width):  # rows ascending, order kept
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_stacked))))
-        return sp.csr_matrix((vals, cols, indptr), shape=(n_stacked, width))
+        return _csr(vals, cols, indptr, (n_stacked, width))
 
     count = len(lefts)
     a = stacked(a_owner * n_rows + a_rows, a_owner * n_mid + a_col, a_val,
                 count * n_rows, count * n_mid)
     b = stacked(b_owner * n_mid + b_rows, b_col, b_val, count * n_mid, n_cols)
-    return _CSRBlock.unstack(a_base.row_basis, b_base.col_basis, _drop(a @ b))
+    return _CSRBlock.unstack(a_base.row_basis, b_base.col_basis, _drop(_product(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +546,7 @@ def _move_matrix(model: AnyonModel, shape, old: trees.LabelTable, node_span):
     amps = model.F[a[j], b[j], c[j], d[j], x, y[j]]
     keep = np.abs(amps) > DROP_TOLERANCE
     rows = np.searchsorted(new.codes, labels[keep] @ new.place)
-    mat = sp.csr_matrix((amps[keep], (rows, j[keep])), shape=(len(new.rows), len(old.rows)))
+    mat = _coo_csr(rows, j[keep], amps[keep], (len(new.rows), len(old.rows)))
     return new_shape, new, mat
 
 
@@ -475,10 +571,10 @@ def _recouple(model: AnyonModel, n_modes: int, target_shape, sector: int | None 
     target_basis = FusionTreeBasis(model, n_modes, sector, shape=target_shape)
     # Compose overlap matrices target -> canonical, then take the adjoint.
     shape, table = target_shape, target_basis.table
-    overlap = sp.identity(target_basis.dim, dtype=complex, format="csr")
+    overlap = SparseOperator.identity(target_basis).matrix
     for node_span in trees.moves_to_left_comb(target_shape):
         shape, table, mat = _move_matrix(model, shape, table, node_span)
-        overlap = (mat @ overlap).tocsr()
+        overlap = _product(mat, overlap)
     return SparseOperator(basis, target_basis, overlap).drop().dagger()
 
 
@@ -529,13 +625,14 @@ def _conjugate(w: SparseOperator, rows, cols, vals, owner, count: int) -> _CSRBl
     """
     dim = w.row_basis.dim
     vals = np.asarray(vals, dtype=complex)
-    wide = sp.csr_matrix((vals, (rows, owner * dim + cols)), shape=(dim, count * dim))
-    half = _drop(w.dagger().matrix @ wide).tocoo()
+    wide = _coo_csr(rows, owner * dim + cols, vals, (dim, count * dim))
+    half = _drop(_product(w.dagger().matrix, wide))
     # Entry (i, k * dim + c) moves to (k * dim + i, c), each row's columns
     # still ascending.
-    k, c = np.divmod(half.col, dim)
-    tall = sp.csr_matrix((half.data, (k * dim + half.row, c)), shape=(count * dim, dim))
-    return _CSRBlock.unstack(w.col_basis, w.col_basis, _drop(tall @ w.matrix))
+    k, c = np.divmod(half.indices, dim)
+    row = np.repeat(np.arange(dim), np.diff(half.indptr))
+    tall = _coo_csr(k * dim + row, c, half.data, (count * dim, dim))
+    return _CSRBlock.unstack(w.col_basis, w.col_basis, _drop(_product(tall, w.matrix)))
 
 
 @_memo
@@ -617,7 +714,7 @@ def _braid_block(model: AnyonModel, n_modes: int, k: int, sector: int | None) ->
     row, col = np.nonzero(np.abs(vals) > DROP_TOLERANCE)
     indptr = np.searchsorted(row, np.arange(basis.dim + 1))
     cols = np.searchsorted(table.codes, codes[row, col])
-    mat = sp.csr_matrix((vals[row, col], cols, indptr), shape=(basis.dim, basis.dim))
+    mat = _csr(vals[row, col], cols, indptr, (basis.dim, basis.dim))
     return SparseOperator(basis, basis, mat)
 
 
@@ -637,12 +734,12 @@ def braid_word(model: AnyonModel, n_modes: int, word) -> SparseOperator:
 def _sector_block(op: SparseOperator, sector: FusionTreeBasis) -> SparseOperator:
     """The block of the charge-keeping ``op`` on ``sector`` (one total-charge
     sector of its basis, or all of it): ``op``'s rows ``offset .. offset +
-    dim`` as stored, columns shifted, ``data`` a view (scipy copies a view of
-    under half of ``op``'s entries)."""
+    dim`` as stored, columns shifted, ``data`` a view (:func:`_csr` copies a
+    view of under half of ``op``'s entries)."""
     mat, lo = op.matrix, sector.offset - op.row_basis.offset
     ptr = mat.indptr[lo:lo + sector.dim + 1]
     data, cols = mat.data[ptr[0]:ptr[-1]], mat.indices[ptr[0]:ptr[-1]] - lo
-    return SparseOperator(sector, sector, sp.csr_matrix((data, cols, ptr - ptr[0]), shape=(sector.dim,) * 2))
+    return SparseOperator(sector, sector, _csr(data, cols, ptr - ptr[0], (sector.dim,) * 2))
 
 
 def total_charge_projector(model: AnyonModel, n_modes: int, g) -> SparseOperator:

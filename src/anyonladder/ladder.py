@@ -25,12 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-
 from . import trees
 from .basis import (
-    DROP_TOLERANCE, FusionTreeBasis, SparseOperator, braid_adjacent, _braid_block, _label_table, _memo, _ranges,
-    _times,
+    DROP_TOLERANCE, FusionTreeBasis, SparseOperator, braid_adjacent, _braid_block, _csr, _label_table, _memo,
+    _ranges, _times,
 )
 from .model import AnyonModel, ModelDataError
 from .polynomial import GeneratorSymbol
@@ -103,7 +101,7 @@ def _over(op: SparseOperator, k: int) -> SparseOperator:
     indptr = np.zeros(len(lengths) + 1, np.int64)
     indptr[dest + 1] = lengths[src]
     take = _ranges(mat.indptr[src], lengths[src])
-    moved = sp.csr_matrix((mat.data[take], mat.indices[take], np.cumsum(indptr)), shape=mat.shape)
+    moved = _csr(mat.data[take], mat.indices[take], np.cumsum(indptr), mat.shape)
     return SparseOperator(op.row_basis, op.col_basis, moved)
 
 

@@ -12,6 +12,7 @@ from anyonladder.basis import (
     SparseOperator,
     _CSRBlock,
     _conjugate,
+    _csr,
     _drop,
     _factored_states,
     _label_table,
@@ -274,6 +275,11 @@ def test_sparse_operator_algebra(fib):
     assert np.isclose(a.apply(vec)[0], 2.0)
     tiny = SparseOperator.from_entries(basis, basis, {(0, 0): 1e-16})
     assert tiny.drop().nnz == 0
+    # A matrix that does not fit its bases is refused before any kernel reads it.
+    wrong = SparseOperator(basis, basis, sp.csr_matrix((basis.dim + 1, basis.dim + 1), dtype=complex))
+    for call in (lambda: a @ wrong, lambda: wrong @ a, lambda: a + wrong, lambda: wrong - a):
+        with pytest.raises(ValueError, match="dimension mismatch|inconsistent shapes"):
+            call()
 
 
 def test_charge_diagonality_detection(fib):
@@ -687,17 +693,140 @@ def _untidy_cases(fib, rng):
 
 def test_products_and_adjoints_match_the_scipy_compositions(fib):
     """``@`` has the CSR bytes of scipy's product made CSR and dropped
-    through COO, and ``dagger`` those of ``conj().T.tocsr()``: dtypes of
-    ``indptr`` and ``indices``, and every data bit, signed zeros included."""
+    through COO, ``dagger`` those of ``conj().T.tocsr()``, and ``+``, ``-``
+    and scalar ``*`` those of scipy's own sum, difference and scalar product:
+    dtypes of ``indptr`` and ``indices``, and every data bit, signed zeros
+    included.  An exact cancellation stores nothing."""
     cases = _untidy_cases(fib, np.random.default_rng(17))
     pairs = [(a, b) for a in cases for b in cases if a.col_basis.is_compatible(b.row_basis)]
     assert len(pairs) > 60
     for a, b in pairs:
         assert orc.csr_bytes(a @ b) == orc.csr_bytes(orc.matmul_coo(a, b))
+    same = [(a, b) for a, b in pairs if a.row_basis.is_compatible(b.row_basis)
+            and a.col_basis.is_compatible(b.col_basis)]
+    assert len(same) > 40
+    for a, b in same:
+        for got, want in ((a + b, a.matrix + b.matrix), (a - b, a.matrix - b.matrix)):
+            # On int64 operands scipy picks the index dtype from its result
+            # buffer, unused tail included; wrapped again, from the entries.
+            want = sp.csr_matrix((want.data, want.indices, want.indptr), shape=want.shape)
+            assert orc.csr_bytes(got) == orc.csr_bytes(SparseOperator(a.row_basis, a.col_basis, want))
     for op in cases:
         assert orc.csr_bytes(op.dagger()) == orc.csr_bytes(orc.dagger_conj_t(op))
         assert orc.csr_bytes(op.drop()) == orc.csr_bytes(orc.drop_coo(op))
         assert orc.csr_bytes(op.dagger().dagger().drop()) == orc.csr_bytes(orc.drop_coo(op))
+        assert (op - op).nnz == 0 and (op - op).matrix.indices.dtype == np.int32
+        for scalar in (-1.0, 0.0, -0.0, 2j, complex(-0.0, 0.5), np.complex128(-0.5)):
+            want = SparseOperator(op.row_basis, op.col_basis, op.matrix * scalar)
+            assert orc.csr_bytes(op * scalar) == orc.csr_bytes(want)
+
+
+def test_from_entries_matches_the_scipy_coo_build(fib):
+    """``from_entries`` has the CSR bytes of ``sp.csr_matrix((vals, (rows,
+    cols)))``: entries unsorted, repeated (summed in the order given), sorted
+    with repeats, already canonical, or none; explicit and signed zeros
+    kept; int32 and int64 index input."""
+    rng = np.random.default_rng(29)
+    for row_basis, col_basis in [(FusionTreeBasis(fib, 3), FusionTreeBasis(fib, 3)),
+                                 (FusionTreeBasis(fib, 4, "e"), FusionTreeBasis(fib, 4, "tau"))]:
+        shape = (row_basis.dim, col_basis.dim)
+        n = 4 * row_basis.dim
+        rows, cols = rng.integers(0, shape[0], n), rng.integers(0, shape[1], n)
+        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        vals[::5] = 0.0
+        vals.real[1::7] = -0.0
+        vals[2::9] = complex(-0.0, -0.0)
+        order = np.lexsort((cols, rows))
+        first = np.unique(rows[order] * shape[1] + cols[order], return_index=True)[1]
+        entries = [
+            (rows, cols, vals),
+            (rows.astype(np.int32), cols.astype(np.int32), vals),
+            (rows[order], cols[order], vals[order]),  # sorted, with repeats
+            (rows[order][first], cols[order][first], vals[order][first]),  # canonical
+            (rows[:0], cols[:0], vals[:0]),
+        ]
+        # Many repeats of three positions, sorted, whose sums depend on their
+        # order: scipy's sort is not stable, and it sorts no sorted input.
+        spread = rng.normal(size=64) * 10.0 ** rng.integers(-8, 9, 64) + 0j
+        entries.append((np.zeros(64, int), np.sort(rng.integers(0, 3, 64)), spread))
+        for r, c, v in entries:
+            got = SparseOperator.from_entries(row_basis, col_basis, (r, c, v))
+            want = sp.csr_matrix((v, (r, c)), shape=shape)
+            assert orc.csr_bytes(got) == orc.csr_bytes(SparseOperator(row_basis, col_basis, want))
+    b3 = FusionTreeBasis(fib, 3)
+    for bad in [([0, b3.dim], [0, 0], [1.0, 1.0]), ([0], [-1], [1.0]), ([0, 1], [0], [1.0, 1.0])]:
+        with pytest.raises(ValueError):
+            SparseOperator.from_entries(b3, b3, bad)
+
+
+def test_csr_builds_scipys_own_matrix():
+    """``_csr`` gives the matrix that scipy's constructor builds from the same
+    valid CSR arrays: the same attributes, index dtypes, array bytes and
+    canonical flag, a buffer's tail cut off and a view of under half of its
+    buffer copied; and the result passes scipy's full format check."""
+    rng = np.random.default_rng(31)
+    ref = sp.csr_matrix((rng.random((6, 7)) < 0.4) * (rng.normal(size=(6, 7)) + 1j))
+    rev = np.concatenate([np.arange(hi - 1, lo - 1, -1) for lo, hi in zip(ref.indptr[:-1], ref.indptr[1:])])
+    unsorted = sp.csr_matrix((ref.data[rev], ref.indices[rev], ref.indptr), shape=ref.shape)
+    assert not unsorted.has_sorted_indices
+
+    def buffered(x, factor):  # ``x`` at the head of a longer buffer, as a kernel leaves it
+        buffer = np.zeros(int(factor * len(x)) + 1, x.dtype)
+        buffer[:len(x)] = x
+        return buffer
+
+    cases = []
+    for index in (np.int32, np.int64):
+        for m in (ref, unsorted):
+            p, i = m.indptr.astype(index), m.indices.astype(index)
+            cases += [
+                (m.data.copy(), i, p, m.shape),
+                (buffered(m.data, 1.5), buffered(i, 1.5), p, m.shape),
+                (buffered(m.data, 3), buffered(i, 3), p, m.shape),
+                (m.data, i, p, (6, 2**31)),  # int64 indices: a dimension past int32
+            ]
+        cases.append((np.zeros(0, complex), np.zeros(0, index), np.zeros(1, index), (0, 0)))
+    for data, indices, indptr, shape in cases:
+        got, want = _csr(data, indices, indptr, shape), sp.csr_matrix((data, indices, indptr), shape=shape)
+        assert list(vars(got)) == list(vars(want))
+        assert (got._shape, got.maxprint) == (want._shape, want.maxprint)
+        for x, y in zip((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert np.shares_memory(got.data, data) == np.shares_memory(want.data, data)
+        assert got.has_canonical_format == want.has_canonical_format
+        got.check_format(full_check=True)
+
+
+def test_every_sparse_result_holds_exactly_its_entries(fib):
+    """Each sparse result's arrays hold exactly its ``nnz`` entries, as
+    ``norm_max``, ``_require_finite`` and ``_entries`` read ``data`` whole,
+    and none is a view of under half of its buffer (scipy's prune rule): every
+    ``SparseOperator`` method, ``_drop``, ``_matmul_batch``, ``_conjugate``,
+    ``_CSRBlock.operator``, ``_sector_block`` and ``from_entries``."""
+    rng = np.random.default_rng(37)
+    a, unsorted, untidy, wide = _untidy_cases(fib, rng)[:4]
+    b3 = a.row_basis
+    w = _factored_states(fib, 3, 1)[0]
+    block = _CSRBlock.pack([a, unsorted, untidy])
+    rows, cols = np.nonzero(rng.random((b3.dim, b3.dim)) < 0.3)
+    vals, owner = rng.normal(size=len(rows)) + 0j, rng.integers(0, 2, len(rows))
+    over = braid_adjacent(fib, 4, 2)
+    ops = [
+        SparseOperator.from_entries(b3, b3, (rows, cols, vals)), SparseOperator.identity(b3),
+        SparseOperator.zero(b3), a @ untidy, untidy @ wide, a + untidy, untidy - wide, a - a,
+        untidy * 2.0, -wide, untidy.dagger(), wide.dagger(), untidy.drop(), wide.drop(1e-3),
+        *(block.operator(i) for i in range(3)),
+        *(_sector_block(over, FusionTreeBasis(fib, 4, g)) for g in ("e", "tau")),
+    ]
+    mats = [op.matrix for op in ops] + [_drop(untidy.matrix), _drop((a.matrix @ a.matrix).tocsr())]
+    blocks = [
+        _matmul_batch([(block, 0), (block, 1), (block, 2)], [(block, 1), (block, 2), (block, 0)]),
+        _conjugate(w, rows, cols, vals, owner, 2),
+    ]
+    for data, indices, indptr in [(m.data, m.indices, m.indptr) for m in mats + blocks]:
+        assert len(data) == len(indices) == indptr[-1]
+        for x in (data, indices):
+            assert x.base is None or x.size >= x.base.size // 2
 
 
 def test_scalar_multiplication_refuses_a_non_scalar(fib):
